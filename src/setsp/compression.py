@@ -57,6 +57,9 @@ class SetFunctionOracle:
 
     def query_many(self, masks) -> np.ndarray:
         masks = np.asarray(masks, dtype=np.int64)
+        bad = (masks < 0) | (masks >= self.ground.size)
+        if bad.any():
+            raise ValueError(f"mask {masks[bad][0]} out of range for n={self.ground.n}")
         self.queries += masks.size
         if self._batch_fn is not None:
             return np.asarray(self._batch_fn(masks), dtype=np.float64)

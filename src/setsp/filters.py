@@ -170,16 +170,16 @@ def convolve(model: int, h: Filter, s: SetFunction, path: str = "auto") -> SetFu
 def _convolve_direct(model: int, h: Filter, s: SetFunction) -> SetFunction:
     out = np.zeros_like(s.values)
     if model in (3, 4, 5):
-        # s_{A\Q}, s_{A u Q}, s_{A delta Q}: pure index remaps per tap
-        masks = s.ground.masks()
+        # s_{A\Q}, s_{A u Q}, s_{A delta Q} as strided views of the n-axis
+        # cube, whose axis 0 is the highest bit: on Q's axes read index 0
+        # (broadcast), index 1 (broadcast) or the reversed axis.
+        n = s.ground.n
+        cube = s.values.reshape((2,) * n)
+        out_cube = out.reshape((2,) * n)
+        on_q = {3: slice(0, 1), 4: slice(1, 2), 5: slice(None, None, -1)}[model]
         for Q, weight in h.taps.entries.items():
-            if model == 3:
-                idx = masks & ~Q
-            elif model == 4:
-                idx = masks | Q
-            else:
-                idx = masks ^ Q
-            out += weight * s.values[idx]
+            view = tuple(on_q if Q >> i & 1 else slice(None) for i in reversed(range(n)))
+            out_cube += weight * cube[view]
     else:
         for Q, weight in h.taps.entries.items():
             out += weight * shift_by_set(model, Q, s).values

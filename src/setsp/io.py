@@ -17,6 +17,7 @@ repr(), so a write/read round trip reproduces the exact float64 bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,8 @@ def parse_setfn(path) -> SetFnFile:
             value = float(parts[1])
         except ValueError:
             fail(line_no, f"value is not a number: {parts[1]!r}")
+        if not math.isfinite(value):
+            fail(line_no, f"value is not finite: {parts[1]!r}")
         pairs.append((mask, value))
 
     if kind == "dense" and len(pairs) != size:

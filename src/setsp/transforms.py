@@ -7,6 +7,15 @@ transforms of integer signals are exact.  Model 5 is the Walsh-Hadamard
 transform; its inverse carries an extra (1/2)**n scale, applied once at the
 end.
 
+`dsft_inplace` runs each stage as one in-place ufunc where it can: with the
+complement reversal J (`values[::-1]`) applied once first, the kernels of
+models 1 and 4 factor as a zeta step times J, [[1,1],[1,0]] = [[1,1],[0,1]].J
+and [[0,1],[1,-1]] = [[1,0],[-1,1]].J (Yates; Bjoerklund et al., "Fourier
+meets Moebius").  The low stages run block by block in L2, the high ones
+stream (the FFHT layout of Andoni et al.).  Neither changes an output bit:
+each output is the same sum, formed in the same order up to swapping the
+operands of an addition.
+
 The same Kronecker structure gives a closed form for every matrix entry:
 
     entry(row, col) = scale * (-1)**|row & col| * [condition(row, col)]
@@ -93,67 +102,140 @@ def kernel(model: int, direction: str = FORWARD) -> TransformKernel:
 
 def _infer_n(size: int) -> int:
     n = size.bit_length() - 1
-    if 1 << n != size:
+    if n < 0 or 1 << n != size:
         raise ValueError(f"signal length {size} is not a power of two")
     return n
+
+
+# Stage ops on the halves (u, w) of one butterfly stage; `tmp` is a flat
+# scratch buffer at least as large as u, used by model 5 only.
+def _sum_up(u, w, tmp):
+    np.add(u, w, out=u)  # superset sum: (u, w) -> (u+w, w)
+
+
+def _diff_down(u, w, tmp):
+    np.subtract(w, u, out=w)  # subset difference: (u, w) -> (u, w-u)
+
+
+def _model2(u, w, tmp):
+    np.add(u, w, out=u)  # [[1,1],[0,-1]]: (u, w) -> (u+w, -w)
+    np.negative(w, out=w)
+
+
+def _model3(u, w, tmp):
+    np.subtract(u, w, out=w)  # [[1,0],[1,-1]]: (u, w) -> (u, u-w)
+
+
+def _wht(u, w, tmp):
+    t = tmp[: u.size].reshape(u.shape)  # [[1,1],[1,-1]]: (u, w) -> (u+w, u-w)
+    np.subtract(u, w, out=t)
+    np.add(u, w, out=u)
+    np.copyto(w, t)
+
+
+# (model, direction) -> (reverse the array first?, stage op); the
+# factorisations are in the module and `dsft_inplace` docstrings.
+_STAGES = {
+    (1, FORWARD): (True, _sum_up),
+    (1, INVERSE): (True, _diff_down),
+    (2, FORWARD): (False, _model2),
+    (2, INVERSE): (False, _model2),
+    (3, FORWARD): (False, _model3),
+    (3, INVERSE): (False, _model3),
+    (4, FORWARD): (True, _diff_down),
+    (4, INVERSE): (True, _sum_up),
+    (5, FORWARD): (False, _wht),
+    (5, INVERSE): (False, _wht),
+}
+
+# Stages i < _BLOCK_BITS pair rows inside aligned blocks of 2**_BLOCK_BITS
+# rows (256 KiB of float64 for 1-d input), which stay in L2 while all of
+# those stages run.
+_BLOCK_BITS = 15
+
+
+def _stage(x: np.ndarray, i: int, op, tmp) -> None:
+    """Stage i (0-based) of the butterfly on x: pairs rows differing in bit i.
+
+    The halves have shape (pairs, 2**i).  On 1-d input, stages 1 and 2 run
+    the op once per column of the halves instead: a strided 1-d view whose
+    inner loop is long, not 2 or 4 elements.  Model 2 is left out because
+    numpy 2.4's in-place `np.negative` on a 1-d view with a stride of 8
+    elements writes the wrong elements.
+    """
+    v = x.reshape((-1, 2, 1 << i) + x.shape[1:])
+    u, w = v[:, 0], v[:, 1]
+    if x.ndim == 1 and i in (1, 2) and op is not _model2:
+        for uj, wj in zip(u.T, w.T):
+            op(uj, wj, tmp)
+    else:
+        op(u, w, tmp)
 
 
 def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> int:
     """Fast transform of `values` in place; returns the add/sub count.
 
     `values` is a float64 array of length 2**n indexed by subset mask; a 2-d
-    array of shape (2**n, m) transforms m signals at once (columns).  The
-    butterfly schedule is fixed (stages i=1..n ascending), so the output bits
-    are reproducible regardless of how callers batch.
+    array of shape (2**n, m) transforms m signals at once (columns).
+
+    Each (model, direction) is one row of `_STAGES`: an optional complement
+    reversal J (`values[::-1]` along axis 0) followed by n stages of one
+    stage op, stage i pairing rows that differ in bit i.  Kronecker factors
+    on different bits commute, so the n-fold power of `op . J` is the n-fold
+    power of `op` after the n-fold power of J, a full reversal.  This is the
+    zeta/Moebius factorisation of Yates (1937) and of Bjoerklund, Husfeldt,
+    Kaski & Koivisto, "Fourier meets Moebius" (STOC 2007):
+
+        model 1 forward = model 4 inverse: reverse, then u += w per stage
+        model 1 inverse = model 4 forward: reverse, then w -= u per stage
+        model 2: (u, w) -> (u+w, -w);  model 3: w = u - w
+        model 5: (u, w) -> (u+w, u-w), through a half-size temp
+
+    Schedule (the cache blocking of FFHT, Andoni et al., NeurIPS 2015): the
+    stages i < _BLOCK_BITS only pair rows inside aligned blocks of
+    2**_BLOCK_BITS rows, so they all run on one block before moving to the
+    next, while the block is in L2.  The reversal is folded into that pass:
+    block k is swapped with block nb-1-k, both reversed, through a
+    block-sized buffer.  The stages i >= _BLOCK_BITS then stream over the
+    whole array.  2-d input is blocked along axis 0.  Scratch memory is one
+    block for models 1 and 4 and a half-size temp for model 5.
+
+    The bits do not depend on the schedule or on batching: every output is
+    the same tree of additions as the per-stage 2x2 butterfly in ascending
+    stage order.  Reordering independent butterflies changes no operand, and
+    reversing first only relabels which slot holds a value, turning u + w
+    into w + u, which IEEE addition makes exact.
     """
     check_model(model)
     check_direction(direction)
     if values.dtype != np.float64:
         raise ValueError("in-place transform requires a float64 array")
     n = _infer_n(values.shape[0])
-    half = values.size // 2
     if n == 0:
         return 0
-
-    tmp = np.empty(half, dtype=np.float64)
-    batch = values.shape[1:] if values.ndim > 1 else ()
-    additions = 0
-    for i in range(n):
-        step = 1 << i
-        x = values.reshape((-1, 2, step) + batch)
-        u = x[:, 0]
-        w = x[:, 1]
-        t = tmp.reshape(u.shape)
-        if model == 5:
-            # (u, w) -> (u+w, u-w), two ops per butterfly
-            np.subtract(u, w, out=t)
-            np.add(u, w, out=u)
-            np.copyto(w, t)
-            additions += 2 * half
-            continue
-        forward = direction == FORWARD
-        if (model == 1 and forward) or (model == 4 and not forward):
-            # [[1,1],[1,0]]: (u, w) -> (u+w, u)
-            np.copyto(t, u)
-            np.add(u, w, out=u)
-            np.copyto(w, t)
-        elif (model == 1 and not forward) or (model == 4 and forward):
-            # [[0,1],[1,-1]]: (u, w) -> (w, u-w)
-            np.subtract(u, w, out=t)
-            np.copyto(u, w)
-            np.copyto(w, t)
-        elif model == 2:
-            # [[1,1],[0,-1]]: (u, w) -> (u+w, -w); self-inverse
-            np.add(u, w, out=u)
-            np.negative(w, out=w)
-        else:
-            # model 3, [[1,0],[1,-1]]: (u, w) -> (u, u-w); self-inverse
-            np.subtract(u, w, out=w)
-        additions += half
+    reverse, op = _STAGES[(model, direction)]
+    batch = values.shape[1:]
+    low = min(n, _BLOCK_BITS)
+    nb = 1 << (n - low)
+    blocks = values.reshape((nb, 1 << low) + batch)
+    tmp = np.empty(values.size // 2) if model == 5 else None
+    scratch = np.empty_like(blocks[0]) if reverse else None
+    for k in range(max(nb // 2, 1)):
+        head, tail = blocks[k], blocks[nb - 1 - k]
+        if reverse:
+            np.copyto(scratch, head)
+            if nb > 1:
+                np.copyto(head, tail[::-1])
+            np.copyto(tail, scratch[::-1])
+        for block in (head, tail) if nb > 1 else (head,):
+            for i in range(low):
+                _stage(block, i, op, tmp)
+    for i in range(low, n):
+        _stage(values, i, op, tmp)
 
     if model == 5 and direction == INVERSE:
         values *= 0.5**n
-    return additions
+    return n * (values.size // 2) * (2 if model == 5 else 1)
 
 
 def dsft(model: int, s: SetFunction) -> Spectrum:

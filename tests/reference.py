@@ -69,6 +69,41 @@ def idsft_reference(model: int, coeffs, n: int) -> list[float]:
     return out
 
 
+# 2x2 kernels per (model, direction): the n=1 transform matrices, written
+# out from the defining sums above (rows are outputs, columns inputs).
+BUTTERFLY_KERNELS = {
+    (1, "forward"): ((1.0, 1.0), (1.0, 0.0)),
+    (1, "inverse"): ((0.0, 1.0), (1.0, -1.0)),
+    (2, "forward"): ((1.0, 1.0), (0.0, -1.0)),
+    (2, "inverse"): ((1.0, 1.0), (0.0, -1.0)),
+    (3, "forward"): ((1.0, 0.0), (1.0, -1.0)),
+    (3, "inverse"): ((1.0, 0.0), (1.0, -1.0)),
+    (4, "forward"): ((0.0, 1.0), (1.0, -1.0)),
+    (4, "inverse"): ((1.0, 1.0), (1.0, 0.0)),
+    (5, "forward"): ((1.0, 1.0), (1.0, -1.0)),
+    (5, "inverse"): ((0.5, 0.5), (0.5, -0.5)),
+}
+
+
+def butterfly_reference(model: int, direction: str, values, n: int) -> list[float]:
+    """Plain per-stage butterfly: stage i = 0..n-1 maps every pair (u, w) of
+    indices differing in bit i through the 2x2 kernel.  Zero kernel entries
+    contribute no term, so each output is the same sum of +-u, +-w (scaled
+    by 0.5 for the model-5 inverse) that a fast in-place schedule forms."""
+    kern = BUTTERFLY_KERNELS[(model, direction)]
+    out = [float(v) for v in values]
+    for i in range(n):
+        bit = 1 << i
+        for A in range(1 << n):
+            if A & bit:
+                continue
+            pair = (out[A], out[A | bit])
+            for row, dest in zip(kern, (A, A | bit)):
+                terms = [k * x for k, x in zip(row, pair) if k != 0.0]
+                out[dest] = sum(terms[1:], terms[0])
+    return out
+
+
 def shift_reference(model: int, i: int, values, n: int) -> list[float]:
     """Elementary shift by x_i acting on the signal values."""
     size = 1 << n

@@ -232,3 +232,10 @@ def test_oracle_counter_and_determinism():
     assert oracle.queries == 4
     with pytest.raises(ValueError):
         oracle.query(8)
+    # query_many validates like query, before counting; a dense oracle would
+    # otherwise wrap -1 around to s_N
+    dense = SetFunctionOracle.from_setfunction(SetFunction(GroundSet(3), np.arange(8.0)))
+    for mask in (-1, 8):
+        with pytest.raises(ValueError, match="out of range"):
+            dense.query_many([1, mask])
+    assert dense.queries == 0

@@ -63,6 +63,9 @@ def test_dense_bound_check(tmp_path):
         ("setfn v1\nn 2\nkind sparse\nmodel none\n7 1.0\n", 5, "out of range"),
         ("setfn v1\nn 2\nkind sparse\nmodel none\n1 1.0\n1 2.0\n", 6, "duplicate"),
         ("setfn v1\nn 2\nkind sparse\nmodel none\n1 abc\n", 5, "not a number"),
+        ("setfn v1\nn 2\nkind sparse\nmodel none\n0 nan\n", 5, "not finite"),
+        ("setfn v1\nn 2\nkind sparse\nmodel none\n0 1.0\n3 inf\n", 6, "not finite"),
+        ("setfn v1\nn 2\nkind sparse\nmodel none\n3 -inf\n", 5, "not finite"),
         ("setfn v1\nn 2\nkind dense\nmodel none\n0 1.0\n", 6, "all 4 masks"),
     ],
 )

@@ -1,0 +1,82 @@
+"""Property tests: the fast paths are bit-identical to plain formulas.
+
+The transform's cache blocking only shows at n > _BLOCK_BITS, so these tests
+shrink the block to 2**2 or 2**3 rows: then n <= 8 crosses several blocks and
+the paired-block reversal of models 1 and 4.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from setsp import filters, transforms
+from setsp.core import GroundSet, SetFunction
+from setsp.transforms import FORWARD, INVERSE, dsft_inplace
+
+from reference import butterfly_reference
+
+PAIRS = [(model, direction) for model in range(1, 6) for direction in (FORWARD, INVERSE)]
+
+# Zero or of magnitude 1e-6..1e6: every partial sum stays a normal float, so
+# scaling by 0.5 once per stage or by 0.5**n at the end gives the same bits.
+VALUES = st.one_of(
+    st.just(0.0),
+    st.just(-0.0),
+    st.floats(min_value=1e-6, max_value=1e6),
+    st.floats(min_value=-1e6, max_value=-1e-6),
+)
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("model,direction", PAIRS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(0, 8), columns=st.integers(0, 3),
+       block_bits=st.sampled_from([2, 3]))
+def test_blocked_transform_is_the_plain_butterfly(model, direction, data, n, columns,
+                                                  block_bits):
+    shape = (1 << n, columns) if columns else (1 << n,)
+    values = data.draw(arrays(np.float64, shape, elements=VALUES))
+    got = values.copy()
+    with mock.patch.object(transforms, "_BLOCK_BITS", block_bits):
+        additions = dsft_inplace(got, model, direction)
+    assert additions == n * (values.size // 2) * (2 if model == 5 else 1)
+    cols = values.reshape(1 << n, -1)
+    want = np.column_stack(
+        [butterfly_reference(model, direction, cols[:, j].tolist(), n) for j in range(cols.shape[1])]
+    )
+    assert _same_bits(got, want.reshape(shape))
+
+
+REMAP = {
+    3: lambda masks, Q: masks & ~Q,
+    4: lambda masks, Q: masks | Q,
+    5: lambda masks, Q: masks ^ Q,
+}
+
+
+@pytest.mark.parametrize("model", (3, 4, 5))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 8))
+def test_direct_convolution_is_the_index_remap(model, data, n):
+    size = 1 << n
+    weight = st.floats(min_value=-1e3, max_value=1e3)
+    taps = {0: data.draw(weight)}
+    taps.update(data.draw(st.dictionaries(st.integers(0, size - 1), weight, max_size=5)))
+    taps[size - 1] = data.draw(weight)
+    values = data.draw(arrays(np.float64, size, elements=VALUES))
+    ground = GroundSet(n)
+    h = filters.Filter.from_taps(ground, taps)
+    got = filters._convolve_direct(model, h, SetFunction.wrap(ground, values)).values
+
+    masks = np.arange(size, dtype=np.int64)
+    want = np.zeros(size)
+    for Q, w in h.taps.entries.items():
+        want += w * values[REMAP[model](masks, Q)]
+    assert _same_bits(got, want)

@@ -196,6 +196,8 @@ def test_inplace_requires_float64():
         dsft_inplace(np.zeros(4, dtype=np.float32), 1)
     with pytest.raises(ValueError, match="power of two"):
         dsft_inplace(np.zeros(6), 1)
+    with pytest.raises(ValueError, match="signal length 0 is not a power of two"):
+        dsft_inplace(np.zeros(0), 1)
 
 
 def test_transform_preserves_input():
