@@ -197,7 +197,9 @@ def estimate_relative_error(
 
     Draws `m_samples` masks uniformly with replacement (seeded PCG64), and
     returns ||s_C - s'_C||_2 / ||s_C||_2.  `evaluate` is a BandlimitedApprox
-    or any callable mapping a mask array to approximate values.
+    or any callable mapping a mask array to approximate values.  A nan or
+    +-inf value on either side raises ValueError, naming the first probe
+    that returned one.
     """
     if m_samples < 1:
         raise ValueError("m_samples must be >= 1")
@@ -205,6 +207,7 @@ def estimate_relative_error(
     size = 1 << oracle.ground.n
     probes = rng.integers(0, size, size=m_samples, dtype=np.uint64).astype(np.int64)
     truth = oracle.query_many(probes)
+    _check_finite("oracle", probes, truth)
     denom = float(np.linalg.norm(truth))
     if denom == 0.0:
         raise ValueError("relative error undefined: all sampled oracle values are zero")
@@ -212,4 +215,14 @@ def estimate_relative_error(
         approx_values = eval_bandlimited_many(evaluate, probes)
     else:
         approx_values = np.asarray(evaluate(probes), dtype=np.float64)
+    _check_finite("approximation", probes, approx_values)
     return float(np.linalg.norm(truth - approx_values) / denom)
+
+
+def _check_finite(source: str, probes: np.ndarray, values: np.ndarray) -> None:
+    bad = ~np.isfinite(values)
+    if bad.any():
+        first = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"{source} returned non-finite value {values[first]!r} at mask {probes[first]}"
+        )

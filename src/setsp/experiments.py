@@ -12,19 +12,26 @@ Monte-Carlo scored against the oracle.
 Sampling: synthetic sparse bidders share a frequency pool; training spectra
 pick the support, the model-4 sampling theorem reconstructs test bidders from
 one query per selected frequency, and a degree-2 polynomial fit on the same
-queries serves as baseline.  The harness also reports a captured-mass bound:
+queries serves as baseline.  Both are scored exactly over all 2**n subsets by
+inverse model-4 transforms of coefficient differences, with no design matrix
+over the lattice.  The harness also reports a captured-mass bound:
 the triangle-inequality bound sum |h_B| * ||f^B||_2 / ||v||_2 over the true
 frequencies missed by the support, an a-priori cap on the truncation error.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroundSet, SetFunction, popcount
+from .core import (
+    GroundSet,
+    SetFunction,
+    is_subset,
+    popcount,
+    subsets_of_cardinality_at_most,
+)
 from .coverage import GaussianModel, gaussian_entropy, gaussian_entropy_many
 from .compression import (
     RNG_ALGORITHM,
@@ -35,12 +42,13 @@ from .compression import (
 )
 from .sampling import (
     SparseSpectrum4,
-    SparseSupport,
     oracle_from_sparse_spectrum,
     reconstruct,
     sampling_indices,
     select_support,
+    with_dominant_offset,
 )
+from .transforms import INVERSE, dsft_inplace
 
 
 def random_rbf_covariance(
@@ -202,24 +210,7 @@ def pool_bidder(pool: BidderPool, rng: np.random.Generator, *,
     freqs = nonempty[include]
     mags = base[include] * np.exp(jitter_sigma * rng.standard_normal(freqs.size))
     signs = rng.choice([-1.0, 1.0], size=freqs.size)
-    coeffs = mags * signs
-    all_freqs = np.concatenate(([0], freqs))
-    all_coeffs = np.concatenate(([empty_factor * np.abs(coeffs).sum()], coeffs))
-    support = SparseSupport(pool.ground, all_freqs)
-    lookup = {int(f): float(c) for f, c in zip(all_freqs, all_coeffs)}
-    aligned = np.array([lookup[int(f)] for f in support.freqs])
-    return SparseSpectrum4(support, aligned)
-
-
-def _poly2_design(masks: np.ndarray, n: int) -> np.ndarray:
-    """Degree-2 polynomial features of the indicator vector of each mask:
-    constant, singles, and pair products; 1 + n + C(n,2) columns."""
-    bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
-    parts = [np.ones(masks.size), bits]
-    pairs = [bits[:, i] * bits[:, j] for i, j in itertools.combinations(range(n), 2)]
-    if pairs:
-        parts.append(np.column_stack(pairs))
-    return np.column_stack(parts)
+    return with_dominant_offset(pool.ground, freqs, mags * signs, empty_factor)
 
 
 @dataclass(frozen=True)
@@ -252,7 +243,6 @@ def sampling_experiment(
     n_test: int = 25,
     k_support: int = 500,
     seed: int,
-    chunk: int = 32768,
 ) -> SamplingReport:
     """Train/test sparse-spectrum elicitation on synthetic pooled bidders.
 
@@ -260,6 +250,17 @@ def sampling_experiment(
     frequencies; each test bidder is reconstructed from the k complement
     queries and compared (exactly, over all 2**n subsets) against the truth
     and against a degree-2 polynomial least-squares fit on the same queries.
+
+    Both comparisons run on transforms, not on design matrices.  Per test
+    bidder, one inverse model-4 transform gives the truth (its norm and its
+    k queried values) and one more gives truth - reconstruction, from the
+    difference of the two spectra.  All bidders are then fit at once, by one
+    least-squares solve with a k-row design and one column per bidder.  The
+    fit p(A) = sum over B subseteq A, |B| <= 2 of beta_B has the model-4
+    spectrum gamma_C = (-1)**|C| * sum over B supseteq C of beta_B on the
+    same band, because [B subseteq A] = prod over i in B of (1 - [i not in
+    A]); so truth - fit is a third inverse transform, of the bidder's
+    spectrum minus gamma.
     """
     ground = GroundSet(n)
     pool = random_bidder_pool(ground, pool_size, seed)
@@ -269,25 +270,27 @@ def sampling_experiment(
 
     support = select_support([b.to_spectrum() for b in train], k_support)
     queries = sampling_indices(support)
-    selected = set(int(B) for B in support.freqs)
 
     recon_errors = np.zeros(n_test)
     mass_bounds = np.zeros(n_test)
     captured = np.zeros(n_test)
-    betas = np.zeros((1 + n + n * (n - 1) // 2, n_test))
-    trues: list[np.ndarray] = []
-
-    fit_design = _poly2_design(queries, n)
+    norms = np.zeros(n_test)
+    observed = np.zeros((queries.size, n_test))
+    truth = np.zeros(ground.size)
+    gap = np.empty(ground.size)
     for t, bidder in enumerate(test):
-        truth = bidder.to_setfunction().values
-        trues.append(truth)
-        norm_truth = float(np.linalg.norm(truth))
-
         recon = reconstruct(oracle_from_sparse_spectrum(bidder), support)
-        approx = recon.to_setfunction().values
-        recon_errors[t] = float(np.linalg.norm(truth - approx)) / norm_truth
+        truth.fill(0.0)
+        truth[bidder.support.freqs] = bidder.coeffs
+        np.copyto(gap, truth)
+        gap[recon.support.freqs] -= recon.coeffs
+        dsft_inplace(truth, 4, INVERSE)
+        dsft_inplace(gap, 4, INVERSE)
+        norms[t] = norm_truth = float(np.linalg.norm(truth))
+        recon_errors[t] = float(np.linalg.norm(gap)) / norm_truth
+        observed[:, t] = truth[queries]
 
-        inside = np.array([int(B) in selected for B in bidder.support.freqs])
+        inside = np.isin(bidder.support.freqs, support.freqs)
         missed_coeffs = bidder.coeffs[~inside]
         missed_cards = popcount(bidder.support.freqs[~inside])
         # ||f^B||_2 = 2**((n-|B|)/2) for the model-4 basis
@@ -297,17 +300,19 @@ def sampling_experiment(
         total_mass = float((bidder.coeffs**2).sum())
         captured[t] = float((bidder.coeffs[inside] ** 2).sum()) / total_mass
 
-        betas[:, t] = np.linalg.lstsq(fit_design, truth[queries], rcond=None)[0]
-
-    # exact poly2 error over all 2**n subsets, chunked
-    sq_err = np.zeros(n_test)
-    for start in range(0, ground.size, chunk):
-        masks = np.arange(start, min(start + chunk, ground.size), dtype=np.int64)
-        pred = _poly2_design(masks, n) @ betas
-        block = np.column_stack([v[start : start + chunk] for v in trues])
-        sq_err += ((block - pred) ** 2).sum(axis=0)
-    norms = np.array([float(np.linalg.norm(v)) for v in trues])
-    poly2_errors = np.sqrt(sq_err) / norms
+    # the monomials prod over i in B of [i in A], B in the band |B| <= 2
+    band = subsets_of_cardinality_at_most(ground, min(2, n))
+    design = is_subset(band[None, :], queries[:, None]).astype(np.float64)
+    betas = np.linalg.lstsq(design, observed, rcond=None)[0]
+    signs = np.where(popcount(band) & 1, -1.0, 1.0)
+    gammas = signs[:, None] * (is_subset(band[:, None], band[None, :]) @ betas)
+    poly2_errors = np.zeros(n_test)
+    for t, bidder in enumerate(test):
+        gap.fill(0.0)
+        gap[bidder.support.freqs] = bidder.coeffs
+        gap[band] -= gammas[:, t]
+        dsft_inplace(gap, 4, INVERSE)
+        poly2_errors[t] = float(np.linalg.norm(gap)) / norms[t]
 
     rows = (
         ExperimentRow(

@@ -9,6 +9,12 @@ unit-lower-triangular linear system
 solved by forward substitution: k queries, O(k^2) arithmetic, no divisions.
 Exactly-sparse oracles reconstruct perfectly; approximately sparse ones get
 the unique spectrum agreeing with the oracle on the queried subsets.
+
+Evaluating a sparse spectrum at a subset A is the model-4 inverse restricted
+to the support: s_A = sum of the coefficients at frequencies disjoint from A.
+Every evaluator here forms that sum the same way, adding the terms one at a
+time in support order onto +0.0, so the scalar and the batched path return
+the same bits for every mask.
 """
 
 from __future__ import annotations
@@ -17,10 +23,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroundSet, SetFunction, Spectrum, popcount
+from .core import GroundSet, SetFunction, Spectrum, is_subset, popcount
 from .compression import SetFunctionOracle
 from . import io as setfn_io
 from .transforms import INVERSE, dsft_inplace
+
+
+# Probes per block of `eval_sparse_many`: the block's masks, its hit and
+# disjointness buffers and its slice of the output take at most 17 bytes per
+# probe for n <= 32, so 2**16 probes (1.1 MiB) stay in a 2 MiB L2 while the
+# support is swept over them.
+_EVAL_CHUNK = 1 << 16
+# Rows of `reconstruct`'s inclusion pattern built at once: a k=500 support
+# takes two blocks, and a 2**16 one holds 16 MiB of it at a time, not 4 GiB.
+_RECONSTRUCT_ROWS = 256
+
+
+def _support_order(freqs: np.ndarray) -> np.ndarray:
+    """The permutation that sorts masks by (cardinality, mask) ascending."""
+    return np.lexsort((freqs, popcount(freqs)))
 
 
 @dataclass(frozen=True)
@@ -42,8 +63,7 @@ class SparseSupport:
             raise ValueError(f"support masks out of range for n={self.ground.n}")
         if np.unique(freqs).size != freqs.size:
             raise ValueError("duplicate support entries")
-        order = np.lexsort((freqs, popcount(freqs)))
-        freqs = freqs[order]
+        freqs = freqs[_support_order(freqs)]
         freqs.setflags(write=False)
         object.__setattr__(self, "freqs", freqs)
 
@@ -88,19 +108,49 @@ def sampling_indices(support: SparseSupport) -> np.ndarray:
 
 
 def eval_sparse(spectrum: SparseSpectrum4, A: int) -> float:
-    """sum of coefficients at frequencies disjoint from A; O(k)."""
+    """sum of coefficients at frequencies disjoint from A; O(k).
+
+    The sum runs sequentially from +0.0 in support order (a cumulative sum,
+    not numpy's pairwise `sum`), so it returns the bits `eval_sparse_many`
+    returns for A.
+    """
     A = spectrum.ground.check_mask(A)
-    disjoint = (spectrum.support.freqs & A) == 0
-    return float(spectrum.coeffs[disjoint].sum())
+    terms = spectrum.coeffs[(spectrum.support.freqs & A) == 0]
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def eval_sparse_many(spectrum: SparseSpectrum4, masks) -> np.ndarray:
-    """Vectorized `eval_sparse` over an array of subset masks."""
+    """Vectorized `eval_sparse` over an array of subset masks, any shape.
+
+    The probes run in blocks of `_EVAL_CHUNK` that stay in L2; within a block
+    the support is swept in order, and each frequency B adds its coefficient
+    to the probes disjoint from it, through preallocated buffers.  Every probe
+    thus sums the same terms in the same order as a loop over the whole
+    support would.  Skipping a non-disjoint term instead of adding 0.0 is
+    exact: the accumulator starts at +0.0 and cannot become -0.0, and x + 0.0
+    is x for every other x, inf and nan included.
+
+    The masks are narrowed to the smallest unsigned type that holds 2**n - 1
+    (2 to 8 times fewer bytes per mask pass for n <= 32); that keeps every
+    result, because each B is below 2**n, so (A & B) == 0 depends only on the
+    low n bits of A.
+    """
     masks = np.asarray(masks, dtype=np.int64)
     flat = masks.ravel()
-    out = np.zeros(flat.shape[0])
-    for B, c in zip(spectrum.support.freqs, spectrum.coeffs):
-        out += np.where((flat & int(B)) == 0, c, 0.0)
+    out = np.zeros(flat.size)
+    narrow = np.min_scalar_type(spectrum.ground.full_mask)
+    width = min(_EVAL_CHUNK, flat.size)
+    hit = np.empty(width, dtype=narrow)
+    disjoint = np.empty(width, dtype=bool)
+    terms = list(zip(spectrum.support.freqs.astype(narrow), spectrum.coeffs.tolist()))
+    for start in range(0, flat.size, _EVAL_CHUNK):
+        probes = flat[start : start + _EVAL_CHUNK].astype(narrow)
+        acc = out[start : start + _EVAL_CHUNK]
+        h, d = hit[: probes.size], disjoint[: probes.size]
+        for B, c in terms:
+            np.bitwise_and(probes, B, out=h)
+            np.logical_not(h, out=d)
+            np.add(acc, c, out=acc, where=d)
     return out.reshape(masks.shape)
 
 
@@ -116,20 +166,17 @@ def reconstruct(oracle: SetFunctionOracle, support: SparseSupport) -> SparseSpec
     """Recover the coefficients on `support` from exactly k oracle queries.
 
     Queries the oracle at N \\ B_i and solves the unit-lower-triangular system
-    by forward substitution in support order.
+    by forward substitution in support order.  The inclusion pattern
+    [B_j subseteq B_i] is built once per block of rows, not once per row.
     """
     freqs = support.freqs
-    queries = sampling_indices(support)
-    values = oracle.query_many(queries)
+    values = oracle.query_many(sampling_indices(support))
     coeffs = np.zeros(freqs.size)
-    for i in range(freqs.size):
-        Bi = int(freqs[i])
-        if i:
-            prior = freqs[:i]
-            inside = (prior & ~Bi) == 0  # B_j subseteq B_i
-            coeffs[i] = values[i] - coeffs[:i][inside].sum()
-        else:
-            coeffs[i] = values[i]
+    for start in range(0, freqs.size, _RECONSTRUCT_ROWS):
+        stop = min(start + _RECONSTRUCT_ROWS, freqs.size)
+        inside = is_subset(freqs[None, :stop], freqs[start:stop, None])
+        for i in range(start, stop):
+            coeffs[i] = values[i] - coeffs[:i][inside[i - start, :i]].sum()
     return SparseSpectrum4(support, coeffs)
 
 
@@ -195,14 +242,22 @@ def synthetic_sparse_spectrum(
         freqs = np.array(sorted(chosen), dtype=np.int64)
     mags = np.exp(rng.uniform(np.log(mag_low), np.log(mag_high), size=k))
     signs = rng.choice([-1.0, 1.0], size=k)
-    coeffs = mags * signs
-    all_freqs = np.concatenate(([0], freqs))
-    all_coeffs = np.concatenate(([empty_factor * np.abs(coeffs).sum()], coeffs))
-    support = SparseSupport(ground, all_freqs)
-    # align the coefficients with the support's (cardinality, mask) order
-    lookup = {int(f): float(c) for f, c in zip(all_freqs, all_coeffs)}
-    aligned = np.array([lookup[int(f)] for f in support.freqs])
-    return SparseSpectrum4(support, aligned)
+    return with_dominant_offset(ground, freqs, mags * signs, empty_factor)
+
+
+def with_dominant_offset(
+    ground: GroundSet, freqs: np.ndarray, coeffs: np.ndarray, empty_factor: float
+) -> SparseSpectrum4:
+    """The spectrum of `coeffs` at the distinct nonempty `freqs` plus the
+    empty-set coefficient empty_factor * sum|coeffs|, in support order.
+
+    The offset dominates: every value of the set function is at least
+    (empty_factor - 1) * sum|coeffs|.
+    """
+    freqs = np.concatenate(([0], freqs))
+    coeffs = np.concatenate(([empty_factor * np.abs(coeffs).sum()], coeffs))
+    order = _support_order(freqs)
+    return SparseSpectrum4(SparseSupport(ground, freqs[order]), coeffs[order])
 
 
 def save_sparse_spectrum(path, spectrum: SparseSpectrum4) -> None:

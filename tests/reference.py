@@ -162,6 +162,18 @@ def convolve_reference(model: int, taps: dict, values, n: int) -> list[float]:
     return out
 
 
+def sparse_eval_reference(freqs, coeffs, masks) -> list[float]:
+    """Model-4 inverse of a sparse spectrum at each mask, one frequency at a
+    time: the coefficient of B is added, in support order, onto a running
+    sum that starts at 0.0, for every mask disjoint from B."""
+    out = [0.0] * len(masks)
+    for B, c in zip(freqs, coeffs):
+        for p, A in enumerate(masks):
+            if A & B == 0:
+                out[p] += c
+    return out
+
+
 def coverage_reference(offset: float, weights: dict, n: int) -> list[float]:
     """Evaluate a coverage representation: c + total weight touching A."""
     size = 1 << n

@@ -204,6 +204,21 @@ def test_estimate_error_rejects_zero_signal():
         estimate_relative_error(oracle, approx, 10, seed=1)
 
 
+@pytest.mark.parametrize("side", ["oracle", "approximation"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_estimate_error_rejects_non_finite_values(side, bad):
+    def tainted(masks):
+        return np.where(masks == 5, bad, 1.0 + masks)
+
+    def clean(masks):
+        return 1.0 + masks
+
+    oracle_fn, approx_fn = (tainted, clean) if side == "oracle" else (clean, tainted)
+    oracle = SetFunctionOracle(GroundSet(3), oracle_fn, batch_fn=oracle_fn)
+    with pytest.raises(ValueError, match=f"{side} returned non-finite value .* at mask 5"):
+        estimate_relative_error(oracle, approx_fn, 200, seed=1)
+
+
 def test_monte_carlo_close_to_exhaustive():
     rng = np.random.default_rng(16)
     n = 10

@@ -2,7 +2,8 @@
 
 The transform's cache blocking only shows at n > _BLOCK_BITS, so these tests
 shrink the block to 2**2 or 2**3 rows: then n <= 8 crosses several blocks and
-the paired-block reversal of models 1 and 4.
+the paired-block reversal of models 1 and 4.  Likewise the sparse evaluator's
+probe blocks and reconstruct's row blocks shrink to a few entries.
 """
 
 from unittest import mock
@@ -11,13 +12,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from setsp import filters, transforms
+from setsp import filters, sampling, transforms
 from setsp.core import GroundSet, SetFunction
+from setsp.sampling import (
+    SparseSpectrum4,
+    SparseSupport,
+    eval_sparse,
+    eval_sparse_many,
+    oracle_from_sparse_spectrum,
+    reconstruct,
+)
 from setsp.transforms import FORWARD, INVERSE, dsft_inplace
 
-from reference import butterfly_reference
+from reference import butterfly_reference, sparse_eval_reference
 
 PAIRS = [(model, direction) for model in range(1, 6) for direction in (FORWARD, INVERSE)]
 
@@ -80,3 +89,51 @@ def test_direct_convolution_is_the_index_remap(model, data, n):
     for Q, w in h.taps.entries.items():
         want += w * values[REMAP[model](masks, Q)]
     assert _same_bits(got, want)
+
+
+# Small n, plus the edges of the narrow mask types eval_sparse_many uses.
+SPARSE_N = st.one_of(st.integers(0, 10), st.sampled_from([16, 17, 32, 33, 62]))
+
+
+def _support(data, n: int, max_size: int) -> SparseSupport:
+    size = 1 << n
+    freqs = data.draw(st.lists(st.integers(0, size - 1), unique=True,
+                               max_size=min(size, max_size)))
+    return SparseSupport(GroundSet(n), np.array(freqs, dtype=np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=SPARSE_N, chunk=st.integers(1, 5),
+       shape=array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=7))
+def test_blocked_sparse_eval_is_the_sequential_sum(data, n, chunk, shape):
+    # infinite coefficients too: skipping a term is exact for inf and nan sums
+    coeff = st.one_of(VALUES, st.sampled_from([np.inf, -np.inf]))
+    support = _support(data, n, 16)
+    coeffs = data.draw(st.lists(coeff, min_size=len(support), max_size=len(support)))
+    spectrum = SparseSpectrum4(support, np.array(coeffs, dtype=np.float64))
+    masks = data.draw(arrays(np.int64, shape, elements=st.integers(0, (1 << n) - 1)))
+    with mock.patch.object(sampling, "_EVAL_CHUNK", chunk), np.errstate(invalid="ignore"):
+        got = eval_sparse_many(spectrum, masks)
+        scalar = [eval_sparse(spectrum, int(m)) for m in masks.ravel()]
+    want = sparse_eval_reference(support.freqs.tolist(), coeffs, masks.ravel().tolist())
+    assert got.shape == masks.shape
+    assert _same_bits(got, np.reshape(want, masks.shape))
+    assert _same_bits(np.array(scalar, dtype=np.float64), want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=SPARSE_N, rows=st.integers(1, 4))
+def test_sampling_theorem_recovers_exactly_sparse_spectra(data, n, rows):
+    # integer coefficients keep every partial sum exact, so recovery is exact
+    support = _support(data, n, 24)
+    coeffs = np.array(
+        data.draw(st.lists(st.integers(-1000, 1000), min_size=len(support),
+                           max_size=len(support))),
+        dtype=np.float64,
+    )
+    oracle = oracle_from_sparse_spectrum(SparseSpectrum4(support, coeffs))
+    with mock.patch.object(sampling, "_RECONSTRUCT_ROWS", rows):
+        got = reconstruct(oracle, support)
+    assert oracle.queries == len(support)
+    assert np.array_equal(got.support.freqs, support.freqs)
+    assert np.array_equal(got.coeffs, coeffs)
