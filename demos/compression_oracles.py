@@ -18,7 +18,7 @@ rather than a statistical fit.
 
 import numpy as np
 
-from setsp.compression import compress_band, estimate_relative_error, wht_regression
+from setsp.compression import compress_band, estimate_relative_errors, wht_regression
 from setsp.coverage import GaussianModel, gaussian_entropy
 from setsp.experiments import entropy_oracle, random_rbf_covariance
 
@@ -30,17 +30,16 @@ oracle = entropy_oracle(model)
 band = compress_band(oracle, 2)
 print(f"model-4 band |B|<=2: {len(band)} coefficients from {oracle.queries} oracle queries")
 
-probes = 50_000
-band_err = estimate_relative_error(entropy_oracle(model), band, probes, seed=6)
-print(f"band approximation relative error ({probes} probes): {band_err:.5f}")
-
 rng = np.random.default_rng(6)
 sample_masks = rng.choice(1 << n, size=1000, replace=False)
-wht_oracle = entropy_oracle(model)
-samples = list(zip(sample_masks.tolist(), wht_oracle.query_many(sample_masks).tolist()))
+samples = list(zip(sample_masks.tolist(), oracle.query_many(sample_masks).tolist()))
 wht = wht_regression(samples, band.support, model.ground)
-wht_err = estimate_relative_error(entropy_oracle(model), wht, probes, seed=6)
-print(f"WHT regression relative error (p={wht_oracle.queries} samples): {wht_err:.5f}")
+
+# one pass of oracle queries at the probes scores both approximations
+probes = 50_000
+band_err, wht_err = estimate_relative_errors(oracle, [band, wht], probes, seed=6)
+print(f"band approximation relative error ({probes} probes): {band_err:.5f}")
+print(f"WHT regression relative error (p={len(samples)} samples): {wht_err:.5f}")
 
 # the band coefficients are interpretable: singleton frequencies hold
 # conditional entropy differences, pairs hold conditional interactions

@@ -75,6 +75,7 @@ from .compression import (
     compress_band,
     dsft4_coefficient_by_queries,
     estimate_relative_error,
+    estimate_relative_errors,
     eval_bandlimited,
     eval_bandlimited_many,
     wht_regression,

@@ -37,7 +37,6 @@ from .compression import (
     SetFunctionOracle,
     estimate_relative_error,
 )
-from . import compression
 from . import experiments
 from . import sampling as sampling_mod
 from .experiments import ExperimentRow, entropy_oracle
@@ -168,44 +167,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    oracle = parse_oracle_spec(args.oracle)
-    started = time.perf_counter()
-    band = compression.compress_band(oracle, args.order)
-    band_queries = oracle.queries
-    band_error = estimate_relative_error(
-        parse_oracle_spec(args.oracle), band, args.probes, seed=args.seed
+    report = experiments.score_compression(
+        parse_oracle_spec(args.oracle), order=args.order, wht_samples=args.wht_samples,
+        probes=args.probes, seed=args.seed,
     )
-    band_time = time.perf_counter() - started
-
-    started = time.perf_counter()
-    rng = np.random.default_rng(args.seed)
-    wht_oracle = parse_oracle_spec(args.oracle)
-    sample_masks = rng.choice(oracle.ground.size, size=args.wht_samples, replace=False)
-    sample_values = wht_oracle.query_many(sample_masks)
-    wht = compression.wht_regression(
-        zip(sample_masks.tolist(), sample_values.tolist()), band.support, oracle.ground
-    )
-    wht_queries = wht_oracle.queries
-    wht_error = estimate_relative_error(
-        parse_oracle_spec(args.oracle), wht, args.probes, seed=args.seed
-    )
-    wht_time = time.perf_counter() - started
-
-    rows = [
-        ExperimentRow(
-            "dsft4-band", oracle.ground.n, f"order={args.order}", args.probes,
-            args.seed, RNG_ALGORITHM, band_queries, band_error, band_time,
-        ),
-        ExperimentRow(
-            "wht-regression", oracle.ground.n, f"order={args.order};p={args.wht_samples}",
-            args.probes, args.seed, RNG_ALGORITHM, wht_queries, wht_error, wht_time,
-        ),
-    ]
-    _write_csv(args.out, rows, args.timing)
-    _log(
-        f"compress: dsft4-band err={band_error:.6g} ({band_queries} queries), "
-        f"wht-regression err={wht_error:.6g} ({wht_queries} queries)"
-    )
+    _write_csv(args.out, report.rows, args.timing)
+    _log("compress: " + ", ".join(
+        f"{row.method} err={row.relative_error:.6g} ({row.queries_used} queries)"
+        for row in report.rows
+    ))
     return 0
 
 

@@ -10,8 +10,8 @@ frequencies up to a cardinality cutoff with a shared memo, so the distinct
 oracle evaluations are exactly the sets N, N\\{x}, N\\{x,y}, ...
 
 The WHT baseline estimates model-5 coefficients on the same frequency band by
-least squares over randomly sampled signal values, and `estimate_relative_error`
-Monte-Carlo-probes any approximation against the oracle.
+least squares over randomly sampled signal values, and `estimate_relative_errors`
+Monte-Carlo-probes approximations against one pass of oracle queries.
 """
 
 from __future__ import annotations
@@ -29,11 +29,16 @@ from .core import (
     popcount,
     subsets_of_cardinality_at_most,
 )
-from .transforms import INVERSE, _closed_entries
+from .transforms import _CONDITIONS, INVERSE, _closed_entries
 
 # Subset sampling uses numpy's seeded PCG64 generator; the identifier is
 # recorded in CSV output for reproducibility.
 RNG_ALGORITHM = "pcg64"
+
+# Probes per block of `eval_bandlimited_many`: its masks, buffers, parity
+# signs and slice of the output take 33 bytes per probe for n <= 32, so
+# 2**16 probes (2.1 MiB) stay in L2 while the support is swept over them.
+_EVAL_CHUNK = 1 << 16
 
 
 class SetFunctionOracle:
@@ -116,16 +121,12 @@ def dsft4_coefficient_by_queries(
     when a shared memo already holds some of them)."""
     B = oracle.ground.check_mask(B)
     base = oracle.ground.full_mask & ~B
+    memo = {} if memo is None else memo
     total = 0.0
     for C in _submasks(B):
-        mask = base | C
-        if memo is None:
-            value = oracle.query(mask)
-        else:
-            value = memo.get(mask)
-            if value is None:
-                value = oracle.query(mask)
-                memo[mask] = value
+        value = memo.get(base | C)
+        if value is None:
+            value = memo[base | C] = oracle.query(base | C)
         total += -value if popcount(C) & 1 else value
     return total
 
@@ -147,20 +148,57 @@ def compress_band(oracle: SetFunctionOracle, m: int) -> BandlimitedApprox:
 
 
 def eval_bandlimited(approx: BandlimitedApprox, A: int) -> float:
-    """sum of coeff_B * f^B_A over the support, with lazy basis entries."""
+    """sum of coeff_B * f^B_A over the support: `eval_bandlimited_many` at A."""
     A = approx.ground.check_mask(A)
-    basis = _closed_entries(approx.model, INVERSE, A, approx.support, approx.ground.n)
-    return float(basis @ approx.coeffs)
+    return float(eval_bandlimited_many(approx, np.array([A]))[0])
 
 
 def eval_bandlimited_many(approx: BandlimitedApprox, masks) -> np.ndarray:
-    """Vectorized `eval_bandlimited` over an array of subset masks."""
+    """`eval_bandlimited` at each mask of an array of any shape.
+
+    Each probe A sums c_B * f^B_A from +0.0 in support order, with f^B_A =
+    scale * [A & T == want] * (-1)**|A & B| and T = B or N \\ B
+    (`transforms._CONDITIONS`).  Under a condition (-1)**|want| folds into
+    c_B, leaving (-1)**|A| for T = N \\ B; model 5 keeps (-1)**|A & B|.
+    Probes run in blocks of `_EVAL_CHUNK`, narrowed to the smallest type that
+    holds 2**n - 1.  Terms are branch-free: [condition] * c_B (an infinite
+    c_B still gives nan), its sign bit flipped by the parity, an exact
+    product by -1.  A zero term's sign is immaterial: the sum is never -0.0.
+    """
+    complement, want = _CONDITIONS[(approx.model, INVERSE)]
+    ground = approx.ground
+    narrow = np.min_scalar_type(ground.full_mask)
+    tests = approx.support ^ ground.full_mask if complement else approx.support
+    targets = tests if want == "all" else np.zeros_like(tests)
+    coeffs = approx.coeffs * (0.5**ground.n if approx.model == 5 else 1.0)
+    coeffs = np.where(popcount(targets) & 1, -coeffs, coeffs)
+    coeffs = coeffs.view(np.uint64) if want is None else coeffs
+    terms = list(zip(tests.astype(narrow), targets.astype(narrow), coeffs))
+
     masks = np.asarray(masks, dtype=np.int64)
     flat = masks.ravel()
-    out = np.zeros(flat.shape[0])
-    # loop over the (small) support, vectorize over the probes
-    for B, c in zip(approx.support, approx.coeffs):
-        out += c * _closed_entries(approx.model, INVERSE, flat, int(B), approx.ground.n)
+    out = np.zeros(flat.size)
+    width = min(_EVAL_CHUNK, flat.size)
+    hit, cond, term = np.empty(width, narrow), np.empty(width, bool), np.empty(width)
+    for start in range(0, flat.size, _EVAL_CHUNK):
+        probes = flat[start : start + _EVAL_CHUNK].astype(narrow)
+        acc = out[start : start + _EVAL_CHUNK]
+        h, m, t = hit[: probes.size], cond[: probes.size], term[: probes.size]
+        bits = t.view(np.uint64)
+        if complement:  # (-1)**|A|, as the sign bit
+            signs = np.bitwise_count(probes).astype(np.uint64) << np.uint64(63)
+        for T, target, c in terms:
+            np.bitwise_and(probes, T, out=h)
+            if want is None:
+                np.bitwise_count(h, out=bits)
+                np.left_shift(bits, 63, out=bits)
+                np.bitwise_xor(bits, c, out=bits)
+            else:
+                np.equal(h, target, out=m)
+                np.multiply(m, c, out=t)
+                if complement:
+                    np.bitwise_xor(bits, signs, out=bits)
+            np.add(acc, t, out=acc)
     return out.reshape(masks.shape)
 
 
@@ -187,20 +225,27 @@ def wht_regression(samples, support, ground: GroundSet) -> BandlimitedApprox:
 
 
 def estimate_relative_error(
-    oracle: SetFunctionOracle,
-    evaluate,
-    m_samples: int = 1_000_000,
-    *,
-    seed: int,
+    oracle: SetFunctionOracle, evaluate, m_samples: int = 1_000_000, *, seed: int
 ) -> float:
-    """Monte-Carlo relative reconstruction error over random subset probes.
+    """`estimate_relative_errors` of one evaluator."""
+    return estimate_relative_errors(oracle, [evaluate], m_samples, seed=seed)[0]
 
-    Draws `m_samples` masks uniformly with replacement (seeded PCG64), and
-    returns ||s_C - s'_C||_2 / ||s_C||_2.  `evaluate` is a BandlimitedApprox
-    or any callable mapping a mask array to approximate values.  A nan or
-    +-inf value on either side raises ValueError, naming the first probe
-    that returned one.
+
+def estimate_relative_errors(
+    oracle: SetFunctionOracle, evaluators, m_samples: int = 1_000_000, *, seed: int
+) -> list[float]:
+    """Monte-Carlo relative reconstruction errors over one set of probes.
+
+    Draws `m_samples` masks uniformly with replacement (seeded PCG64),
+    queries the oracle there once, and returns ||s_C - s'_C||_2 / ||s_C||_2
+    for each evaluator, in order.  An evaluator is a BandlimitedApprox or any
+    callable mapping a mask array to approximate values.  A nan or +-inf
+    value on either side raises ValueError, naming the first probe that
+    returned one and, for an approximation, the evaluator's index.
     """
+    evaluators = list(evaluators)
+    if not evaluators:
+        raise ValueError("estimate_relative_errors requires at least one evaluator")
     if m_samples < 1:
         raise ValueError("m_samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -211,18 +256,22 @@ def estimate_relative_error(
     denom = float(np.linalg.norm(truth))
     if denom == 0.0:
         raise ValueError("relative error undefined: all sampled oracle values are zero")
-    if isinstance(evaluate, BandlimitedApprox):
-        approx_values = eval_bandlimited_many(evaluate, probes)
-    else:
-        approx_values = np.asarray(evaluate(probes), dtype=np.float64)
-    _check_finite("approximation", probes, approx_values)
-    return float(np.linalg.norm(truth - approx_values) / denom)
+    errors = []
+    for index, evaluate in enumerate(evaluators):
+        if isinstance(evaluate, BandlimitedApprox):
+            approx_values = eval_bandlimited_many(evaluate, probes)
+        else:
+            approx_values = np.asarray(evaluate(probes), dtype=np.float64)
+        _check_finite("approximation", probes, approx_values, f" (evaluator {index})")
+        errors.append(float(np.linalg.norm(truth - approx_values) / denom))
+    return errors
 
 
-def _check_finite(source: str, probes: np.ndarray, values: np.ndarray) -> None:
+def _check_finite(source: str, probes: np.ndarray, values: np.ndarray, where="") -> None:
     bad = ~np.isfinite(values)
     if bad.any():
         first = int(np.flatnonzero(bad)[0])
         raise ValueError(
-            f"{source} returned non-finite value {values[first]!r} at mask {probes[first]}"
+            f"{source} returned non-finite value {values[first]!r} at mask "
+            f"{probes[first]}{where}"
         )

@@ -7,7 +7,8 @@ Compression: a Gaussian joint-entropy oracle (the classic sensor-network
 informativeness function, here over a synthetic smooth covariance) is
 approximated two ways on the |B| <= m band: direct model-4 coefficient
 queries versus WHT least-squares regression on p random samples. Both are
-Monte-Carlo scored against the oracle.
+Monte-Carlo scored against one pass of oracle queries; `score_compression`
+runs the same harness on any oracle, and the CLI calls it.
 
 Sampling: synthetic sparse bidders share a frequency pool; training spectra
 pick the support, the model-4 sampling theorem reconstructs test bidders from
@@ -21,6 +22,7 @@ frequencies missed by the support, an a-priori cap on the truncation error.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +39,13 @@ from .compression import (
     RNG_ALGORITHM,
     SetFunctionOracle,
     compress_band,
-    estimate_relative_error,
+    estimate_relative_errors,
     wht_regression,
 )
 from .sampling import (
     SparseSpectrum4,
     oracle_from_sparse_spectrum,
+    random_nonempty_masks,
     reconstruct,
     sampling_indices,
     select_support,
@@ -113,58 +116,50 @@ class CompressionReport:
     wht_error: float
 
 
-def compression_experiment(
-    covariance: np.ndarray,
+def compression_experiment(covariance: np.ndarray, **kwargs) -> CompressionReport:
+    """`score_compression` on the Gaussian joint-entropy oracle of
+    `covariance`, with the same keyword arguments."""
+    return score_compression(entropy_oracle(GaussianModel(covariance)), **kwargs)
+
+
+def score_compression(
+    oracle: SetFunctionOracle,
     *,
     order: int = 2,
     wht_samples: int = 1000,
     probes: int = 100_000,
     seed: int,
 ) -> CompressionReport:
-    """Score model-4 band compression against WHT regression on one entropy
-    oracle.  Both methods share the frequency band |B| <= order and are
-    probed at the same seeded random subsets."""
-    model = GaussianModel(covariance)
-    ground = model.ground
+    """Model-4 band compression against WHT regression on one oracle.
 
-    band_oracle = entropy_oracle(model)
-    band = compress_band(band_oracle, order)
-    band_queries = band_oracle.queries
-    band_error = estimate_relative_error(
-        entropy_oracle(model), band, probes, seed=seed
-    )
+    Both fit the band |B| <= order: the band from the sets N \\ B, the
+    regression from `wht_samples` distinct seeded random sets.  One pass of
+    oracle queries at seeded probes scores both.  `queries_used` is the
+    growth of the oracle's counter while a method fits, and `wall_time` its
+    fitting time plus the time of the shared scoring pass.
+    """
+    ground = oracle.ground
+    started, before = time.perf_counter(), oracle.queries
+    band = compress_band(oracle, order)
+    band_queries, band_time = oracle.queries - before, time.perf_counter() - started
 
+    started, before = time.perf_counter(), oracle.queries
     rng = np.random.default_rng(seed)
     sample_masks = rng.choice(ground.size, size=wht_samples, replace=False)
-    wht_oracle = entropy_oracle(model)
-    sample_values = wht_oracle.query_many(sample_masks)
+    sample_values = oracle.query_many(sample_masks)
     wht = wht_regression(
         zip(sample_masks.tolist(), sample_values.tolist()), band.support, ground
     )
-    wht_queries = wht_oracle.queries
-    wht_error = estimate_relative_error(entropy_oracle(model), wht, probes, seed=seed)
+    wht_queries, wht_time = oracle.queries - before, time.perf_counter() - started
 
+    started = time.perf_counter()
+    band_error, wht_error = estimate_relative_errors(oracle, [band, wht], probes, seed=seed)
+    scoring_time = time.perf_counter() - started
     rows = (
-        ExperimentRow(
-            method="dsft4-band",
-            n=ground.n,
-            params=f"order={order}",
-            probes=probes,
-            seed=seed,
-            rng=RNG_ALGORITHM,
-            queries_used=band_queries,
-            relative_error=band_error,
-        ),
-        ExperimentRow(
-            method="wht-regression",
-            n=ground.n,
-            params=f"order={order};p={wht_samples}",
-            probes=probes,
-            seed=seed,
-            rng=RNG_ALGORITHM,
-            queries_used=wht_queries,
-            relative_error=wht_error,
-        ),
+        ExperimentRow("dsft4-band", ground.n, f"order={order}", probes, seed, RNG_ALGORITHM,
+                      band_queries, band_error, band_time + scoring_time),
+        ExperimentRow("wht-regression", ground.n, f"order={order};p={wht_samples}", probes,
+                      seed, RNG_ALGORITHM, wht_queries, wht_error, wht_time + scoring_time),
     )
     return CompressionReport(rows, band_error, wht_error)
 
@@ -189,11 +184,7 @@ def random_bidder_pool(
     """Pool of `size` frequencies (the empty set plus size-1 random nonempty
     masks) with log-uniform base magnitudes shared by all bidders."""
     rng = np.random.default_rng(seed)
-    chosen: set[int] = set()
-    while len(chosen) < size - 1:
-        draw = rng.integers(1, ground.size, size=size - 1 - len(chosen), dtype=np.uint64)
-        chosen.update(int(m) for m in draw)
-    masks = np.concatenate(([0], np.array(sorted(chosen), dtype=np.int64)))
+    masks = np.concatenate(([0], random_nonempty_masks(ground, size - 1, rng)))
     mags = np.exp(rng.uniform(np.log(mag_low), np.log(mag_high), size=size))
     return BidderPool(ground, masks, mags)
 
@@ -314,27 +305,11 @@ def sampling_experiment(
         dsft_inplace(gap, 4, INVERSE)
         poly2_errors[t] = float(np.linalg.norm(gap)) / norms[t]
 
-    rows = (
-        ExperimentRow(
-            method="dsft4-sampling",
-            n=n,
-            params=f"pool={pool_size};k={k_support};train={n_train};test={n_test}",
-            probes=ground.size,
-            seed=seed,
-            rng=RNG_ALGORITHM,
-            queries_used=len(support),
-            relative_error=float(recon_errors.mean()),
-        ),
-        ExperimentRow(
-            method="poly2-baseline",
-            n=n,
-            params=f"pool={pool_size};k={k_support};train={n_train};test={n_test}",
-            probes=ground.size,
-            seed=seed,
-            rng=RNG_ALGORITHM,
-            queries_used=len(support),
-            relative_error=float(poly2_errors.mean()),
-        ),
+    params = f"pool={pool_size};k={k_support};train={n_train};test={n_test}"
+    rows = tuple(
+        ExperimentRow(method, n, params, ground.size, seed, RNG_ALGORITHM, len(support),
+                      float(errors.mean()))
+        for method, errors in (("dsft4-sampling", recon_errors), ("poly2-baseline", poly2_errors))
     )
     return SamplingReport(
         rows=rows,

@@ -233,16 +233,21 @@ def synthetic_sparse_spectrum(
             raise ValueError(f"pool holds {pool.size} frequencies, cannot pick {k}")
         freqs = rng.choice(pool, size=k, replace=False)
     else:
-        if k >= ground.size:
-            raise ValueError(f"cannot pick {k} distinct nonempty frequencies for n={ground.n}")
-        chosen: set[int] = set()
-        while len(chosen) < k:
-            draw = rng.integers(1, ground.size, size=k - len(chosen), dtype=np.uint64)
-            chosen.update(int(m) for m in draw)
-        freqs = np.array(sorted(chosen), dtype=np.int64)
+        freqs = random_nonempty_masks(ground, k, rng)
     mags = np.exp(rng.uniform(np.log(mag_low), np.log(mag_high), size=k))
     signs = rng.choice([-1.0, 1.0], size=k)
     return with_dominant_offset(ground, freqs, mags * signs, empty_factor)
+
+
+def random_nonempty_masks(ground: GroundSet, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k distinct nonempty masks drawn uniformly, in ascending order."""
+    if not 0 <= k < ground.size:
+        raise ValueError(f"cannot pick {k} distinct nonempty frequencies for n={ground.n}")
+    chosen: set[int] = set()
+    while len(chosen) < k:
+        draw = rng.integers(1, ground.size, size=k - len(chosen), dtype=np.uint64)
+        chosen.update(int(m) for m in draw)
+    return np.array(sorted(chosen), dtype=np.int64)
 
 
 def with_dominant_offset(

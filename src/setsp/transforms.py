@@ -22,7 +22,8 @@ The same Kronecker structure gives a closed form for every matrix entry:
 
 with the condition depending on (model, direction): rows and columns disjoint,
 rows and columns covering N, row a subset of column, column a subset of row,
-or no condition at all.  `dsft_matrix` materializes these entries and
+or no condition at all.  Each is row & T == T or row & T == 0 for a test mask
+T that is the column or its complement (`_CONDITIONS`).  `dsft_matrix` materializes these entries and
 `fourier_basis_entry` evaluates single entries lazily in O(1) popcount work.
 """
 
@@ -59,20 +60,20 @@ INVERSE_KERNELS = {
     5: np.array([[0.5, 0.5], [0.5, -0.5]]),
 }
 
-# Matrix-entry closed forms, keyed by (model, direction).  "disjoint" means
-# row & col == 0, "cover" means row | col == full mask, "row_in_col" /
-# "col_in_row" are subset conditions, "all" is unconditional.
+# Matrix-entry closed forms, keyed by (model, direction): the condition is
+# row & T == want for a test mask T, which is col or N \ col.  Each row is
+# (T is N \ col, want): "all" for T, "none" for 0, None for no condition.
 _CONDITIONS = {
-    (1, FORWARD): "disjoint",
-    (1, INVERSE): "cover",
-    (2, FORWARD): "row_in_col",
-    (2, INVERSE): "row_in_col",
-    (3, FORWARD): "col_in_row",
-    (3, INVERSE): "col_in_row",
-    (4, FORWARD): "cover",
-    (4, INVERSE): "disjoint",
-    (5, FORWARD): "all",
-    (5, INVERSE): "all",
+    (1, FORWARD): (False, "none"),  # row and col disjoint
+    (1, INVERSE): (True, "all"),  # row u col = N
+    (2, FORWARD): (True, "none"),  # row subseteq col
+    (2, INVERSE): (True, "none"),
+    (3, FORWARD): (False, "all"),  # col subseteq row
+    (3, INVERSE): (False, "all"),
+    (4, FORWARD): (True, "all"),
+    (4, INVERSE): (False, "none"),
+    (5, FORWARD): (False, None),
+    (5, INVERSE): (False, None),
 }
 
 MATRIX_MAX_N = 12  # dense 2**n x 2**n oracles only
@@ -261,20 +262,11 @@ def _closed_entries(model: int, direction: str, rows, cols, n: int) -> np.ndarra
     """Matrix entries at the given (broadcastable) row/col mask arrays."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    cond_name = _CONDITIONS[(model, direction)]
-    full = (1 << n) - 1
-    if cond_name == "disjoint":
-        cond = (rows & cols) == 0
-    elif cond_name == "cover":
-        cond = (rows | cols) == full
-    elif cond_name == "row_in_col":
-        cond = (rows & ~cols) == 0
-    elif cond_name == "col_in_row":
-        cond = (cols & ~rows) == 0
-    else:
-        cond = np.ones(np.broadcast(rows, cols).shape, dtype=bool)
-    sign = 1.0 - 2.0 * (popcount(rows & cols) & 1)
-    out = np.where(cond, sign, 0.0)
+    complement, want = _CONDITIONS[(model, direction)]
+    out = 1.0 - 2.0 * (popcount(rows & cols) & 1)
+    if want is not None:
+        tests = cols ^ ((1 << n) - 1) if complement else cols
+        out = np.where((rows & tests) == (tests if want == "all" else 0), out, 0.0)
     if model == 5 and direction == INVERSE:
         out = out * 0.5**n
     return out

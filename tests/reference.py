@@ -174,6 +174,32 @@ def sparse_eval_reference(freqs, coeffs, masks) -> list[float]:
     return out
 
 
+def bandlimited_eval_reference(model: int, n: int, freqs, coeffs, masks) -> list[float]:
+    """Inverse transform of a spectrum on an explicit support, at each mask:
+    c * entry(A, B) is added, in support order, onto a running sum that
+    starts at 0.0, with the entry from the defining sums of `idsft_reference`."""
+    full = (1 << n) - 1
+    out = []
+    for A in masks:
+        acc = 0.0
+        for B, c in zip(freqs, coeffs):
+            if model == 1:
+                entry = sign(A & B) if A | B == full else 0.0
+            elif model == 2:
+                entry = sign(A & B) if A & ~B == 0 else 0.0
+            elif model == 3:
+                entry = sign(B) if B & ~A == 0 else 0.0
+            elif model == 4:
+                entry = 1.0 if A & B == 0 else 0.0
+            elif model == 5:
+                entry = sign(A & B) * 0.5**n
+            else:
+                raise ValueError(model)
+            acc += c * entry
+        out.append(acc)
+    return out
+
+
 def coverage_reference(offset: float, weights: dict, n: int) -> list[float]:
     """Evaluate a coverage representation: c + total weight touching A."""
     size = 1 << n

@@ -6,6 +6,7 @@ import pytest
 from setsp import io as setfn_io
 from setsp.cli import main, parse_oracle_spec
 from setsp.core import GroundSet, SetFunction
+from setsp.experiments import random_rbf_covariance
 from setsp.transforms import dsft
 
 
@@ -119,6 +120,34 @@ def test_compress_command_orders_methods(tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("dsft4-band,")
     assert lines[2].startswith("wht-regression,")
+
+
+def test_compress_csv_golden_bytes(tmp_path, one_blas_thread):
+    # recorded from the command when it re-implemented the experiment harness
+    cov = tmp_path / "cov.csv"
+    setfn_io.write_covariance(cov, random_rbf_covariance(10, 3))
+    out = tmp_path / "comp.csv"
+    one_blas_thread(
+        "-m", "setsp", "compress", "--oracle", f"gaussian:{cov}", "--wht-samples", "100",
+        "--probes", "5000", "--seed", "4", "--out", str(out),
+    )
+    assert out.read_bytes() == (
+        b"method,n,params,probes,seed,rng,queries_used,relative_error,wall_time\n"
+        b"dsft4-band,10,order=2,5000,4,pcg64,56,0.04359599064923669,\n"
+        b"wht-regression,10,order=2;p=100,5000,4,pcg64,100,0.01959014125692494,\n"
+    )
+
+
+def test_compress_timing_fills_wall_time(tmp_path):
+    cov = tmp_path / "cov.csv"
+    setfn_io.write_covariance(cov, random_rbf_covariance(6, 1))
+    out = tmp_path / "comp.csv"
+    assert main([
+        "compress", "--oracle", f"gaussian:{cov}", "--wht-samples", "20",
+        "--probes", "500", "--seed", "2", "--timing", "--out", str(out),
+    ]) == 0
+    for line in out.read_text().splitlines()[1:]:
+        assert float(line.rsplit(",", 1)[1]) > 0.0
 
 
 def test_sample_and_error_commands(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 
@@ -11,6 +12,7 @@ from setsp.compression import (
     compress_band,
     dsft4_coefficient_by_queries,
     estimate_relative_error,
+    estimate_relative_errors,
     eval_bandlimited,
     eval_bandlimited_many,
     wht_regression,
@@ -105,6 +107,37 @@ def test_eval_bandlimited_examples():
     assert eval_bandlimited(approx, 0b10) == 5.0
     assert eval_bandlimited(approx, 0b11) == 2.0
     assert eval_bandlimited_many(approx, np.array([2, 3])).tolist() == [5.0, 2.0]
+
+
+@pytest.mark.parametrize("model", range(1, 6))
+def test_scalar_and_batched_band_eval_agree_bitwise(model):
+    g = GroundSet(10)
+    support = subsets_of_cardinality_at_most(g, 2)
+    coeffs = np.random.default_rng(model).standard_normal(support.size)
+    approx = BandlimitedApprox(g, model, support, coeffs)
+    masks = g.masks()
+    scalar = np.array([eval_bandlimited(approx, int(A)) for A in masks])
+    assert scalar.tobytes() == eval_bandlimited_many(approx, masks).tobytes()
+
+
+# SHA-256 of the output bytes, recorded from the support-loop evaluator that
+# formed each basis column with `_closed_entries` and summed c * column.
+BAND_EVAL_SHA256 = {
+    4: "68cdec1f480ed4be57944ed6219227d2364c31e6ca1b39b567e4dd41c8241e2a",
+    5: "9811c7271979eb8af1ff9a27184d0012046da460163c311656a4e3c495434c7b",
+}
+
+
+@pytest.mark.parametrize("model", sorted(BAND_EVAL_SHA256))
+def test_band_eval_golden_bits(model):
+    # 69000 probes in a 2-d array: one full block of 2**16 and a partial one
+    g = GroundSet(12)
+    support = subsets_of_cardinality_at_most(g, 2)
+    coeffs = np.random.default_rng(5).standard_normal(support.size)
+    masks = np.random.default_rng(6).integers(0, g.size, size=(300, 230))
+    out = eval_bandlimited_many(BandlimitedApprox(g, model, support, coeffs), masks)
+    assert out.shape == masks.shape
+    assert hashlib.sha256(out.tobytes()).hexdigest() == BAND_EVAL_SHA256[model]
 
 
 def test_bandlimited_support_must_be_distinct():
@@ -217,6 +250,37 @@ def test_estimate_error_rejects_non_finite_values(side, bad):
     oracle = SetFunctionOracle(GroundSet(3), oracle_fn, batch_fn=oracle_fn)
     with pytest.raises(ValueError, match=f"{side} returned non-finite value .* at mask 5"):
         estimate_relative_error(oracle, approx_fn, 200, seed=1)
+
+
+def test_estimate_errors_share_one_oracle_pass():
+    rng = np.random.default_rng(17)
+    n = 8
+    values = rng.standard_normal(1 << n) + 2.0
+    oracle = _dense_oracle(values, n)
+    band = compress_band(_dense_oracle(values, n), 1)
+    wht = wht_regression(
+        [(A, float(values[A])) for A in range(0, 1 << n, 3)], band.support, GroundSet(n)
+    )
+    noisy = lambda masks: values[masks] + 0.01  # noqa: E731
+    errors = estimate_relative_errors(oracle, [band, wht, noisy], 3000, seed=9)
+    assert oracle.queries == 3000
+    separate = [
+        estimate_relative_error(_dense_oracle(values, n), e, 3000, seed=9)
+        for e in (band, wht, noisy)
+    ]
+    assert np.array(errors).tobytes() == np.array(separate).tobytes()
+    assert len(set(errors)) == 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_estimate_errors_name_the_failing_evaluator(bad):
+    oracle = SetFunctionOracle(GroundSet(3), None, batch_fn=lambda masks: 1.0 + masks)
+    clean = lambda masks: 1.0 + masks  # noqa: E731
+    tainted = lambda masks: np.where(masks == 5, bad, 1.0 + masks)  # noqa: E731
+    with pytest.raises(ValueError, match=r"non-finite value .* at mask 5 \(evaluator 1\)"):
+        estimate_relative_errors(oracle, [clean, tainted, clean], 200, seed=1)
+    with pytest.raises(ValueError, match="at least one evaluator"):
+        estimate_relative_errors(oracle, [], 200, seed=1)
 
 
 def test_monte_carlo_close_to_exhaustive():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from setsp.core import GroundSet
 from setsp.experiments import (
@@ -49,3 +50,26 @@ def test_pool_bidders_share_pool():
     assert set(bidder.support.freqs.tolist()) <= set(pool.masks.tolist())
     assert bidder.support.freqs[0] == 0
     assert bidder.coeffs[0] >= np.abs(bidder.coeffs[1:]).sum()
+
+
+def test_bidder_pool_size_is_bounded_by_the_lattice():
+    g = GroundSet(8)
+    with pytest.raises(ValueError, match="cannot pick 599 distinct nonempty"):
+        random_bidder_pool(g, 600, 9)
+    with pytest.raises(ValueError, match="cannot pick 256 distinct nonempty"):
+        random_bidder_pool(g, 257, 9)
+    pool = random_bidder_pool(g, 256, 9)
+    assert pool.masks.tolist() == list(range(256))
+    assert pool.base_magnitudes.shape == (256,)
+
+
+def test_compression_experiment_golden_bits(one_blas_thread):
+    # recorded from the harness that queried the oracle once per method
+    out = one_blas_thread(
+        "-c",
+        "from setsp.experiments import compression_experiment, random_rbf_covariance\n"
+        "r = compression_experiment(random_rbf_covariance(12, 7), wht_samples=200,\n"
+        "                           probes=20000, seed=7)\n"
+        "print(r.band_error.hex(), r.wht_error.hex(), *(x.queries_used for x in r.rows))\n"
+    )
+    assert out.split() == ["0x1.1624a732fd1edp-5", "0x1.50d4ab6bebd54p-7", "79", "200"]

@@ -2,8 +2,8 @@
 
 The transform's cache blocking only shows at n > _BLOCK_BITS, so these tests
 shrink the block to 2**2 or 2**3 rows: then n <= 8 crosses several blocks and
-the paired-block reversal of models 1 and 4.  Likewise the sparse evaluator's
-probe blocks and reconstruct's row blocks shrink to a few entries.
+the paired-block reversal of models 1 and 4.  Likewise the sparse and band
+evaluators' probe blocks and reconstruct's row blocks shrink to a few entries.
 """
 
 from unittest import mock
@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from setsp import filters, sampling, transforms
+from setsp import compression, filters, sampling, transforms
+from setsp.compression import BandlimitedApprox, eval_bandlimited, eval_bandlimited_many
 from setsp.core import GroundSet, SetFunction
 from setsp.sampling import (
     SparseSpectrum4,
@@ -26,7 +27,7 @@ from setsp.sampling import (
 )
 from setsp.transforms import FORWARD, INVERSE, dsft_inplace
 
-from reference import butterfly_reference, sparse_eval_reference
+from reference import bandlimited_eval_reference, butterfly_reference, sparse_eval_reference
 
 PAIRS = [(model, direction) for model in range(1, 6) for direction in (FORWARD, INVERSE)]
 
@@ -42,6 +43,14 @@ VALUES = st.one_of(
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+
+
+def _same_bits_or_nan(got: np.ndarray, want) -> bool:
+    """Bit-identical, except that any nan matches any nan."""
+    got = np.asarray(got, dtype=np.float64).ravel()
+    want = np.asarray(want, dtype=np.float64).ravel()
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and _same_bits(got[~nan], want[~nan])
 
 
 @pytest.mark.parametrize("model,direction", PAIRS)
@@ -137,3 +146,27 @@ def test_sampling_theorem_recovers_exactly_sparse_spectra(data, n, rows):
     assert oracle.queries == len(support)
     assert np.array_equal(got.support.freqs, support.freqs)
     assert np.array_equal(got.coeffs, coeffs)
+
+
+@pytest.mark.parametrize("model", range(1, 6))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 10), chunk=st.integers(1, 5),
+       shape=array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=7))
+def test_blocked_band_eval_is_the_sequential_sum(model, data, n, chunk, shape):
+    # arbitrary finite coefficients, so that another summation order shows in
+    # the last bits; infinite ones give inf, or nan where a zero entry meets them
+    coeff = st.one_of(VALUES, st.floats(-1e6, 1e6), st.sampled_from([np.inf, -np.inf]))
+    size = 1 << n
+    freqs = data.draw(st.lists(st.integers(0, size - 1), unique=True,
+                               max_size=min(size, 12)))
+    coeffs = data.draw(st.lists(coeff, min_size=len(freqs), max_size=len(freqs)))
+    approx = BandlimitedApprox(GroundSet(n), model, np.array(freqs, dtype=np.int64),
+                               np.array(coeffs, dtype=np.float64))
+    masks = data.draw(arrays(np.int64, shape, elements=st.integers(0, size - 1)))
+    with mock.patch.object(compression, "_EVAL_CHUNK", chunk), np.errstate(invalid="ignore"):
+        got = eval_bandlimited_many(approx, masks)
+        scalar = [eval_bandlimited(approx, int(m)) for m in masks.ravel()]
+    want = bandlimited_eval_reference(model, n, freqs, coeffs, masks.ravel().tolist())
+    assert got.shape == masks.shape
+    assert _same_bits_or_nan(got, want)
+    assert _same_bits_or_nan(np.array(scalar), want)
