@@ -45,5 +45,5 @@ print(f"  degree-2 polynomial fit on the same queries: {report.mean_poly2_error:
 print(f"  spectral l2 mass captured by the support:    {report.captured_mass.mean():.6f}")
 
 # selection is deterministic: rank by mean |coefficient| across training
-support = select_support([synthetic_sparse_spectrum(g, 40, seed=s).to_spectrum() for s in range(3)], 30)
+support = select_support([synthetic_sparse_spectrum(g, 40, seed=s) for s in range(3)], 30)
 print("\nexample selected support cardinalities:", np.bitwise_count(support.freqs).tolist())

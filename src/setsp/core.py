@@ -10,6 +10,7 @@ the library: for n=3 the masks 0..7 enumerate
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,20 +245,30 @@ class Spectrum:
         return float(self.coeffs[self.ground.check_mask(mask)])
 
 
+def masks_by_cardinality(ground: GroundSet):
+    """Every mask, lazily, in (cardinality, mask) ascending order.
+
+    Within a cardinality, Gosper's hack steps to the next larger mask with as
+    many bits, so the cost is the number of masks taken, for any n.
+    """
+    for bits in range(ground.n + 1):
+        mask = (1 << bits) - 1
+        while mask <= ground.full_mask:
+            yield mask
+            if mask == 0:
+                break
+            low = mask & -mask
+            high = mask + low
+            mask = high | (((mask ^ high) >> 2) // low)
+
+
 def subsets_of_cardinality_at_most(ground: GroundSet, m: int) -> np.ndarray:
     """All masks B with |B| <= m, ordered by (cardinality, mask) ascending.
 
-    Enumerates by cardinality, so the cost is the output size even when 2**n
-    is far too large to scan (e.g. n=46, m=2 yields 1082 masks).
+    The cost is the output size even when 2**n is far too large to scan
+    (e.g. n=46, m=2 yields 1082 masks).
     """
     if not 0 <= m <= ground.n:
         raise ValueError(f"order m={m} out of range 0..{ground.n}")
-    out: list[int] = []
-    for k in range(m + 1):
-        block = [
-            sum(1 << i for i in combo)
-            for combo in itertools.combinations(range(ground.n), k)
-        ]
-        block.sort()
-        out.extend(block)
-    return np.array(out, dtype=np.int64)
+    count = sum(math.comb(ground.n, bits) for bits in range(m + 1))
+    return np.fromiter(itertools.islice(masks_by_cardinality(ground), count), np.int64, count)

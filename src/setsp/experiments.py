@@ -13,9 +13,9 @@ runs the same harness on any oracle, and the CLI calls it.
 Sampling: synthetic sparse bidders share a frequency pool; training spectra
 pick the support, the model-4 sampling theorem reconstructs test bidders from
 one query per selected frequency, and a degree-2 polynomial fit on the same
-queries serves as baseline.  Both are scored exactly over all 2**n subsets by
-inverse model-4 transforms of coefficient differences, with no design matrix
-over the lattice.  The harness also reports a captured-mass bound:
+queries serves as baseline.  Both are scored exactly over all 2**n subsets,
+as quadratic forms in one Gram matrix on the pooled frequencies, so no array
+of 2**n values is ever built.  The harness also reports a captured-mass bound:
 the triangle-inequality bound sum |h_B| * ||f^B||_2 / ||v||_2 over the true
 frequencies missed by the support, an a-priori cap on the truncation error.
 """
@@ -44,6 +44,7 @@ from .compression import (
 )
 from .sampling import (
     SparseSpectrum4,
+    lattice_norms,
     oracle_from_sparse_spectrum,
     random_nonempty_masks,
     reconstruct,
@@ -51,7 +52,6 @@ from .sampling import (
     select_support,
     with_dominant_offset,
 )
-from .transforms import INVERSE, dsft_inplace
 
 
 def random_rbf_covariance(
@@ -237,21 +237,23 @@ def sampling_experiment(
 ) -> SamplingReport:
     """Train/test sparse-spectrum elicitation on synthetic pooled bidders.
 
-    Training bidders' dense model-4 spectra pick the k most important
+    The training bidders' sparse spectra pick the k most important
     frequencies; each test bidder is reconstructed from the k complement
     queries and compared (exactly, over all 2**n subsets) against the truth
     and against a degree-2 polynomial least-squares fit on the same queries.
 
-    Both comparisons run on transforms, not on design matrices.  Per test
-    bidder, one inverse model-4 transform gives the truth (its norm and its
-    k queried values) and one more gives truth - reconstruction, from the
-    difference of the two spectra.  All bidders are then fit at once, by one
-    least-squares solve with a k-row design and one column per bidder.  The
-    fit p(A) = sum over B subseteq A, |B| <= 2 of beta_B has the model-4
-    spectrum gamma_C = (-1)**|C| * sum over B supseteq C of beta_B on the
-    same band, because [B subseteq A] = prod over i in B of (1 - [i not in
-    A]); so truth - fit is a third inverse transform, of the bidder's
-    spectrum minus gamma.
+    Every spectrum involved lives on U = pool | band | support, where the
+    band is |B| <= 2.  The three norms per test bidder (truth, truth -
+    reconstruction, truth - fit) are quadratic forms in one Gram matrix on U
+    (`lattice_norms`), so the cost does not grow with 2**n and n may exceed
+    DENSE_MAX_N.  The fit needs the truth at the k queried sets A_i = N \\ B_i;
+    those are sums of the true coefficients on U at the subsets of B_i, so
+    the oracle is asked only reconstruction's k queries.  All bidders are fit
+    at once, by one least-squares solve with a k-row design and one column
+    per bidder.  The fit p(A) = sum over B subseteq A, |B| <= 2 of beta_B has
+    the model-4 spectrum gamma_C = (-1)**|C| * sum over B supseteq C of
+    beta_B on the same band, because [B subseteq A] = prod over i in B of
+    (1 - [i not in A]).
     """
     ground = GroundSet(n)
     pool = random_bidder_pool(ground, pool_size, seed)
@@ -259,51 +261,49 @@ def sampling_experiment(
     train = [pool_bidder(pool, rng) for _ in range(n_train)]
     test = [pool_bidder(pool, rng) for _ in range(n_test)]
 
-    support = select_support([b.to_spectrum() for b in train], k_support)
+    support = select_support(train, k_support)
     queries = sampling_indices(support)
+    band = subsets_of_cardinality_at_most(ground, min(2, n))
+    freqs = np.unique(np.concatenate((pool.masks, band, support.freqs)))
 
-    recon_errors = np.zeros(n_test)
-    mass_bounds = np.zeros(n_test)
+    truth = np.zeros((freqs.size, n_test))
+    recon = np.zeros((freqs.size, n_test))
+    missed_mass = np.zeros(n_test)
     captured = np.zeros(n_test)
-    norms = np.zeros(n_test)
-    observed = np.zeros((queries.size, n_test))
-    truth = np.zeros(ground.size)
-    gap = np.empty(ground.size)
+    queries_used = 0
     for t, bidder in enumerate(test):
-        recon = reconstruct(oracle_from_sparse_spectrum(bidder), support)
-        truth.fill(0.0)
-        truth[bidder.support.freqs] = bidder.coeffs
-        np.copyto(gap, truth)
-        gap[recon.support.freqs] -= recon.coeffs
-        dsft_inplace(truth, 4, INVERSE)
-        dsft_inplace(gap, 4, INVERSE)
-        norms[t] = norm_truth = float(np.linalg.norm(truth))
-        recon_errors[t] = float(np.linalg.norm(gap)) / norm_truth
-        observed[:, t] = truth[queries]
+        oracle = oracle_from_sparse_spectrum(bidder)
+        got = reconstruct(oracle, support)
+        queries_used = max(queries_used, oracle.queries)
+        truth[np.searchsorted(freqs, bidder.support.freqs), t] = bidder.coeffs
+        recon[np.searchsorted(freqs, support.freqs), t] = got.coeffs
 
         inside = np.isin(bidder.support.freqs, support.freqs)
         missed_coeffs = bidder.coeffs[~inside]
         missed_cards = popcount(bidder.support.freqs[~inside])
-        # ||f^B||_2 = 2**((n-|B|)/2) for the model-4 basis
-        mass_bounds[t] = float(
+        # ||f^B||_2 = 2**((n-|B|)/2), the root of the Gram diagonal
+        missed_mass[t] = float(
             (np.abs(missed_coeffs) * 2.0 ** (0.5 * (n - missed_cards))).sum()
-        ) / norm_truth
+        )
         total_mass = float((bidder.coeffs**2).sum())
         captured[t] = float((bidder.coeffs[inside] ** 2).sum()) / total_mass
 
+    # the truth at A_i = N \ B_i sums its coefficients at the C subseteq B_i
+    observed = is_subset(freqs[None, :], support.freqs[:, None]).astype(np.float64) @ truth
     # the monomials prod over i in B of [i in A], B in the band |B| <= 2
-    band = subsets_of_cardinality_at_most(ground, min(2, n))
     design = is_subset(band[None, :], queries[:, None]).astype(np.float64)
     betas = np.linalg.lstsq(design, observed, rcond=None)[0]
     signs = np.where(popcount(band) & 1, -1.0, 1.0)
-    gammas = signs[:, None] * (is_subset(band[:, None], band[None, :]) @ betas)
-    poly2_errors = np.zeros(n_test)
-    for t, bidder in enumerate(test):
-        gap.fill(0.0)
-        gap[bidder.support.freqs] = bidder.coeffs
-        gap[band] -= gammas[:, t]
-        dsft_inplace(gap, 4, INVERSE)
-        poly2_errors[t] = float(np.linalg.norm(gap)) / norms[t]
+    fit = np.zeros_like(truth)
+    fit[np.searchsorted(freqs, band)] = signs[:, None] * (
+        is_subset(band[:, None], band[None, :]) @ betas
+    )
+    norms, recon_gaps, fit_gaps = lattice_norms(
+        ground, freqs, np.hstack((truth, truth - recon, truth - fit))
+    ).reshape(3, n_test)
+    recon_errors = recon_gaps / norms
+    poly2_errors = fit_gaps / norms
+    mass_bounds = missed_mass / norms
 
     params = f"pool={pool_size};k={k_support};train={n_train};test={n_test}"
     rows = tuple(
@@ -317,5 +317,5 @@ def sampling_experiment(
         poly2_errors=poly2_errors,
         mass_bounds=mass_bounds,
         captured_mass=captured,
-        queries_per_bidder=len(support),
+        queries_per_bidder=queries_used,
     )

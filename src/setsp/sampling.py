@@ -15,15 +15,29 @@ to the support: s_A = sum of the coefficients at frequencies disjoint from A.
 Every evaluator here forms that sum the same way, adding the terms one at a
 time in support order onto +0.0, so the scalar and the batched path return
 the same bits for every mask.
+
+Norms over the whole lattice need no lattice either: the basis vectors
+f^B_A = [A & B == 0] have the Gram matrix <f^B, f^C> = 2**(n - |B | C|), so
+the l2 norm of a sparse spectrum is a quadratic form on its support
+(`lattice_norms`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroundSet, SetFunction, Spectrum, is_subset, popcount
+from .core import (
+    DENSE_MAX_N,
+    GroundSet,
+    SetFunction,
+    Spectrum,
+    is_subset,
+    masks_by_cardinality,
+    popcount,
+)
 from .compression import SetFunctionOracle
 from . import io as setfn_io
 from .transforms import INVERSE, dsft_inplace
@@ -88,16 +102,22 @@ class SparseSpectrum4:
     def ground(self) -> GroundSet:
         return self.support.ground
 
-    def to_spectrum(self) -> Spectrum:
-        """Densify (n <= 30)."""
+    def _dense_coeffs(self) -> np.ndarray:
+        if self.ground.n > DENSE_MAX_N:
+            raise ValueError(
+                f"densifying needs n <= DENSE_MAX_N = {DENSE_MAX_N}, got n={self.ground.n}"
+            )
         dense = np.zeros(self.ground.size)
         dense[self.support.freqs] = self.coeffs
-        return Spectrum.wrap(self.ground, 4, dense)
+        return dense
+
+    def to_spectrum(self) -> Spectrum:
+        """Densify (n <= DENSE_MAX_N)."""
+        return Spectrum.wrap(self.ground, 4, self._dense_coeffs())
 
     def to_setfunction(self) -> SetFunction:
-        """Densify and invert."""
-        dense = np.zeros(self.ground.size)
-        dense[self.support.freqs] = self.coeffs
+        """Densify and invert (n <= DENSE_MAX_N)."""
+        dense = self._dense_coeffs()
         dsft_inplace(dense, 4, INVERSE)
         return SetFunction.wrap(self.ground, dense)
 
@@ -180,30 +200,59 @@ def reconstruct(oracle: SetFunctionOracle, support: SparseSupport) -> SparseSpec
     return SparseSpectrum4(support, coeffs)
 
 
+def lattice_norms(ground: GroundSet, freqs, coeffs) -> np.ndarray:
+    """l2 norms over all 2**n subsets of model-4 spectra given on `freqs`.
+
+    Column j of `coeffs` holds one spectrum, its row i the coefficient at
+    mask freqs[i].  With the Gram matrix G_ij = 2**(n - |B_i | B_j|) of the
+    basis vectors, each squared norm is the quadratic form d^T G d:
+    O(len(freqs)**2) work for any n.  G is positive semi-definite, so a
+    negative form is rounding and reads as 0; a zero column gives exactly 0.
+    """
+    freqs = np.asarray(freqs, dtype=np.int64)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    gram = np.ldexp(1.0, ground.n - popcount(freqs[:, None] | freqs[None, :]))
+    forms = np.einsum("ij,ij->j", coeffs, gram @ coeffs)
+    return np.sqrt(np.maximum(forms, 0.0))
+
+
 def select_support(training_spectra, k: int) -> SparseSupport:
-    """Rank frequencies by mean absolute coefficient over training spectra.
+    """Rank frequencies by mean absolute coefficient over sparse model-4
+    training spectra and return the top k as a SparseSupport.
 
     Ties break by ascending (cardinality, mask), so selection is
-    deterministic.  Returns the top k frequencies as a SparseSupport.
+    deterministic.  Only the union of the training supports can score above
+    zero, so only it is ranked; when fewer than k of its masks score above
+    zero, the rest are the first zero-score masks in (cardinality, mask)
+    order, the same masks a ranking of the whole lattice would pick.
     """
     spectra = list(training_spectra)
     if not spectra:
         raise ValueError("select_support requires at least one training spectrum")
     ground = spectra[0].ground
     for sp in spectra:
+        if not isinstance(sp, SparseSpectrum4):
+            raise TypeError(
+                f"training spectra must be sparse model 4 (SparseSpectrum4), got {type(sp).__name__}"
+            )
         if sp.ground != ground:
             raise ValueError("training spectra must share a ground set")
-        if sp.model != 4:
-            raise ValueError(f"training spectra must be model 4, got model {sp.model}")
+        if not np.isfinite(sp.coeffs).all():
+            raise ValueError("training coefficients must be finite")
     if not 0 <= k <= ground.size:
         raise ValueError(f"cannot select {k} of {ground.size} frequencies")
-    score = np.zeros(ground.size)
+    union = np.unique(np.concatenate([sp.support.freqs for sp in spectra]))
+    score = np.zeros(union.size)
     for sp in spectra:
-        score += np.abs(sp.coeffs)
+        score[np.searchsorted(union, sp.support.freqs)] += np.abs(sp.coeffs)
     score /= len(spectra)
-    masks = ground.masks()
-    order = np.lexsort((masks, popcount(masks), -score))
-    return SparseSupport(ground, masks[order[:k]])
+    order = np.lexsort((union, popcount(union), -score))
+    ranked = union[order][score[order] > 0][:k]
+    chosen = set(ranked.tolist())
+    pad = itertools.islice(
+        (m for m in masks_by_cardinality(ground) if m not in chosen), k - ranked.size
+    )
+    return SparseSupport(ground, np.concatenate((ranked, np.fromiter(pad, np.int64))))
 
 
 def synthetic_sparse_spectrum(

@@ -118,9 +118,16 @@ def _diff_down(u, w, tmp):
     np.subtract(w, u, out=w)  # subset difference: (u, w) -> (u, w-u)
 
 
+# The float64 sign bit: XOR with it negates exactly, as np.negative does.
+_SIGN_BIT = np.int64(-(1 << 63))
+
+
 def _model2(u, w, tmp):
     np.add(u, w, out=u)  # [[1,1],[0,-1]]: (u, w) -> (u+w, -w)
-    np.negative(w, out=w)
+    # np.negative in place on a 1-d view with a stride of 8 elements writes
+    # the wrong elements in numpy 2.4; the integer XOR has no such loop.
+    bits = w.view(np.int64)
+    np.bitwise_xor(bits, _SIGN_BIT, out=bits)
 
 
 def _model3(u, w, tmp):
@@ -160,13 +167,11 @@ def _stage(x: np.ndarray, i: int, op, tmp) -> None:
 
     The halves have shape (pairs, 2**i).  On 1-d input, stages 1 and 2 run
     the op once per column of the halves instead: a strided 1-d view whose
-    inner loop is long, not 2 or 4 elements.  Model 2 is left out because
-    numpy 2.4's in-place `np.negative` on a 1-d view with a stride of 8
-    elements writes the wrong elements.
+    inner loop is long, not 2 or 4 elements.
     """
     v = x.reshape((-1, 2, 1 << i) + x.shape[1:])
     u, w = v[:, 0], v[:, 1]
-    if x.ndim == 1 and i in (1, 2) and op is not _model2:
+    if x.ndim == 1 and i in (1, 2):
         for uj, wj in zip(u.T, w.T):
             op(uj, wj, tmp)
     else:
@@ -189,8 +194,15 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
 
         model 1 forward = model 4 inverse: reverse, then u += w per stage
         model 1 inverse = model 4 forward: reverse, then w -= u per stage
-        model 2: (u, w) -> (u+w, -w);  model 3: w = u - w
+        model 2: u += w, then w = -w by flipping its sign bit
+        model 3: w = u - w
         model 5: (u, w) -> (u+w, u-w), through a half-size temp
+
+    Model 2 also factors as [[1,1],[0,-1]] = [[1,-1],[0,1]].diag(1,-1): one
+    parity-sign pass, then u -= w per stage, with no negations.  That path
+    is not taken because it changes bits: a sum that cancels exactly is
+    +0.0 whatever sign it carries, so some zeros come out with the other
+    sign (for [0, 0, 1, -1], entry 2 is -0.0 here and +0.0 there).
 
     Schedule (the cache blocking of FFHT, Andoni et al., NeurIPS 2015): the
     stages i < _BLOCK_BITS only pair rows inside aligned blocks of

@@ -4,6 +4,8 @@ Everything here evaluates the defining sums directly with plain Python loops
 over subsets; nothing is shared with the fast library code paths.
 """
 
+import math
+
 
 def bits(x: int) -> int:
     return bin(x).count("1")
@@ -172,6 +174,29 @@ def sparse_eval_reference(freqs, coeffs, masks) -> list[float]:
             if A & B == 0:
                 out[p] += c
     return out
+
+
+def lattice_norm_reference(n: int, freqs, coeffs) -> float:
+    """l2 norm over all 2**n subsets of the model-4 inverse of a sparse
+    spectrum: every value summed as in `sparse_eval_reference`, the squares
+    summed exactly with `math.fsum`.  This is the dense scorer of the
+    sampling experiment."""
+    values = sparse_eval_reference(freqs, coeffs, range(1 << n))
+    return math.sqrt(math.fsum(v * v for v in values))
+
+
+def select_support_reference(n: int, spectra, k: int) -> list[int]:
+    """The k masks of largest mean |coefficient| over sparse spectra given as
+    (freqs, coeffs) pairs, ties by ascending (cardinality, mask), ranked over
+    every mask of the lattice; returned in ascending mask order.  Each score
+    adds the |coefficients| in training order onto 0.0."""
+    score = [0.0] * (1 << n)
+    for freqs, coeffs in spectra:
+        for B, c in zip(freqs, coeffs):
+            score[B] += abs(c)
+    mean = [s / len(spectra) for s in score]
+    ranked = sorted(range(1 << n), key=lambda B: (-mean[B], bits(B), B))
+    return sorted(ranked[:k])
 
 
 def bandlimited_eval_reference(model: int, n: int, freqs, coeffs, masks) -> list[float]:

@@ -26,7 +26,7 @@ def workloads():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("name", ["oracle-compress", "cli-files"])
+@pytest.mark.parametrize("name", ["dense-n21", "oracle-compress", "sparse-sampling", "cli-files"])
 def test_workload_ops_pass_their_checks(workloads, name, tmp_path):
     workload = workloads.WORKLOADS[name]
     state = workload.prepare(workload.default_seed, True, str(tmp_path))

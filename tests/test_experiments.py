@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from setsp.core import GroundSet
+from setsp import sampling, transforms
+from setsp.core import DENSE_MAX_N, GroundSet
 from setsp.experiments import (
     ExperimentRow,
     compression_experiment,
@@ -9,6 +10,7 @@ from setsp.experiments import (
     pool_bidder,
     random_bidder_pool,
     random_rbf_covariance,
+    sampling_experiment,
 )
 from setsp.transforms import dsft
 
@@ -73,3 +75,54 @@ def test_compression_experiment_golden_bits(one_blas_thread):
         "print(r.band_error.hex(), r.wht_error.hex(), *(x.queries_used for x in r.rows))\n"
     )
     assert out.split() == ["0x1.1624a732fd1edp-5", "0x1.50d4ab6bebd54p-7", "79", "200"]
+
+
+def _criterion_11_holds(report, k: int) -> bool:
+    return (
+        report.queries_per_bidder == k
+        and report.mean_recon_error < report.mean_mass_bound
+        and report.mean_recon_error < report.mean_poly2_error
+    )
+
+
+def test_sampling_experiment_past_the_dense_cap():
+    n = 40
+    assert n > DENSE_MAX_N  # no array of 2**n values could be built
+    # a support that holds the whole pool: the sampling theorem is exact
+    whole = sampling_experiment(n=n, pool_size=60, n_train=25, n_test=5, k_support=60, seed=7)
+    assert whole.queries_per_bidder == 60
+    assert whole.mass_bounds.tolist() == [0.0] * 5
+    assert whole.captured_mass.tolist() == [1.0] * 5
+    assert whole.recon_errors.max() <= 1e-12
+    assert whole.poly2_errors.min() > 1e-3
+    # criterion 11's settings
+    assert _criterion_11_holds(sampling_experiment(n=n, seed=2026), 500)
+
+
+def test_sampling_experiment_uses_no_dense_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense path taken")
+
+    monkeypatch.setattr(transforms, "dsft_inplace", refuse)
+    monkeypatch.setattr(sampling, "dsft_inplace", refuse)
+    monkeypatch.setattr(sampling.SparseSpectrum4, "to_spectrum", refuse)
+    monkeypatch.setattr(sampling.SparseSpectrum4, "to_setfunction", refuse)
+    monkeypatch.setattr(GroundSet, "masks", refuse)
+    assert _criterion_11_holds(sampling_experiment(n=17, seed=2026), 500)
+
+
+def test_sampling_experiment_matches_the_dense_scorer():
+    # mean errors of criterion 11 as recorded from 75 dense inverse transforms
+    report = sampling_experiment(seed=2026)
+    recorded = {
+        "recon": float.fromhex("0x1.857ecbe11e5e6p-17"),
+        "poly2": float.fromhex("0x1.46b6287f3aa8ep-8"),
+        "mass_bound": float.fromhex("0x1.e3a48300a2aa4p-15"),
+    }
+    got = {
+        "recon": report.mean_recon_error,
+        "poly2": report.mean_poly2_error,
+        "mass_bound": report.mean_mass_bound,
+    }
+    for key, want in recorded.items():
+        assert got[key] == pytest.approx(want, rel=1e-9, abs=0.0), key

@@ -1,9 +1,26 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from setsp import io as setfn_io
+from setsp import sampling
 from setsp.core import GroundSet, SetFunction, SparseSetFunction, Spectrum
 from setsp.io import SetFnFormatError
+
+# Every class of finite float64 a file must carry: signed zeros, subnormals,
+# the extremes, the usual 1e-8..1e8 range and anything else that is finite.
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308,
+                     1.7976931348623157e308]),
+    st.floats(1e-8, 1e8),
+    st.floats(-1e8, -1e-8),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 def test_dense_roundtrip_bitwise(tmp_path):
@@ -98,3 +115,38 @@ def test_covariance_roundtrip(tmp_path):
     bad.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="square"):
         setfn_io.read_covariance(bad)
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 6), model=st.sampled_from([1, 2, 3, 4, 5]))
+def test_setfn_round_trip_is_bitwise(data, n, model):
+    ground = GroundSet(n)
+    size = 1 << n
+    values = data.draw(arrays(np.float64, size, elements=FINITE))
+    entries = data.draw(st.dictionaries(st.integers(0, size - 1), FINITE, max_size=size))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.setfn"
+
+        setfn_io.write_setfn(path, SetFunction(ground, values))
+        assert _same_bits(setfn_io.read_setfn(path).values, values)
+
+        setfn_io.write_setfn(path, Spectrum(ground, model, values))
+        back = setfn_io.read_spectrum(path)
+        assert back.model == model and _same_bits(back.coeffs, values)
+
+        setfn_io.write_setfn(path, SparseSetFunction(ground, entries))
+        got = setfn_io.read_setfn(path).entries
+        assert sorted(got) == sorted(entries)
+        assert _same_bits([got[m] for m in sorted(got)], [entries[m] for m in sorted(got)])
+
+        support = sampling.SparseSupport(ground, np.array(list(entries), dtype=np.int64))
+        spectrum = sampling.SparseSpectrum4(
+            support, np.array([entries[int(B)] for B in support.freqs], dtype=np.float64))
+        sampling.save_sparse_spectrum(path, spectrum)
+        again = sampling.load_sparse_spectrum(path)
+        assert np.array_equal(again.support.freqs, support.freqs)
+        assert _same_bits(again.coeffs, spectrum.coeffs)

@@ -1,4 +1,5 @@
-"""Property tests: the fast paths are bit-identical to plain formulas.
+"""Property tests: the fast paths against plain formulas, bit for bit where
+both sum in the same order, to 1e-12 of the output scale where they do not.
 
 The transform's cache blocking only shows at n > _BLOCK_BITS, so these tests
 shrink the block to 2**2 or 2**3 rows: then n <= 8 crosses several blocks and
@@ -22,12 +23,20 @@ from setsp.sampling import (
     SparseSupport,
     eval_sparse,
     eval_sparse_many,
+    lattice_norms,
     oracle_from_sparse_spectrum,
     reconstruct,
+    select_support,
 )
 from setsp.transforms import FORWARD, INVERSE, dsft_inplace
 
-from reference import bandlimited_eval_reference, butterfly_reference, sparse_eval_reference
+from reference import (
+    bandlimited_eval_reference,
+    butterfly_reference,
+    lattice_norm_reference,
+    select_support_reference,
+    sparse_eval_reference,
+)
 
 PAIRS = [(model, direction) for model in range(1, 6) for direction in (FORWARD, INVERSE)]
 
@@ -100,6 +109,24 @@ def test_direct_convolution_is_the_index_remap(model, data, n):
     assert _same_bits(got, want)
 
 
+@pytest.mark.parametrize("model", range(1, 6))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(0, 8))
+def test_direct_and_spectral_convolution_agree(model, data, n):
+    size = 1 << n
+    taps = data.draw(st.dictionaries(st.integers(0, size - 1), st.floats(-1e3, 1e3),
+                                     min_size=1, max_size=6))
+    values = data.draw(arrays(np.float64, size, elements=VALUES))
+    ground = GroundSet(n)
+    h = filters.Filter.from_taps(ground, taps)
+    signal = SetFunction.wrap(ground, values)
+    direct = filters.convolve(model, h, signal, path="direct").values
+    spectral = filters.convolve(model, h, signal, path="spectral").values
+    # every output and every partial sum of either path is at most this
+    scale = sum(abs(w) for w in taps.values()) * float(np.abs(values).sum())
+    assert float(np.abs(direct - spectral).max()) <= 1e-12 * scale
+
+
 # Small n, plus the edges of the narrow mask types eval_sparse_many uses.
 SPARSE_N = st.one_of(st.integers(0, 10), st.sampled_from([16, 17, 32, 33, 62]))
 
@@ -170,3 +197,66 @@ def test_blocked_band_eval_is_the_sequential_sum(model, data, n, chunk, shape):
     assert got.shape == masks.shape
     assert _same_bits_or_nan(got, want)
     assert _same_bits_or_nan(np.array(scalar), want)
+
+
+def _sparse_spectrum(data, n: int, max_size: int, coeff) -> SparseSpectrum4:
+    support = _support(data, n, max_size)
+    coeffs = data.draw(st.lists(coeff, min_size=len(support), max_size=len(support)))
+    return SparseSpectrum4(support, np.array(coeffs, dtype=np.float64))
+
+
+def _on(freqs: np.ndarray, spectrum) -> np.ndarray:
+    """The spectrum's coefficients placed on the ascending masks `freqs`."""
+    out = np.zeros(freqs.size)
+    out[np.searchsorted(freqs, spectrum.support.freqs)] = spectrum.coeffs
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12))
+def test_gram_norms_are_the_lattice_norms(data, n):
+    # the sampling experiment's two gaps: truth and truth - reconstruction
+    truth = _sparse_spectrum(data, n, 24, st.one_of(VALUES, st.floats(-1e3, 1e3)))
+    support = _support(data, n, 24)
+    recon = reconstruct(oracle_from_sparse_spectrum(truth), support)
+    freqs = np.unique(np.concatenate((truth.support.freqs, support.freqs)))
+    columns = np.column_stack((_on(freqs, truth), _on(freqs, truth) - _on(freqs, recon)))
+    got = lattice_norms(GroundSet(n), freqs, columns)
+    scale = lattice_norm_reference(n, truth.support.freqs.tolist(), truth.coeffs.tolist())
+    gap = lattice_norm_reference(n, freqs.tolist(), columns[:, 1].tolist())
+    assert abs(got[0] - scale) <= 1e-12 * scale
+    assert abs(got[1] - gap) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12))
+def test_gram_norm_of_an_exact_reconstruction_is_zero(data, n):
+    # integer coefficients on a support inside the queried one recover exactly
+    truth = _sparse_spectrum(data, n, 16, st.integers(-1000, 1000))
+    freqs = np.union1d(truth.support.freqs, _support(data, n, 8).freqs)
+    recon = reconstruct(oracle_from_sparse_spectrum(truth), SparseSupport(GroundSet(n), freqs))
+    gap = _on(freqs, truth) - _on(freqs, recon)
+    assert not gap.any()
+    assert lattice_norms(GroundSet(n), freqs, gap[:, None]).tolist() == [0.0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(0, 10), count=st.integers(1, 4))
+def test_sparse_select_support_is_the_lattice_ranking(data, n, count):
+    size = 1 << n
+    ground = GroundSet(n)
+    # a few low masks and magnitudes recur, so supports overlap and scores tie
+    mask = st.one_of(st.integers(0, min(size, 8) - 1), st.integers(0, size - 1))
+    coeff = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0]), st.floats(-10, 10))
+    spectra = []
+    for _ in range(count):
+        entries = data.draw(st.dictionaries(mask, coeff, max_size=min(size, 12)))
+        support = SparseSupport(ground, np.array(list(entries), dtype=np.int64))
+        coeffs = np.array([entries[int(B)] for B in support.freqs], dtype=np.float64)
+        spectra.append(SparseSpectrum4(support, coeffs))
+    # mostly few enough that the cut falls among the masks that score
+    k = data.draw(st.one_of(st.integers(0, min(size, 24)), st.integers(0, size)))
+    got = select_support(spectra, k)
+    want = select_support_reference(
+        n, [(sp.support.freqs.tolist(), sp.coeffs.tolist()) for sp in spectra], k)
+    assert sorted(got.freqs.tolist()) == want

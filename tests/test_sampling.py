@@ -105,33 +105,63 @@ def test_sparse_to_dense_consistency():
     assert np.abs(idsft(4, spec.to_spectrum()).values - dense_fn.values).max() < 1e-12
 
 
+def _sparse(ground, entries):
+    support = SparseSupport(ground, np.array(list(entries), dtype=np.int64))
+    return SparseSpectrum4(support, np.array([entries[int(B)] for B in support.freqs]))
+
+
 def test_select_support_exact_sparse_training():
     g = GroundSet(4)
-    coeffs = np.zeros(16)
-    coeffs[[0, 3, 9]] = (5.0, -2.0, 1.0)
-    spec = Spectrum(g, 4, coeffs)
+    spec = _sparse(g, {0: 5.0, 3: -2.0, 9: 1.0})
     support = select_support([spec], 3)
     assert set(support.freqs.tolist()) == {0, 3, 9}
 
 
 def test_select_support_tie_break():
     g = GroundSet(3)
-    a = np.zeros(8)
-    a[2] = 1.0
-    b = np.zeros(8)
-    b[4] = 1.0
-    support = select_support([Spectrum(g, 4, a), Spectrum(g, 4, b)], 1)
+    support = select_support([_sparse(g, {2: 1.0}), _sparse(g, {4: 1.0})], 1)
     assert support.freqs.tolist() == [2]  # equal scores: lower mask wins
+    support = select_support([_sparse(g, {3: 1.0}), _sparse(g, {4: 1.0})], 1)
+    assert support.freqs.tolist() == [4]  # then lower cardinality before lower mask
+
+
+def test_select_support_pads_with_the_lowest_zero_score_masks():
+    g = GroundSet(3)
+    # one frequency scores above zero; a stored zero ranks like any absent mask
+    support = select_support([_sparse(g, {5: 1.0, 6: 0.0})], 4)
+    assert support.freqs.tolist() == [0, 1, 2, 5]
+    # padding skips what is already chosen
+    assert select_support([_sparse(g, {1: 2.0})], 3).freqs.tolist() == [0, 1, 2]
+    assert select_support([_sparse(g, {1: 2.0})], 8).freqs.tolist() == [0, 1, 2, 4, 3, 5, 6, 7]
+    assert len(select_support([_sparse(g, {1: 2.0})], 0)) == 0
+
+
+def test_select_support_past_the_dense_cap():
+    g = GroundSet(62)
+    top = 1 << 61
+    support = select_support([_sparse(g, {top: -3.0, 6: 0.5}), _sparse(g, {6: 0.5})], 4)
+    assert support.freqs.tolist() == [0, 1, top, 6]  # (cardinality, mask) order
 
 
 def test_select_support_validation():
     with pytest.raises(ValueError, match="at least one"):
         select_support([], 1)
     g = GroundSet(2)
-    with pytest.raises(ValueError, match="model 4"):
-        select_support([Spectrum(g, 5, np.zeros(4))], 1)
+    with pytest.raises(TypeError, match="sparse model 4"):
+        select_support([Spectrum(g, 4, np.zeros(4))], 1)
     with pytest.raises(ValueError, match="ground"):
-        select_support([Spectrum(g, 4, np.zeros(4)), Spectrum(GroundSet(3), 4, np.zeros(8))], 1)
+        select_support([_sparse(g, {0: 1.0}), _sparse(GroundSet(3), {0: 1.0})], 1)
+    with pytest.raises(ValueError, match="finite"):
+        select_support([_sparse(g, {0: 1.0, 1: np.nan})], 1)
+    with pytest.raises(ValueError, match="cannot select 5 of 4"):
+        select_support([_sparse(g, {0: 1.0})], 5)
+
+
+def test_densifiers_refuse_past_the_dense_cap():
+    spec = synthetic_sparse_spectrum(GroundSet(40), 5, seed=1)
+    for densify in (spec.to_spectrum, spec.to_setfunction):
+        with pytest.raises(ValueError, match="DENSE_MAX_N = 30, got n=40"):
+            densify()
 
 
 def test_synthetic_spectrum_properties():
