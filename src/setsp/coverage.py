@@ -164,6 +164,8 @@ class GaussianModel:
         K = np.array(self.covariance, dtype=np.float64)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValueError(f"covariance must be square, got shape {K.shape}")
+        if not np.isfinite(K).all():
+            raise ValueError("covariance entries must be finite")
         scale = max(1.0, float(np.abs(K).max()))
         if float(np.abs(K - K.T).max()) > 1e-10 * scale:
             raise ValueError("covariance must be symmetric to 1e-10")

@@ -239,8 +239,9 @@ def sampling_experiment(
 
     The training bidders' sparse spectra pick the k most important
     frequencies; each test bidder is reconstructed from the k complement
-    queries and compared (exactly, over all 2**n subsets) against the truth
-    and against a degree-2 polynomial least-squares fit on the same queries.
+    queries (all of them by one forward substitution) and compared (exactly,
+    over all 2**n subsets) against the truth and against a degree-2
+    polynomial least-squares fit on the same queries.
 
     Every spectrum involved lives on U = pool | band | support, where the
     band is |B| <= 2.  The three norms per test bidder (truth, truth -
@@ -266,15 +267,14 @@ def sampling_experiment(
     band = subsets_of_cardinality_at_most(ground, min(2, n))
     freqs = np.unique(np.concatenate((pool.masks, band, support.freqs)))
 
+    oracles = [oracle_from_sparse_spectrum(bidder) for bidder in test]
+    recovered = reconstruct(oracles, support)
+    queries_used = max((oracle.queries for oracle in oracles), default=0)
     truth = np.zeros((freqs.size, n_test))
     recon = np.zeros((freqs.size, n_test))
     missed_mass = np.zeros(n_test)
     captured = np.zeros(n_test)
-    queries_used = 0
-    for t, bidder in enumerate(test):
-        oracle = oracle_from_sparse_spectrum(bidder)
-        got = reconstruct(oracle, support)
-        queries_used = max(queries_used, oracle.queries)
+    for t, (bidder, got) in enumerate(zip(test, recovered)):
         truth[np.searchsorted(freqs, bidder.support.freqs), t] = bidder.coeffs
         recon[np.searchsorted(freqs, support.freqs), t] = got.coeffs
 

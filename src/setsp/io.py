@@ -135,25 +135,50 @@ def parse_setfn(path) -> SetFnFile:
 
 
 def write_entries(path, n: int, kind: str, model: int | None, pairs) -> None:
-    """Low-level writer; `pairs` is an iterable of (mask, value)."""
+    """Low-level writer; `pairs` is an iterable of (mask, value).
+
+    Entries that `parse_setfn` would refuse raise ValueError before the file
+    is opened, so a refused write leaves an existing file untouched: a mask
+    outside [0, 2**n), a repeated mask, a value that is not finite, or a
+    dense file that does not list all 2**n masks.
+    """
+    pairs = list(pairs)
+    masks = np.array([mask for mask, _ in pairs], dtype=np.int64)
+    values = np.array([value for _, value in pairs], dtype=np.float64)
+    _write_arrays(path, n, kind, model, masks, values)
+
+
+def _write_arrays(path, n: int, kind: str, model: int | None, masks, values) -> None:
+    """`write_entries` of aligned int64 mask and float64 value arrays."""
+    bad = (masks < 0) | (masks >= 1 << n)
+    if bad.any():
+        raise ValueError(f"mask {masks[bad][0]} out of range for n={n}")
+    ordered = np.sort(masks)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise ValueError(f"duplicate mask {repeated[0]}")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"value {values[bad][0]} at mask {masks[bad][0]} is not finite")
+    if kind == "dense" and masks.size != 1 << n:
+        raise ValueError(f"dense file must list all {1 << n} masks, got {masks.size}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MAGIC}\n")
         fh.write(f"n {n}\n")
         fh.write(f"kind {kind}\n")
         fh.write(f"model {'none' if model is None else model}\n")
-        for mask, value in pairs:
-            fh.write(f"{int(mask)} {float(value)!r}\n")
+        fh.writelines(f"{mask} {value!r}\n" for mask, value in zip(masks.tolist(), values.tolist()))
 
 
 def write_setfn(path, fn) -> None:
     """Write a SetFunction, SparseSetFunction, or Spectrum."""
     if isinstance(fn, SetFunction):
-        write_entries(path, fn.ground.n, "dense", None, enumerate(fn.values))
+        _write_arrays(path, fn.ground.n, "dense", None, np.arange(fn.ground.size), fn.values)
     elif isinstance(fn, SparseSetFunction):
         pairs = sorted(fn.entries.items())
         write_entries(path, fn.ground.n, "sparse", None, pairs)
     elif isinstance(fn, Spectrum):
-        write_entries(path, fn.ground.n, "dense", fn.model, enumerate(fn.coeffs))
+        _write_arrays(path, fn.ground.n, "dense", fn.model, np.arange(fn.ground.size), fn.coeffs)
     else:
         raise TypeError(f"cannot serialize {type(fn).__name__}")
 

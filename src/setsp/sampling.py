@@ -8,13 +8,18 @@ unit-lower-triangular linear system
 
 solved by forward substitution: k queries, O(k^2) arithmetic, no divisions.
 Exactly-sparse oracles reconstruct perfectly; approximately sparse ones get
-the unique spectrum agreeing with the oracle on the queried subsets.
+the unique spectrum agreeing with the oracle on the queried subsets.  The
+matrix depends only on the support, so `reconstruct` solves any number of
+oracles on one support with one substitution, one right-hand side each, and
+every right-hand side gets the bits it would get alone.
 
 Evaluating a sparse spectrum at a subset A is the model-4 inverse restricted
 to the support: s_A = sum of the coefficients at frequencies disjoint from A.
-Every evaluator here forms that sum the same way, adding the terms one at a
-time in support order onto +0.0, so the scalar and the batched path return
-the same bits for every mask.
+A frequency B can be disjoint from A only if |A| + |B| <= n, so the batched
+evaluator never visits the probes too large for B.  Every evaluator here
+forms the sum the same way, adding the terms one at a time in support order
+onto +0.0, so the scalar and the batched path return the same bits for every
+mask, whichever probes a term skips.
 
 Norms over the whole lattice need no lattice either: the basis vectors
 f^B_A = [A & B == 0] have the Gram matrix <f^B, f^C> = 2**(n - |B | C|), so
@@ -43,10 +48,10 @@ from . import io as setfn_io
 from .transforms import INVERSE, dsft_inplace
 
 
-# Probes per block of `eval_sparse_many`: the block's masks, its hit and
-# disjointness buffers and its slice of the output take at most 17 bytes per
-# probe for n <= 32, so 2**16 probes (1.1 MiB) stay in a 2 MiB L2 while the
-# support is swept over them.
+# Probes per block of `eval_sparse_many`: the block's masks and cardinalities,
+# its hit and disjointness buffers and its slice of the output take at most
+# 18 bytes per probe for n <= 32, so 2**16 probes (1.1 MiB) stay in a 2 MiB
+# L2 while the support is swept over them.
 _EVAL_CHUNK = 1 << 16
 # Rows of `reconstruct`'s inclusion pattern built at once: a k=500 support
 # takes two blocks, and a 2**16 one holds 16 MiB of it at a time, not 4 GiB.
@@ -142,35 +147,62 @@ def eval_sparse(spectrum: SparseSpectrum4, A: int) -> float:
 def eval_sparse_many(spectrum: SparseSpectrum4, masks) -> np.ndarray:
     """Vectorized `eval_sparse` over an array of subset masks, any shape.
 
-    The probes run in blocks of `_EVAL_CHUNK` that stay in L2; within a block
-    the support is swept in order, and each frequency B adds its coefficient
-    to the probes disjoint from it, through preallocated buffers.  Every probe
-    thus sums the same terms in the same order as a loop over the whole
-    support would.  Skipping a non-disjoint term instead of adding 0.0 is
+    Masks outside [0, 2**n) raise ValueError before any work, as in
+    `eval_sparse` and `SetFunctionOracle.query_many`.
+
+    A probe A can be disjoint from a frequency B only if |A| + |B| <= n.  So
+    the probes are sorted once by cardinality (a stable sort on uint8 keys),
+    and since the support ascends in cardinality, each frequency B sweeps
+    only the prefix of each block whose probes have |A| <= n - |B|; the sums
+    are scattered back through the permutation.  The probes run in blocks of
+    `_EVAL_CHUNK` that stay in L2; within a block the support is swept in
+    order, and each frequency adds its coefficient to the probes disjoint
+    from it, through preallocated buffers.  Every probe thus sums the same
+    terms in the same order as a loop over the whole support would, so the
+    bits do not move.  Skipping a non-disjoint term instead of adding 0.0 is
     exact: the accumulator starts at +0.0 and cannot become -0.0, and x + 0.0
     is x for every other x, inf and nan included.
 
     The masks are narrowed to the smallest unsigned type that holds 2**n - 1
-    (2 to 8 times fewer bytes per mask pass for n <= 32); that keeps every
-    result, because each B is below 2**n, so (A & B) == 0 depends only on the
-    low n bits of A.
+    (2 to 8 times fewer bytes per mask pass for n <= 32).
     """
+    ground = spectrum.ground
     masks = np.asarray(masks, dtype=np.int64)
     flat = masks.ravel()
-    out = np.zeros(flat.size)
-    narrow = np.min_scalar_type(spectrum.ground.full_mask)
+    bad = (flat < 0) | (flat >= ground.size)
+    if bad.any():
+        raise ValueError(f"mask {flat[bad][0]} out of range for n={ground.n}")
+    narrow = np.min_scalar_type(ground.full_mask)
+    cards = np.bitwise_count(flat).astype(np.uint8)
+    order = np.argsort(cards, kind="stable")
+    cards = cards[order]
+    sorted_probes = flat[order].astype(narrow)
+    acc_sorted = np.zeros(flat.size)
     width = min(_EVAL_CHUNK, flat.size)
     hit = np.empty(width, dtype=narrow)
     disjoint = np.empty(width, dtype=bool)
     terms = list(zip(spectrum.support.freqs.astype(narrow), spectrum.coeffs.tolist()))
+    # runs of terms with one room n - |B|; the room shrinks along the support
+    rooms = ground.n - popcount(spectrum.support.freqs)
+    starts = np.flatnonzero(np.diff(rooms, prepend=-1)).tolist()
+    runs = [(int(rooms[a]), terms[a:b]) for a, b in zip(starts, [*starts[1:], len(terms)])]
+    cutoffs = np.arange(ground.n + 1, dtype=np.uint8)
     for start in range(0, flat.size, _EVAL_CHUNK):
-        probes = flat[start : start + _EVAL_CHUNK].astype(narrow)
-        acc = out[start : start + _EVAL_CHUNK]
-        h, d = hit[: probes.size], disjoint[: probes.size]
-        for B, c in terms:
-            np.bitwise_and(probes, B, out=h)
-            np.logical_not(h, out=d)
-            np.add(acc, c, out=acc, where=d)
+        stop = start + _EVAL_CHUNK
+        # limit[r]: how many probes of this block have |A| <= r
+        limit = np.searchsorted(cards[start:stop], cutoffs, side="right").tolist()
+        for room, run in runs:
+            w = limit[room]
+            if not w:
+                break
+            probes, acc = sorted_probes[start : start + w], acc_sorted[start : start + w]
+            h, d = hit[:w], disjoint[:w]
+            for B, c in run:
+                np.bitwise_and(probes, B, out=h)
+                np.logical_not(h, out=d)
+                np.add(acc, c, out=acc, where=d)
+    out = np.empty(flat.size)
+    out[order] = acc_sorted
     return out.reshape(masks.shape)
 
 
@@ -182,22 +214,66 @@ def oracle_from_sparse_spectrum(spectrum: SparseSpectrum4) -> SetFunctionOracle:
     )
 
 
-def reconstruct(oracle: SetFunctionOracle, support: SparseSupport) -> SparseSpectrum4:
-    """Recover the coefficients on `support` from exactly k oracle queries.
+def reconstruct(oracles, support: SparseSupport) -> SparseSpectrum4 | list[SparseSpectrum4]:
+    """Recover the coefficients on `support` from exactly k queries per oracle.
 
-    Queries the oracle at N \\ B_i and solves the unit-lower-triangular system
-    by forward substitution in support order.  The inclusion pattern
-    [B_j subseteq B_i] is built once per block of rows, not once per row.
+    `oracles` is one oracle, which gives one SparseSpectrum4, or a sequence
+    of oracles on the support's ground set, which gives a list of them in
+    the same order.  Each oracle is queried at N \\ B_i, and one forward
+    substitution (`_forward_substitution`) solves all of them at once.
     """
-    freqs = support.freqs
-    values = oracle.query_many(sampling_indices(support))
-    coeffs = np.zeros(freqs.size)
+    single = isinstance(oracles, SetFunctionOracle)
+    oracles = [oracles] if single else list(oracles)
+    for oracle in oracles:
+        if oracle.ground != support.ground:
+            raise ValueError(f"oracle on n={oracle.ground.n} cannot answer a support "
+                             f"on n={support.ground.n}")
+    queries = sampling_indices(support)
+    values = np.empty((len(support), len(oracles)))
+    for t, oracle in enumerate(oracles):
+        values[:, t] = oracle.query_many(queries)
+    coeffs = _forward_substitution(support.freqs, values)
+    spectra = [SparseSpectrum4(support, row) for row in coeffs.T]
+    return spectra[0] if single else spectra
+
+
+def _forward_substitution(freqs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Solve sum_j [B_j subseteq B_i] * coeff_j = values_i in support order.
+
+    `values` is (k, m), one column per right-hand side, and so is the
+    result.  The strictly lower inclusion pattern is built once per
+    block of `_RECONSTRUCT_ROWS` rows and shared by all columns.  Row i
+    needs the rows j < i with B_j subseteq B_i, and each of those has fewer
+    included predecessors than row i (theirs are row i's too, and B_j is
+    not its own).  So rows with the same number L of them never depend on
+    each other, and a block is solved L by L, ascending, all rows of one L
+    at once.  Their predecessors are gathered with `take(..., axis=1)` from
+    a right-hand-side-major (m, k) array into an (m, rows, L) array whose
+    length-L rows are contiguous, so `.sum(axis=2)` is, for every row and
+    column, the pairwise sum that numpy's `.sum()` of that row's included
+    coefficients in support order gives: the bits depend neither on m nor
+    on the grouping.  (A plain `coeffs[:, preds]` comes out strided and
+    sums in another order.)
+    """
+    rhs = values.T
+    coeffs = np.zeros(rhs.shape)
     for start in range(0, freqs.size, _RECONSTRUCT_ROWS):
         stop = min(start + _RECONSTRUCT_ROWS, freqs.size)
         inside = is_subset(freqs[None, :stop], freqs[start:stop, None])
-        for i in range(start, stop):
-            coeffs[i] = values[i] - coeffs[:i][inside[i - start, :i]].sum()
-    return SparseSpectrum4(support, coeffs)
+        # strictly lower: j > i is never included, since B_j is then larger
+        # or a different set of the same size
+        np.fill_diagonal(inside[:, start:], False)
+        rows, cols = np.divmod(np.flatnonzero(inside), stop)
+        counts = np.bincount(rows, minlength=stop - start)
+        firsts = np.cumsum(counts) - counts
+        order = np.argsort(counts, kind="stable")
+        edges = [0, *(np.flatnonzero(np.diff(counts[order])) + 1).tolist(), order.size]
+        for first, last in zip(edges, edges[1:]):
+            group = order[first:last]
+            preds = cols[firsts[group][:, None] + np.arange(counts[group[0]])]
+            targets = start + group
+            coeffs[:, targets] = rhs[:, targets] - coeffs.take(preds, axis=1).sum(axis=2)
+    return coeffs.T
 
 
 def lattice_norms(ground: GroundSet, freqs, coeffs) -> np.ndarray:

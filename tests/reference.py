@@ -1,10 +1,14 @@
 """Brute-force reference implementations used as independent test oracles.
 
 Everything here evaluates the defining sums directly with plain Python loops
-over subsets; nothing is shared with the fast library code paths.
+over subsets; nothing is shared with the fast library code paths.  The one
+numpy call is the row sum of `forward_substitution_reference`, whose pairwise
+order is the one `reconstruct` must reproduce.
 """
 
 import math
+
+import numpy as np
 
 
 def bits(x: int) -> int:
@@ -174,6 +178,19 @@ def sparse_eval_reference(freqs, coeffs, masks) -> list[float]:
             if A & B == 0:
                 out[p] += c
     return out
+
+
+def forward_substitution_reference(freqs, values):
+    """The unit-lower-triangular solve of `reconstruct`, one row at a time:
+    coeff_i = values_i - the sum of the coeff_j, j < i, with B_j subseteq
+    B_i.  That sum is numpy's `.sum()` of a contiguous float64 array of the
+    included coefficients in support order, whose pairwise order fixes the
+    bits the library must reproduce."""
+    coeffs = np.zeros(len(freqs))
+    for i, B in enumerate(freqs):
+        inside = [j for j in range(i) if freqs[j] & ~B == 0]
+        coeffs[i] = values[i] - coeffs[inside].sum()
+    return coeffs
 
 
 def lattice_norm_reference(n: int, freqs, coeffs) -> float:

@@ -6,6 +6,7 @@ import pytest
 from setsp import io as setfn_io
 from setsp.cli import main, parse_oracle_spec
 from setsp.core import GroundSet, SetFunction
+from setsp.coverage import GaussianModel
 from setsp.experiments import random_rbf_covariance
 from setsp.transforms import dsft
 
@@ -173,6 +174,19 @@ def test_sample_and_error_commands(tmp_path):
     assert rc == 0
     row = (tmp_path / "err.csv").read_text().splitlines()[1].split(",")
     assert float(row[7]) < 1e-10  # exact theorem case: zero relative error
+
+
+def test_non_finite_covariance_is_refused(tmp_path, capsys):
+    cov = tmp_path / "cov.csv"
+    cov.write_text("1.0,0.5\n0.5,nan\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="covariance entries must be finite"):
+        GaussianModel(setfn_io.read_covariance(cov))
+    out = tmp_path / "comp.csv"
+    rc = main(["compress", "--oracle", f"gaussian:{cov}", "--wht-samples", "2",
+               "--probes", "10", "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert "covariance entries must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oracle_spec_errors():

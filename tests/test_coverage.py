@@ -140,6 +140,10 @@ def test_gaussian_model_validation():
         GaussianModel(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
         GaussianModel(np.zeros((2, 3)))
+    # a nan passes the symmetry test and the Cholesky does not flag it
+    for bad in ([[np.nan]], [[1.0, np.inf], [np.inf, 1.0]], [[2.0, 0.0], [0.0, -np.inf]]):
+        with pytest.raises(ValueError, match="covariance entries must be finite"):
+            GaussianModel(np.array(bad))
 
 
 def test_gaussian_entropy_values():

@@ -84,6 +84,10 @@ def test_dense_bound_check(tmp_path):
         ("setfn v1\nn 2\nkind sparse\nmodel none\n0 1.0\n3 inf\n", 6, "not finite"),
         ("setfn v1\nn 2\nkind sparse\nmodel none\n3 -inf\n", 5, "not finite"),
         ("setfn v1\nn 2\nkind dense\nmodel none\n0 1.0\n", 6, "all 4 masks"),
+        ("setfn v1\nn 2\nkind sparse\nmodel none\n1\n", 5, "expected '<mask> <value>'"),
+        ("setfn v1\nn 2\nkind sparse\nmodel none\n1 2.0 3.0\n", 5, "expected '<mask> <value>'"),
+        ("setfn v1\nn 2\nkind sparse\nmodel none\n1.5 2.0\n", 5, "mask is not an integer"),
+        ("setfn v1\nn 2\nkind sparse\nmodel none\n0 1.0\n\n7 1.0\n", 7, "out of range"),
     ],
 )
 def test_parse_errors_carry_line_numbers(tmp_path, body, line, fragment):
@@ -92,6 +96,43 @@ def test_parse_errors_carry_line_numbers(tmp_path, body, line, fragment):
         setfn_io.parse_setfn(path)
     assert err.value.line == line
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "n,kind,pairs,fragment",
+    [
+        (2, "sparse", [(0, float("nan"))], "value nan at mask 0 is not finite"),
+        (2, "sparse", [(1, 1.0), (3, -float("inf"))], "value -inf at mask 3 is not finite"),
+        (2, "sparse", [(0, 1.0), (9, 2.0)], "mask 9 out of range for n=2"),
+        (2, "sparse", [(-1, 2.0)], "mask -1 out of range for n=2"),
+        (3, "sparse", [(5, 1.0), (2, 2.0), (5, 3.0)], "duplicate mask 5"),
+        (1, "dense", [(0, 1.0)], "dense file must list all 2 masks, got 1"),
+    ],
+)
+def test_write_entries_refuses_what_the_parser_refuses(tmp_path, n, kind, pairs, fragment):
+    path = tmp_path / "kept.setfn"
+    setfn_io.write_entries(path, 1, "sparse", None, [(1, 0.5)])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=fragment):
+        setfn_io.write_entries(path, n, kind, None, pairs)
+    assert path.read_bytes() == before
+    with pytest.raises(ValueError, match=fragment):
+        setfn_io.write_entries(tmp_path / "new.setfn", n, kind, None, pairs)
+    assert not (tmp_path / "new.setfn").exists()
+
+
+def test_write_entries_bytes():
+    # masks and values as ints, floats, numpy scalars: repr of the float64
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "golden.setfn"
+        setfn_io.write_entries(path, 3, "sparse", 4, [
+            (0, 1), (np.int64(6), np.float64(0.1)), (3.0, -0.0), (5, 5e-324),
+            (7, np.float32(0.1)), (1, 1.7976931348623157e308),
+        ])
+        assert path.read_text(encoding="utf-8") == (
+            "setfn v1\nn 3\nkind sparse\nmodel 4\n0 1.0\n6 0.1\n3 -0.0\n5 5e-324\n"
+            "7 0.10000000149011612\n1 1.7976931348623157e+308\n"
+        )
 
 
 def test_dense_any_order(tmp_path):

@@ -33,6 +33,7 @@ from setsp.transforms import FORWARD, INVERSE, dsft_inplace
 from reference import (
     bandlimited_eval_reference,
     butterfly_reference,
+    forward_substitution_reference,
     lattice_norm_reference,
     select_support_reference,
     sparse_eval_reference,
@@ -173,6 +174,59 @@ def test_sampling_theorem_recovers_exactly_sparse_spectra(data, n, rows):
     assert oracle.queries == len(support)
     assert np.array_equal(got.support.freqs, support.freqs)
     assert np.array_equal(got.coeffs, coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=SPARSE_N, chunk=st.integers(1, 5),
+       shape=array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=9))
+def test_cardinality_sorted_eval_is_the_sequential_sum(data, n, chunk, shape):
+    # probes crowd the cardinalities where the reachable prefix is all or
+    # nothing: the empty set, N and the sets |A| = n - 1; the support holds
+    # the empty set and N, the frequencies that reach every and one probe
+    full = (1 << n) - 1
+    edge = st.sampled_from([0, full] + [full ^ (1 << i) for i in range(n)])
+    mask = st.one_of(edge, st.integers(0, full))
+    freqs = sorted(set(data.draw(st.lists(mask, max_size=12))) | {0, full})
+    coeff = st.one_of(VALUES, st.floats(-1e3, 1e3))
+    coeffs = data.draw(st.lists(coeff, min_size=len(freqs), max_size=len(freqs)))
+    spectrum = SparseSpectrum4(SparseSupport(GroundSet(n), np.array(freqs, dtype=np.int64)),
+                               np.array(coeffs, dtype=np.float64))
+    masks = data.draw(arrays(np.int64, shape, elements=mask))
+    with mock.patch.object(sampling, "_EVAL_CHUNK", chunk):
+        got = eval_sparse_many(spectrum, masks)
+    want = sparse_eval_reference(spectrum.support.freqs.tolist(), spectrum.coeffs.tolist(),
+                                 masks.ravel().tolist())
+    assert got.shape == masks.shape
+    assert _same_bits(got, np.reshape(want, masks.shape))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=SPARSE_N, rows=st.integers(1, 4), count=st.integers(1, 5))
+def test_batched_reconstruct_is_per_oracle_reconstruct(data, n, rows, count):
+    # inexact coefficients, some of them off the support, so that another
+    # summation order shows in the last bits; a few low masks recur, so that
+    # some rows include 8 or more others, where a strided gather would sum
+    # them in another order
+    size = 1 << n
+    mask = st.one_of(st.integers(0, min(size, 16) - 1), st.integers(0, size - 1))
+    k = data.draw(st.one_of(st.integers(0, 1), st.integers(0, min(size, 24))))
+    freqs = data.draw(st.lists(mask, unique=True, min_size=k, max_size=k))
+    support = SparseSupport(GroundSet(n), np.array(freqs, dtype=np.int64))
+    coeff = st.one_of(VALUES, st.floats(-1e3, 1e3))
+    truths = [_sparse_spectrum(data, n, 16, coeff) for _ in range(count)]
+    oracles = [oracle_from_sparse_spectrum(truth) for truth in truths]
+    with mock.patch.object(sampling, "_RECONSTRUCT_ROWS", rows):
+        batched = reconstruct(oracles, support)
+        single = [reconstruct(oracle_from_sparse_spectrum(truth), support) for truth in truths]
+    assert [oracle.queries for oracle in oracles] == [k] * count
+    assert len(batched) == count
+    queries = sampling.sampling_indices(support)
+    for truth, many, one in zip(truths, batched, single):
+        assert np.array_equal(many.support.freqs, support.freqs)
+        assert _same_bits(many.coeffs, one.coeffs)
+        want = forward_substitution_reference(support.freqs.tolist(),
+                                              eval_sparse_many(truth, queries).tolist())
+        assert _same_bits(one.coeffs, want)
 
 
 @pytest.mark.parametrize("model", range(1, 6))

@@ -22,6 +22,8 @@ from setsp.sampling import (
 )
 from setsp.transforms import INVERSE, dsft, dsft_matrix
 
+from reference import forward_substitution_reference
+
 
 def test_sampling_indices_examples():
     g = GroundSet(2)
@@ -91,6 +93,22 @@ def test_eval_sparse_examples():
     empty = SparseSpectrum4(SparseSupport(g, np.array([], dtype=np.int64)), np.array([]))
     assert eval_sparse(empty, 3) == 0.0
     assert eval_sparse_many(spec, np.array([0, 1, 2])).tolist() == [5.0, 2.0, 5.0]
+
+
+X17 = 0b1_0110_0000_0110_1001  # a mask at n=17
+
+
+@pytest.mark.parametrize("bad", [X17 | 1 << 40, X17 - (1 << 17), X17 | 1 << 17, -1])
+def test_eval_sparse_many_refuses_masks_out_of_range(bad):
+    # folding onto the low n bits would return the value at X17; counting the
+    # cardinality of the raw int64 mask would return a wrong value
+    spec = synthetic_sparse_spectrum(GroundSet(17), 30, seed=17)
+    oracle = oracle_from_sparse_spectrum(spec)
+    for evaluate in (lambda m: eval_sparse(spec, m), oracle.query,
+                     lambda m: eval_sparse_many(spec, np.array([X17, m, X17]))):
+        with pytest.raises(ValueError, match=f"mask {bad} out of range for n=17"):
+            evaluate(bad)
+    assert oracle.queries == 0
 
 
 def test_sparse_to_dense_consistency():
@@ -198,6 +216,42 @@ def test_serialization_roundtrip(tmp_path):
     save_support(support_path, spec.support)
     support = load_support(support_path)
     assert np.array_equal(support.freqs, spec.support.freqs)
+
+
+def test_batched_reconstruct_on_a_whole_lattice():
+    # rows include up to 63 others, and coefficients span 26 decades, so a
+    # summation order other than the per-row `.sum()` shows in the bits
+    g = GroundSet(6)
+    rng = np.random.default_rng(66)
+    support = SparseSupport(g, np.arange(g.size))
+    truths = [
+        SparseSpectrum4(SparseSupport(g, rng.choice(g.size, 40, replace=False)),
+                        rng.standard_normal(40) * 10.0 ** rng.uniform(-13, 13, 40))
+        for _ in range(4)
+    ]
+    oracles = [oracle_from_sparse_spectrum(truth) for truth in truths]
+    batched = reconstruct(oracles, support)
+    assert [oracle.queries for oracle in oracles] == [g.size] * 4
+    queries = sampling_indices(support)
+    for truth, got in zip(truths, batched):
+        one = reconstruct(oracle_from_sparse_spectrum(truth), support)
+        assert got.coeffs.tobytes() == one.coeffs.tobytes()
+        want = forward_substitution_reference(support.freqs.tolist(),
+                                              eval_sparse_many(truth, queries).tolist())
+        assert one.coeffs.tobytes() == want.tobytes()
+
+
+def test_reconstruct_refuses_an_oracle_on_another_ground_set():
+    # the queries N - B_i of a support on n=3 name other sets at n=5
+    truth = SparseSpectrum4(SparseSupport(GroundSet(5), np.array([0, 1, 16])),
+                            np.array([4.0, 1.0, 2.0]))
+    support = SparseSupport(GroundSet(3), np.array([0, 1]))
+    same = oracle_from_sparse_spectrum(synthetic_sparse_spectrum(GroundSet(3), 2, seed=3))
+    other = oracle_from_sparse_spectrum(truth)
+    for oracles in (other, [same, other]):
+        with pytest.raises(ValueError, match="oracle on n=5 cannot answer a support on n=3"):
+            reconstruct(oracles, support)
+    assert same.queries == other.queries == 0
 
 
 def test_reconstruct_matches_partial_spectrum():
