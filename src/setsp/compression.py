@@ -45,8 +45,11 @@ class SetFunctionOracle:
     """Query interface A -> s_A with an evaluation counter.
 
     The evaluator must be deterministic: repeated queries at the same mask
-    return identical values.  The counter increments once per evaluation
-    (len(masks) for batched queries).
+    return identical values, and a batch function's value at a mask must not
+    depend on the rest of the batch.  A batch that holds at least 2**n masks
+    is evaluated once per distinct mask, and the values are expanded back to
+    the batch's order and shape.  The counter counts every probe: it grows by
+    1 per `query` and by masks.size per `query_many`, repeats included.
     """
 
     def __init__(self, ground: GroundSet, fn: Callable[[int], float], batch_fn=None):
@@ -66,11 +69,12 @@ class SetFunctionOracle:
         if bad.any():
             raise ValueError(f"mask {masks[bad][0]} out of range for n={self.ground.n}")
         self.queries += masks.size
+        points, inverse = _distinct(masks.ravel(), self.ground.size)
         if self._batch_fn is not None:
-            return np.asarray(self._batch_fn(masks), dtype=np.float64)
-        return np.array([float(self._fn(int(m))) for m in masks.ravel()]).reshape(
-            masks.shape
-        )
+            values = np.asarray(self._batch_fn(points), dtype=np.float64)
+        else:
+            values = np.array([float(self._fn(int(m))) for m in points])
+        return (values if inverse is None else values[inverse]).reshape(masks.shape)
 
     @classmethod
     def from_setfunction(cls, s: SetFunction) -> "SetFunctionOracle":
@@ -79,6 +83,22 @@ class SetFunctionOracle:
     @classmethod
     def from_sparse(cls, s: SparseSetFunction) -> "SetFunctionOracle":
         return cls(s.ground, lambda m: s.entries.get(m, 0.0))
+
+
+def _distinct(masks: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(points, inverse) with points[inverse] == masks, for 1-d masks in
+    [0, size).  When there are at least `size` masks, the points are the
+    distinct masks, ascending, found through a presence table of `size`
+    entries; otherwise the masks are their own points and inverse is None,
+    so the table is never larger than the masks."""
+    if masks.size < size:
+        return masks, None
+    present = np.zeros(size, dtype=bool)
+    present[masks] = True
+    points = np.flatnonzero(present)
+    slot = np.empty(size, dtype=np.intp)
+    slot[points] = np.arange(points.size)
+    return points, slot[masks]
 
 
 @dataclass(frozen=True)
@@ -239,9 +259,12 @@ def estimate_relative_errors(
     Draws `m_samples` masks uniformly with replacement (seeded PCG64),
     queries the oracle there once, and returns ||s_C - s'_C||_2 / ||s_C||_2
     for each evaluator, in order.  An evaluator is a BandlimitedApprox or any
-    callable mapping a mask array to approximate values.  A nan or +-inf
-    value on either side raises ValueError, naming the first probe that
-    returned one and, for an approximation, the evaluator's index.
+    callable mapping a mask array to approximate values; like the oracle's
+    batch function, its value at a mask must not depend on the rest of the
+    batch, since with m_samples >= 2**n it sees each distinct probe once.  A
+    nan or +-inf value on either side raises ValueError, naming the first
+    probe in draw order that returned one and, for an approximation, the
+    evaluator's index.
     """
     evaluators = list(evaluators)
     if not evaluators:
@@ -256,12 +279,15 @@ def estimate_relative_errors(
     denom = float(np.linalg.norm(truth))
     if denom == 0.0:
         raise ValueError("relative error undefined: all sampled oracle values are zero")
+    points, inverse = _distinct(probes, size)
     errors = []
     for index, evaluate in enumerate(evaluators):
         if isinstance(evaluate, BandlimitedApprox):
-            approx_values = eval_bandlimited_many(evaluate, probes)
+            approx_values = eval_bandlimited_many(evaluate, points)
         else:
-            approx_values = np.asarray(evaluate(probes), dtype=np.float64)
+            approx_values = np.asarray(evaluate(points), dtype=np.float64)
+        if inverse is not None:
+            approx_values = approx_values[inverse]
         _check_finite("approximation", probes, approx_values, f" (evaluator {index})")
         errors.append(float(np.linalg.norm(truth - approx_values) / denom))
     return errors

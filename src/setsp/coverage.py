@@ -27,6 +27,10 @@ WEIGHT_DROP_TOL = 1e-12
 _CHECK_EXHAUSTIVE_N = 12
 _CHECK_SAMPLES = 256
 _CHECK_TOL = 1e-9
+# Masks per block of `gaussian_entropy_many`.  A block's bit matrix, indices,
+# submatrices and factors take 16n + 16k**2 bytes per mask of cardinality k:
+# 8 MiB at n=20, k=10 for 4096 masks, against 125 MiB for 65,536.
+_ENTROPY_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -148,9 +152,10 @@ def load_coverage(path) -> CoverageRepresentation:
     rec = setfn_io.parse_setfn(path)
     if rec.model != 4 or rec.kind != "sparse":
         raise setfn_io.SetFnFormatError(path, 4, "expected a sparse model-4 fragment file")
-    entries = rec.entries()
-    s_n = entries.pop(0, 0.0)
-    weights = {m: -v for m, v in entries.items()}
+    fragment = rec.masks != 0
+    at_zero = rec.values[~fragment]
+    s_n = float(at_zero[0]) if at_zero.size else 0.0
+    weights = dict(zip(rec.masks[fragment].tolist(), (-rec.values[fragment]).tolist()))
     return CoverageRepresentation(rec.ground, s_n - sum(weights.values()), weights)
 
 
@@ -203,9 +208,11 @@ def gaussian_entropy(model: GaussianModel, A: int) -> float:
     return 0.5 * logdet + 0.5 * len(idx) * (1.0 + LOG_2PI)
 
 
-def gaussian_entropy_many(model: GaussianModel, masks, chunk: int = 65536) -> np.ndarray:
+def gaussian_entropy_many(model: GaussianModel, masks) -> np.ndarray:
     """Vectorized `gaussian_entropy`: groups the masks by cardinality and
-    factorizes the stacked principal submatrices in batches."""
+    factorizes the stacked principal submatrices in blocks of
+    `_ENTROPY_BLOCK`.  Each matrix is factored alone, so a mask's value does
+    not depend on the rest of the batch."""
     masks = np.asarray(masks, dtype=np.int64)
     flat = masks.ravel()
     out = np.empty(flat.shape[0])
@@ -218,8 +225,8 @@ def gaussian_entropy_many(model: GaussianModel, masks, chunk: int = 65536) -> np
         if k == 0:
             out[sel] = 0.0
             continue
-        for start in range(0, sel.size, chunk):
-            part = sel[start : start + chunk]
+        for start in range(0, sel.size, _ENTROPY_BLOCK):
+            part = sel[start : start + _ENTROPY_BLOCK]
             bits = (flat[part, None] >> shifts[None, :]) & 1
             # stable argsort puts the k set-bit positions first, ascending
             idx = np.argsort(bits == 0, axis=1, kind="stable")[:, :k]

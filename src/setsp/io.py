@@ -13,12 +13,22 @@ Set-function files ("setfn v1") look like::
 `kind` is dense (all 2**n masks listed) or sparse (any subset of masks);
 `model` is none for signals and 1..5 for spectra.  Values are written with
 repr(), so a write/read round trip reproduces the exact float64 bits.
+
+A data line is a mask and a value separated by whitespace; blank lines are
+skipped.  The data lines are read by one `np.loadtxt` into an int64 and a
+float64 array, so its number grammar is the file's: a mask is an optional
+sign and ASCII digits, a value is what `float` reads from ASCII text without
+`_` digit separators (inf and nan parse, and are then refused as not
+finite).  A file the fast read refuses is walked line by line only to name
+its first faulty line.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -33,6 +43,9 @@ from .core import (
 
 MAGIC = "setfn v1"
 
+# One data line: the mask and the value, whitespace-separated.
+_RECORD = [("mask", "<i8"), ("value", "<f8")]
+
 
 class SetFnFormatError(ValueError):
     """Malformed set-function file; carries the offending line number."""
@@ -43,68 +56,128 @@ class SetFnFormatError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetFnFile:
-    """Parsed and validated contents of a setfn v1 file."""
+    """Parsed and validated contents of a setfn v1 file.
+
+    `masks` (int64) and `values` (float64) are aligned arrays in file order:
+    the masks are distinct and in [0, 2**n), every value is finite, and a
+    dense file lists all 2**n masks in any order.
+    """
 
     n: int
     kind: str  # "dense" | "sparse"
     model: int | None  # None for signals, 1..5 for spectra
-    pairs: list[tuple[int, float]]  # (mask, value) in file order
+    masks: np.ndarray
+    values: np.ndarray
 
     @property
     def ground(self) -> GroundSet:
         return GroundSet(self.n)
 
     def entries(self) -> dict[int, float]:
-        return dict(self.pairs)
+        return dict(zip(self.masks.tolist(), self.values.tolist()))
 
     def dense_values(self) -> np.ndarray:
         values = np.zeros(1 << self.n)
-        for mask, value in self.pairs:
-            values[mask] = value
+        values[self.masks] = self.values
         return values
 
 
 def parse_setfn(path) -> SetFnFile:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
+    n, kind, model = _parse_header(path, lines)
+    entries = _read_entries(lines[4:])
+    if entries is None or not _entries_valid(*entries, n, kind):
+        _report_fault(path, lines, n, kind)
+    return SetFnFile(n, kind, model, *entries)
 
-    def fail(line_no: int, message: str):
-        raise SetFnFormatError(path, line_no, message)
 
+def _parse_header(path, lines: list[str]) -> tuple[int, str, int | None]:
     if len(lines) < 4:
-        fail(len(lines) + 1, "truncated header (need 4 header lines)")
+        raise SetFnFormatError(path, len(lines) + 1, "truncated header (need 4 header lines)")
     if lines[0].strip() != MAGIC:
-        fail(1, f"expected '{MAGIC}', got {lines[0]!r}")
+        raise SetFnFormatError(path, 1, f"expected '{MAGIC}', got {lines[0]!r}")
 
     fields = {}
     for line_no, key in ((2, "n"), (3, "kind"), (4, "model")):
         parts = lines[line_no - 1].split()
         if len(parts) != 2 or parts[0] != key:
-            fail(line_no, f"expected '{key} <value>', got {lines[line_no - 1]!r}")
+            raise SetFnFormatError(
+                path, line_no, f"expected '{key} <value>', got {lines[line_no - 1]!r}"
+            )
         fields[key] = parts[1]
-
     try:
-        n = int(fields["n"])
+        n, model = _header_fields(fields["n"], fields["kind"], fields["model"])
+    except _HeaderFault as fault:
+        raise SetFnFormatError(path, fault.line, str(fault)) from None
+    return n, fields["kind"], model
+
+
+class _HeaderFault(ValueError):
+    def __init__(self, line: int, message: str):
+        self.line = line
+        super().__init__(message)
+
+
+def _header_fields(n_text: str, kind: str, model_text: str) -> tuple[int, int | None]:
+    """n and model from the texts of the header fields; the first fault, in
+    the order the parser checks, raises `_HeaderFault` with its line."""
+    try:
+        n = int(n_text)
     except ValueError:
-        fail(2, f"n is not an integer: {fields['n']!r}")
-    kind = fields["kind"]
+        raise _HeaderFault(2, f"n is not an integer: {n_text!r}") from None
     if kind not in ("dense", "sparse"):
-        fail(3, f"kind must be dense or sparse, got {kind!r}")
+        raise _HeaderFault(3, f"kind must be dense or sparse, got {kind!r}")
     limit = DENSE_MAX_N if kind == "dense" else MAX_N
     if not 0 <= n <= limit:
-        fail(2, f"n={n} exceeds bound {limit} for kind {kind}")
-    model_text = fields["model"]
+        raise _HeaderFault(2, f"n={n} exceeds bound {limit} for kind {kind}")
     if model_text == "none":
-        model = None
-    elif model_text in ("1", "2", "3", "4", "5"):
-        model = int(model_text)
-    else:
-        fail(4, f"model must be none or 1..5, got {model_text!r}")
+        return n, None
+    if model_text in ("1", "2", "3", "4", "5"):
+        return n, int(model_text)
+    raise _HeaderFault(4, f"model must be none or 1..5, got {model_text!r}")
+
+
+def _read_entries(body: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """(masks, values) of the data lines, or None when `np.loadtxt` refuses
+    them.  A body with no data skips `loadtxt`, which warns on it; any other
+    warning refuses the body."""
+    if not any(line.strip() for line in body):
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = np.loadtxt(body, dtype=_RECORD, ndmin=1, comments=None)
+    except (ValueError, Warning):
+        return None
+    return records["mask"].copy(), records["value"].copy()
+
+
+def _entries_valid(masks: np.ndarray, values: np.ndarray, n: int, kind: str) -> bool:
+    size = 1 << n
+    if kind == "dense" and masks.size != size:
+        return False
+    if masks.size and (masks.min() < 0 or masks.max() >= size):
+        return False
+    return not _repeated(masks).size and bool(np.isfinite(values).all())
+
+
+def _repeated(masks: np.ndarray) -> np.ndarray:
+    """The masks that occur more than once, ascending (with repeats)."""
+    ordered = np.sort(masks)
+    return ordered[1:][ordered[1:] == ordered[:-1]]
+
+
+def _report_fault(path, lines: list[str], n: int, kind: str) -> NoReturn:
+    """Raise the SetFnFormatError of the first faulty data line of a body
+    that `_read_entries` or `_entries_valid` refused."""
+
+    def fail(line_no: int, message: str) -> NoReturn:
+        raise SetFnFormatError(path, line_no, message)
 
     size = 1 << n
-    pairs: list[tuple[int, float]] = []
     seen: set[int] = set()
     for line_no, line in enumerate(lines[4:], start=5):
         if not line.strip():
@@ -113,7 +186,7 @@ def parse_setfn(path) -> SetFnFile:
         if len(parts) != 2:
             fail(line_no, f"expected '<mask> <value>', got {line!r}")
         try:
-            mask = int(parts[0])
+            mask = _number(int, parts[0])
         except ValueError:
             fail(line_no, f"mask is not an integer: {parts[0]!r}")
         if not 0 <= mask < size:
@@ -122,25 +195,33 @@ def parse_setfn(path) -> SetFnFile:
             fail(line_no, f"duplicate mask {mask}")
         seen.add(mask)
         try:
-            value = float(parts[1])
+            value = _number(float, parts[1])
         except ValueError:
             fail(line_no, f"value is not a number: {parts[1]!r}")
         if not math.isfinite(value):
             fail(line_no, f"value is not finite: {parts[1]!r}")
-        pairs.append((mask, value))
 
-    if kind == "dense" and len(pairs) != size:
-        fail(len(lines) + 1, f"dense file must list all {size} masks, got {len(pairs)}")
-    return SetFnFile(n=n, kind=kind, model=model, pairs=pairs)
+    if kind == "dense" and len(seen) != size:
+        fail(len(lines) + 1, f"dense file must list all {size} masks, got {len(seen)}")
+    fail(5, "the data lines could not be read")
+
+
+def _number(convert, token: str):
+    """`convert(token)` within `np.loadtxt`'s grammar: ASCII, no `_`."""
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return convert(token)
 
 
 def write_entries(path, n: int, kind: str, model: int | None, pairs) -> None:
     """Low-level writer; `pairs` is an iterable of (mask, value).
 
-    Entries that `parse_setfn` would refuse raise ValueError before the file
-    is opened, so a refused write leaves an existing file untouched: a mask
-    outside [0, 2**n), a repeated mask, a value that is not finite, or a
-    dense file that does not list all 2**n masks.
+    What `parse_setfn` would refuse raises ValueError, with the parser's
+    message, before the file is opened, so a refused write leaves an existing
+    file untouched: n beyond `MAX_N` (`DENSE_MAX_N` for dense), a kind other
+    than dense or sparse, a model other than None or 1..5, a mask outside
+    [0, 2**n), a repeated mask, a value that is not finite, or a dense file
+    that does not list all 2**n masks.
     """
     pairs = list(pairs)
     masks = np.array([mask for mask, _ in pairs], dtype=np.int64)
@@ -150,11 +231,15 @@ def write_entries(path, n: int, kind: str, model: int | None, pairs) -> None:
 
 def _write_arrays(path, n: int, kind: str, model: int | None, masks, values) -> None:
     """`write_entries` of aligned int64 mask and float64 value arrays."""
+    model_text = "none" if model is None else str(model)
+    try:
+        _header_fields(str(n), kind, model_text)
+    except _HeaderFault as fault:
+        raise ValueError(str(fault)) from None
     bad = (masks < 0) | (masks >= 1 << n)
     if bad.any():
         raise ValueError(f"mask {masks[bad][0]} out of range for n={n}")
-    ordered = np.sort(masks)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    repeated = _repeated(masks)
     if repeated.size:
         raise ValueError(f"duplicate mask {repeated[0]}")
     bad = ~np.isfinite(values)
@@ -166,7 +251,7 @@ def _write_arrays(path, n: int, kind: str, model: int | None, masks, values) -> 
         fh.write(f"{MAGIC}\n")
         fh.write(f"n {n}\n")
         fh.write(f"kind {kind}\n")
-        fh.write(f"model {'none' if model is None else model}\n")
+        fh.write(f"model {model_text}\n")
         fh.writelines(f"{mask} {value!r}\n" for mask, value in zip(masks.tolist(), values.tolist()))
 
 

@@ -399,10 +399,8 @@ def load_sparse_spectrum(path) -> SparseSpectrum4:
     rec = setfn_io.parse_setfn(path)
     if rec.model != 4 or rec.kind != "sparse":
         raise setfn_io.SetFnFormatError(path, 4, "expected a sparse model-4 spectrum")
-    entries = rec.entries()
-    support = SparseSupport(rec.ground, np.array(sorted(entries), dtype=np.int64))
-    coeffs = np.array([entries[int(B)] for B in support.freqs])
-    return SparseSpectrum4(support, coeffs)
+    order = _support_order(rec.masks)
+    return SparseSpectrum4(SparseSupport(rec.ground, rec.masks[order]), rec.values[order])
 
 
 def save_support(path, support: SparseSupport) -> None:
@@ -415,4 +413,4 @@ def load_support(path) -> SparseSupport:
     rec = setfn_io.parse_setfn(path)
     if rec.model != 4 or rec.kind != "sparse":
         raise setfn_io.SetFnFormatError(path, 4, "expected a sparse model-4 support file")
-    return SparseSupport(rec.ground, np.array([m for m, _ in rec.pairs], dtype=np.int64))
+    return SparseSupport(rec.ground, rec.masks)

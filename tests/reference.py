@@ -1,14 +1,20 @@
 """Brute-force reference implementations used as independent test oracles.
 
 Everything here evaluates the defining sums directly with plain Python loops
-over subsets; nothing is shared with the fast library code paths.  The one
-numpy call is the row sum of `forward_substitution_reference`, whose pairwise
-order is the one `reconstruct` must reproduce.
+over subsets; nothing is shared with the fast library code paths.  The numpy
+reductions are the row sum of `forward_substitution_reference`, whose
+pairwise order is the one `reconstruct` must reproduce, and the norms of
+`relative_errors_reference`, which `estimate_relative_errors` must reproduce.
+`parse_setfn_reference` is the line-by-line setfn parser that the array-native
+`setsp.io.parse_setfn` replaced.
 """
 
 import math
 
 import numpy as np
+
+from setsp.core import DENSE_MAX_N, MAX_N
+from setsp.io import MAGIC, SetFnFile, SetFnFormatError
 
 
 def bits(x: int) -> int:
@@ -253,3 +259,87 @@ def coverage_reference(offset: float, weights: dict, n: int) -> list[float]:
                 total += w
         out.append(total)
     return out
+
+
+def relative_errors_reference(query, evaluators, m_samples: int, seed: int, n: int) -> list[float]:
+    """`estimate_relative_errors` one probe at a time: `query` and each
+    evaluator map one mask to one value, in draw order."""
+    rng = np.random.default_rng(seed)
+    probes = rng.integers(0, 1 << n, size=m_samples, dtype=np.uint64).astype(np.int64)
+    truth = np.array([query(int(A)) for A in probes])
+    denom = float(np.linalg.norm(truth))
+    errors = []
+    for evaluate in evaluators:
+        approx = np.array([evaluate(int(A)) for A in probes])
+        errors.append(float(np.linalg.norm(truth - approx) / denom))
+    return errors
+
+
+def parse_setfn_reference(path) -> SetFnFile:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+
+    def fail(line_no: int, message: str):
+        raise SetFnFormatError(path, line_no, message)
+
+    if len(lines) < 4:
+        fail(len(lines) + 1, "truncated header (need 4 header lines)")
+    if lines[0].strip() != MAGIC:
+        fail(1, f"expected '{MAGIC}', got {lines[0]!r}")
+
+    fields = {}
+    for line_no, key in ((2, "n"), (3, "kind"), (4, "model")):
+        parts = lines[line_no - 1].split()
+        if len(parts) != 2 or parts[0] != key:
+            fail(line_no, f"expected '{key} <value>', got {lines[line_no - 1]!r}")
+        fields[key] = parts[1]
+
+    try:
+        n = int(fields["n"])
+    except ValueError:
+        fail(2, f"n is not an integer: {fields['n']!r}")
+    kind = fields["kind"]
+    if kind not in ("dense", "sparse"):
+        fail(3, f"kind must be dense or sparse, got {kind!r}")
+    limit = DENSE_MAX_N if kind == "dense" else MAX_N
+    if not 0 <= n <= limit:
+        fail(2, f"n={n} exceeds bound {limit} for kind {kind}")
+    model_text = fields["model"]
+    if model_text == "none":
+        model = None
+    elif model_text in ("1", "2", "3", "4", "5"):
+        model = int(model_text)
+    else:
+        fail(4, f"model must be none or 1..5, got {model_text!r}")
+
+    size = 1 << n
+    pairs: list[tuple[int, float]] = []
+    seen: set[int] = set()
+    for line_no, line in enumerate(lines[4:], start=5):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            fail(line_no, f"expected '<mask> <value>', got {line!r}")
+        try:
+            mask = int(parts[0])
+        except ValueError:
+            fail(line_no, f"mask is not an integer: {parts[0]!r}")
+        if not 0 <= mask < size:
+            fail(line_no, f"mask {mask} out of range for n={n}")
+        if mask in seen:
+            fail(line_no, f"duplicate mask {mask}")
+        seen.add(mask)
+        try:
+            value = float(parts[1])
+        except ValueError:
+            fail(line_no, f"value is not a number: {parts[1]!r}")
+        if not math.isfinite(value):
+            fail(line_no, f"value is not finite: {parts[1]!r}")
+        pairs.append((mask, value))
+
+    if kind == "dense" and len(pairs) != size:
+        fail(len(lines) + 1, f"dense file must list all {size} masks, got {len(pairs)}")
+    masks = np.array([mask for mask, _ in pairs], dtype=np.int64)
+    values = np.array([value for _, value in pairs], dtype=np.float64)
+    return SetFnFile(n=n, kind=kind, model=model, masks=masks, values=values)

@@ -2,21 +2,24 @@
 
 `bench/workloads.py` calls the library the way the benchmark does; running
 its ops and checks here makes a change to a signature it uses fail in the
-test suite, not only in a benchmark run.
+test suite, not only in a benchmark run.  Likewise `bench/tracer.py` hooks
+some functions by name, and a renamed one would read 0 in its metrics
+instead of failing.
 """
 
+import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     try:
@@ -24,6 +27,30 @@ def workloads():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield from _load("bench_workloads", BENCH / "workloads.py")
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    yield from _load("bench_tracer", BENCH / "tracer.py")
+
+
+def test_every_function_the_tracer_names_exists(tracer):
+    names = set(tracer.ATTRS)
+    names |= {f"io.{name}" for name in tracer.IO_READERS | tracer.IO_WRITERS}
+    names |= {f"{layer}.{name}" for layer, extra in tracer.EXTRA.items() for name in extra}
+    for name in sorted(names):
+        layer, *path = name.split(".")
+        assert layer in tracer.LAYERS, name
+        obj = importlib.import_module(f"setsp.{layer}")
+        for attr in path:
+            assert hasattr(obj, attr), f"{name}: setsp.{layer} has no {attr}"
+            obj = getattr(obj, attr)
+        assert inspect.isfunction(obj), f"{name} is not a function"
 
 
 @pytest.mark.parametrize("name", ["dense-n21", "oracle-compress", "sparse-sampling", "cli-files"])

@@ -272,6 +272,24 @@ def test_estimate_errors_share_one_oracle_pass():
     assert len(set(errors)) == 3
 
 
+@pytest.mark.parametrize("side", ["oracle", "approximation"])
+def test_non_finite_value_names_the_first_probe_drawn_on_a_covered_lattice(side):
+    # 64 probes cover the 8 masks, so each distinct probe is evaluated once,
+    # in ascending order; the error must still name the first probe drawn
+    def tainted(masks):
+        return np.where((masks == 2) | (masks == 6), np.nan, 1.0 + masks)
+
+    def clean(masks):
+        return 1.0 + masks
+
+    drawn = np.random.default_rng(0).integers(0, 8, size=64, dtype=np.uint64)
+    assert next(int(m) for m in drawn if m in (2, 6)) == 6
+    oracle_fn, approx_fn = (tainted, clean) if side == "oracle" else (clean, tainted)
+    oracle = SetFunctionOracle(GroundSet(3), oracle_fn, batch_fn=oracle_fn)
+    with pytest.raises(ValueError, match=f"{side} returned non-finite value .* at mask 6( |$)"):
+        estimate_relative_errors(oracle, [clean, approx_fn], 64, seed=0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_estimate_errors_name_the_failing_evaluator(bad):
     oracle = SetFunctionOracle(GroundSet(3), None, batch_fn=lambda masks: 1.0 + masks)

@@ -219,8 +219,7 @@ def test_coverage_serialization_roundtrip(tmp_path):
     rec = setfn_io.parse_setfn(path)
     assert rec.model == 4
     spectrum = fragment_weights_spectrum(rep)
-    for mask, value in rec.pairs:
-        assert value == spectrum.coeffs[mask]
+    assert np.array_equal(rec.values, spectrum.coeffs[rec.masks])
 
 
 def test_entropy_function_is_submodular():

@@ -11,13 +11,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from setsp import compression, filters, sampling, transforms
-from setsp.compression import BandlimitedApprox, eval_bandlimited, eval_bandlimited_many
+from setsp.compression import (
+    BandlimitedApprox,
+    SetFunctionOracle,
+    estimate_relative_errors,
+    eval_bandlimited,
+    eval_bandlimited_many,
+)
 from setsp.core import GroundSet, SetFunction
+from setsp.coverage import GaussianModel
+from setsp.experiments import entropy_oracle
 from setsp.sampling import (
     SparseSpectrum4,
     SparseSupport,
@@ -35,6 +43,7 @@ from reference import (
     butterfly_reference,
     forward_substitution_reference,
     lattice_norm_reference,
+    relative_errors_reference,
     select_support_reference,
     sparse_eval_reference,
 )
@@ -314,3 +323,79 @@ def test_sparse_select_support_is_the_lattice_ranking(data, n, count):
     want = select_support_reference(
         n, [(sp.support.freqs.tolist(), sp.coeffs.tolist()) for sp in spectra], k)
     assert sorted(got.freqs.tolist()) == want
+
+
+ORACLE_KINDS = ["dense", "sparse4", "gaussian"]
+
+
+def _oracle(kind: str, data, n: int) -> SetFunctionOracle:
+    """A dense, sparse model-4 or Gaussian-entropy oracle on n elements."""
+    ground = GroundSet(n)
+    if kind == "dense":
+        values = data.draw(arrays(np.float64, 1 << n, elements=VALUES))
+        return SetFunctionOracle.from_setfunction(SetFunction(ground, values))
+    if kind == "sparse4":
+        return oracle_from_sparse_spectrum(
+            _sparse_spectrum(data, n, 12, st.one_of(VALUES, st.floats(-1e3, 1e3))))
+    assume(n >= 1)  # GaussianModel refuses a 0 x 0 covariance
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="covariance"))
+    W = rng.standard_normal((n, n))
+    return entropy_oracle(GaussianModel(W @ W.T / n + 0.5 * np.eye(n)))
+
+
+def _recording(oracle: SetFunctionOracle) -> list[np.ndarray]:
+    """The mask arrays the oracle's batch function is called with, from now on."""
+    calls, batch_fn = [], oracle._batch_fn
+    oracle._batch_fn = lambda masks: (calls.append(masks.copy()), batch_fn(masks))[1]
+    return calls
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(0, 8), rows=st.sampled_from([None, 1, 2, 3]))
+def test_query_many_on_a_covered_lattice_is_per_mask_query(kind, data, n, rows):
+    oracle = _oracle(kind, data, n)
+    size = 1 << n
+    # at least 2**n masks, 1-d or 2-d, from a pool that may be small: repeats
+    cols = data.draw(st.integers(-(-size // (rows or 1)), 2 * size + 3))
+    shape = (cols,) if rows is None else (rows, cols)
+    pool = data.draw(st.integers(1, size))
+    masks = data.draw(arrays(np.int64, shape, elements=st.integers(0, pool - 1)))
+    calls = _recording(oracle)
+    got = oracle.query_many(masks)
+    assert oracle.queries == masks.size
+    assert [c.tolist() for c in calls] == [np.unique(masks).tolist()]
+    assert got.shape == masks.shape
+    want = [oracle.query(int(m)) for m in masks.ravel()]
+    assert _same_bits(got.ravel(), want)
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(0, 8), model=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_deduplicated_error_estimate_is_the_per_probe_estimate(kind, data, n, model, seed):
+    oracle = _oracle(kind, data, n)
+    size = 1 << n
+    m_samples = data.draw(st.integers(size, 3 * size))
+    freqs = data.draw(st.lists(st.integers(0, size - 1), unique=True, max_size=min(size, 8)))
+    coeffs = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(freqs), max_size=len(freqs)))
+    band = BandlimitedApprox(GroundSet(n), model, np.array(freqs, dtype=np.int64),
+                             np.array(coeffs, dtype=np.float64))
+    seen = []
+
+    def affine(masks):
+        seen.append(masks.copy())
+        return masks * 0.25 - 1.0
+
+    try:
+        got = estimate_relative_errors(oracle, [band, affine], m_samples, seed=seed)
+    except ValueError as exc:
+        assert "all sampled oracle values are zero" in str(exc)
+        return
+    assert oracle.queries == m_samples
+    assert len(seen) == 1 and np.all(np.diff(seen[0]) > 0)  # each probe once
+    want = relative_errors_reference(
+        oracle.query, [lambda A: eval_bandlimited(band, A), lambda A: A * 0.25 - 1.0],
+        m_samples, seed, n)
+    assert _same_bits(np.array(got), want)
