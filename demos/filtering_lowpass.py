@@ -23,8 +23,8 @@ print(f"\nmoving-average filter taps: {sorted(h.taps.entries)} (empty set and si
 
 fr = frequency_response(1, h)
 cards = np.bitwise_count(np.arange(16))
-print("frequency response vs 1 + |N \\ B|:", np.array_equal(fr.values, 1 + (4 - cards)))
-print("  response by |B|:", {int(k): float(fr.values[cards == k][0]) for k in range(5)})
+print("frequency response vs 1 + |N \\ B|:", np.array_equal(fr, 1 + (4 - cards)))
+print("  response by |B|:", {int(k): float(fr[cards == k][0]) for k in range(5)})
 
 # the response grows toward low frequencies (5 at B={}, 1 at B=N), so after
 # filtering the high-frequency share of the spectral energy shrinks
@@ -37,7 +37,7 @@ print(f"\nhigh-frequency energy share: {share(before):.3f} before, {share(after)
 
 # the convolution theorem: transform of the convolution = response x transform
 lhs = dsft(1, convolve(1, h, s, path="direct")).coeffs
-rhs = fr.values * dsft(1, s).coeffs
+rhs = fr * dsft(1, s).coeffs
 print("convolution theorem holds:", np.abs(lhs - rhs).max() < 1e-9)
 
 # direct and spectral evaluation agree for every model

@@ -29,7 +29,7 @@ for mask in range(8):
 
 print("\n2x2 kernels (forward):")
 for model in (1, 2, 3, 4, 5):
-    print(f"  model {model}: {kernel(model).k2x2.tolist()}")
+    print(f"  model {model}: {kernel(model).tolist()}")
 
 print("\nspectra of the same signal under all five models:")
 for model in (1, 2, 3, 4, 5):

@@ -15,15 +15,9 @@ from .core import (
     SetFunction,
     SparseSetFunction,
     Spectrum,
-    cardinality,
-    complement,
-    difference,
-    intersection,
     is_subset,
     popcount,
     subsets_of_cardinality_at_most,
-    symmetric_difference,
-    union,
 )
 from .io import (
     SetFnFormatError,
@@ -34,7 +28,6 @@ from .io import (
     write_setfn,
 )
 from .transforms import (
-    TransformKernel,
     dsft,
     dsft_inplace,
     dsft_matrix,
@@ -42,17 +35,13 @@ from .transforms import (
     fourier_basis_vector,
     idsft,
     kernel,
-    kronecker_matrix,
 )
 from .filters import (
     Filter,
-    FrequencyResponse,
     convolve,
-    filter_matrix,
     frequency_response,
     shift,
     shift_by_set,
-    shift_matrix,
 )
 from .coverage import (
     CoverageRepresentation,

@@ -130,8 +130,8 @@ def cmd_freqresp(args) -> int:
         taps = taps.to_sparse()
     h = Filter(taps.ground, taps)
     fr = frequency_response(args.model, h)
-    setfn_io.write_setfn(args.out, SetFunction(fr.ground, fr.values))
-    _log(f"freqresp: n={fr.ground.n} model={args.model}")
+    setfn_io.write_setfn(args.out, SetFunction.wrap(h.ground, fr))
+    _log(f"freqresp: n={h.ground.n} model={args.model}")
     return 0
 
 

@@ -5,9 +5,10 @@ The model-4 coefficient at frequency B needs only 2**|B| oracle queries:
     s4_B = sum over C subseteq B of (-1)**|C| * s_{(N\\B) u C}
 
 For |B| <= 2 these are the three classic cases s_N, s_{N\\{x}} - s_N, and
-s_{N\\{x,y}} - s_{N\\{x}} - s_{N\\{y}} + s_N.  `compress_band` evaluates all
-frequencies up to a cardinality cutoff with a shared memo, so the distinct
-oracle evaluations are exactly the sets N, N\\{x}, N\\{x,y}, ...
+s_{N\\{x,y}} - s_{N\\{x}} - s_{N\\{y}} + s_N.  The sets N \\ (B \\ C) that
+these sums need for every |B| <= m are exactly the sets N \\ D, |D| <= m, so
+`compress_band` queries them in one batch, once each, and forms every sum
+from that memo.
 
 The WHT baseline estimates model-5 coefficients on the same frequency band by
 least squares over randomly sampled signal values, and `estimate_relative_errors`
@@ -17,7 +18,6 @@ Monte-Carlo-probes approximations against one pass of oracle queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .core import (
     popcount,
     subsets_of_cardinality_at_most,
 )
-from .transforms import _CONDITIONS, INVERSE, _closed_entries
+from .transforms import INVERSE, _closed_entries, _closed_form
 
 # Subset sampling uses numpy's seeded PCG64 generator; the identifier is
 # recorded in CSV output for reproducibility.
@@ -44,24 +44,25 @@ _EVAL_CHUNK = 1 << 16
 class SetFunctionOracle:
     """Query interface A -> s_A with an evaluation counter.
 
-    The evaluator must be deterministic: repeated queries at the same mask
-    return identical values, and a batch function's value at a mask must not
-    depend on the rest of the batch.  A batch that holds at least 2**n masks
-    is evaluated once per distinct mask, and the values are expanded back to
-    the batch's order and shape.  The counter counts every probe: it grows by
-    1 per `query` and by masks.size per `query_many`, repeats included.
+    `evaluate` maps a 1-d int64 array of masks to their values; it is the
+    oracle's only evaluation path, and `query` passes it a one-mask array.
+    It must be deterministic: repeated queries at the same mask return
+    identical values, and a mask's value must not depend on the rest of the
+    batch.  A batch that holds at least 2**n masks is evaluated once per
+    distinct mask, and the values are expanded back to the batch's order and
+    shape.  The counter counts every probe: it grows by 1 per `query` and by
+    masks.size per `query_many`, repeats included.
     """
 
-    def __init__(self, ground: GroundSet, fn: Callable[[int], float], batch_fn=None):
+    def __init__(self, ground: GroundSet, evaluate):
         self.ground = ground
-        self._fn = fn
-        self._batch_fn = batch_fn
+        self._evaluate = evaluate
         self.queries = 0
 
     def query(self, mask: int) -> float:
-        self.ground.check_mask(mask)
+        mask = self.ground.check_mask(mask)
         self.queries += 1
-        return float(self._fn(int(mask)))
+        return float(self._evaluate(np.array([mask], dtype=np.int64))[0])
 
     def query_many(self, masks) -> np.ndarray:
         masks = np.asarray(masks, dtype=np.int64)
@@ -70,19 +71,17 @@ class SetFunctionOracle:
             raise ValueError(f"mask {masks[bad][0]} out of range for n={self.ground.n}")
         self.queries += masks.size
         points, inverse = _distinct(masks.ravel(), self.ground.size)
-        if self._batch_fn is not None:
-            values = np.asarray(self._batch_fn(points), dtype=np.float64)
-        else:
-            values = np.array([float(self._fn(int(m))) for m in points])
+        values = np.asarray(self._evaluate(points), dtype=np.float64)
         return (values if inverse is None else values[inverse]).reshape(masks.shape)
 
     @classmethod
     def from_setfunction(cls, s: SetFunction) -> "SetFunctionOracle":
-        return cls(s.ground, lambda m: s.values[m], batch_fn=lambda ms: s.values[ms])
+        return cls(s.ground, lambda masks: s.values[masks])
 
     @classmethod
     def from_sparse(cls, s: SparseSetFunction) -> "SetFunctionOracle":
-        return cls(s.ground, lambda m: s.entries.get(m, 0.0))
+        get = s.entries.get
+        return cls(s.ground, lambda masks: np.array([get(m, 0.0) for m in masks.tolist()]))
 
 
 def _distinct(masks: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -155,12 +154,14 @@ def compress_band(oracle: SetFunctionOracle, m: int) -> BandlimitedApprox:
     """Model-4 band-limited approximation of order m.
 
     The support is every frequency B with |B| <= m in (cardinality, mask)
-    order; coefficients come from `dsft4_coefficient_by_queries` with a memo
-    shared across frequencies, so the oracle sees each of the distinct query
-    sets N, N\\{x}, N\\{x,y}, ... exactly once.
+    order.  One `query_many` at the sets N \\ B of the support fills a memo
+    that holds every set `dsft4_coefficient_by_queries` asks for, so the
+    oracle sees each of N, N\\{x}, N\\{x,y}, ... exactly once, in one batch,
+    and each coefficient is the sum that function forms.
     """
     support = subsets_of_cardinality_at_most(oracle.ground, m)
-    memo: dict[int, float] = {}
+    sets = oracle.ground.full_mask ^ support
+    memo = dict(zip(sets.tolist(), oracle.query_many(sets).tolist()))
     coeffs = np.array(
         [dsft4_coefficient_by_queries(oracle, int(B), memo) for B in support]
     )
@@ -178,19 +179,19 @@ def eval_bandlimited_many(approx: BandlimitedApprox, masks) -> np.ndarray:
 
     Each probe A sums c_B * f^B_A from +0.0 in support order, with f^B_A =
     scale * [A & T == want] * (-1)**|A & B| and T = B or N \\ B
-    (`transforms._CONDITIONS`).  Under a condition (-1)**|want| folds into
+    (`transforms._closed_form`).  Under a condition (-1)**|want| folds into
     c_B, leaving (-1)**|A| for T = N \\ B; model 5 keeps (-1)**|A & B|.
     Probes run in blocks of `_EVAL_CHUNK`, narrowed to the smallest type that
     holds 2**n - 1.  Terms are branch-free: [condition] * c_B (an infinite
     c_B still gives nan), its sign bit flipped by the parity, an exact
     product by -1.  A zero term's sign is immaterial: the sum is never -0.0.
     """
-    complement, want = _CONDITIONS[(approx.model, INVERSE)]
+    complement, want, scale = _closed_form(approx.model, INVERSE)
     ground = approx.ground
     narrow = np.min_scalar_type(ground.full_mask)
     tests = approx.support ^ ground.full_mask if complement else approx.support
     targets = tests if want == "all" else np.zeros_like(tests)
-    coeffs = approx.coeffs * (0.5**ground.n if approx.model == 5 else 1.0)
+    coeffs = approx.coeffs * scale**ground.n
     coeffs = np.where(popcount(targets) & 1, -coeffs, coeffs)
     coeffs = coeffs.view(np.uint64) if want is None else coeffs
     terms = list(zip(tests.astype(narrow), targets.astype(narrow), coeffs))

@@ -31,26 +31,6 @@ def popcount(masks):
     return np.bitwise_count(arr.astype(np.uint64)).astype(np.int64)
 
 
-def union(a, b):
-    return a | b
-
-
-def intersection(a, b):
-    return a & b
-
-
-def difference(a, b):
-    return a & ~b
-
-
-def symmetric_difference(a, b):
-    return a ^ b
-
-
-def cardinality(a):
-    return popcount(a)
-
-
 def is_subset(a, b):
     """True iff A is a subset of B (elementwise for arrays)."""
     return (a & ~b) == 0
@@ -122,11 +102,6 @@ class GroundSet:
         return "{" + ",".join(f"x{i}" for i in self.elements(mask)) + "}"
 
 
-def complement(a, ground: GroundSet):
-    """Complement of A within the ground set (elementwise for arrays)."""
-    return ground.full_mask & ~a
-
-
 def require_same_ground(a, b) -> GroundSet:
     if a.ground != b.ground:
         raise ValueError(f"mismatched ground sets: n={a.ground.n} vs n={b.ground.n}")
@@ -172,7 +147,8 @@ class SetFunction:
         return float(self.values[self.ground.check_mask(mask)])
 
     def to_sparse(self) -> "SparseSetFunction":
-        return SparseSetFunction.from_dense(self)
+        nz = np.nonzero(self.values)[0]
+        return SparseSetFunction(self.ground, {int(m): float(self.values[m]) for m in nz})
 
 
 @dataclass(frozen=True)
@@ -209,11 +185,6 @@ class SparseSetFunction:
         for mask, value in self.entries.items():
             values[mask] = value
         return SetFunction.wrap(self.ground, values)
-
-    @classmethod
-    def from_dense(cls, fn: SetFunction) -> "SparseSetFunction":
-        nz = np.nonzero(fn.values)[0]
-        return cls(fn.ground, {int(m): float(fn.values[m]) for m in nz})
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GroundSet, SetFunction, Spectrum, popcount
-from .transforms import INVERSE, dsft, dsft_inplace
+from .transforms import FORWARD, INVERSE, dsft, dsft_inplace
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -113,14 +113,11 @@ def coverage_from_setfunction(s: SetFunction, check: bool = True) -> CoverageRep
 def intersection_weights(rep: CoverageRepresentation) -> Spectrum:
     """Model-3 spectrum predicted by the representation:
     -w(intersection of S_i, i in B) for B != {}, and s_{} at B = {}."""
-    n = rep.ground.n
+    # superset sums w[B] = sum of w(T_C) over C >= B: the model-1 forward
+    # transform reverses the array, then runs u += w per stage
     w = np.zeros(rep.ground.size)
-    w[rep._masks] = rep._weights
-    # superset sums: out[B] = sum of w[C] over C >= B
-    for i in range(n):
-        step = 1 << i
-        x = w.reshape(-1, 2, step)
-        x[:, 0] += x[:, 1]
+    w[rep.ground.full_mask ^ rep._masks] = rep._weights
+    dsft_inplace(w, 1, FORWARD)
     coeffs = -w
     coeffs[0] = rep.offset_c
     return Spectrum.wrap(rep.ground, 3, coeffs)
@@ -171,8 +168,8 @@ class GaussianModel:
             raise ValueError(f"covariance must be square, got shape {K.shape}")
         if not np.isfinite(K).all():
             raise ValueError("covariance entries must be finite")
-        scale = max(1.0, float(np.abs(K).max()))
-        if float(np.abs(K - K.T).max()) > 1e-10 * scale:
+        scale = max(1.0, float(np.abs(K).max(initial=0.0)))
+        if float(np.abs(K - K.T).max(initial=0.0)) > 1e-10 * scale:
             raise ValueError("covariance must be symmetric to 1e-10")
         try:
             np.linalg.cholesky(K)  # certifies positive definiteness
@@ -193,28 +190,19 @@ class GaussianModel:
 def gaussian_entropy(model: GaussianModel, A: int) -> float:
     """Differential entropy (natural log) of the variables indexed by A:
     (1/2) log det K_AA + (|A|/2)(1 + log 2*pi), and 0 at A = {}."""
-    A = model.ground.check_mask(A)
-    if A == 0:
-        return 0.0
-    idx = [i for i in range(model.n) if A >> i & 1]
-    sub = model.covariance[np.ix_(idx, idx)]
-    try:
-        L = np.linalg.cholesky(sub)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            f"principal submatrix for mask {A} is not positive definite"
-        ) from exc
-    logdet = 2.0 * float(np.log(np.diagonal(L)).sum())
-    return 0.5 * logdet + 0.5 * len(idx) * (1.0 + LOG_2PI)
+    return float(gaussian_entropy_many(model, [model.ground.check_mask(A)])[0])
 
 
 def gaussian_entropy_many(model: GaussianModel, masks) -> np.ndarray:
-    """Vectorized `gaussian_entropy`: groups the masks by cardinality and
-    factorizes the stacked principal submatrices in blocks of
-    `_ENTROPY_BLOCK`.  Each matrix is factored alone, so a mask's value does
-    not depend on the rest of the batch."""
+    """`gaussian_entropy` at each mask of an array of any shape: groups the
+    masks by cardinality and factorizes the stacked principal submatrices in
+    blocks of `_ENTROPY_BLOCK`.  Each matrix is factored alone, so a mask's
+    value does not depend on the rest of the batch."""
     masks = np.asarray(masks, dtype=np.int64)
     flat = masks.ravel()
+    bad = (flat < 0) | (flat >= model.ground.size)
+    if bad.any():
+        raise ValueError(f"mask {flat[bad][0]} out of range for n={model.n}")
     out = np.empty(flat.shape[0])
     cards = popcount(flat)
     shifts = np.arange(model.n, dtype=np.int64)
@@ -262,13 +250,9 @@ def pairwise_mutual_information(model: GaussianModel, i: int, j: int) -> float:
     j = model.ground.check_element(j)
     if i == j:
         raise ValueError("pairwise mutual information requires i != j")
-    mi_ = 1 << (i - 1)
-    mj = 1 << (j - 1)
-    return (
-        gaussian_entropy(model, mi_)
-        + gaussian_entropy(model, mj)
-        - gaussian_entropy(model, mi_ | mj)
-    )
+    pair = [1 << (i - 1), 1 << (j - 1)]
+    h_i, h_j, h_ij = gaussian_entropy_many(model, pair + [pair[0] | pair[1]])
+    return float(h_i + h_j - h_ij)
 
 
 @dataclass(frozen=True)

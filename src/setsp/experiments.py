@@ -34,7 +34,7 @@ from .core import (
     popcount,
     subsets_of_cardinality_at_most,
 )
-from .coverage import GaussianModel, gaussian_entropy, gaussian_entropy_many
+from .coverage import GaussianModel, gaussian_entropy_many
 from .compression import (
     RNG_ALGORITHM,
     SetFunctionOracle,
@@ -66,11 +66,7 @@ def random_rbf_covariance(
 
 
 def entropy_oracle(model: GaussianModel) -> SetFunctionOracle:
-    return SetFunctionOracle(
-        model.ground,
-        lambda m: gaussian_entropy(model, m),
-        batch_fn=lambda ms: gaussian_entropy_many(model, ms),
-    )
+    return SetFunctionOracle(model.ground, lambda masks: gaussian_entropy_many(model, masks))
 
 
 def modular_setfunction(ground: GroundSet, seed: int) -> SetFunction:

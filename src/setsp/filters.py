@@ -11,6 +11,14 @@ Convolution can run directly (per tap) or through the spectral path
 (transform, multiply by the frequency response, inverse transform); both give
 the same result.  The frequency response of models 1-4 is computed with the
 model-1 transform, model 5 uses the WHT.
+
+The elementary shift needs no table of its own.  The transform diagonalizes
+it, with the frequency response r of the one-element delta on the diagonal,
+so on the pair (value without x_i, value with x_i) it acts as the 2x2 kernel
+K_inv . diag(r) . K_fwd of `transforms.kernel`: r = (1, 0) for models 1-4,
+(1, -1) for model 5.  The products are exact and every entry is 0 or 1, so
+each output half is u + w, u, w or 0: `shift` copies and adds, and never
+multiplies (0 * inf would give nan where a copy gives 0).
 """
 
 from __future__ import annotations
@@ -20,26 +28,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MODELS,
     GroundSet,
     SetFunction,
     SparseSetFunction,
     check_model,
     require_same_ground,
 )
-from . import transforms
-from .transforms import FORWARD, INVERSE, dsft_inplace
+from .transforms import FORWARD, INVERSE, dsft_inplace, kernel
 
-# 2x2 kernels of the elementary shift matrices phi(x_i), acting on the pair
-# (value without x_i, value with x_i).
-SHIFT_KERNELS = {
-    1: np.array([[0.0, 0.0], [1.0, 1.0]]),
-    2: np.array([[1.0, 1.0], [0.0, 0.0]]),
-    3: np.array([[1.0, 0.0], [1.0, 0.0]]),
-    4: np.array([[0.0, 1.0], [0.0, 1.0]]),
-    5: np.array([[0.0, 1.0], [1.0, 0.0]]),
+
+def _response_model(model: int) -> int:
+    """The transform that gives the model's frequency responses."""
+    return 5 if model == 5 else 1
+
+
+# model -> the elementary shift's 2x2 kernel as rows of 0/1 flags; row 0
+# gives the output without x_i, row 1 the one with it, from (u, w).
+_SHIFTS = {
+    model: (kernel(model, INVERSE) @ np.diag(kernel(_response_model(model))[:, 1])
+            @ kernel(model)).astype(bool).tolist()
+    for model in MODELS
 }
-
-FILTER_MATRIX_MAX_N = 10
 
 
 @dataclass(frozen=True)
@@ -78,44 +88,19 @@ class Filter:
         return len(self.taps)
 
 
-@dataclass(frozen=True)
-class FrequencyResponse:
-    """Per-frequency filter multipliers, indexed by frequency mask B."""
-
-    ground: GroundSet
-    model: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        check_model(self.model)
-
-
 def shift(model: int, i: int, s: SetFunction) -> SetFunction:
     """Elementary shift by x_i (1-based) of a dense set function."""
     check_model(model)
     i = s.ground.check_element(i)
-    v = s.values
-    out = np.empty_like(v)
-    step = 1 << (i - 1)
-    xs = v.reshape(-1, 2, step)
-    xo = out.reshape(-1, 2, step)
-    u = xs[:, 0]
-    w = xs[:, 1]
-    if model == 1:
-        xo[:, 0] = 0.0
-        np.add(u, w, out=xo[:, 1])
-    elif model == 2:
-        np.add(u, w, out=xo[:, 0])
-        xo[:, 1] = 0.0
-    elif model == 3:
-        xo[:, 0] = u
-        xo[:, 1] = u
-    elif model == 4:
-        xo[:, 0] = w
-        xo[:, 1] = w
-    else:
-        xo[:, 0] = w
-        xo[:, 1] = u
+    xs = s.values.reshape(-1, 2, 1 << (i - 1))
+    out = np.empty_like(s.values)
+    xo = out.reshape(xs.shape)
+    u, w = xs[:, 0], xs[:, 1]
+    for half, (take_u, take_w) in enumerate(_SHIFTS[model]):
+        if take_u and take_w:
+            np.add(u, w, out=xo[:, half])
+        else:
+            xo[:, half] = u if take_u else w if take_w else 0.0
     return SetFunction.wrap(s.ground, out)
 
 
@@ -130,23 +115,13 @@ def shift_by_set(model: int, X: int, s: SetFunction) -> SetFunction:
     return out
 
 
-def shift_matrix(model: int, i: int, n: int) -> np.ndarray:
-    """Dense matrix of the elementary shift by x_i: I (x) kernel (x) I."""
-    check_model(model)
-    if n > transforms.MATRIX_MAX_N:
-        raise ValueError(f"dense shift matrices are limited to n <= {transforms.MATRIX_MAX_N}")
-    if not 1 <= i <= n:
-        raise ValueError(f"element index {i} out of range 1..{n}")
-    k = SHIFT_KERNELS[model]
-    return np.kron(np.eye(1 << (n - i)), np.kron(k, np.eye(1 << (i - 1))))
-
-
-def frequency_response(model: int, h: Filter) -> FrequencyResponse:
-    """Transform of the taps: model 1 for models 1-4, model 5 for the WHT."""
+def frequency_response(model: int, h: Filter) -> np.ndarray:
+    """Per-frequency filter multipliers, indexed by frequency mask B: the
+    transform of the taps, model 1 for models 1-4, model 5 for the WHT."""
     check_model(model)
     arr = np.array(h.taps.to_dense().values)
-    dsft_inplace(arr, 1 if model != 5 else 5, FORWARD)
-    return FrequencyResponse(h.ground, model, arr)
+    dsft_inplace(arr, _response_model(model), FORWARD)
+    return arr
 
 
 def convolve(model: int, h: Filter, s: SetFunction, path: str = "auto") -> SetFunction:
@@ -187,26 +162,8 @@ def _convolve_direct(model: int, h: Filter, s: SetFunction) -> SetFunction:
 
 
 def _convolve_spectral(model: int, h: Filter, s: SetFunction) -> SetFunction:
-    fr = frequency_response(model, h)
     arr = np.array(s.values)
     dsft_inplace(arr, model, FORWARD)
-    arr *= fr.values
+    arr *= frequency_response(model, h)
     dsft_inplace(arr, model, INVERSE)
     return SetFunction.wrap(s.ground, arr)
-
-
-def filter_matrix(model: int, h: Filter) -> np.ndarray:
-    """Dense filter matrix sum_X h_X * prod_{y in X} phi(y); oracle only."""
-    check_model(model)
-    n = h.ground.n
-    if n > FILTER_MATRIX_MAX_N:
-        raise ValueError(f"dense filter matrices are limited to n <= {FILTER_MATRIX_MAX_N}")
-    size = 1 << n
-    out = np.zeros((size, size))
-    for X, weight in h.taps.entries.items():
-        term = np.eye(size)
-        for i in range(n):
-            if X >> i & 1:
-                term = shift_matrix(model, i + 1, n) @ term
-        out += weight * term
-    return out

@@ -207,11 +207,7 @@ def eval_sparse_many(spectrum: SparseSpectrum4, masks) -> np.ndarray:
 
 
 def oracle_from_sparse_spectrum(spectrum: SparseSpectrum4) -> SetFunctionOracle:
-    return SetFunctionOracle(
-        spectrum.ground,
-        lambda m: eval_sparse(spectrum, m),
-        batch_fn=lambda ms: eval_sparse_many(spectrum, ms),
-    )
+    return SetFunctionOracle(spectrum.ground, lambda masks: eval_sparse_many(spectrum, masks))
 
 
 def reconstruct(oracles, support: SparseSupport) -> SparseSpectrum4 | list[SparseSpectrum4]:
@@ -284,12 +280,19 @@ def lattice_norms(ground: GroundSet, freqs, coeffs) -> np.ndarray:
     basis vectors, each squared norm is the quadratic form d^T G d:
     O(len(freqs)**2) work for any n.  G is positive semi-definite, so a
     negative form is rounding and reads as 0; a zero column gives exactly 0.
+
+    Each column is scaled by the power of two 2**-e that brings its largest
+    |coefficient| into [1/2, 1), and its norm by 2**e after.  A power-of-two
+    scaling is exact while every value stays normal, so this moves no bit
+    except where an unscaled square would have been subnormal.
     """
     freqs = np.asarray(freqs, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     gram = np.ldexp(1.0, ground.n - popcount(freqs[:, None] | freqs[None, :]))
-    forms = np.einsum("ij,ij->j", coeffs, gram @ coeffs)
-    return np.sqrt(np.maximum(forms, 0.0))
+    _, exps = np.frexp(np.abs(coeffs).max(axis=0, initial=0.0))
+    scaled = np.ldexp(coeffs, -exps)
+    forms = np.einsum("ij,ij->j", scaled, gram @ scaled)
+    return np.ldexp(np.sqrt(np.maximum(forms, 0.0)), exps)
 
 
 def select_support(training_spectra, k: int) -> SparseSupport:

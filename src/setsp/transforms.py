@@ -1,35 +1,40 @@
-"""The five powerset Fourier transforms.
+"""The five powerset Fourier transforms, from one table of 2x2 kernels.
 
 Each transform is the n-fold Kronecker power of a 2x2 kernel, so it factors
 into n stages of 2**(n-1) independent 2x2 butterflies; stage i pairs indices
 that differ in bit i-1.  All kernels contain only 0 and +-1, hence forward
 transforms of integer signals are exact.  Model 5 is the Walsh-Hadamard
-transform; its inverse carries an extra (1/2)**n scale, applied once at the
-end.
+transform; its inverse kernel carries the scale 1/2, applied once at the end
+as (1/2)**n.
 
-`dsft_inplace` runs each stage as one in-place ufunc where it can: with the
-complement reversal J (`values[::-1]`) applied once first, the kernels of
-models 1 and 4 factor as a zeta step times J, [[1,1],[1,0]] = [[1,1],[0,1]].J
-and [[0,1],[1,-1]] = [[1,0],[-1,1]].J (Yates; Bjoerklund et al., "Fourier
-meets Moebius").  The low stages run block by block in L2, the high ones
-stream (the FFHT layout of Andoni et al.).  Neither changes an output bit:
-each output is the same sum, formed in the same order up to swapping the
-operands of an addition.
+`_TABLE` is the only place the family is written out: one row per (model,
+direction) with the 2x2 kernel, whether `dsft_inplace` reverses the array
+first, and its stage op.  With the complement reversal J (`values[::-1]`)
+applied once first, the kernels of models 1 and 4 factor as a zeta step
+times J, [[1,1],[1,0]] = [[1,1],[0,1]].J and [[0,1],[1,-1]] = [[1,0],[-1,1]].J
+(Yates; Bjoerklund et al., "Fourier meets Moebius").  The low stages run
+block by block in L2, the high ones stream (the FFHT layout of Andoni et
+al.).  Neither changes an output bit: each output is the same sum, formed in
+the same order up to swapping the operands of an addition.
 
-The same Kronecker structure gives a closed form for every matrix entry:
+Everything else model-specific is derived from the kernel.  Every matrix
+entry has the closed form
 
-    entry(row, col) = scale * (-1)**|row & col| * [condition(row, col)]
+    entry(row, col) = scale**n * (-1)**|row & col| * [condition(row, col)]
 
-with the condition depending on (model, direction): rows and columns disjoint,
-rows and columns covering N, row a subset of column, column a subset of row,
-or no condition at all.  Each is row & T == T or row & T == 0 for a test mask
-T that is the column or its complement (`_CONDITIONS`).  `dsft_matrix` materializes these entries and
+because every nonzero kernel entry is +-scale, the largest |entry|, and the
+only negative one sits at (1, 1).  A zero kernel entry at (r, c) zeroes the
+matrix entry whenever some element has bit r in the row and bit c in the
+column.  With T the elements whose column bit is c (T = col, or N \\ col
+when c == 0), the condition is that no element of T has row bit r: row & T
+== T when r == 0, row & T == 0 when r == 1 (`_closed_form`).  That is rows
+and columns disjoint, covering N, or one a subset of the other; model 5 has
+no zero entry and no condition.  `dsft_matrix` materializes these entries and
 `fourier_basis_entry` evaluates single entries lazily in O(1) popcount work.
+The elementary shifts of `filters.shift` are derived from the same kernels.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,38 +49,6 @@ from .core import (
 FORWARD = "forward"
 INVERSE = "inverse"
 
-FORWARD_KERNELS = {
-    1: np.array([[1.0, 1.0], [1.0, 0.0]]),
-    2: np.array([[1.0, 1.0], [0.0, -1.0]]),
-    3: np.array([[1.0, 0.0], [1.0, -1.0]]),
-    4: np.array([[0.0, 1.0], [1.0, -1.0]]),
-    5: np.array([[1.0, 1.0], [1.0, -1.0]]),
-}
-
-INVERSE_KERNELS = {
-    1: np.array([[0.0, 1.0], [1.0, -1.0]]),
-    2: np.array([[1.0, 1.0], [0.0, -1.0]]),
-    3: np.array([[1.0, 0.0], [1.0, -1.0]]),
-    4: np.array([[1.0, 1.0], [1.0, 0.0]]),
-    5: np.array([[0.5, 0.5], [0.5, -0.5]]),
-}
-
-# Matrix-entry closed forms, keyed by (model, direction): the condition is
-# row & T == want for a test mask T, which is col or N \ col.  Each row is
-# (T is N \ col, want): "all" for T, "none" for 0, None for no condition.
-_CONDITIONS = {
-    (1, FORWARD): (False, "none"),  # row and col disjoint
-    (1, INVERSE): (True, "all"),  # row u col = N
-    (2, FORWARD): (True, "none"),  # row subseteq col
-    (2, INVERSE): (True, "none"),
-    (3, FORWARD): (False, "all"),  # col subseteq row
-    (3, INVERSE): (False, "all"),
-    (4, FORWARD): (True, "all"),
-    (4, INVERSE): (False, "none"),
-    (5, FORWARD): (False, None),
-    (5, INVERSE): (False, None),
-}
-
 MATRIX_MAX_N = 12  # dense 2**n x 2**n oracles only
 
 
@@ -83,22 +56,6 @@ def check_direction(direction: str) -> str:
     if direction not in (FORWARD, INVERSE):
         raise ValueError(f"direction must be '{FORWARD}' or '{INVERSE}'")
     return direction
-
-
-@dataclass(frozen=True)
-class TransformKernel:
-    """2x2 kernel whose n-fold Kronecker power is the transform matrix."""
-
-    model: int
-    direction: str
-    k2x2: np.ndarray
-
-
-def kernel(model: int, direction: str = FORWARD) -> TransformKernel:
-    check_model(model)
-    check_direction(direction)
-    table = FORWARD_KERNELS if direction == FORWARD else INVERSE_KERNELS
-    return TransformKernel(model, direction, table[model].copy())
 
 
 def _infer_n(size: int) -> int:
@@ -141,20 +98,45 @@ def _wht(u, w, tmp):
     np.copyto(w, t)
 
 
-# (model, direction) -> (reverse the array first?, stage op); the
+# (model, direction) -> (2x2 kernel, reverse the array first?, stage op); the
 # factorisations are in the module and `dsft_inplace` docstrings.
-_STAGES = {
-    (1, FORWARD): (True, _sum_up),
-    (1, INVERSE): (True, _diff_down),
-    (2, FORWARD): (False, _model2),
-    (2, INVERSE): (False, _model2),
-    (3, FORWARD): (False, _model3),
-    (3, INVERSE): (False, _model3),
-    (4, FORWARD): (True, _diff_down),
-    (4, INVERSE): (True, _sum_up),
-    (5, FORWARD): (False, _wht),
-    (5, INVERSE): (False, _wht),
+_TABLE = {
+    (1, FORWARD): (np.array([[1.0, 1.0], [1.0, 0.0]]), True, _sum_up),
+    (1, INVERSE): (np.array([[0.0, 1.0], [1.0, -1.0]]), True, _diff_down),
+    (2, FORWARD): (np.array([[1.0, 1.0], [0.0, -1.0]]), False, _model2),
+    (2, INVERSE): (np.array([[1.0, 1.0], [0.0, -1.0]]), False, _model2),
+    (3, FORWARD): (np.array([[1.0, 0.0], [1.0, -1.0]]), False, _model3),
+    (3, INVERSE): (np.array([[1.0, 0.0], [1.0, -1.0]]), False, _model3),
+    (4, FORWARD): (np.array([[0.0, 1.0], [1.0, -1.0]]), True, _diff_down),
+    (4, INVERSE): (np.array([[1.0, 1.0], [1.0, 0.0]]), True, _sum_up),
+    (5, FORWARD): (np.array([[1.0, 1.0], [1.0, -1.0]]), False, _wht),
+    (5, INVERSE): (np.array([[0.5, 0.5], [0.5, -0.5]]), False, _wht),
 }
+
+
+def _row(model: int, direction: str):
+    check_model(model)
+    check_direction(direction)
+    return _TABLE[(model, direction)]
+
+
+def kernel(model: int, direction: str = FORWARD) -> np.ndarray:
+    """The 2x2 kernel whose n-fold Kronecker power is the transform matrix."""
+    return _row(model, direction)[0].copy()
+
+
+def _closed_form(model: int, direction: str) -> tuple[bool, str | None, float]:
+    """(T is N \\ col, want, scale) of the closed-form matrix entries: the
+    condition is row & T == T for want "all", row & T == 0 for "none", and
+    absent for None; see the module docstring for the derivation."""
+    k = _row(model, direction)[0]
+    scale = float(np.abs(k).max())
+    zeros = np.argwhere(k == 0)
+    if not zeros.size:
+        return False, None, scale
+    r, c = zeros[0].tolist()
+    return c == 0, "all" if r == 0 else "none", scale
+
 
 # Stages i < _BLOCK_BITS pair rows inside aligned blocks of 2**_BLOCK_BITS
 # rows (256 KiB of float64 for 1-d input), which stay in L2 while all of
@@ -184,7 +166,7 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
     `values` is a float64 array of length 2**n indexed by subset mask; a 2-d
     array of shape (2**n, m) transforms m signals at once (columns).
 
-    Each (model, direction) is one row of `_STAGES`: an optional complement
+    Each (model, direction) is one row of `_TABLE`: an optional complement
     reversal J (`values[::-1]` along axis 0) followed by n stages of one
     stage op, stage i pairing rows that differ in bit i.  Kronecker factors
     on different bits commute, so the n-fold power of `op . J` is the n-fold
@@ -226,12 +208,13 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
     n = _infer_n(values.shape[0])
     if n == 0:
         return 0
-    reverse, op = _STAGES[(model, direction)]
+    kern, reverse, op = _TABLE[(model, direction)]
+    *_, scale = _closed_form(model, direction)
     batch = values.shape[1:]
     low = min(n, _BLOCK_BITS)
     nb = 1 << (n - low)
     blocks = values.reshape((nb, 1 << low) + batch)
-    tmp = np.empty(values.size // 2) if model == 5 else None
+    tmp = np.empty(values.size // 2) if op is _wht else None
     scratch = np.empty_like(blocks[0]) if reverse else None
     for k in range(max(nb // 2, 1)):
         head, tail = blocks[k], blocks[nb - 1 - k]
@@ -246,9 +229,10 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
     for i in range(low, n):
         _stage(values, i, op, tmp)
 
-    if model == 5 and direction == INVERSE:
-        values *= 0.5**n
-    return n * (values.size // 2) * (2 if model == 5 else 1)
+    if scale != 1.0:
+        values *= scale**n
+    # one addition per butterfly output beyond its first term
+    return n * (values.size // 2) * (int(np.count_nonzero(kern)) - 2)
 
 
 def dsft(model: int, s: SetFunction) -> Spectrum:
@@ -274,14 +258,12 @@ def _closed_entries(model: int, direction: str, rows, cols, n: int) -> np.ndarra
     """Matrix entries at the given (broadcastable) row/col mask arrays."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    complement, want = _CONDITIONS[(model, direction)]
+    complement, want, scale = _closed_form(model, direction)
     out = 1.0 - 2.0 * (popcount(rows & cols) & 1)
     if want is not None:
         tests = cols ^ ((1 << n) - 1) if complement else cols
         out = np.where((rows & tests) == (tests if want == "all" else 0), out, 0.0)
-    if model == 5 and direction == INVERSE:
-        out = out * 0.5**n
-    return out
+    return out * scale**n
 
 
 def dsft_matrix(model: int, direction: str, n: int) -> np.ndarray:
@@ -297,19 +279,6 @@ def dsft_matrix(model: int, direction: str, n: int) -> np.ndarray:
         raise ValueError(f"dense transform matrices are limited to n <= {MATRIX_MAX_N}")
     masks = np.arange(1 << n, dtype=np.int64)
     return _closed_entries(model, direction, masks[:, None], masks[None, :], n)
-
-
-def kronecker_matrix(model: int, direction: str, n: int) -> np.ndarray:
-    """Same matrix built by explicit Kronecker recursion (cross-check path)."""
-    check_model(model)
-    check_direction(direction)
-    if n > MATRIX_MAX_N:
-        raise ValueError(f"dense transform matrices are limited to n <= {MATRIX_MAX_N}")
-    k = (FORWARD_KERNELS if direction == FORWARD else INVERSE_KERNELS)[model]
-    out = np.array([[1.0]])
-    for _ in range(n):
-        out = np.kron(k, out)
-    return out
 
 
 def fourier_basis_entry(model: int, ground: GroundSet, B: int, A: int) -> float:

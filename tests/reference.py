@@ -6,7 +6,11 @@ reductions are the row sum of `forward_substitution_reference`, whose
 pairwise order is the one `reconstruct` must reproduce, and the norms of
 `relative_errors_reference`, which `estimate_relative_errors` must reproduce.
 `parse_setfn_reference` is the line-by-line setfn parser that the array-native
-`setsp.io.parse_setfn` replaced.
+`setsp.io.parse_setfn` replaced, and `gaussian_entropy_reference` the
+one-matrix Cholesky that `setsp.coverage.gaussian_entropy_many` must
+reproduce bit for bit.  The dense matrix oracles (`kronecker_matrix`,
+`shift_matrix`, `filter_matrix`) build their matrices from kernels written
+out here, not from the library's kernel table.
 """
 
 import math
@@ -15,6 +19,10 @@ import numpy as np
 
 from setsp.core import DENSE_MAX_N, MAX_N
 from setsp.io import MAGIC, SetFnFile, SetFnFormatError
+from setsp.transforms import MATRIX_MAX_N
+
+FILTER_MATRIX_MAX_N = 10
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 def bits(x: int) -> int:
@@ -95,6 +103,54 @@ BUTTERFLY_KERNELS = {
     (5, "forward"): ((1.0, 1.0), (1.0, -1.0)),
     (5, "inverse"): ((0.5, 0.5), (0.5, -0.5)),
 }
+
+
+def kronecker_matrix(model: int, direction: str, n: int) -> np.ndarray:
+    """Dense transform matrix by explicit Kronecker recursion (n <= 12)."""
+    if n > MATRIX_MAX_N:
+        raise ValueError(f"dense transform matrices are limited to n <= {MATRIX_MAX_N}")
+    k = np.array(BUTTERFLY_KERNELS[(model, direction)])
+    out = np.array([[1.0]])
+    for _ in range(n):
+        out = np.kron(k, out)
+    return out
+
+
+# 2x2 kernels of the elementary shift matrices phi(x_i), acting on the pair
+# (value without x_i, value with x_i): `shift_reference` at n=1.
+SHIFT_KERNELS = {
+    1: ((0.0, 0.0), (1.0, 1.0)),
+    2: ((1.0, 1.0), (0.0, 0.0)),
+    3: ((1.0, 0.0), (1.0, 0.0)),
+    4: ((0.0, 1.0), (0.0, 1.0)),
+    5: ((0.0, 1.0), (1.0, 0.0)),
+}
+
+
+def shift_matrix(model: int, i: int, n: int) -> np.ndarray:
+    """Dense matrix of the elementary shift by x_i: I (x) kernel (x) I."""
+    if n > MATRIX_MAX_N:
+        raise ValueError(f"dense shift matrices are limited to n <= {MATRIX_MAX_N}")
+    if not 1 <= i <= n:
+        raise ValueError(f"element index {i} out of range 1..{n}")
+    k = np.array(SHIFT_KERNELS[model])
+    return np.kron(np.eye(1 << (n - i)), np.kron(k, np.eye(1 << (i - 1))))
+
+
+def filter_matrix(model: int, h) -> np.ndarray:
+    """Dense filter matrix sum_X h_X * prod_{y in X} phi(y) of a `Filter`."""
+    n = h.ground.n
+    if n > FILTER_MATRIX_MAX_N:
+        raise ValueError(f"dense filter matrices are limited to n <= {FILTER_MATRIX_MAX_N}")
+    size = 1 << n
+    out = np.zeros((size, size))
+    for X, weight in h.taps.entries.items():
+        term = np.eye(size)
+        for i in range(n):
+            if X >> i & 1:
+                term = shift_matrix(model, i + 1, n) @ term
+        out += weight * term
+    return out
 
 
 def butterfly_reference(model: int, direction: str, values, n: int) -> list[float]:
@@ -202,10 +258,10 @@ def forward_substitution_reference(freqs, values):
 def lattice_norm_reference(n: int, freqs, coeffs) -> float:
     """l2 norm over all 2**n subsets of the model-4 inverse of a sparse
     spectrum: every value summed as in `sparse_eval_reference`, the squares
-    summed exactly with `math.fsum`.  This is the dense scorer of the
+    combined by `math.hypot`, which scales them first, so that tiny values
+    do not square into the subnormal range.  This is the dense scorer of the
     sampling experiment."""
-    values = sparse_eval_reference(freqs, coeffs, range(1 << n))
-    return math.sqrt(math.fsum(v * v for v in values))
+    return math.hypot(*sparse_eval_reference(freqs, coeffs, range(1 << n)))
 
 
 def select_support_reference(n: int, spectra, k: int) -> list[int]:
@@ -246,6 +302,17 @@ def bandlimited_eval_reference(model: int, n: int, freqs, coeffs, masks) -> list
             acc += c * entry
         out.append(acc)
     return out
+
+
+def gaussian_entropy_reference(covariance, A: int) -> float:
+    """Joint entropy of the variables in A from one Cholesky factor of the
+    principal submatrix: (1/2) log det + (|A|/2)(1 + log 2*pi)."""
+    if A == 0:
+        return 0.0
+    idx = [i for i in range(len(covariance)) if A >> i & 1]
+    L = np.linalg.cholesky(np.asarray(covariance)[np.ix_(idx, idx)])
+    logdet = 2.0 * float(np.log(np.diagonal(L)).sum())
+    return 0.5 * logdet + 0.5 * len(idx) * (1.0 + LOG_2PI)
 
 
 def coverage_reference(offset: float, weights: dict, n: int) -> list[float]:

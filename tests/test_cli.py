@@ -205,6 +205,17 @@ def test_synthetic_oracle_spec():
     assert np.isfinite(values).all()
 
 
+def test_file_oracle_specs_read_dense_and_sparse_files(tmp_path):
+    values = np.arange(8.0) - 2.5
+    oracle = parse_oracle_spec(f"file:{_write_signal(tmp_path / 'd.setfn', values, 3)}")
+    assert oracle.query_many([[7, 0], [2, 2]]).tolist() == [[4.5, -2.5], [-0.5, -0.5]]
+    sparse = tmp_path / "s.setfn"
+    setfn_io.write_entries(sparse, 40, "sparse", None, [(5, 1.5), (1 << 39, -2.0)])
+    oracle = parse_oracle_spec(f"file:{sparse}")
+    assert oracle.query_many([1 << 39, 4, 5]).tolist() == [-2.0, 0.0, 1.5]
+    assert oracle.query(5) == 1.5 and oracle.queries == 4
+
+
 def test_missing_file_exits_nonzero(tmp_path):
     rc = main(["transform", "--model", "1", "--in", str(tmp_path / "nope.setfn"), "--out", str(tmp_path / "o")])
     assert rc == 2

@@ -93,7 +93,7 @@ def test_compress_band_wide_ground_set():
     def modular(mask: int) -> float:
         return sum(w[i] for i in range(n) if mask >> i & 1)
 
-    oracle = SetFunctionOracle(g, modular)
+    oracle = SetFunctionOracle(g, lambda masks: np.array([modular(m) for m in masks.tolist()]))
     approx = compress_band(oracle, 2)
     assert len(approx) == 1082
     assert oracle.queries == 1082
@@ -247,7 +247,7 @@ def test_estimate_error_rejects_non_finite_values(side, bad):
         return 1.0 + masks
 
     oracle_fn, approx_fn = (tainted, clean) if side == "oracle" else (clean, tainted)
-    oracle = SetFunctionOracle(GroundSet(3), oracle_fn, batch_fn=oracle_fn)
+    oracle = SetFunctionOracle(GroundSet(3), oracle_fn)
     with pytest.raises(ValueError, match=f"{side} returned non-finite value .* at mask 5"):
         estimate_relative_error(oracle, approx_fn, 200, seed=1)
 
@@ -285,14 +285,14 @@ def test_non_finite_value_names_the_first_probe_drawn_on_a_covered_lattice(side)
     drawn = np.random.default_rng(0).integers(0, 8, size=64, dtype=np.uint64)
     assert next(int(m) for m in drawn if m in (2, 6)) == 6
     oracle_fn, approx_fn = (tainted, clean) if side == "oracle" else (clean, tainted)
-    oracle = SetFunctionOracle(GroundSet(3), oracle_fn, batch_fn=oracle_fn)
+    oracle = SetFunctionOracle(GroundSet(3), oracle_fn)
     with pytest.raises(ValueError, match=f"{side} returned non-finite value .* at mask 6( |$)"):
         estimate_relative_errors(oracle, [clean, approx_fn], 64, seed=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_estimate_errors_name_the_failing_evaluator(bad):
-    oracle = SetFunctionOracle(GroundSet(3), None, batch_fn=lambda masks: 1.0 + masks)
+    oracle = SetFunctionOracle(GroundSet(3), lambda masks: 1.0 + masks)
     clean = lambda masks: 1.0 + masks  # noqa: E731
     tainted = lambda masks: np.where(masks == 5, bad, 1.0 + masks)  # noqa: E731
     with pytest.raises(ValueError, match=r"non-finite value .* at mask 5 \(evaluator 1\)"):
@@ -317,16 +317,18 @@ def test_monte_carlo_close_to_exhaustive():
 def test_oracle_counter_and_determinism():
     calls = []
 
-    def fn(mask):
-        calls.append(mask)
-        return float(mask)
+    def evaluate(masks):
+        calls.append(masks.tolist())
+        return masks.astype(np.float64)
 
-    oracle = SetFunctionOracle(GroundSet(3), fn)
+    oracle = SetFunctionOracle(GroundSet(3), evaluate)
     assert oracle.query(5) == 5.0
     assert oracle.query(5) == 5.0
     assert oracle.queries == 2
     assert oracle.query_many(np.array([1, 2])).tolist() == [1.0, 2.0]
     assert oracle.queries == 4
+    # `query` is a one-mask batch through the same function
+    assert calls == [[5], [5], [1, 2]]
     with pytest.raises(ValueError):
         oracle.query(8)
     # query_many validates like query, before counting; a dense oracle would

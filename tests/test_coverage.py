@@ -20,7 +20,7 @@ from setsp.coverage import (
 )
 from setsp.transforms import dsft
 
-from reference import coverage_reference
+from reference import coverage_reference, gaussian_entropy_reference
 
 H_UNIT = 0.5 * (1.0 + math.log(2.0 * math.pi))  # entropy of a unit Gaussian
 
@@ -159,12 +159,34 @@ def test_gaussian_entropy_values():
 
 
 def test_gaussian_entropy_many_matches_scalar():
+    # n=12 reaches diagonals of 8 and more entries, where numpy's sum is
+    # pairwise: every mask must still get the bits of a lone factorization
     rng = np.random.default_rng(9)
-    model = GaussianModel(_random_pd(7, rng))
-    masks = rng.integers(0, 128, size=60)
+    model = GaussianModel(_random_pd(12, rng))
+    masks = rng.integers(0, 1 << 12, size=400)
     batched = gaussian_entropy_many(model, masks)
     single = [gaussian_entropy(model, int(m)) for m in masks]
-    assert np.abs(batched - single).max() < 1e-11
+    want = [gaussian_entropy_reference(model.covariance, int(m)) for m in masks]
+    assert batched.tobytes() == np.array(want).tobytes()
+    assert np.array(single).tobytes() == np.array(want).tobytes()
+
+
+def test_gaussian_entropy_refuses_masks_out_of_range():
+    # mask 8 read as {x1} and -1 as uninitialized memory before the check
+    model = GaussianModel(np.diag([1.0, 4.0, 9.0]))
+    for mask in (8, -1):
+        with pytest.raises(ValueError, match=f"mask {mask} out of range for n=3"):
+            gaussian_entropy_many(model, [1, mask])
+        with pytest.raises(ValueError, match="out of range"):
+            gaussian_entropy(model, mask)
+
+
+def test_gaussian_model_of_no_variables():
+    model = GaussianModel(np.zeros((0, 0)))
+    assert model.n == 0 and model.ground == GroundSet(0)
+    assert gaussian_entropy(model, 0) == 0.0
+    assert gaussian_entropy_many(model, [0, 0]).tolist() == [0.0, 0.0]
+    assert entropy_setfunction(model).values.tolist() == [0.0]
 
 
 def test_pairwise_mutual_information():

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -19,6 +19,8 @@ from setsp import compression, filters, sampling, transforms
 from setsp.compression import (
     BandlimitedApprox,
     SetFunctionOracle,
+    compress_band,
+    dsft4_coefficient_by_queries,
     estimate_relative_errors,
     eval_bandlimited,
     eval_bandlimited_many,
@@ -275,12 +277,21 @@ def _on(freqs: np.ndarray, spectrum) -> np.ndarray:
     return out
 
 
+# A coefficient whose square is subnormal: unscaled, its Gram norm is off
+# by 5e-10 relative.
+_TINY = SparseSpectrum4(SparseSupport(GroundSet(1), np.array([0])),
+                        np.array([5.035903750086117e-158]))
+
+
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(0, 12))
-def test_gram_norms_are_the_lattice_norms(data, n):
+@given(data=st.data(), n=st.integers(0, 12), fixed=st.none())
+@example(data=None, n=1, fixed=(_TINY, _TINY.support))
+def test_gram_norms_are_the_lattice_norms(data, n, fixed):
     # the sampling experiment's two gaps: truth and truth - reconstruction
-    truth = _sparse_spectrum(data, n, 24, st.one_of(VALUES, st.floats(-1e3, 1e3)))
-    support = _support(data, n, 24)
+    truth, support = fixed or (
+        _sparse_spectrum(data, n, 24, st.one_of(VALUES, st.floats(-1e3, 1e3))),
+        _support(data, n, 24),
+    )
     recon = reconstruct(oracle_from_sparse_spectrum(truth), support)
     freqs = np.unique(np.concatenate((truth.support.freqs, support.freqs)))
     columns = np.column_stack((_on(freqs, truth), _on(freqs, truth) - _on(freqs, recon)))
@@ -337,7 +348,6 @@ def _oracle(kind: str, data, n: int) -> SetFunctionOracle:
     if kind == "sparse4":
         return oracle_from_sparse_spectrum(
             _sparse_spectrum(data, n, 12, st.one_of(VALUES, st.floats(-1e3, 1e3))))
-    assume(n >= 1)  # GaussianModel refuses a 0 x 0 covariance
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="covariance"))
     W = rng.standard_normal((n, n))
     return entropy_oracle(GaussianModel(W @ W.T / n + 0.5 * np.eye(n)))
@@ -345,8 +355,8 @@ def _oracle(kind: str, data, n: int) -> SetFunctionOracle:
 
 def _recording(oracle: SetFunctionOracle) -> list[np.ndarray]:
     """The mask arrays the oracle's batch function is called with, from now on."""
-    calls, batch_fn = [], oracle._batch_fn
-    oracle._batch_fn = lambda masks: (calls.append(masks.copy()), batch_fn(masks))[1]
+    calls, evaluate = [], oracle._evaluate
+    oracle._evaluate = lambda masks: (calls.append(masks.copy()), evaluate(masks))[1]
     return calls
 
 
@@ -399,3 +409,18 @@ def test_deduplicated_error_estimate_is_the_per_probe_estimate(kind, data, n, mo
         oracle.query, [lambda A: eval_bandlimited(band, A), lambda A: A * 0.25 - 1.0],
         m_samples, seed, n)
     assert _same_bits(np.array(got), want)
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(0, 8))
+def test_batched_compress_band_is_the_per_frequency_sum(kind, data, n):
+    oracle = _oracle(kind, data, n)
+    m = data.draw(st.integers(0, n), label="m")
+    calls = _recording(oracle)
+    band = compress_band(oracle, m)
+    assert len(calls) == 1
+    assert oracle.queries == len(band.support)
+    # each coefficient from its own 2**|B| queries, without a memo
+    want = [dsft4_coefficient_by_queries(oracle, int(B)) for B in band.support]
+    assert _same_bits(band.coeffs, want)

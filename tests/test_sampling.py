@@ -69,7 +69,7 @@ def test_reconstruct_two_frequency_example():
 
 def test_reconstruct_constant_function():
     g = GroundSet(3)
-    oracle = SetFunctionOracle(g, lambda m: 4.25)
+    oracle = SetFunctionOracle(g, lambda masks: np.full(masks.shape, 4.25))
     spec = reconstruct(oracle, SparseSupport(g, np.array([0])))
     assert spec.coeffs.tolist() == [4.25]
 
@@ -269,13 +269,17 @@ def test_reconstruct_matches_partial_spectrum():
 
 
 def test_scalar_and_batched_queries_return_the_same_bits():
-    # both paths add the disjoint coefficients sequentially from +0.0; a
-    # pairwise scalar sum would differ on 575 of these 1024 masks
+    # eval_sparse and the oracle's batch path add the disjoint coefficients
+    # sequentially from +0.0; a pairwise scalar sum would differ on 575 of
+    # these 1024 masks
     g = GroundSet(10)
-    oracle = oracle_from_sparse_spectrum(synthetic_sparse_spectrum(g, 499, seed=3))
+    spectrum = synthetic_sparse_spectrum(g, 499, seed=3)
+    oracle = oracle_from_sparse_spectrum(spectrum)
     batch = oracle.query_many(np.arange(g.size))
-    scalar = np.array([oracle.query(m) for m in range(g.size)])
+    scalar = np.array([eval_sparse(spectrum, m) for m in range(g.size)])
     assert scalar.tobytes() == batch.tobytes()
+    queried = np.array([oracle.query(m) for m in range(0, g.size, 31)])
+    assert queried.tobytes() == batch[::31].tobytes()
 
 
 def test_sparse_eval_and_reconstruct_golden_bits():

@@ -13,31 +13,34 @@ from setsp.transforms import (
     fourier_basis_vector,
     idsft,
     kernel,
-    kronecker_matrix,
 )
 
-from reference import dsft_reference, idsft_reference
+from reference import dsft_reference, idsft_reference, kronecker_matrix
 
 DIRECTIONS = (FORWARD, INVERSE)
 
 
 def test_kernel_table():
     # 2x2 kernels, verbatim
-    assert kernel(1).k2x2.tolist() == [[1, 1], [1, 0]]
-    assert kernel(2).k2x2.tolist() == [[1, 1], [0, -1]]
-    assert kernel(3).k2x2.tolist() == [[1, 0], [1, -1]]
-    assert kernel(4).k2x2.tolist() == [[0, 1], [1, -1]]
-    assert kernel(5).k2x2.tolist() == [[1, 1], [1, -1]]
-    assert kernel(1, INVERSE).k2x2.tolist() == [[0, 1], [1, -1]]
-    assert kernel(2, INVERSE).k2x2.tolist() == [[1, 1], [0, -1]]
-    assert kernel(3, INVERSE).k2x2.tolist() == [[1, 0], [1, -1]]
-    assert kernel(4, INVERSE).k2x2.tolist() == [[1, 1], [1, 0]]
-    assert kernel(5, INVERSE).k2x2.tolist() == [[0.5, 0.5], [0.5, -0.5]]
+    assert kernel(1).tolist() == [[1, 1], [1, 0]]
+    assert kernel(2).tolist() == [[1, 1], [0, -1]]
+    assert kernel(3).tolist() == [[1, 0], [1, -1]]
+    assert kernel(4).tolist() == [[0, 1], [1, -1]]
+    assert kernel(5).tolist() == [[1, 1], [1, -1]]
+    assert kernel(1, INVERSE).tolist() == [[0, 1], [1, -1]]
+    assert kernel(2, INVERSE).tolist() == [[1, 1], [0, -1]]
+    assert kernel(3, INVERSE).tolist() == [[1, 0], [1, -1]]
+    assert kernel(4, INVERSE).tolist() == [[1, 1], [1, 0]]
+    assert kernel(5, INVERSE).tolist() == [[0.5, 0.5], [0.5, -0.5]]
+    # a copy: writing to it leaves the table alone
+    k = kernel(4)
+    k[0, 0] = 7.0
+    assert kernel(4)[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_kernel_forward_inverse_2x2(model):
-    prod = kernel(model, FORWARD).k2x2 @ kernel(model, INVERSE).k2x2
+    prod = kernel(model, FORWARD) @ kernel(model, INVERSE)
     assert np.allclose(prod, np.eye(2))
 
 
@@ -176,7 +179,9 @@ def test_addition_count_models_1_to_4(model):
 
 def test_addition_count_model5():
     values = np.zeros(1 << 9)
-    assert dsft_inplace(values, 5, FORWARD) == 9 * (1 << 9)
+    additions = dsft_inplace(values, 5, FORWARD)
+    assert additions == 9 * (1 << 9)
+    assert type(additions) is int  # a plain int, so that JSON can hold it
 
 
 def test_batched_transform_matches_columns():
