@@ -137,15 +137,17 @@ def dsft4_coefficient_by_queries(
     oracle: SetFunctionOracle, B: int, memo: dict[int, float] | None = None
 ) -> float:
     """Model-4 coefficient at B from exactly 2**|B| oracle queries (fewer
-    when a shared memo already holds some of them)."""
+    when a shared memo already holds some of them), asked in one batch."""
     B = oracle.ground.check_mask(B)
     base = oracle.ground.full_mask & ~B
     memo = {} if memo is None else memo
+    subs = list(_submasks(B))
+    missing = [base | C for C in subs if base | C not in memo]
+    if missing:
+        memo.update(zip(missing, oracle.query_many(np.array(missing, dtype=np.int64)).tolist()))
     total = 0.0
-    for C in _submasks(B):
-        value = memo.get(base | C)
-        if value is None:
-            value = memo[base | C] = oracle.query(base | C)
+    for C in subs:
+        value = memo[base | C]
         total += -value if popcount(C) & 1 else value
     return total
 

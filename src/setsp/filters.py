@@ -119,7 +119,8 @@ def frequency_response(model: int, h: Filter) -> np.ndarray:
     """Per-frequency filter multipliers, indexed by frequency mask B: the
     transform of the taps, model 1 for models 1-4, model 5 for the WHT."""
     check_model(model)
-    arr = np.array(h.taps.to_dense().values)
+    arr = h.taps.to_dense().values
+    arr.setflags(write=True)  # to_dense's fresh array; nothing else holds it
     dsft_inplace(arr, _response_model(model), FORWARD)
     return arr
 

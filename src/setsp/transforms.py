@@ -12,10 +12,18 @@ direction) with the 2x2 kernel, whether `dsft_inplace` reverses the array
 first, and its stage op.  With the complement reversal J (`values[::-1]`)
 applied once first, the kernels of models 1 and 4 factor as a zeta step
 times J, [[1,1],[1,0]] = [[1,1],[0,1]].J and [[0,1],[1,-1]] = [[1,0],[-1,1]].J
-(Yates; Bjoerklund et al., "Fourier meets Moebius").  The low stages run
-block by block in L2, the high ones stream (the FFHT layout of Andoni et
-al.).  Neither changes an output bit: each output is the same sum, formed in
-the same order up to swapping the operands of an addition.
+(Yates; Bjoerklund et al., "Fourier meets Moebius").
+
+Schedule (the FFHT layout of Andoni et al.): the low stages run block by
+block in L2, the high ones stream over the array.  Inside a block, the
+stages of the low index bits run on a transposed copy, so that every stage
+pairs long contiguous rows (of 128 elements or more in a full block), under
+a small ufunc buffer that numpy does not copy such rows through; the
+reversal of models 1 and 4 is folded into that copy.  Model 5 writes each stage into a second buffer,
+two ufuncs a stage, and runs its high stages a few columns at a time in L2.
+Model 2 runs pairs of stages in six quarter passes instead of eight.  None
+of this changes an output bit: each output is the same sum, formed in the
+same order up to swapping the operands of an addition (see `dsft_inplace`).
 
 Everything else model-specific is derived from the kernel.  Every matrix
 entry has the closed form
@@ -65,13 +73,12 @@ def _infer_n(size: int) -> int:
     return n
 
 
-# Stage ops on the halves (u, w) of one butterfly stage; `tmp` is a flat
-# scratch buffer at least as large as u, used by model 5 only.
-def _sum_up(u, w, tmp):
+# Stage ops on the halves (u, w) of one butterfly stage, in place.
+def _sum_up(u, w):
     np.add(u, w, out=u)  # superset sum: (u, w) -> (u+w, w)
 
 
-def _diff_down(u, w, tmp):
+def _diff_down(u, w):
     np.subtract(w, u, out=w)  # subset difference: (u, w) -> (u, w-u)
 
 
@@ -79,23 +86,41 @@ def _diff_down(u, w, tmp):
 _SIGN_BIT = np.int64(-(1 << 63))
 
 
-def _model2(u, w, tmp):
-    np.add(u, w, out=u)  # [[1,1],[0,-1]]: (u, w) -> (u+w, -w)
+def _negate(x):
     # np.negative in place on a 1-d view with a stride of 8 elements writes
     # the wrong elements in numpy 2.4; the integer XOR has no such loop.
-    bits = w.view(np.int64)
+    bits = x.view(np.int64)
     np.bitwise_xor(bits, _SIGN_BIT, out=bits)
 
 
-def _model3(u, w, tmp):
+def _model2(u, w):
+    np.add(u, w, out=u)  # [[1,1],[0,-1]]: (u, w) -> (u+w, -w)
+    _negate(w)
+
+
+def _model2_pair(p, q, r, s):
+    """Model 2's stages i and i+1 on the quarters of rows whose bits (i+1, i)
+    are 00, 01, 10, 11: six quarter passes instead of eight.  Stage by stage
+    they are (p+q)+(r+s), (-q)+(-s), -(r+s) and -(-s); x - y is x + (-y) in
+    IEEE arithmetic, and the double negation of s is the identity."""
+    np.add(p, q, out=p)
+    np.add(r, s, out=r)
+    np.add(p, r, out=p)
+    _negate(r)
+    _negate(q)
+    np.subtract(q, s, out=q)
+
+
+def _model3(u, w):
     np.subtract(u, w, out=w)  # [[1,0],[1,-1]]: (u, w) -> (u, u-w)
 
 
-def _wht(u, w, tmp):
-    t = tmp[: u.size].reshape(u.shape)  # [[1,1],[1,-1]]: (u, w) -> (u+w, u-w)
-    np.subtract(u, w, out=t)
-    np.add(u, w, out=u)
-    np.copyto(w, t)
+def _wht(x, y, i):
+    """Model 5's stage i from x into y: (u, w) -> (u+w, u-w), two ufuncs."""
+    u, w = _halves(x, i)
+    u2, w2 = _halves(y, i)
+    np.add(u, w, out=u2)
+    np.subtract(u, w, out=w2)
 
 
 # (model, direction) -> (2x2 kernel, reverse the array first?, stage op); the
@@ -138,26 +163,98 @@ def _closed_form(model: int, direction: str) -> tuple[bool, str | None, float]:
     return c == 0, "all" if r == 0 else "none", scale
 
 
-# Stages i < _BLOCK_BITS pair rows inside aligned blocks of 2**_BLOCK_BITS
-# rows (256 KiB of float64 for 1-d input), which stay in L2 while all of
-# those stages run.
+# The low stages pair rows inside aligned blocks of about 2**_BLOCK_BITS
+# elements (256 KiB of float64; 2**_BLOCK_BITS rows of 1-d input), which
+# stay in L2 while all of those stages run.  The stages of a block's low
+# _SPLIT_BITS index bits (at most half of its bits) run on a transposed copy
+# of the block, where they pair long rows instead of short ones.
 _BLOCK_BITS = 15
+_SPLIT_BITS = 7
+# Model 5's high stages run on chunks of about 2**_CHUNK_BITS elements
+# (512 KiB): a few columns of the (blocks, rows per block) view at a time,
+# two such buffers staying in L2.
+_CHUNK_BITS = 16
+# numpy copies a strided operand through its ufunc buffer whenever a row is
+# shorter than the buffer (8192 elements by default); rows of 64 or more
+# elements run unbuffered under this size.
+_BUFSIZE = 64
 
 
-def _stage(x: np.ndarray, i: int, op, tmp) -> None:
-    """Stage i (0-based) of the butterfly on x: pairs rows differing in bit i.
+def _split(x: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
+    """View of x with axis 0 split into `rows`; never a copy."""
+    return x.reshape(rows + x.shape[1:], copy=False)
 
-    The halves have shape (pairs, 2**i).  On 1-d input, stages 1 and 2 run
-    the op once per column of the halves instead: a strided 1-d view whose
-    inner loop is long, not 2 or 4 elements.
-    """
-    v = x.reshape((-1, 2, 1 << i) + x.shape[1:])
-    u, w = v[:, 0], v[:, 1]
-    if x.ndim == 1 and i in (1, 2):
-        for uj, wj in zip(u.T, w.T):
-            op(uj, wj, tmp)
-    else:
-        op(u, w, tmp)
+
+def _halves(x: np.ndarray, i: int):
+    """The halves (u, w) of stage i on x: rows that differ in bit i."""
+    v = _split(x, (-1, 2, 1 << i))
+    return v[:, 0], v[:, 1]
+
+
+def _stages(x: np.ndarray, first: int, stop: int, op) -> None:
+    i = first
+    while i < stop:
+        if op is _model2 and i + 1 < stop:
+            v = _split(x, (-1, 4, 1 << i))
+            _model2_pair(v[:, 0], v[:, 1], v[:, 2], v[:, 3])
+            i += 2
+        else:
+            op(*_halves(x, i))
+            i += 1
+
+
+def _wht_stages(x: np.ndarray, y: np.ndarray, first: int, stop: int):
+    """Model 5's stages first..stop-1 from x, alternating between x and y;
+    returns (the buffer holding the result, the other one)."""
+    for i in range(first, stop):
+        _wht(x, y, i)
+        x, y = y, x
+    return x, y
+
+
+def _transpose(dst: np.ndarray, src: np.ndarray, bits: int) -> None:
+    """dst <- src with the row index's high and low parts swapped: row
+    i * 2**k + j of src, where j < 2**k and i < 2**bits, is row j * 2**bits
+    + i of dst."""
+    np.copyto(_split(dst, (-1, 1 << bits)), _split(src, (1 << bits, -1)).swapaxes(0, 1))
+
+
+def _block_stages(block, scratch, a: int, b: int, op) -> None:
+    """Stages 0..a+b-1 of one block, from scratch[0] into `block`.
+    scratch[0] holds the block's input with its low b and high a row bits
+    swapped, so that stage i < b is stage a + i there; model 5 also uses
+    scratch[1]."""
+    low = a + b
+    if op is not _wht:
+        _stages(scratch[0], a, low, op)
+        _transpose(block, scratch[0], b)
+        _stages(block, b, low, op)
+        return
+    x, y = _wht_stages(scratch[0], scratch[1], a, low)
+    # a stages are left; start them where an even or odd count ends in block
+    start, spare = (block, x) if a % 2 == 0 else (y, block)
+    _transpose(start, x, b)
+    _wht_stages(start, spare, b, low)
+
+
+def _wht_high(values: np.ndarray, n: int, low: int) -> None:
+    """Model 5's stages low..n-1, on a few columns of the (2**(n-low),
+    2**low) view at a time: the first stage reads the columns, the last
+    writes them back, and those between alternate two small buffers."""
+    h = n - low
+    grid = _split(values, (1 << h, 1 << low))
+    width = max(1, min(1 << low, (1 << _CHUNK_BITS) // (values.size >> low)))
+    bufs = np.empty((2, 1 << h, width) + values.shape[1:])
+    for j in range(0, 1 << low, width):
+        chunk = grid[:, j : j + width]
+        pair = bufs[:, :, : chunk.shape[1]]
+        x = chunk
+        for i in range(h):
+            y = chunk if 0 < i == h - 1 else pair[i % 2]
+            _wht(x, y, i)
+            x = y
+        if h == 1:
+            np.copyto(chunk, x)
 
 
 def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> int:
@@ -176,9 +273,10 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
 
         model 1 forward = model 4 inverse: reverse, then u += w per stage
         model 1 inverse = model 4 forward: reverse, then w -= u per stage
-        model 2: u += w, then w = -w by flipping its sign bit
+        model 2: u += w, then w = -w by flipping its sign bit; two stages
+                 at once where it can (`_model2_pair`)
         model 3: w = u - w
-        model 5: (u, w) -> (u+w, u-w), through a half-size temp
+        model 5: (u, w) -> (u+w, u-w), written into a second buffer
 
     Model 2 also factors as [[1,1],[0,-1]] = [[1,-1],[0,1]].diag(1,-1): one
     parity-sign pass, then u -= w per stage, with no negations.  That path
@@ -187,47 +285,79 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
     sign (for [0, 0, 1, -1], entry 2 is -0.0 here and +0.0 there).
 
     Schedule (the cache blocking of FFHT, Andoni et al., NeurIPS 2015): the
-    stages i < _BLOCK_BITS only pair rows inside aligned blocks of
-    2**_BLOCK_BITS rows, so they all run on one block before moving to the
-    next, while the block is in L2.  The reversal is folded into that pass:
-    block k is swapped with block nb-1-k, both reversed, through a
-    block-sized buffer.  The stages i >= _BLOCK_BITS then stream over the
-    whole array.  2-d input is blocked along axis 0.  Scratch memory is one
-    block for models 1 and 4 and a half-size temp for model 5.
+    stages i < low only pair rows inside aligned blocks of 2**low rows, a
+    block holding about 2**_BLOCK_BITS elements, so they all run on one
+    block before moving to the next, while the block is in L2.  Then the
+    stages i >= low stream over the whole array.  2-d input is blocked
+    along axis 0.
+
+    On a block, stage i pairs rows of 2**i contiguous elements, and numpy
+    runs short rows slowly: one inner loop per row, each copied through
+    the ufunc buffer.  So the block's row bits are split into
+    b = min(_SPLIT_BITS, low // 2) low bits and a = low - b high ones.  The
+    block is copied into a scratch block with the two parts swapped (a
+    transpose of its (2**a, 2**b) view), where stages 0..b-1 are stages
+    a..low-1 on rows of at least 2**a elements.  It is copied back swapped
+    again, and stages b..low-1 run in place on rows of at least 2**b.  The
+    reversal of models 1 and 4 is folded into the first copy: block k is
+    loaded from block nb-1-k read backwards, so blocks are loaded in
+    mirrored pairs, both before either is written.
+
+    Model 5 cannot run in place in two ufuncs, so each stage writes into a
+    second buffer.  In a block, its stages alternate between the two
+    scratch blocks, then between the block and a scratch block, starting
+    where the stage count makes the last one end in the block.  Its high
+    stages run a few columns of the (blocks, rows per block) view at a
+    time: the first reads them from the array, the ones between alternate
+    two small buffers in L2, and the last writes them back.
+
+    Scratch memory is one block for models 2 and 3, two for models 1, 4
+    and 5, and model 5's two column buffers of about 2**_CHUNK_BITS
+    elements each.
+
+    The stage ufuncs run under a ufunc buffer of _BUFSIZE elements, so rows
+    of 64 elements or more are not copied through it.  The setting lives in
+    numpy's error-state context variable: `np.errstate()` restores it on
+    exit, also when an error is raised, and other threads never see it.
 
     The bits do not depend on the schedule or on batching: every output is
     the same tree of additions as the per-stage 2x2 butterfly in ascending
-    stage order.  Reordering independent butterflies changes no operand, and
-    reversing first only relabels which slot holds a value, turning u + w
-    into w + u, which IEEE addition makes exact.
+    stage order.  Reordering independent butterflies or moving a value to
+    another buffer changes no operand, and reversing first only relabels
+    which slot holds a value, turning u + w into w + u, which IEEE addition
+    makes exact; likewise x - y is x + (-y).  (Which NaN payload or sign a
+    NaN output carries, IEEE arithmetic leaves open.)
     """
     check_model(model)
     check_direction(direction)
     if values.dtype != np.float64:
         raise ValueError("in-place transform requires a float64 array")
     n = _infer_n(values.shape[0])
-    if n == 0:
+    if n == 0 or values.size == 0:
         return 0
     kern, reverse, op = _TABLE[(model, direction)]
     *_, scale = _closed_form(model, direction)
-    batch = values.shape[1:]
-    low = min(n, _BLOCK_BITS)
+    # row bits of a block: 2**low rows of m = values.size >> n elements
+    low = min(n, max(1, _BLOCK_BITS - ((values.size >> n) - 1).bit_length()))
+    b = min(_SPLIT_BITS, low // 2)
     nb = 1 << (n - low)
-    blocks = values.reshape((nb, 1 << low) + batch)
-    tmp = np.empty(values.size // 2) if op is _wht else None
-    scratch = np.empty_like(blocks[0]) if reverse else None
-    for k in range(max(nb // 2, 1)):
-        head, tail = blocks[k], blocks[nb - 1 - k]
-        if reverse:
-            np.copyto(scratch, head)
-            if nb > 1:
-                np.copyto(head, tail[::-1])
-            np.copyto(tail, scratch[::-1])
-        for block in (head, tail) if nb > 1 else (head,):
-            for i in range(low):
-                _stage(block, i, op, tmp)
-    for i in range(low, n):
-        _stage(values, i, op, tmp)
+    blocks = _split(values, (nb, 1 << low))
+    scratch = np.empty((2 if reverse or op is _wht else 1,) + blocks.shape[1:])
+    with np.errstate():
+        np.setbufsize(_BUFSIZE)
+        for k in range(max(nb // 2, 1) if reverse else nb):
+            if reverse:  # blocks k and nb-1-k trade places, each read backwards
+                pairs = [(k, nb - 1 - k), (nb - 1 - k, k)][: min(nb, 2)]
+            else:
+                pairs = [(k, k)]
+            for j, (_, src) in enumerate(pairs):
+                _transpose(scratch[j], blocks[src][::-1] if reverse else blocks[src], low - b)
+            for j, (dst, _) in enumerate(pairs):
+                _block_stages(blocks[dst], scratch[j:], low - b, b, op)
+        if op is not _wht:
+            _stages(values, low, n, op)
+        elif n > low:
+            _wht_high(values, n, low)
 
     if scale != 1.0:
         values *= scale**n

@@ -19,6 +19,7 @@ from setsp.compression import (
 )
 from setsp.coverage import GaussianModel, entropy_setfunction
 from setsp.experiments import entropy_oracle, random_rbf_covariance
+from setsp.sampling import SparseSpectrum4, SparseSupport, oracle_from_sparse_spectrum
 from setsp.transforms import INVERSE, dsft, dsft_inplace
 
 
@@ -49,6 +50,32 @@ def test_coefficient_pair_vanishes_on_modular():
     oracle = _dense_oracle(values, n)
     assert abs(dsft4_coefficient_by_queries(oracle, 0b00011)) < 1e-12
     assert oracle.queries == 4  # 2**|B| without a memo
+
+
+def test_coefficient_queries_are_one_batch_with_the_memoised_bits():
+    rng = np.random.default_rng(23)
+    n = 8
+    freqs = np.unique(rng.integers(0, 1 << n, size=40))
+    truth = SparseSpectrum4(SparseSupport(GroundSet(n), freqs), rng.standard_normal(freqs.size))
+    memoised = compress_band(oracle_from_sparse_spectrum(truth), n)
+    for B in (0, 0b1, 0b10110101, (1 << n) - 1):
+        oracle = oracle_from_sparse_spectrum(truth)
+        oracle.query = None  # only query_many may be asked
+        got = dsft4_coefficient_by_queries(oracle, B)
+        assert oracle.queries == 1 << bin(B).count("1")
+        want = memoised.coeffs[np.flatnonzero(memoised.support == B)[0]]
+        assert np.float64(got).tobytes() == want.tobytes()
+
+    # a memo that holds some sets already: only the others are asked
+    B = 0b10110101
+    base = ((1 << n) - 1) & ~B
+    held = [base, base | 0b1, base | B]
+    memo = dict(zip(held, oracle_from_sparse_spectrum(truth).query_many(np.array(held)).tolist()))
+    oracle = oracle_from_sparse_spectrum(truth)
+    got = dsft4_coefficient_by_queries(oracle, B, memo)
+    assert oracle.queries == (1 << 5) - len(held)
+    assert len(memo) == 1 << 5
+    assert np.float64(got).tobytes() == memoised.coeffs[memoised.support == B].tobytes()
 
 
 @pytest.mark.parametrize("n", (1, 4, 8))

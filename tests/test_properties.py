@@ -1,9 +1,11 @@
 """Property tests: the fast paths against plain formulas, bit for bit where
 both sum in the same order, to 1e-12 of the output scale where they do not.
 
-The transform's cache blocking only shows at n > _BLOCK_BITS, so these tests
-shrink the block to 2**2 or 2**3 rows: then n <= 8 crosses several blocks and
-the paired-block reversal of models 1 and 4.  Likewise the sparse and band
+The transform's schedule only shows at n > _BLOCK_BITS, so these tests shrink
+the block to 2**2..2**5 rows, the transposed low part to 1 or 2 bits and model
+5's column chunks below the block: then n <= 8 crosses several blocks, the
+paired-block reversal of models 1 and 4, both phases of a block, and model 5's
+ping-pong with odd and even stage counts.  Likewise the sparse and band
 evaluators' probe blocks and reconstruct's row blocks shrink to a few entries.
 """
 
@@ -74,16 +76,26 @@ def _same_bits_or_nan(got: np.ndarray, want) -> bool:
     return np.array_equal(np.isnan(got), nan) and _same_bits(got[~nan], want[~nan])
 
 
+# (_BLOCK_BITS, _SPLIT_BITS, _CHUNK_BITS): on 1-d input, blocks of 2..5 row
+# bits split into b transposed and a = low - b in-place stages, (b, a)
+# odd/odd, odd/even, even/even and even/odd, so that model 5's two ping-pong
+# phases each run an odd and an even count; model 5's high-stage chunks of
+# 1 to 64 elements are narrower than the block, and ragged for 3 columns.
+SCHEDULES = [(2, 1, 0), (3, 1, 1), (4, 2, 4), (5, 2, 6)]
+
+
 @pytest.mark.parametrize("model,direction", PAIRS)
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), n=st.integers(0, 8), columns=st.integers(0, 3),
-       block_bits=st.sampled_from([2, 3]))
-def test_blocked_transform_is_the_plain_butterfly(model, direction, data, n, columns,
-                                                  block_bits):
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), n=st.integers(0, 8), columns=st.integers(0, 3))
+def test_blocked_transform_is_the_plain_butterfly(model, direction, schedule, data, n,
+                                                  columns):
     shape = (1 << n, columns) if columns else (1 << n,)
     values = data.draw(arrays(np.float64, shape, elements=VALUES))
     got = values.copy()
-    with mock.patch.object(transforms, "_BLOCK_BITS", block_bits):
+    block_bits, split_bits, chunk_bits = schedule
+    with mock.patch.multiple(transforms, _BLOCK_BITS=block_bits, _SPLIT_BITS=split_bits,
+                             _CHUNK_BITS=chunk_bits):
         additions = dsft_inplace(got, model, direction)
     assert additions == n * (values.size // 2) * (2 if model == 5 else 1)
     cols = values.reshape(1 << n, -1)
@@ -91,6 +103,34 @@ def test_blocked_transform_is_the_plain_butterfly(model, direction, data, n, col
         [butterfly_reference(model, direction, cols[:, j].tolist(), n) for j in range(cols.shape[1])]
     )
     assert _same_bits(got, want.reshape(shape))
+
+
+@pytest.mark.parametrize("model,direction", PAIRS)
+def test_transform_writes_through_strided_views_and_restores_the_bufsize(model, direction):
+    # at n = 7 above a block of 2**4 rows: several blocks and high stages
+    rng = np.random.default_rng(model)
+    n = 7
+    flat = rng.standard_normal(2 << n)
+    grid = np.asfortranarray(rng.standard_normal((1 << n, 3)))
+    want_flat, want_grid = flat[::2].copy(), grid.copy(order="C")
+    saved = np.getbufsize()
+    np.setbufsize(4096)
+    try:
+        with mock.patch.multiple(transforms, _BLOCK_BITS=4, _SPLIT_BITS=2, _CHUNK_BITS=2):
+            for contiguous, view in ((want_flat, flat[::2]), (want_grid, grid)):
+                dsft_inplace(contiguous, model, direction)
+                dsft_inplace(view, model, direction)
+                assert _same_bits(view, contiguous)
+                assert np.getbufsize() == 4096
+            # read-only input fails inside the transform's buffer-size scope
+            frozen = np.zeros(1 << n)
+            frozen.setflags(write=False)
+            with pytest.raises(ValueError, match="read-only"):
+                dsft_inplace(frozen, model, direction)
+            assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(saved)
+    assert _same_bits(flat[1::2], np.random.default_rng(model).standard_normal(2 << n)[1::2])
 
 
 REMAP = {
@@ -129,6 +169,16 @@ def test_direct_and_spectral_convolution_agree(model, data, n):
     taps = data.draw(st.dictionaries(st.integers(0, size - 1), st.floats(-1e3, 1e3),
                                      min_size=1, max_size=6))
     values = data.draw(arrays(np.float64, size, elements=VALUES))
+    _assert_convolution_paths_agree(model, n, taps, values)
+
+
+def test_direct_and_spectral_convolution_agree_below_the_normal_range():
+    # the product 1.5 * 2**-1074 rounds to 2**-1073 on the direct path, and
+    # the spectral path's 2**-1074 is one subnormal ulp from it
+    _assert_convolution_paths_agree(1, 1, {0: 5e-324}, np.array([1.5, 1.5]))
+
+
+def _assert_convolution_paths_agree(model, n, taps, values):
     ground = GroundSet(n)
     h = filters.Filter.from_taps(ground, taps)
     signal = SetFunction.wrap(ground, values)
@@ -136,7 +186,13 @@ def test_direct_and_spectral_convolution_agree(model, data, n):
     spectral = filters.convolve(model, h, signal, path="spectral").values
     # every output and every partial sum of either path is at most this
     scale = sum(abs(w) for w in taps.values()) * float(np.abs(values).sum())
-    assert float(np.abs(direct - spectral).max()) <= 1e-12 * scale
+    # A product that underflows is off by up to half a subnormal ulp
+    # (2**-1074) absolutely, which no relative bound covers; additions of
+    # subnormals are exact.  That is one product per tap on the direct path,
+    # and on the spectral path one per frequency, which the inverse's n
+    # stages sum with weights of magnitude at most 1.
+    underflow = (len(taps) + (1 << n)) * 2.0**-1074
+    assert float(np.abs(direct - spectral).max()) <= 1e-12 * scale + underflow
 
 
 # Small n, plus the edges of the narrow mask types eval_sparse_many uses.

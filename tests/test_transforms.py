@@ -196,6 +196,12 @@ def test_batched_transform_matches_columns():
         assert np.array_equal(batched[:, j], col)
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_batched_transform_of_no_columns(model):
+    for direction in DIRECTIONS:
+        assert dsft_inplace(np.zeros((1 << 17, 0)), model, direction) == 0
+
+
 def test_inplace_requires_float64():
     with pytest.raises(ValueError, match="float64"):
         dsft_inplace(np.zeros(4, dtype=np.float32), 1)
