@@ -85,24 +85,22 @@ SCHEDULES = [(2, 1, 0), (3, 1, 1), (4, 2, 4), (5, 2, 6)]
 
 
 @pytest.mark.parametrize("model,direction", PAIRS)
-@pytest.mark.parametrize("schedule", SCHEDULES)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data(), n=st.integers(0, 8), columns=st.integers(0, 3))
-def test_blocked_transform_is_the_plain_butterfly(model, direction, schedule, data, n,
-                                                  columns):
+def test_blocked_transform_is_the_plain_butterfly(model, direction, data, n, columns):
     shape = (1 << n, columns) if columns else (1 << n,)
     values = data.draw(arrays(np.float64, shape, elements=VALUES))
-    got = values.copy()
-    block_bits, split_bits, chunk_bits = schedule
-    with mock.patch.multiple(transforms, _BLOCK_BITS=block_bits, _SPLIT_BITS=split_bits,
-                             _CHUNK_BITS=chunk_bits):
-        additions = dsft_inplace(got, model, direction)
-    assert additions == n * (values.size // 2) * (2 if model == 5 else 1)
     cols = values.reshape(1 << n, -1)
     want = np.column_stack(
         [butterfly_reference(model, direction, cols[:, j].tolist(), n) for j in range(cols.shape[1])]
-    )
-    assert _same_bits(got, want.reshape(shape))
+    ).reshape(shape)
+    for block_bits, split_bits, chunk_bits in SCHEDULES:
+        got = values.copy()
+        with mock.patch.multiple(transforms, _BLOCK_BITS=block_bits, _SPLIT_BITS=split_bits,
+                                 _CHUNK_BITS=chunk_bits):
+            additions = dsft_inplace(got, model, direction)
+        assert additions == n * (values.size // 2) * (2 if model == 5 else 1)
+        assert _same_bits(got, want)
 
 
 @pytest.mark.parametrize("model,direction", PAIRS)
