@@ -14,6 +14,8 @@ from .core import (
     GroundSet,
     SetFunction,
     SparseSetFunction,
+    SparseSpectrum,
+    SparseSupport,
     Spectrum,
     is_subset,
     popcount,
@@ -59,20 +61,14 @@ from .coverage import (
     pairwise_mutual_information,
 )
 from .compression import (
-    BandlimitedApprox,
     SetFunctionOracle,
     compress_band,
     dsft4_coefficient_by_queries,
     estimate_relative_error,
     estimate_relative_errors,
-    eval_bandlimited,
-    eval_bandlimited_many,
     wht_regression,
 )
 from .sampling import (
-    SparseSpectrum4,
-    SparseSupport,
-    eval_sparse,
     eval_sparse_many,
     reconstruct,
     sampling_indices,

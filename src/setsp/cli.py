@@ -10,9 +10,11 @@ Oracle specs follow the grammar `kind:params`:
 
     file:PATH                 dense or sparse set-function file
     gaussian:COV.csv          joint entropy of the covariance (CSV)
-    bandlimited:SPEC.setfn    sparse model-4/5 coefficients, evaluated lazily
-    sparse4:SPEC.setfn        sparse model-4 spectrum
-    synthetic-sparse:n=20,k=60,seed=7   generator-backed sparse bidder
+    bandlimited:SPEC.setfn    sparse spectrum file of any model, evaluated lazily
+    sparse4:SPEC.setfn        the same
+    synthetic-sparse:n=20,k=60,seed=7   generator-backed sparse model-4 bidder
+
+`error --approx` takes a sparse spectrum file of any model as well.
 """
 
 from __future__ import annotations
@@ -65,7 +67,12 @@ def parse_oracle_spec(text: str) -> SetFunctionOracle:
         opts = {}
         for item in params.split(","):
             key, _, value = item.partition("=")
-            opts[key.strip()] = int(value)
+            key = key.strip()
+            if key not in ("n", "k", "seed"):
+                raise ValueError(f"synthetic-sparse oracle has no key {key!r}")
+            if key in opts:
+                raise ValueError(f"synthetic-sparse oracle repeats key {key!r}")
+            opts[key] = int(value)
         for key in ("n", "k", "seed"):
             if key not in opts:
                 raise ValueError(f"synthetic-sparse oracle needs {key}=...")
@@ -205,7 +212,7 @@ def cmd_error(args) -> int:
     )
     elapsed = time.perf_counter() - started
     row = ExperimentRow(
-        "sparse4-eval", oracle.ground.n, f"k={len(spec.support)}", args.probes,
+        f"sparse{spec.model}-eval", oracle.ground.n, f"k={len(spec.support)}", args.probes,
         args.seed, RNG_ALGORITHM, oracle.queries, err, elapsed,
     )
     _write_csv(args.out, [row], args.timing)

@@ -10,14 +10,13 @@ these sums need for every |B| <= m are exactly the sets N \\ D, |D| <= m, so
 `compress_band` queries them in one batch, once each, and forms every sum
 from that memo.
 
-The WHT baseline estimates model-5 coefficients on the same frequency band by
-least squares over randomly sampled signal values, and `estimate_relative_errors`
-Monte-Carlo-probes approximations against one pass of oracle queries.
+The WHT baseline fits model-5 coefficients on the same band by least squares
+over randomly sampled values.  Both give a `core.SparseSpectrum`, evaluated by
+`sampling.eval_sparse_many`; `estimate_relative_errors` scores evaluators by
+Monte-Carlo probes against one pass of oracle queries.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,20 +24,16 @@ from .core import (
     GroundSet,
     SetFunction,
     SparseSetFunction,
-    check_model,
+    SparseSpectrum,
+    SparseSupport,
     popcount,
     subsets_of_cardinality_at_most,
 )
-from .transforms import INVERSE, _closed_entries, _closed_form
+from .transforms import INVERSE, _closed_entries
 
 # Subset sampling uses numpy's seeded PCG64 generator; the identifier is
 # recorded in CSV output for reproducibility.
 RNG_ALGORITHM = "pcg64"
-
-# Probes per block of `eval_bandlimited_many`: its masks, buffers, parity
-# signs and slice of the output take 33 bytes per probe for n <= 32, so
-# 2**16 probes (2.1 MiB) stay in L2 while the support is swept over them.
-_EVAL_CHUNK = 1 << 16
 
 
 class SetFunctionOracle:
@@ -100,30 +95,6 @@ def _distinct(masks: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray | No
     return points, slot[masks]
 
 
-@dataclass(frozen=True)
-class BandlimitedApprox:
-    """Spectral coefficients on an explicit frequency support."""
-
-    ground: GroundSet
-    model: int
-    support: np.ndarray  # frequency masks, distinct
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        check_model(self.model)
-        support = np.asarray(self.support, dtype=np.int64)
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if support.ndim != 1 or support.shape != coeffs.shape:
-            raise ValueError("support and coeffs must be aligned 1-d arrays")
-        if np.unique(support).size != support.size:
-            raise ValueError("support entries must be distinct")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __len__(self) -> int:
-        return int(self.support.size)
-
-
 def _submasks(B: int):
     """All C subseteq B, empty set first, then descending submask order."""
     yield 0
@@ -152,7 +123,7 @@ def dsft4_coefficient_by_queries(
     return total
 
 
-def compress_band(oracle: SetFunctionOracle, m: int) -> BandlimitedApprox:
+def compress_band(oracle: SetFunctionOracle, m: int) -> SparseSpectrum:
     """Model-4 band-limited approximation of order m.
 
     The support is every frequency B with |B| <= m in (cardinality, mask)
@@ -161,71 +132,14 @@ def compress_band(oracle: SetFunctionOracle, m: int) -> BandlimitedApprox:
     oracle sees each of N, N\\{x}, N\\{x,y}, ... exactly once, in one batch,
     and each coefficient is the sum that function forms.
     """
-    support = subsets_of_cardinality_at_most(oracle.ground, m)
-    sets = oracle.ground.full_mask ^ support
+    support = SparseSupport(oracle.ground, subsets_of_cardinality_at_most(oracle.ground, m))
+    sets = oracle.ground.full_mask ^ support.freqs
     memo = dict(zip(sets.tolist(), oracle.query_many(sets).tolist()))
-    coeffs = np.array(
-        [dsft4_coefficient_by_queries(oracle, int(B), memo) for B in support]
-    )
-    return BandlimitedApprox(oracle.ground, 4, support, coeffs)
+    coeffs = [dsft4_coefficient_by_queries(oracle, int(B), memo) for B in support.freqs]
+    return SparseSpectrum(support, 4, coeffs)
 
 
-def eval_bandlimited(approx: BandlimitedApprox, A: int) -> float:
-    """sum of coeff_B * f^B_A over the support: `eval_bandlimited_many` at A."""
-    A = approx.ground.check_mask(A)
-    return float(eval_bandlimited_many(approx, np.array([A]))[0])
-
-
-def eval_bandlimited_many(approx: BandlimitedApprox, masks) -> np.ndarray:
-    """`eval_bandlimited` at each mask of an array of any shape.
-
-    Each probe A sums c_B * f^B_A from +0.0 in support order, with f^B_A =
-    scale * [A & T == want] * (-1)**|A & B| and T = B or N \\ B
-    (`transforms._closed_form`).  Under a condition (-1)**|want| folds into
-    c_B, leaving (-1)**|A| for T = N \\ B; model 5 keeps (-1)**|A & B|.
-    Probes run in blocks of `_EVAL_CHUNK`, narrowed to the smallest type that
-    holds 2**n - 1.  Terms are branch-free: [condition] * c_B (an infinite
-    c_B still gives nan), its sign bit flipped by the parity, an exact
-    product by -1.  A zero term's sign is immaterial: the sum is never -0.0.
-    """
-    complement, want, scale = _closed_form(approx.model, INVERSE)
-    ground = approx.ground
-    narrow = np.min_scalar_type(ground.full_mask)
-    tests = approx.support ^ ground.full_mask if complement else approx.support
-    targets = tests if want == "all" else np.zeros_like(tests)
-    coeffs = approx.coeffs * scale**ground.n
-    coeffs = np.where(popcount(targets) & 1, -coeffs, coeffs)
-    coeffs = coeffs.view(np.uint64) if want is None else coeffs
-    terms = list(zip(tests.astype(narrow), targets.astype(narrow), coeffs))
-
-    masks = np.asarray(masks, dtype=np.int64)
-    flat = masks.ravel()
-    out = np.zeros(flat.size)
-    width = min(_EVAL_CHUNK, flat.size)
-    hit, cond, term = np.empty(width, narrow), np.empty(width, bool), np.empty(width)
-    for start in range(0, flat.size, _EVAL_CHUNK):
-        probes = flat[start : start + _EVAL_CHUNK].astype(narrow)
-        acc = out[start : start + _EVAL_CHUNK]
-        h, m, t = hit[: probes.size], cond[: probes.size], term[: probes.size]
-        bits = t.view(np.uint64)
-        if complement:  # (-1)**|A|, as the sign bit
-            signs = np.bitwise_count(probes).astype(np.uint64) << np.uint64(63)
-        for T, target, c in terms:
-            np.bitwise_and(probes, T, out=h)
-            if want is None:
-                np.bitwise_count(h, out=bits)
-                np.left_shift(bits, 63, out=bits)
-                np.bitwise_xor(bits, c, out=bits)
-            else:
-                np.equal(h, target, out=m)
-                np.multiply(m, c, out=t)
-                if complement:
-                    np.bitwise_xor(bits, signs, out=bits)
-            np.add(acc, t, out=acc)
-    return out.reshape(masks.shape)
-
-
-def wht_regression(samples, support, ground: GroundSet) -> BandlimitedApprox:
+def wht_regression(samples, support: SparseSupport) -> SparseSpectrum:
     """Model-5 coefficients on `support` by least squares on sampled values.
 
     `samples` is a sequence of (mask, value) pairs with distinct masks.  The
@@ -239,12 +153,11 @@ def wht_regression(samples, support, ground: GroundSet) -> BandlimitedApprox:
     values = np.array([v for _, v in samples], dtype=np.float64)
     if np.unique(sample_masks).size != sample_masks.size:
         raise ValueError("sample masks must be distinct")
-    support = np.asarray(support, dtype=np.int64)
     design = _closed_entries(
-        5, INVERSE, sample_masks[:, None], support[None, :], ground.n
+        5, INVERSE, sample_masks[:, None], support.freqs[None, :], support.ground.n
     )
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
-    return BandlimitedApprox(ground, 5, support, coeffs)
+    return SparseSpectrum(support, 5, coeffs)
 
 
 def estimate_relative_error(
@@ -261,13 +174,13 @@ def estimate_relative_errors(
 
     Draws `m_samples` masks uniformly with replacement (seeded PCG64),
     queries the oracle there once, and returns ||s_C - s'_C||_2 / ||s_C||_2
-    for each evaluator, in order.  An evaluator is a BandlimitedApprox or any
-    callable mapping a mask array to approximate values; like the oracle's
-    batch function, its value at a mask must not depend on the rest of the
-    batch, since with m_samples >= 2**n it sees each distinct probe once.  A
-    nan or +-inf value on either side raises ValueError, naming the first
-    probe in draw order that returned one and, for an approximation, the
-    evaluator's index.
+    for each evaluator, in order.  An evaluator is a callable mapping a mask
+    array to approximate values, such as `sampling.eval_sparse_many` bound to
+    a spectrum; like the oracle's batch function, its value at a mask must
+    not depend on the rest of the batch, since with m_samples >= 2**n it
+    sees each distinct probe once.  A nan or +-inf value on either side
+    raises ValueError, naming the first probe in draw order that returned
+    one and, for an approximation, the evaluator's index.
     """
     evaluators = list(evaluators)
     if not evaluators:
@@ -285,10 +198,7 @@ def estimate_relative_errors(
     points, inverse = _distinct(probes, size)
     errors = []
     for index, evaluate in enumerate(evaluators):
-        if isinstance(evaluate, BandlimitedApprox):
-            approx_values = eval_bandlimited_many(evaluate, points)
-        else:
-            approx_values = np.asarray(evaluate(points), dtype=np.float64)
+        approx_values = np.asarray(evaluate(points), dtype=np.float64)
         if inverse is not None:
             approx_values = approx_values[inverse]
         _check_finite("approximation", probes, approx_values, f" (evaluator {index})")

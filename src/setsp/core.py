@@ -216,6 +216,69 @@ class Spectrum:
         return float(self.coeffs[self.ground.check_mask(mask)])
 
 
+def _support_order(freqs: np.ndarray) -> np.ndarray:
+    """The permutation that sorts masks by (cardinality, mask) ascending."""
+    return np.lexsort((freqs, popcount(freqs)))
+
+
+def _first_bad(what: str, values: np.ndarray, bad: np.ndarray) -> None:
+    if bad.any():
+        raise ValueError(f"{what} {values[bad][0]} at position {np.flatnonzero(bad)[0]}")
+
+
+@dataclass(frozen=True)
+class SparseSupport:
+    """Distinct frequency masks sorted by (cardinality, mask) ascending.
+
+    Sums over a sparse spectrum run in this order, so each of them has one
+    set of bits however the support was given.  The order also makes
+    T_ij = [B_j subseteq B_i] lower triangular with a unit diagonal, which
+    `sampling.reconstruct` relies on.
+    """
+
+    ground: GroundSet
+    freqs: np.ndarray
+
+    def __post_init__(self):
+        given = np.asarray(self.freqs)
+        if given.ndim != 1:
+            raise ValueError("support must be a 1-d mask array")
+        if given.dtype.kind == "f":
+            bad = ~np.isfinite(given) | (np.trunc(given) != given)
+            _first_bad("non-integer support mask", given, bad)
+        freqs = given.astype(np.int64)
+        if freqs.size and (freqs.min() < 0 or freqs.max() >= self.ground.size):
+            raise ValueError(f"support masks out of range for n={self.ground.n}")
+        if np.unique(freqs).size != freqs.size:
+            raise ValueError("duplicate support entries")
+        freqs = freqs[_support_order(freqs)]
+        freqs.setflags(write=False)
+        object.__setattr__(self, "freqs", freqs)
+
+    def __len__(self) -> int:
+        return int(self.freqs.size)
+
+
+@dataclass(frozen=True)
+class SparseSpectrum:
+    """Finite Fourier coefficients of one of the five models on a sparse
+    support, aligned with `support.freqs`; absent frequencies read as zero."""
+
+    support: SparseSupport
+    model: int
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        check_model(self.model)
+        coeffs = _frozen_array(self.coeffs, len(self.support), copy=True)
+        _first_bad("non-finite coefficient", coeffs, ~np.isfinite(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def ground(self) -> GroundSet:
+        return self.support.ground
+
+
 def masks_by_cardinality(ground: GroundSet):
     """Every mask, lazily, in (cardinality, mask) ascending order.
 

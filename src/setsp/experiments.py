@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import (
     GroundSet,
     SetFunction,
+    SparseSpectrum,
     is_subset,
     popcount,
     subsets_of_cardinality_at_most,
@@ -43,7 +45,7 @@ from .compression import (
     wht_regression,
 )
 from .sampling import (
-    SparseSpectrum4,
+    eval_sparse_many,
     lattice_norms,
     oracle_from_sparse_spectrum,
     random_nonempty_masks,
@@ -143,13 +145,12 @@ def score_compression(
     rng = np.random.default_rng(seed)
     sample_masks = rng.choice(ground.size, size=wht_samples, replace=False)
     sample_values = oracle.query_many(sample_masks)
-    wht = wht_regression(
-        zip(sample_masks.tolist(), sample_values.tolist()), band.support, ground
-    )
+    wht = wht_regression(zip(sample_masks.tolist(), sample_values.tolist()), band.support)
     wht_queries, wht_time = oracle.queries - before, time.perf_counter() - started
 
     started = time.perf_counter()
-    band_error, wht_error = estimate_relative_errors(oracle, [band, wht], probes, seed=seed)
+    evaluators = [partial(eval_sparse_many, fit) for fit in (band, wht)]
+    band_error, wht_error = estimate_relative_errors(oracle, evaluators, probes, seed=seed)
     scoring_time = time.perf_counter() - started
     rows = (
         ExperimentRow("dsft4-band", ground.n, f"order={order}", probes, seed, RNG_ALGORITHM,
@@ -187,7 +188,7 @@ def random_bidder_pool(
 
 def pool_bidder(pool: BidderPool, rng: np.random.Generator, *,
                 include_prob: float = 0.5, jitter_sigma: float = 0.25,
-                empty_factor: float = 1.5) -> SparseSpectrum4:
+                empty_factor: float = 1.5) -> SparseSpectrum:
     """Draw one bidder: each nonempty pool frequency enters independently,
     with coefficient base_magnitude * lognormal jitter * random sign; the
     empty-set coefficient is empty_factor * sum|coeffs| (dominant)."""

@@ -1,4 +1,4 @@
-"""Sparse-spectrum sampling and reconstruction for model 4.
+"""Sparse spectra: evaluation for all five models, and model-4 sampling.
 
 If a set function is model-4 Fourier sparse with known support {B_1..B_k}
 (sorted by cardinality then mask), querying it at A_i = N \\ B_i yields a
@@ -13,118 +13,51 @@ matrix depends only on the support, so `reconstruct` solves any number of
 oracles on one support with one substitution, one right-hand side each, and
 every right-hand side gets the bits it would get alone.
 
-Evaluating a sparse spectrum at a subset A is the model-4 inverse restricted
-to the support: s_A = sum of the coefficients at frequencies disjoint from A.
-A frequency B can be disjoint from A only if |A| + |B| <= n, so the batched
-evaluator never visits the probes too large for B.  Every evaluator here
-forms the sum the same way, adding the terms one at a time in support order
-onto +0.0, so the scalar and the batched path return the same bits for every
-mask, whichever probes a term skips.
+A sparse spectrum of any of the five models evaluates as its inverse
+transform restricted to the support (`eval_sparse_many`); the compression
+band and the sampling support are both such spectra.
 
-Norms over the whole lattice need no lattice either: the basis vectors
-f^B_A = [A & B == 0] have the Gram matrix <f^B, f^C> = 2**(n - |B | C|), so
-the l2 norm of a sparse spectrum is a quadratic form on its support
+Norms over the whole lattice need no lattice either: the model-4 basis
+vectors f^B_A = [A & B == 0] have the Gram matrix <f^B, f^C> = 2**(n - |B | C|),
+so the l2 norm of a sparse spectrum is a quadratic form on its support
 (`lattice_norms`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    DENSE_MAX_N,
     GroundSet,
-    SetFunction,
-    Spectrum,
+    SparseSpectrum,
+    SparseSupport,
+    _support_order,
     is_subset,
     masks_by_cardinality,
     popcount,
 )
 from .compression import SetFunctionOracle
 from . import io as setfn_io
-from .transforms import INVERSE, dsft_inplace
+from .transforms import INVERSE, _closed_form
 
 
 # Probes per block of `eval_sparse_many`: the block's masks and cardinalities,
-# its hit and disjointness buffers and its slice of the output take at most
-# 18 bytes per probe for n <= 32, so 2**16 probes (1.1 MiB) stay in a 2 MiB
-# L2 while the support is swept over them.
+# its hit, disjointness and term buffers and its slice of the output take at
+# most 26 bytes per probe for n <= 32, so 2**16 probes (1.7 MiB) stay in a
+# 2 MiB L2 while the support is swept over them.
 _EVAL_CHUNK = 1 << 16
+# Frequencies with |T| at least this add their coefficient through
+# `np.add(..., where=)`, the others as a 0/1 product then a full add.  The
+# masked add gets cheaper as the hit rate 2**-|T| falls, and the product
+# costs the same at every rate: per 2**16-probe block at n=20, 635 against
+# 107 us at |T| = 1, 73 against 88 us at |T| = 5 and 50 against 95 at 6
+# (2-vCPU Xeon, numpy 2.4.6).
+_MASKED_ADD_MIN_CARD = 5
 # Rows of `reconstruct`'s inclusion pattern built at once: a k=500 support
 # takes two blocks, and a 2**16 one holds 16 MiB of it at a time, not 4 GiB.
 _RECONSTRUCT_ROWS = 256
-
-
-def _support_order(freqs: np.ndarray) -> np.ndarray:
-    """The permutation that sorts masks by (cardinality, mask) ascending."""
-    return np.lexsort((freqs, popcount(freqs)))
-
-
-@dataclass(frozen=True)
-class SparseSupport:
-    """Distinct frequency masks sorted by (cardinality, mask) ascending.
-
-    The sort order makes T_ij = [B_j subseteq B_i] lower triangular with a
-    unit diagonal, which is what `reconstruct` relies on.
-    """
-
-    ground: GroundSet
-    freqs: np.ndarray
-
-    def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=np.int64)
-        if freqs.ndim != 1:
-            raise ValueError("support must be a 1-d mask array")
-        if freqs.size and (freqs.min() < 0 or freqs.max() >= self.ground.size):
-            raise ValueError(f"support masks out of range for n={self.ground.n}")
-        if np.unique(freqs).size != freqs.size:
-            raise ValueError("duplicate support entries")
-        freqs = freqs[_support_order(freqs)]
-        freqs.setflags(write=False)
-        object.__setattr__(self, "freqs", freqs)
-
-    def __len__(self) -> int:
-        return int(self.freqs.size)
-
-
-@dataclass(frozen=True)
-class SparseSpectrum4:
-    """Model-4 coefficients aligned with a sparse support."""
-
-    support: SparseSupport
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if coeffs.shape != self.support.freqs.shape:
-            raise ValueError("coeffs must align with the support")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def ground(self) -> GroundSet:
-        return self.support.ground
-
-    def _dense_coeffs(self) -> np.ndarray:
-        if self.ground.n > DENSE_MAX_N:
-            raise ValueError(
-                f"densifying needs n <= DENSE_MAX_N = {DENSE_MAX_N}, got n={self.ground.n}"
-            )
-        dense = np.zeros(self.ground.size)
-        dense[self.support.freqs] = self.coeffs
-        return dense
-
-    def to_spectrum(self) -> Spectrum:
-        """Densify (n <= DENSE_MAX_N)."""
-        return Spectrum.wrap(self.ground, 4, self._dense_coeffs())
-
-    def to_setfunction(self) -> SetFunction:
-        """Densify and invert (n <= DENSE_MAX_N)."""
-        dense = self._dense_coeffs()
-        dsft_inplace(dense, 4, INVERSE)
-        return SetFunction.wrap(self.ground, dense)
 
 
 def sampling_indices(support: SparseSupport) -> np.ndarray:
@@ -132,88 +65,100 @@ def sampling_indices(support: SparseSupport) -> np.ndarray:
     return support.ground.full_mask ^ support.freqs
 
 
-def eval_sparse(spectrum: SparseSpectrum4, A: int) -> float:
-    """sum of coefficients at frequencies disjoint from A; O(k).
-
-    The sum runs sequentially from +0.0 in support order (a cumulative sum,
-    not numpy's pairwise `sum`), so it returns the bits `eval_sparse_many`
-    returns for A.
-    """
-    A = spectrum.ground.check_mask(A)
-    terms = spectrum.coeffs[(spectrum.support.freqs & A) == 0]
-    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
-
-
-def eval_sparse_many(spectrum: SparseSpectrum4, masks) -> np.ndarray:
-    """Vectorized `eval_sparse` over an array of subset masks, any shape.
+def eval_sparse_many(spectrum: SparseSpectrum, masks) -> np.ndarray:
+    """The set function of a sparse spectrum at an array of masks, any shape.
 
     Masks outside [0, 2**n) raise ValueError before any work, as in
-    `eval_sparse` and `SetFunctionOracle.query_many`.
-
-    A probe A can be disjoint from a frequency B only if |A| + |B| <= n.  So
-    the probes are sorted once by cardinality (a stable sort on uint8 keys),
-    and since the support ascends in cardinality, each frequency B sweeps
-    only the prefix of each block whose probes have |A| <= n - |B|; the sums
-    are scattered back through the permutation.  The probes run in blocks of
-    `_EVAL_CHUNK` that stay in L2; within a block the support is swept in
-    order, and each frequency adds its coefficient to the probes disjoint
-    from it, through preallocated buffers.  Every probe thus sums the same
-    terms in the same order as a loop over the whole support would, so the
-    bits do not move.  Skipping a non-disjoint term instead of adding 0.0 is
-    exact: the accumulator starts at +0.0 and cannot become -0.0, and x + 0.0
-    is x for every other x, inf and nan included.
-
-    The masks are narrowed to the smallest unsigned type that holds 2**n - 1
-    (2 to 8 times fewer bytes per mask pass for n <= 32).
+    `SetFunctionOracle.query_many`.  Each probe A sums c_B * f^B_A from +0.0
+    in support order, with f^B_A = scale**n * (-1)**|A & B| * [condition]
+    (`transforms._closed_form`).  Under models 1-4 the condition is
+    P & T == 0, with P = A or N \\ A and T = B or N \\ B, and the sign is
+    (-1)**|T| when P = N \\ A, folded into c_B, times (-1)**|A| when
+    T = N \\ B, applied once per probe at the end as a sign-bit flip
+    followed by + 0.0, so that no -0.0 appears (negating every term of a sum
+    negates the sum exactly).  P and T can be disjoint only if
+    |P| + |T| <= n, so the probes P are sorted once by cardinality, and each
+    run of frequencies with one |T| sweeps only the prefix of each block of
+    `_EVAL_CHUNK` probes (which stays in L2) with |P| <= n - |T|.  A failed
+    term is skipped or added as 0 * c_B = +-0.0; neither moves a bit, since
+    the sum starts at +0.0 and cannot become -0.0.  Model 5 adds every c_B,
+    its sign bit flipped by the parity of |A & B|.
     """
-    ground = spectrum.ground
+    ground, n = spectrum.ground, spectrum.ground.n
     masks = np.asarray(masks, dtype=np.int64)
     flat = masks.ravel()
     bad = (flat < 0) | (flat >= ground.size)
     if bad.any():
-        raise ValueError(f"mask {flat[bad][0]} out of range for n={ground.n}")
-    narrow = np.min_scalar_type(ground.full_mask)
-    cards = np.bitwise_count(flat).astype(np.uint8)
+        raise ValueError(f"mask {flat[bad][0]} out of range for n={n}")
+    complement, want, scale = _closed_form(spectrum.model, INVERSE)
+    full = ground.full_mask
+    tests = spectrum.support.freqs ^ full if complement else spectrum.support.freqs
+    coeffs = spectrum.coeffs * scale**n
+    if want == "all":
+        coeffs = np.where(popcount(tests) & 1, -coeffs, coeffs)
+    narrow = np.min_scalar_type(full)
+    probes = flat ^ full if want == "all" else flat
+    cards = np.bitwise_count(probes).astype(np.uint8)
     order = np.argsort(cards, kind="stable")
     cards = cards[order]
-    sorted_probes = flat[order].astype(narrow)
+    sorted_probes = probes[order].astype(narrow)
     acc_sorted = np.zeros(flat.size)
     width = min(_EVAL_CHUNK, flat.size)
-    hit = np.empty(width, dtype=narrow)
-    disjoint = np.empty(width, dtype=bool)
-    terms = list(zip(spectrum.support.freqs.astype(narrow), spectrum.coeffs.tolist()))
-    # runs of terms with one room n - |B|; the room shrinks along the support
-    rooms = ground.n - popcount(spectrum.support.freqs)
-    starts = np.flatnonzero(np.diff(rooms, prepend=-1)).tolist()
-    runs = [(int(rooms[a]), terms[a:b]) for a, b in zip(starts, [*starts[1:], len(terms)])]
-    cutoffs = np.arange(ground.n + 1, dtype=np.uint8)
+    hit, disjoint, term = np.empty(width, narrow), np.empty(width, bool), np.empty(width)
+    terms = list(zip(tests.astype(narrow),
+                     coeffs.view(np.uint64) if want is None else coeffs.tolist()))
+    # runs of terms with one |T|, which reach the probes |P| <= n - |T|
+    sizes = popcount(tests) if want else np.zeros(tests.size, dtype=np.int64)
+    starts = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()
+    runs = [(int(sizes[a]), terms[a:b]) for a, b in zip(starts, [*starts[1:], len(terms)])]
+    cutoffs = np.arange(n + 1, dtype=np.uint8)
     for start in range(0, flat.size, _EVAL_CHUNK):
         stop = start + _EVAL_CHUNK
-        # limit[r]: how many probes of this block have |A| <= r
+        # limit[r]: how many probes of this block have |P| <= r
         limit = np.searchsorted(cards[start:stop], cutoffs, side="right").tolist()
-        for room, run in runs:
-            w = limit[room]
+        for size, run in runs:
+            w = limit[n - size]
             if not w:
-                break
-            probes, acc = sorted_probes[start : start + w], acc_sorted[start : start + w]
-            h, d = hit[:w], disjoint[:w]
-            for B, c in run:
-                np.bitwise_and(probes, B, out=h)
-                np.logical_not(h, out=d)
-                np.add(acc, c, out=acc, where=d)
+                continue
+            P, acc = sorted_probes[start : start + w], acc_sorted[start : start + w]
+            h, d, t = hit[:w], disjoint[:w], term[:w]
+            if want is None:
+                bits = t.view(np.uint64)
+                for T, c in run:
+                    np.bitwise_and(P, T, out=h)
+                    np.bitwise_count(h, out=bits)
+                    np.left_shift(bits, 63, out=bits)
+                    np.bitwise_xor(bits, c, out=bits)
+                    np.add(acc, t, out=acc)
+            elif size >= _MASKED_ADD_MIN_CARD:
+                for T, c in run:
+                    np.bitwise_and(P, T, out=h)
+                    np.logical_not(h, out=d)
+                    np.add(acc, c, out=acc, where=d)
+            else:
+                for T, c in run:
+                    np.bitwise_and(P, T, out=h)
+                    np.logical_not(h, out=d)
+                    np.multiply(d, c, out=t)
+                    np.add(acc, t, out=acc)
     out = np.empty(flat.size)
     out[order] = acc_sorted
+    if complement:
+        bits = out.view(np.uint64)
+        bits ^= np.bitwise_count(flat).astype(np.uint64) << np.uint64(63)
+        out += 0.0
     return out.reshape(masks.shape)
 
 
-def oracle_from_sparse_spectrum(spectrum: SparseSpectrum4) -> SetFunctionOracle:
+def oracle_from_sparse_spectrum(spectrum: SparseSpectrum) -> SetFunctionOracle:
     return SetFunctionOracle(spectrum.ground, lambda masks: eval_sparse_many(spectrum, masks))
 
 
-def reconstruct(oracles, support: SparseSupport) -> SparseSpectrum4 | list[SparseSpectrum4]:
-    """Recover the coefficients on `support` from exactly k queries per oracle.
+def reconstruct(oracles, support: SparseSupport) -> SparseSpectrum | list[SparseSpectrum]:
+    """Recover the model-4 coefficients on `support` from exactly k queries
+    per oracle.
 
-    `oracles` is one oracle, which gives one SparseSpectrum4, or a sequence
+    `oracles` is one oracle, which gives one SparseSpectrum, or a sequence
     of oracles on the support's ground set, which gives a list of them in
     the same order.  Each oracle is queried at N \\ B_i, and one forward
     substitution (`_forward_substitution`) solves all of them at once.
@@ -229,7 +174,7 @@ def reconstruct(oracles, support: SparseSupport) -> SparseSpectrum4 | list[Spars
     for t, oracle in enumerate(oracles):
         values[:, t] = oracle.query_many(queries)
     coeffs = _forward_substitution(support.freqs, values)
-    spectra = [SparseSpectrum4(support, row) for row in coeffs.T]
+    spectra = [SparseSpectrum(support, 4, row) for row in coeffs.T]
     return spectra[0] if single else spectra
 
 
@@ -310,14 +255,11 @@ def select_support(training_spectra, k: int) -> SparseSupport:
         raise ValueError("select_support requires at least one training spectrum")
     ground = spectra[0].ground
     for sp in spectra:
-        if not isinstance(sp, SparseSpectrum4):
-            raise TypeError(
-                f"training spectra must be sparse model 4 (SparseSpectrum4), got {type(sp).__name__}"
-            )
+        if not isinstance(sp, SparseSpectrum) or sp.model != 4:
+            raise TypeError(f"training spectra must be sparse model 4, got a "
+                            f"model-{sp.model} {type(sp).__name__}")
         if sp.ground != ground:
             raise ValueError("training spectra must share a ground set")
-        if not np.isfinite(sp.coeffs).all():
-            raise ValueError("training coefficients must be finite")
     if not 0 <= k <= ground.size:
         raise ValueError(f"cannot select {k} of {ground.size} frequencies")
     union = np.unique(np.concatenate([sp.support.freqs for sp in spectra]))
@@ -344,7 +286,7 @@ def synthetic_sparse_spectrum(
     mag_low: float = 1e-3,
     mag_high: float = 1.0,
     empty_factor: float = 2.0,
-) -> SparseSpectrum4:
+) -> SparseSpectrum:
     """Random k-sparse model-4 spectrum standing in for an auction bidder.
 
     Picks k distinct nonempty frequencies (uniform over the powerset, or
@@ -380,8 +322,8 @@ def random_nonempty_masks(ground: GroundSet, k: int, rng: np.random.Generator) -
 
 def with_dominant_offset(
     ground: GroundSet, freqs: np.ndarray, coeffs: np.ndarray, empty_factor: float
-) -> SparseSpectrum4:
-    """The spectrum of `coeffs` at the distinct nonempty `freqs` plus the
+) -> SparseSpectrum:
+    """The model-4 spectrum of `coeffs` at the distinct nonempty `freqs` plus the
     empty-set coefficient empty_factor * sum|coeffs|, in support order.
 
     The offset dominates: every value of the set function is at least
@@ -390,30 +332,28 @@ def with_dominant_offset(
     freqs = np.concatenate(([0], freqs))
     coeffs = np.concatenate(([empty_factor * np.abs(coeffs).sum()], coeffs))
     order = _support_order(freqs)
-    return SparseSpectrum4(SparseSupport(ground, freqs[order]), coeffs[order])
+    return SparseSpectrum(SparseSupport(ground, freqs[order]), 4, coeffs[order])
 
 
-def save_sparse_spectrum(path, spectrum: SparseSpectrum4) -> None:
+def save_sparse_spectrum(path, spectrum: SparseSpectrum) -> None:
     pairs = [(int(B), float(c)) for B, c in zip(spectrum.support.freqs, spectrum.coeffs)]
-    setfn_io.write_entries(path, spectrum.ground.n, "sparse", 4, pairs)
+    setfn_io.write_entries(path, spectrum.ground.n, "sparse", spectrum.model, pairs)
 
 
-def load_sparse_spectrum(path) -> SparseSpectrum4:
+def load_sparse_spectrum(path) -> SparseSpectrum:
+    """A sparse spectrum file of any model."""
     rec = setfn_io.parse_setfn(path)
-    if rec.model != 4 or rec.kind != "sparse":
-        raise setfn_io.SetFnFormatError(path, 4, "expected a sparse model-4 spectrum")
+    if rec.model is None or rec.kind != "sparse":
+        raise setfn_io.SetFnFormatError(path, 4, "expected a sparse spectrum")
     order = _support_order(rec.masks)
-    return SparseSpectrum4(SparseSupport(rec.ground, rec.masks[order]), rec.values[order])
+    return SparseSpectrum(SparseSupport(rec.ground, rec.masks[order]), rec.model,
+                          rec.values[order])
 
 
 def save_support(path, support: SparseSupport) -> None:
     """Supports serialize as sparse model-4 files with unit coefficients."""
-    pairs = [(int(B), 1.0) for B in support.freqs]
-    setfn_io.write_entries(path, support.ground.n, "sparse", 4, pairs)
+    save_sparse_spectrum(path, SparseSpectrum(support, 4, np.ones(len(support))))
 
 
 def load_support(path) -> SparseSupport:
-    rec = setfn_io.parse_setfn(path)
-    if rec.model != 4 or rec.kind != "sparse":
-        raise setfn_io.SetFnFormatError(path, 4, "expected a sparse model-4 support file")
-    return SparseSupport(rec.ground, rec.masks)
+    return load_sparse_spectrum(path).support

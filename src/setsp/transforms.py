@@ -44,6 +44,8 @@ The elementary shifts of `filters.shift` are derived from the same kernels.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .core import (
@@ -150,6 +152,7 @@ def kernel(model: int, direction: str = FORWARD) -> np.ndarray:
     return _row(model, direction)[0].copy()
 
 
+@cache
 def _closed_form(model: int, direction: str) -> tuple[bool, str | None, float]:
     """(T is N \\ col, want, scale) of the closed-form matrix entries: the
     condition is row & T == T for want "all", row & T == 0 for "none", and

@@ -11,6 +11,7 @@ which the band does not reach.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from setsp.filters import (
 from setsp.compression import (
     compress_band,
     estimate_relative_error,
-    eval_bandlimited_many,
     wht_regression,
 )
 from setsp.coverage import (
@@ -51,6 +51,7 @@ from setsp.coverage import (
     pairwise_mutual_information,
 )
 from setsp.sampling import (
+    eval_sparse_many,
     oracle_from_sparse_spectrum,
     reconstruct,
     synthetic_sparse_spectrum,
@@ -325,21 +326,19 @@ def test_criterion_10_compression_experiment(tmp_path):
         band_oracle = entropy_oracle(model)
         band = compress_band(band_oracle, 2)
         budget = band_oracle.queries
-        queried = ground.full_mask & ~band.support
+        queried = ground.full_mask & ~band.support.freqs
         truth = entropy_oracle(model).query_many(queried)
         reproduction = float(
-            np.linalg.norm(eval_bandlimited_many(band, queried) - truth)
+            np.linalg.norm(eval_sparse_many(band, queried) - truth)
             / np.linalg.norm(truth)
         )
 
         rng = np.random.default_rng(seed)
         sample_masks = rng.choice(ground.size, size=budget, replace=False)
         sample_values = entropy_oracle(model).query_many(sample_masks)
-        wht = wht_regression(
-            zip(sample_masks.tolist(), sample_values.tolist()), band.support, ground
-        )
+        wht = wht_regression(zip(sample_masks.tolist(), sample_values.tolist()), band.support)
         wht_error_at_budget = estimate_relative_error(
-            entropy_oracle(model), wht, probes, seed=seed
+            entropy_oracle(model), partial(eval_sparse_many, wht), probes, seed=seed
         )
         results.append(
             (budget, reproduction, report.band_error, wht_error_at_budget, report.wht_error)

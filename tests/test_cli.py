@@ -5,10 +5,12 @@ import pytest
 
 from setsp import io as setfn_io
 from setsp.cli import main, parse_oracle_spec
-from setsp.core import GroundSet, SetFunction
+from setsp.core import GroundSet, SetFunction, Spectrum
 from setsp.coverage import GaussianModel
 from setsp.experiments import random_rbf_covariance
-from setsp.transforms import dsft
+from setsp.transforms import dsft, idsft
+
+from reference import bandlimited_eval_reference
 
 
 def _write_signal(path, values, n):
@@ -196,6 +198,38 @@ def test_oracle_spec_errors():
         parse_oracle_spec("gaussian")
     with pytest.raises(ValueError, match="seed"):
         parse_oracle_spec("synthetic-sparse:n=4,k=2")
+    for spec, message in (("n=6,k=5,seed=1,kk=9", "has no key 'kk'"),
+                          ("n=6,k=5,sed=1,seed=2", "has no key 'sed'"),
+                          ("n=6,k=5,seed=1,n=7", "repeats key 'n'"),
+                          ("n=6, k=5,seed=1,seed=1", "repeats key 'seed'")):
+        with pytest.raises(ValueError, match=message):
+            parse_oracle_spec(f"synthetic-sparse:{spec}")
+
+
+@pytest.mark.parametrize("model", [1, 3, 5])
+def test_sparse_spectrum_files_of_any_model(tmp_path, model):
+    # `bandlimited:` and `error --approx` evaluate the file's own model
+    g = GroundSet(8)
+    rng = np.random.default_rng(model)
+    freqs = rng.choice(g.size, size=40, replace=False)
+    coeffs = rng.standard_normal(40)
+    spec_path = tmp_path / "spec.setfn"
+    setfn_io.write_entries(spec_path, 8, "sparse", model, zip(freqs.tolist(), coeffs.tolist()))
+    got = parse_oracle_spec(f"bandlimited:{spec_path}").query_many(g.masks())
+    order = np.lexsort((freqs, np.bitwise_count(freqs)))
+    want = bandlimited_eval_reference(model, 8, freqs[order].tolist(), coeffs[order].tolist(),
+                                      g.masks().tolist())
+    assert got.tobytes() == np.array(want).tobytes()
+    dense = np.zeros(g.size)
+    dense[freqs] = coeffs
+    assert np.abs(got - idsft(model, Spectrum(g, model, dense)).values).max() <= 1e-12
+
+    truth = _write_signal(tmp_path / "truth.setfn", want, 8)
+    err_path = tmp_path / "err.csv"
+    assert main(["error", "--oracle", f"file:{truth}", "--approx", str(spec_path),
+                 "--probes", "500", "--seed", "2", "--out", str(err_path)]) == 0
+    row = err_path.read_text().splitlines()[1].split(",")
+    assert row[0] == f"sparse{model}-eval" and row[7] == "0.0"
 
 
 def test_synthetic_oracle_spec():

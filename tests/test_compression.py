@@ -5,26 +5,35 @@ import math
 import numpy as np
 import pytest
 
-from setsp.core import GroundSet, SetFunction, subsets_of_cardinality_at_most
+from functools import partial
+
+from setsp.core import (
+    GroundSet,
+    SetFunction,
+    SparseSpectrum,
+    SparseSupport,
+    subsets_of_cardinality_at_most,
+)
 from setsp.compression import (
-    BandlimitedApprox,
     SetFunctionOracle,
     compress_band,
     dsft4_coefficient_by_queries,
     estimate_relative_error,
     estimate_relative_errors,
-    eval_bandlimited,
-    eval_bandlimited_many,
     wht_regression,
 )
 from setsp.coverage import GaussianModel, entropy_setfunction
 from setsp.experiments import entropy_oracle, random_rbf_covariance
-from setsp.sampling import SparseSpectrum4, SparseSupport, oracle_from_sparse_spectrum
+from setsp.sampling import eval_sparse_many, oracle_from_sparse_spectrum
 from setsp.transforms import INVERSE, dsft, dsft_inplace
 
 
 def _dense_oracle(values, n):
     return SetFunctionOracle.from_setfunction(SetFunction(GroundSet(n), values))
+
+
+def _band(ground, model, freqs, coeffs):
+    return SparseSpectrum(SparseSupport(ground, freqs), model, coeffs)
 
 
 def test_coefficient_empty_set_is_one_query():
@@ -56,14 +65,14 @@ def test_coefficient_queries_are_one_batch_with_the_memoised_bits():
     rng = np.random.default_rng(23)
     n = 8
     freqs = np.unique(rng.integers(0, 1 << n, size=40))
-    truth = SparseSpectrum4(SparseSupport(GroundSet(n), freqs), rng.standard_normal(freqs.size))
+    truth = _band(GroundSet(n), 4, freqs, rng.standard_normal(freqs.size))
     memoised = compress_band(oracle_from_sparse_spectrum(truth), n)
     for B in (0, 0b1, 0b10110101, (1 << n) - 1):
         oracle = oracle_from_sparse_spectrum(truth)
         oracle.query = None  # only query_many may be asked
         got = dsft4_coefficient_by_queries(oracle, B)
         assert oracle.queries == 1 << bin(B).count("1")
-        want = memoised.coeffs[np.flatnonzero(memoised.support == B)[0]]
+        want = memoised.coeffs[np.flatnonzero(memoised.support.freqs == B)[0]]
         assert np.float64(got).tobytes() == want.tobytes()
 
     # a memo that holds some sets already: only the others are asked
@@ -75,7 +84,7 @@ def test_coefficient_queries_are_one_batch_with_the_memoised_bits():
     got = dsft4_coefficient_by_queries(oracle, B, memo)
     assert oracle.queries == (1 << 5) - len(held)
     assert len(memo) == 1 << 5
-    assert np.float64(got).tobytes() == memoised.coeffs[memoised.support == B].tobytes()
+    assert np.float64(got).tobytes() == memoised.coeffs[memoised.support.freqs == B].tobytes()
 
 
 @pytest.mark.parametrize("n", (1, 4, 8))
@@ -95,8 +104,8 @@ def test_compress_band_full_order_reproduces():
     n = 5
     values = rng.standard_normal(1 << n)
     approx = compress_band(_dense_oracle(values, n), n)
-    for A in (0, 3, 17, 31):
-        assert abs(eval_bandlimited(approx, A) - values[A]) < 1e-10
+    probes = np.array([0, 3, 17, 31])
+    assert np.abs(eval_sparse_many(approx, probes) - values[probes]).max() < 1e-10
 
 
 def test_compress_band_query_accounting():
@@ -107,7 +116,7 @@ def test_compress_band_query_accounting():
     approx = compress_band(oracle, 2)
     expected_distinct = 1 + n + n * (n - 1) // 2
     assert oracle.queries == expected_distinct
-    assert len(approx) == expected_distinct
+    assert len(approx.support) == expected_distinct
     assert approx.model == 4
 
 
@@ -122,18 +131,21 @@ def test_compress_band_wide_ground_set():
 
     oracle = SetFunctionOracle(g, lambda masks: np.array([modular(m) for m in masks.tolist()]))
     approx = compress_band(oracle, 2)
-    assert len(approx) == 1082
+    assert len(approx.support) == 1082
     assert oracle.queries == 1082
-    pair_coeffs = approx.coeffs[np.bitwise_count(approx.support) == 2]
+    pair_coeffs = approx.coeffs[np.bitwise_count(approx.support.freqs) == 2]
     assert np.abs(pair_coeffs).max() < 1e-9
 
 
 def test_eval_bandlimited_examples():
+    # the coefficients 2 at {} and 3 at {x1} under each model, at the four
+    # subsets of n=2: the columns of the inverse transform that they weigh
     g = GroundSet(2)
-    approx = BandlimitedApprox(g, 4, np.array([0, 1]), np.array([2.0, 3.0]))
-    assert eval_bandlimited(approx, 0b10) == 5.0
-    assert eval_bandlimited(approx, 0b11) == 2.0
-    assert eval_bandlimited_many(approx, np.array([2, 3])).tolist() == [5.0, 2.0]
+    want = {1: [0.0, 0.0, 3.0, -1.0], 2: [5.0, -3.0, 0.0, 0.0], 3: [2.0, -1.0, 2.0, -1.0],
+            4: [5.0, 2.0, 5.0, 2.0], 5: [1.25, -0.25, 1.25, -0.25]}
+    for model, values in want.items():
+        approx = _band(g, model, [0, 1], [2.0, 3.0])
+        assert eval_sparse_many(approx, np.arange(4)).tolist() == values
 
 
 @pytest.mark.parametrize("model", range(1, 6))
@@ -141,10 +153,10 @@ def test_scalar_and_batched_band_eval_agree_bitwise(model):
     g = GroundSet(10)
     support = subsets_of_cardinality_at_most(g, 2)
     coeffs = np.random.default_rng(model).standard_normal(support.size)
-    approx = BandlimitedApprox(g, model, support, coeffs)
+    approx = _band(g, model, support, coeffs)
     masks = g.masks()
-    scalar = np.array([eval_bandlimited(approx, int(A)) for A in masks])
-    assert scalar.tobytes() == eval_bandlimited_many(approx, masks).tobytes()
+    scalar = np.concatenate([eval_sparse_many(approx, [A]) for A in masks])
+    assert scalar.tobytes() == eval_sparse_many(approx, masks).tobytes()
 
 
 # SHA-256 of the output bytes, recorded from the support-loop evaluator that
@@ -162,15 +174,9 @@ def test_band_eval_golden_bits(model):
     support = subsets_of_cardinality_at_most(g, 2)
     coeffs = np.random.default_rng(5).standard_normal(support.size)
     masks = np.random.default_rng(6).integers(0, g.size, size=(300, 230))
-    out = eval_bandlimited_many(BandlimitedApprox(g, model, support, coeffs), masks)
+    out = eval_sparse_many(_band(g, model, support, coeffs), masks)
     assert out.shape == masks.shape
     assert hashlib.sha256(out.tobytes()).hexdigest() == BAND_EVAL_SHA256[model]
-
-
-def test_bandlimited_support_must_be_distinct():
-    g = GroundSet(2)
-    with pytest.raises(ValueError, match="distinct"):
-        BandlimitedApprox(g, 4, np.array([1, 1]), np.array([1.0, 2.0]))
 
 
 def test_wht_regression_square_system_is_exact():
@@ -179,10 +185,8 @@ def test_wht_regression_square_system_is_exact():
     g = GroundSet(n)
     values = rng.standard_normal(16)
     spec = dsft(5, SetFunction(g, values))
-    approx = wht_regression(
-        [(A, float(values[A])) for A in range(16)], np.arange(16), g
-    )
-    assert np.abs(approx.coeffs - spec.coeffs).max() < 1e-9
+    approx = wht_regression([(A, float(values[A])) for A in range(16)], SparseSupport(g, range(16)))
+    assert np.abs(approx.coeffs - spec.coeffs[approx.support.freqs]).max() < 1e-9
 
 
 def test_wht_regression_recovers_bandlimited():
@@ -194,12 +198,10 @@ def test_wht_regression_recovers_bandlimited():
     coeffs[support] = rng.standard_normal(support.size)
     signal = np.array(coeffs)
     dsft_inplace(signal, 5, INVERSE)
-    approx = wht_regression(
-        [(A, float(signal[A])) for A in range(g.size)], support, g
-    )
+    approx = wht_regression([(A, float(signal[A])) for A in range(g.size)],
+                            SparseSupport(g, support))
     assert np.abs(approx.coeffs - coeffs[support]).max() < 1e-9
-    residual = [abs(eval_bandlimited(approx, A) - signal[A]) for A in range(g.size)]
-    assert max(residual) < 1e-9
+    assert np.abs(eval_sparse_many(approx, g.masks()) - signal).max() < 1e-9
 
 
 @pytest.mark.parametrize("n", (6, 8, 10))
@@ -211,23 +213,23 @@ def test_full_lattice_wht_regression_is_the_projection_the_band_cannot_beat(n):
     model = GaussianModel(random_rbf_covariance(n, n))
     s = entropy_setfunction(model)
     g = s.ground
-    support = subsets_of_cardinality_at_most(g, 2)
+    support = SparseSupport(g, subsets_of_cardinality_at_most(g, 2))
     masks = g.masks()
-    projection = wht_regression(zip(masks.tolist(), s.values.tolist()), support, g)
-    truncated = dsft(5, s).coeffs[support]
+    projection = wht_regression(zip(masks.tolist(), s.values.tolist()), support)
+    truncated = dsft(5, s).coeffs[support.freqs]
     assert np.abs(projection.coeffs - truncated).max() <= 1e-12 * np.abs(truncated).max()
     band = compress_band(entropy_oracle(model), 2)
-    band_error = np.linalg.norm(eval_bandlimited_many(band, masks) - s.values)
-    projection_error = np.linalg.norm(eval_bandlimited_many(projection, masks) - s.values)
+    band_error = np.linalg.norm(eval_sparse_many(band, masks) - s.values)
+    projection_error = np.linalg.norm(eval_sparse_many(projection, masks) - s.values)
     assert band_error >= projection_error
 
 
 def test_wht_regression_validation():
     g = GroundSet(2)
     with pytest.raises(ValueError, match="at least one"):
-        wht_regression([], np.array([0]), g)
+        wht_regression([], SparseSupport(g, [0]))
     with pytest.raises(ValueError, match="distinct"):
-        wht_regression([(1, 0.5), (1, 0.5)], np.array([0]), g)
+        wht_regression([(1, 0.5), (1, 0.5)], SparseSupport(g, [0]))
 
 
 def test_estimate_error_exact_approx_is_zero():
@@ -235,7 +237,8 @@ def test_estimate_error_exact_approx_is_zero():
     n = 6
     values = rng.standard_normal(1 << n)
     approx = compress_band(_dense_oracle(values, n), n)
-    err = estimate_relative_error(_dense_oracle(values, n), approx, 2000, seed=5)
+    err = estimate_relative_error(_dense_oracle(values, n), partial(eval_sparse_many, approx),
+                                  2000, seed=5)
     assert err < 1e-12
 
 
@@ -243,7 +246,7 @@ def test_estimate_error_deterministic_and_positive():
     rng = np.random.default_rng(15)
     n = 7
     values = rng.standard_normal(1 << n)
-    approx = compress_band(_dense_oracle(values, n), 1)
+    approx = partial(eval_sparse_many, compress_band(_dense_oracle(values, n), 1))
     a = estimate_relative_error(_dense_oracle(values, n), approx, 5000, seed=7)
     b = estimate_relative_error(_dense_oracle(values, n), approx, 5000, seed=7)
     c = estimate_relative_error(_dense_oracle(values, n), approx, 5000, seed=8)
@@ -259,7 +262,7 @@ def test_estimate_error_default_probe_count():
 
 def test_estimate_error_rejects_zero_signal():
     oracle = _dense_oracle(np.zeros(8), 3)
-    approx = BandlimitedApprox(GroundSet(3), 4, np.array([0]), np.array([0.0]))
+    approx = partial(eval_sparse_many, _band(GroundSet(3), 4, [0], [0.0]))
     with pytest.raises(ValueError, match="zero"):
         estimate_relative_error(oracle, approx, 10, seed=1)
 
@@ -285,9 +288,8 @@ def test_estimate_errors_share_one_oracle_pass():
     values = rng.standard_normal(1 << n) + 2.0
     oracle = _dense_oracle(values, n)
     band = compress_band(_dense_oracle(values, n), 1)
-    wht = wht_regression(
-        [(A, float(values[A])) for A in range(0, 1 << n, 3)], band.support, GroundSet(n)
-    )
+    wht = wht_regression([(A, float(values[A])) for A in range(0, 1 << n, 3)], band.support)
+    band, wht = partial(eval_sparse_many, band), partial(eval_sparse_many, wht)
     noisy = lambda masks: values[masks] + 0.01  # noqa: E731
     errors = estimate_relative_errors(oracle, [band, wht, noisy], 3000, seed=9)
     assert oracle.queries == 3000
@@ -332,8 +334,8 @@ def test_monte_carlo_close_to_exhaustive():
     rng = np.random.default_rng(16)
     n = 10
     values = rng.standard_normal(1 << n) + 3.0
-    approx = compress_band(_dense_oracle(values, n), 2)
-    approx_values = eval_bandlimited_many(approx, np.arange(1 << n))
+    approx = partial(eval_sparse_many, compress_band(_dense_oracle(values, n), 2))
+    approx_values = approx(np.arange(1 << n))
     exact = float(
         np.linalg.norm(values - approx_values) / np.linalg.norm(values)
     )

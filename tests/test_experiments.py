@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from setsp import sampling, transforms
-from setsp.core import DENSE_MAX_N, GroundSet
+from setsp import transforms
+from setsp.core import DENSE_MAX_N, GroundSet, SetFunction, Spectrum
 from setsp.experiments import (
     ExperimentRow,
     compression_experiment,
@@ -104,9 +104,8 @@ def test_sampling_experiment_uses_no_dense_path(monkeypatch):
         raise AssertionError("dense path taken")
 
     monkeypatch.setattr(transforms, "dsft_inplace", refuse)
-    monkeypatch.setattr(sampling, "dsft_inplace", refuse)
-    monkeypatch.setattr(sampling.SparseSpectrum4, "to_spectrum", refuse)
-    monkeypatch.setattr(sampling.SparseSpectrum4, "to_setfunction", refuse)
+    monkeypatch.setattr(SetFunction, "wrap", refuse)
+    monkeypatch.setattr(Spectrum, "wrap", refuse)
     monkeypatch.setattr(GroundSet, "masks", refuse)
     assert _criterion_11_holds(sampling_experiment(n=17, seed=2026), 500)
 

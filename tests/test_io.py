@@ -9,7 +9,14 @@ from hypothesis.extra.numpy import arrays
 
 from setsp import io as setfn_io
 from setsp import sampling
-from setsp.core import GroundSet, SetFunction, SparseSetFunction, Spectrum
+from setsp.core import (
+    GroundSet,
+    SetFunction,
+    SparseSetFunction,
+    SparseSpectrum,
+    SparseSupport,
+    Spectrum,
+)
 from setsp.io import SetFnFormatError
 
 from reference import parse_setfn_reference
@@ -218,11 +225,12 @@ def test_setfn_round_trip_is_bitwise(data, n, model):
         assert sorted(got) == sorted(entries)
         assert _same_bits([got[m] for m in sorted(got)], [entries[m] for m in sorted(got)])
 
-        support = sampling.SparseSupport(ground, np.array(list(entries), dtype=np.int64))
-        spectrum = sampling.SparseSpectrum4(
-            support, np.array([entries[int(B)] for B in support.freqs], dtype=np.float64))
+        support = SparseSupport(ground, np.array(list(entries), dtype=np.int64))
+        spectrum = SparseSpectrum(
+            support, model, np.array([entries[int(B)] for B in support.freqs], dtype=np.float64))
         sampling.save_sparse_spectrum(path, spectrum)
         again = sampling.load_sparse_spectrum(path)
+        assert again.model == model
         assert np.array_equal(again.support.freqs, support.freqs)
         assert _same_bits(again.coeffs, spectrum.coeffs)
 

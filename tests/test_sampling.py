@@ -3,12 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from setsp.core import GroundSet, SetFunction, Spectrum
+from setsp.core import GroundSet, SetFunction, SparseSpectrum, SparseSupport, Spectrum
 from setsp.compression import SetFunctionOracle
 from setsp.sampling import (
-    SparseSpectrum4,
-    SparseSupport,
-    eval_sparse,
     eval_sparse_many,
     load_sparse_spectrum,
     load_support,
@@ -20,7 +17,7 @@ from setsp.sampling import (
     select_support,
     synthetic_sparse_spectrum,
 )
-from setsp.transforms import INVERSE, dsft, dsft_matrix
+from setsp.transforms import INVERSE, dsft_matrix, idsft
 
 from reference import forward_substitution_reference
 
@@ -41,6 +38,27 @@ def test_support_sorting_and_validation():
         SparseSupport(g, np.array([1, 1]))
     with pytest.raises(ValueError, match="out of range"):
         SparseSupport(g, np.array([8]))
+    # masks are not rounded; the message names the first entry that is no mask
+    assert SparseSupport(g, np.array([5.0, 2.0])).freqs.tolist() == [2, 5]
+    with pytest.raises(ValueError, match="non-integer support mask 1.7 at position 0"):
+        SparseSupport(g, [1.7, 2.2])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"non-integer support mask {bad} at position 1"):
+            SparseSupport(g, [2.0, bad, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_spectrum_refuses_non_finite_coefficients(bad):
+    # an infinite coefficient would give inf where its condition holds and
+    # nan, 0 * inf, where a product adds it as a zero term
+    support = SparseSupport(GroundSet(3), np.array([0, 1, 2]))
+    for model in range(1, 6):
+        with pytest.raises(ValueError, match=f"non-finite coefficient {bad} at position 1"):
+            SparseSpectrum(support, model, [1.0, bad, -np.inf])
+    with pytest.raises(ValueError, match="expected 3 values"):
+        SparseSpectrum(support, 4, [1.0, 2.0])
+    with pytest.raises(ValueError, match="model must be one of"):
+        SparseSpectrum(support, 6, [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("n", (2, 4, 8))
@@ -87,12 +105,11 @@ def test_reconstruct_exact_recovery(trial):
 
 def test_eval_sparse_examples():
     g = GroundSet(2)
-    spec = SparseSpectrum4(SparseSupport(g, np.array([0, 1])), np.array([2.0, 3.0]))
-    assert eval_sparse(spec, 0) == 5.0
-    assert eval_sparse(spec, 1) == 2.0
-    empty = SparseSpectrum4(SparseSupport(g, np.array([], dtype=np.int64)), np.array([]))
-    assert eval_sparse(empty, 3) == 0.0
-    assert eval_sparse_many(spec, np.array([0, 1, 2])).tolist() == [5.0, 2.0, 5.0]
+    spec = SparseSpectrum(SparseSupport(g, np.array([0, 1])), 4, np.array([2.0, 3.0]))
+    assert eval_sparse_many(spec, np.array([0, 1, 2, 3])).tolist() == [5.0, 2.0, 5.0, 2.0]
+    empty = SparseSpectrum(SparseSupport(g, np.array([], dtype=np.int64)), 4, np.array([]))
+    assert eval_sparse_many(empty, [3, 0]).tolist() == [0.0, 0.0]
+    assert eval_sparse_many(spec, np.zeros((2, 0), dtype=np.int64)).shape == (2, 0)
 
 
 X17 = 0b1_0110_0000_0110_1001  # a mask at n=17
@@ -104,8 +121,7 @@ def test_eval_sparse_many_refuses_masks_out_of_range(bad):
     # cardinality of the raw int64 mask would return a wrong value
     spec = synthetic_sparse_spectrum(GroundSet(17), 30, seed=17)
     oracle = oracle_from_sparse_spectrum(spec)
-    for evaluate in (lambda m: eval_sparse(spec, m), oracle.query,
-                     lambda m: eval_sparse_many(spec, np.array([X17, m, X17]))):
+    for evaluate in (oracle.query, lambda m: eval_sparse_many(spec, np.array([X17, m, X17]))):
         with pytest.raises(ValueError, match=f"mask {bad} out of range for n=17"):
             evaluate(bad)
     assert oracle.queries == 0
@@ -114,18 +130,17 @@ def test_eval_sparse_many_refuses_masks_out_of_range(bad):
 def test_sparse_to_dense_consistency():
     g = GroundSet(6)
     spec = synthetic_sparse_spectrum(g, 10, seed=4)
-    dense_fn = spec.to_setfunction()
-    probe = np.arange(g.size)
-    assert np.abs(eval_sparse_many(spec, probe) - dense_fn.values).max() < 1e-10
-    # densified spectrum inverts to the same signal
-    from setsp.transforms import idsft
+    dense = np.zeros(g.size)
+    dense[spec.support.freqs] = spec.coeffs
+    for model in range(1, 6):
+        want = idsft(model, Spectrum(g, model, dense)).values
+        got = eval_sparse_many(SparseSpectrum(spec.support, model, spec.coeffs), g.masks())
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max(), model
 
-    assert np.abs(idsft(4, spec.to_spectrum()).values - dense_fn.values).max() < 1e-12
 
-
-def _sparse(ground, entries):
+def _sparse(ground, entries, model=4):
     support = SparseSupport(ground, np.array(list(entries), dtype=np.int64))
-    return SparseSpectrum4(support, np.array([entries[int(B)] for B in support.freqs]))
+    return SparseSpectrum(support, model, np.array([entries[int(B)] for B in support.freqs]))
 
 
 def test_select_support_exact_sparse_training():
@@ -167,19 +182,12 @@ def test_select_support_validation():
     g = GroundSet(2)
     with pytest.raises(TypeError, match="sparse model 4"):
         select_support([Spectrum(g, 4, np.zeros(4))], 1)
+    with pytest.raises(TypeError, match="sparse model 4, got a model-5 SparseSpectrum"):
+        select_support([_sparse(g, {0: 1.0}), _sparse(g, {0: 1.0}, model=5)], 1)
     with pytest.raises(ValueError, match="ground"):
         select_support([_sparse(g, {0: 1.0}), _sparse(GroundSet(3), {0: 1.0})], 1)
-    with pytest.raises(ValueError, match="finite"):
-        select_support([_sparse(g, {0: 1.0, 1: np.nan})], 1)
     with pytest.raises(ValueError, match="cannot select 5 of 4"):
         select_support([_sparse(g, {0: 1.0})], 5)
-
-
-def test_densifiers_refuse_past_the_dense_cap():
-    spec = synthetic_sparse_spectrum(GroundSet(40), 5, seed=1)
-    for densify in (spec.to_spectrum, spec.to_setfunction):
-        with pytest.raises(ValueError, match="DENSE_MAX_N = 30, got n=40"):
-            densify()
 
 
 def test_synthetic_spectrum_properties():
@@ -193,7 +201,7 @@ def test_synthetic_spectrum_properties():
     nonzero = spec.coeffs[1:]
     assert spec.coeffs[0] >= np.abs(nonzero).sum()  # dominant offset
     zero = synthetic_sparse_spectrum(g, 0, seed=9)
-    assert eval_sparse(zero, 7) == 0.0
+    assert eval_sparse_many(zero, [7]).tolist() == [0.0]
 
 
 def test_synthetic_spectrum_pool():
@@ -212,6 +220,13 @@ def test_serialization_roundtrip(tmp_path):
     assert np.array_equal(back.support.freqs, spec.support.freqs)
     assert np.array_equal(back.coeffs, spec.coeffs)
 
+    # a spectrum of any model keeps its model
+    other = SparseSpectrum(spec.support, 2, spec.coeffs)
+    save_sparse_spectrum(spec_path, other)
+    back = load_sparse_spectrum(spec_path)
+    assert back.model == 2 and np.array_equal(back.support.freqs, spec.support.freqs)
+    assert np.array_equal(back.coeffs, spec.coeffs)
+
     support_path = tmp_path / "support.setfn"
     save_support(support_path, spec.support)
     support = load_support(support_path)
@@ -225,8 +240,8 @@ def test_batched_reconstruct_on_a_whole_lattice():
     rng = np.random.default_rng(66)
     support = SparseSupport(g, np.arange(g.size))
     truths = [
-        SparseSpectrum4(SparseSupport(g, rng.choice(g.size, 40, replace=False)),
-                        rng.standard_normal(40) * 10.0 ** rng.uniform(-13, 13, 40))
+        SparseSpectrum(SparseSupport(g, rng.choice(g.size, 40, replace=False)), 4,
+                       rng.standard_normal(40) * 10.0 ** rng.uniform(-13, 13, 40))
         for _ in range(4)
     ]
     oracles = [oracle_from_sparse_spectrum(truth) for truth in truths]
@@ -243,8 +258,8 @@ def test_batched_reconstruct_on_a_whole_lattice():
 
 def test_reconstruct_refuses_an_oracle_on_another_ground_set():
     # the queries N - B_i of a support on n=3 name other sets at n=5
-    truth = SparseSpectrum4(SparseSupport(GroundSet(5), np.array([0, 1, 16])),
-                            np.array([4.0, 1.0, 2.0]))
+    truth = SparseSpectrum(SparseSupport(GroundSet(5), np.array([0, 1, 16])), 4,
+                           np.array([4.0, 1.0, 2.0]))
     support = SparseSupport(GroundSet(3), np.array([0, 1]))
     same = oracle_from_sparse_spectrum(synthetic_sparse_spectrum(GroundSet(3), 2, seed=3))
     other = oracle_from_sparse_spectrum(truth)
@@ -264,19 +279,19 @@ def test_reconstruct_matches_partial_spectrum():
     oracle = SetFunctionOracle.from_setfunction(SetFunction(g, values))
     support = SparseSupport(g, rng.choice(g.size, size=10, replace=False))
     spec = reconstruct(oracle, support)
-    for A in sampling_indices(support):
-        assert abs(eval_sparse(spec, int(A)) - values[A]) < 1e-9
+    queries = sampling_indices(support)
+    assert np.abs(eval_sparse_many(spec, queries) - values[queries]).max() < 1e-9
 
 
 def test_scalar_and_batched_queries_return_the_same_bits():
-    # eval_sparse and the oracle's batch path add the disjoint coefficients
-    # sequentially from +0.0; a pairwise scalar sum would differ on 575 of
-    # these 1024 masks
+    # one-probe calls and the oracle's batch path add the disjoint
+    # coefficients sequentially from +0.0; a pairwise sum would differ on 575
+    # of these 1024 masks
     g = GroundSet(10)
     spectrum = synthetic_sparse_spectrum(g, 499, seed=3)
     oracle = oracle_from_sparse_spectrum(spectrum)
     batch = oracle.query_many(np.arange(g.size))
-    scalar = np.array([eval_sparse(spectrum, m) for m in range(g.size)])
+    scalar = np.concatenate([eval_sparse_many(spectrum, [m]) for m in range(g.size)])
     assert scalar.tobytes() == batch.tobytes()
     queried = np.array([oracle.query(m) for m in range(0, g.size, 31)])
     assert queried.tobytes() == batch[::31].tobytes()
