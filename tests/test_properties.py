@@ -47,6 +47,7 @@ from reference import (
     lattice_norm_reference,
     relative_errors_reference,
     select_support_reference,
+    sparse_eval_reference,
 )
 
 PAIRS = [(model, direction) for model in range(1, 6) for direction in (FORWARD, INVERSE)]
@@ -191,6 +192,25 @@ def _support(data, n: int, max_size: int) -> SparseSupport:
     freqs = data.draw(st.lists(st.integers(0, size - 1), unique=True,
                                max_size=min(size, max_size)))
     return SparseSupport(GroundSet(n), np.array(freqs, dtype=np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=SPARSE_N, chunk=st.integers(1, 5),
+       shape=array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=7))
+def test_blocked_sparse_eval_is_the_sequential_sum(data, n, chunk, shape):
+    # model 4 against its own disjointness reference; the spectrum refuses
+    # infinite coefficients, so sums that overflow stand in for them
+    coeff = st.one_of(VALUES, st.sampled_from([1e308, -1e308]))
+    spectrum = _sparse_spectrum(data, n, 16, coeff)
+    masks = data.draw(arrays(np.int64, shape, elements=st.integers(0, (1 << n) - 1)))
+    with mock.patch.object(sampling, "_EVAL_CHUNK", chunk), np.errstate(over="ignore"):
+        got = eval_sparse_many(spectrum, masks)
+        scalar = [eval_sparse_many(spectrum, [m])[0] for m in masks.ravel().tolist()]
+    want = sparse_eval_reference(spectrum.support.freqs.tolist(), spectrum.coeffs.tolist(),
+                                 masks.ravel().tolist())
+    assert got.shape == masks.shape
+    assert _same_bits(got, np.reshape(want, masks.shape))
+    assert _same_bits(np.array(scalar, dtype=np.float64), want)
 
 
 @settings(max_examples=80, deadline=None)
