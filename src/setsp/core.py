@@ -90,13 +90,6 @@ class GroundSet:
         mask = self.check_mask(mask)
         return tuple(i + 1 for i in range(self.n) if mask >> i & 1)
 
-    def mask_of(self, elements) -> int:
-        """Mask of the subset containing the given 1-based element indices."""
-        mask = 0
-        for i in elements:
-            mask |= 1 << (self.check_element(i) - 1)
-        return mask
-
     def label(self, mask: int) -> str:
         """Human-readable subset label such as '{x1,x3}'."""
         return "{" + ",".join(f"x{i}" for i in self.elements(mask)) + "}"
@@ -175,10 +168,6 @@ class SparseSetFunction:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def support(self) -> np.ndarray:
-        """Masks with stored values, ascending."""
-        return np.array(sorted(self.entries), dtype=np.int64)
 
     def to_dense(self) -> SetFunction:
         values = np.zeros(self.ground.size)

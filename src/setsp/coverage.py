@@ -132,18 +132,10 @@ def fragment_weights_spectrum(rep: CoverageRepresentation) -> Spectrum:
     return Spectrum.wrap(rep.ground, 4, coeffs)
 
 
-def save_coverage(path, rep: CoverageRepresentation) -> None:
-    """Serialize as a sparse model-4 spectrum file: negated fragment weights,
-    with mask 0 carrying s_N (the file is literally the model-4 spectrum, and
-    the offset is recovered as c = s_N - sum of weights)."""
-    from . import io as setfn_io
-
-    pairs = [(0, rep.offset_c + rep.total_weight)]
-    pairs += [(int(m), -float(w)) for m, w in zip(rep._masks, rep._weights)]
-    setfn_io.write_entries(path, rep.ground.n, "sparse", 4, pairs)
-
-
 def load_coverage(path) -> CoverageRepresentation:
+    """Read a sparse model-4 spectrum file as fragments: negated fragment
+    weights, with mask 0 carrying s_N (the offset is c = s_N - sum of
+    weights)."""
     from . import io as setfn_io
 
     rec = setfn_io.parse_setfn(path)

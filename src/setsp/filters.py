@@ -12,6 +12,17 @@ Convolution can run directly (per tap) or through the spectral path
 the same result.  The frequency response of models 1-4 is computed with the
 model-1 transform, model 5 uses the WHT.
 
+On the direct path, models 3-5 are index remaps: (h * s)[A] is the sum of
+h_Q * s at A \\ Q, A u Q or A xor Q over the taps Q.  The output is filled one
+aligned block of 2**min(n, transforms._BLOCK_BITS) elements at a time, while
+the block stays in L2, and every tap's products go through one scratch block
+instead of a full-size temporary.  Each output still starts at +0.0 and adds
+weight * value once per tap, in the filter's dict order, so its bits are those
+of one full-array pass per tap, whatever the block size.  The dict order fixes
+them: floating-point addition is not associative, so other tap orders can
+round differently.  Models 1 and 2 keep one composed shift per tap, because
+their X-fold shift is not a remap: each output sums 2**|X| values of s.
+
 The elementary shift needs no table of its own.  The transform diagonalizes
 it, with the frequency response r of the one-element delta on the diagonal,
 so on the pair (value without x_i, value with x_i) it acts as the 2x2 kernel
@@ -23,6 +34,7 @@ multiplies (0 * inf would give nan where a copy gives 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +47,7 @@ from .core import (
     check_model,
     require_same_ground,
 )
+from . import transforms
 from .transforms import FORWARD, INVERSE, dsft_inplace, kernel
 
 
@@ -62,6 +75,9 @@ class Filter:
     def __post_init__(self):
         if self.taps.ground != self.ground:
             raise ValueError("filter taps must live on the filter's ground set")
+        for mask, value in self.taps.entries.items():
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite tap {value} at mask {mask}")
 
     @classmethod
     def from_taps(cls, ground: GroundSet, taps: dict[int, float]) -> "Filter":
@@ -144,21 +160,45 @@ def convolve(model: int, h: Filter, s: SetFunction, path: str = "auto") -> SetFu
 
 
 def _convolve_direct(model: int, h: Filter, s: SetFunction) -> SetFunction:
+    """Sum the taps' X-fold shifts, each output from +0.0 in dict order.
+
+    Block schedule for models 3-5: the n index bits split into L =
+    min(n, _BLOCK_BITS) low bits and n - L high ones, so mask A is a
+    position in block k = A >> L, and tap Q splits into Qhi = Q >> L and the
+    low bits.  Output block k reads only source block k & ~Qhi (model 3),
+    k | Qhi (model 4) or k ^ Qhi (model 5), at the positions the low bits of
+    Q remap: a strided view of that block's L-axis cube, one per tap, built
+    once.  Per output block, each tap writes weight * view into one scratch
+    block and adds that to the output block, all in L2.  This moves where a
+    product is held, never an operand, so every output adds the same values
+    in the same order as one full-array pass per tap would.
+
+    Models 1 and 2 sum 2**|Q| values per X-fold shift, so they add one
+    composed `shift_by_set` per tap.
+    """
     out = np.zeros_like(s.values)
-    if model in (3, 4, 5):
-        # s_{A\Q}, s_{A u Q}, s_{A delta Q} as strided views of the n-axis
-        # cube, whose axis 0 is the highest bit: on Q's axes read index 0
-        # (broadcast), index 1 (broadcast) or the reversed axis.
-        n = s.ground.n
-        cube = s.values.reshape((2,) * n)
-        out_cube = out.reshape((2,) * n)
-        on_q = {3: slice(0, 1), 4: slice(1, 2), 5: slice(None, None, -1)}[model]
-        for Q, weight in h.taps.entries.items():
-            view = tuple(on_q if Q >> i & 1 else slice(None) for i in reversed(range(n)))
-            out_cube += weight * cube[view]
-    else:
+    if model in (1, 2):
         for Q, weight in h.taps.entries.items():
             out += weight * shift_by_set(model, Q, s).values
+        return SetFunction.wrap(s.ground, out)
+    low = min(s.ground.n, transforms._BLOCK_BITS)
+    cube = (2,) * low
+    src = s.values.reshape(-1, *cube)
+    dst = out.reshape(src.shape)
+    # on the cube axes of Q's low bits (the first axis is the block's highest
+    # bit) read index 0 (broadcast), index 1 (broadcast) or the reversed axis
+    on_q = {3: slice(0, 1), 4: slice(1, 2), 5: slice(None, None, -1)}[model]
+    remap = {3: lambda k, q: k & ~q, 4: lambda k, q: k | q, 5: lambda k, q: k ^ q}[model]
+    taps = []
+    for Q, weight in h.taps.entries.items():
+        view = tuple(on_q if Q >> i & 1 else slice(None) for i in reversed(range(low)))
+        taps.append((Q >> low, view, weight))
+    scratch = np.empty(cube)
+    for k in range(dst.shape[0]):
+        acc = dst[k, ...]
+        for q_high, view, weight in taps:
+            np.multiply(src[(remap(k, q_high),) + view], weight, out=scratch)
+            np.add(acc, scratch, out=acc)
     return SetFunction.wrap(s.ground, out)
 
 

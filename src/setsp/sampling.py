@@ -276,37 +276,19 @@ def select_support(training_spectra, k: int) -> SparseSupport:
     return SparseSupport(ground, np.concatenate((ranked, np.fromiter(pad, np.int64))))
 
 
-def synthetic_sparse_spectrum(
-    ground: GroundSet,
-    k: int,
-    *,
-    seed=None,
-    rng: np.random.Generator | None = None,
-    freq_pool: np.ndarray | None = None,
-    mag_low: float = 1e-3,
-    mag_high: float = 1.0,
-    empty_factor: float = 2.0,
-) -> SparseSpectrum:
+def synthetic_sparse_spectrum(ground: GroundSet, k: int, *, seed=None) -> SparseSpectrum:
     """Random k-sparse model-4 spectrum standing in for an auction bidder.
 
-    Picks k distinct nonempty frequencies (uniform over the powerset, or
-    uniform from `freq_pool` when given), gives them log-uniform magnitudes
-    with random signs, and adds a dominant empty-set coefficient
-    empty_factor * sum|coeffs| so the signal stays positive.
+    Picks k distinct nonempty frequencies uniformly over the powerset, gives
+    them magnitudes log-uniform on [1e-3, 1) with random signs, and adds a
+    dominant empty-set coefficient 2 * sum|coeffs| so the signal stays
+    positive.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    if freq_pool is not None:
-        pool = np.asarray(freq_pool, dtype=np.int64)
-        pool = pool[pool != 0]
-        if k > pool.size:
-            raise ValueError(f"pool holds {pool.size} frequencies, cannot pick {k}")
-        freqs = rng.choice(pool, size=k, replace=False)
-    else:
-        freqs = random_nonempty_masks(ground, k, rng)
-    mags = np.exp(rng.uniform(np.log(mag_low), np.log(mag_high), size=k))
+    rng = np.random.default_rng(seed)
+    freqs = random_nonempty_masks(ground, k, rng)
+    mags = np.exp(rng.uniform(np.log(1e-3), np.log(1.0), size=k))
     signs = rng.choice([-1.0, 1.0], size=k)
-    return with_dominant_offset(ground, freqs, mags * signs, empty_factor)
+    return with_dominant_offset(ground, freqs, mags * signs, 2.0)
 
 
 def random_nonempty_masks(ground: GroundSet, k: int, rng: np.random.Generator) -> np.ndarray:

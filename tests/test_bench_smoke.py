@@ -12,8 +12,11 @@ import importlib.util
 import inspect
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+from setsp import transforms
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -53,16 +56,29 @@ def test_every_function_the_tracer_names_exists(tracer):
         assert inspect.isfunction(obj), f"{name} is not a function"
 
 
-@pytest.mark.parametrize("name", ["dense-n21", "oracle-compress", "sparse-sampling", "cli-files"])
-def test_workload_ops_pass_their_checks(workloads, name, tmp_path):
-    workload = workloads.WORKLOADS[name]
-    state = workload.prepare(workload.default_seed, True, str(tmp_path))
+def _run_smoke(workload, workdir) -> dict:
+    """Every op of the workload at smoke size, checked; each op's digests."""
+    state = workload.prepare(workload.default_seed, True, str(workdir))
+    digests = {}
     try:
-        ran = 0
         for op, thunk in workload.ops(state):
-            _, problems = workload.check(op, thunk(), state, True)
-            assert problems == [], f"{name} {op}: {problems}"
-            ran += 1
+            digests[op], problems = workload.check(op, thunk(), state, True)
+            assert problems == [], f"{workload.name} {op}: {problems}"
     finally:
         state.close()
-    assert ran > 0
+    return digests
+
+
+@pytest.mark.parametrize("name", ["dense-n21", "oracle-compress", "sparse-sampling", "cli-files"])
+def test_workload_ops_pass_their_checks(workloads, name, tmp_path):
+    assert _run_smoke(workloads.WORKLOADS[name], tmp_path)
+
+
+def test_dense_ops_give_the_same_bits_in_many_blocks(workloads, tmp_path):
+    # the smoke signal has n=10, so blocks of 2**4 put both the transforms'
+    # and the direct convolution's taps across blocks
+    workload = workloads.WORKLOADS["dense-n21"]
+    want = _run_smoke(workload, tmp_path / "one")
+    with mock.patch.object(transforms, "_BLOCK_BITS", 4):
+        got = _run_smoke(workload, tmp_path / "many")
+    assert got == want

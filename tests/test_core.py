@@ -14,12 +14,12 @@ from setsp.core import (
 
 def test_subset_ops_basics():
     g = GroundSet(3)
-    x1, x2 = g.mask_of([1]), g.mask_of([2])
-    assert x1 | x2 == g.mask_of([1, 2])
+    x1, x2 = 0b001, 0b010
+    assert g.elements(x1 | x2) == (1, 2)
     assert x1 & x2 == 0
     assert 5 ^ 5 == 0
-    assert g.complement(x1) == g.mask_of([2, 3])
-    assert popcount(g.mask_of([1, 3])) == 2
+    assert g.elements(g.complement(x1)) == (2, 3)
+    assert popcount(0b101) == len(g.elements(0b101)) == 2
     assert 0b111 & ~0b101 == 0b010
 
 

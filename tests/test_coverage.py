@@ -227,21 +227,20 @@ def test_mi_check_report():
 
 
 def test_coverage_serialization_roundtrip(tmp_path):
-    from setsp.coverage import load_coverage, save_coverage
+    from setsp.coverage import load_coverage
     from setsp import io as setfn_io
 
     g = GroundSet(3)
     rep = CoverageRepresentation(g, 1.5, {1: 2.0, 6: -0.5})
+    # the file is literally the sparse model-4 spectrum of the fragments
+    spectrum = fragment_weights_spectrum(rep)
     path = tmp_path / "frag.setfn"
-    save_coverage(path, rep)
+    setfn_io.write_entries(path, 3, "sparse", 4,
+                           [(m, float(spectrum.coeffs[m])) for m in (0, 1, 6)])
     back = load_coverage(path)
     assert back.offset_c == rep.offset_c
     assert back.fragment_weights == rep.fragment_weights
-    # the file is literally the sparse model-4 spectrum
-    rec = setfn_io.parse_setfn(path)
-    assert rec.model == 4
-    spectrum = fragment_weights_spectrum(rep)
-    assert np.array_equal(rec.values, spectrum.coeffs[rec.masks])
+    assert np.array_equal(fragment_weights_spectrum(back).coeffs, spectrum.coeffs)
 
 
 def test_entropy_function_is_submodular():

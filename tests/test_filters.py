@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from setsp.core import MODELS, GroundSet, SetFunction, SparseSetFunction
 from setsp import io as setfn_io
 from setsp.filters import (
     Filter,
+    _convolve_direct,
     convolve,
     frequency_response,
     shift,
     shift_by_set,
 )
+from setsp import transforms
 from setsp.transforms import dsft
 
 from reference import convolve_reference, filter_matrix, shift_matrix, shift_reference
@@ -136,6 +140,35 @@ def test_convolve_matches_reference(model, n):
     for path in ("direct", "spectral"):
         got = convolve(model, h, s, path=path)
         assert np.abs(got.values - expected).max() < 1e-9, (model, n, path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_filter_refuses_non_finite_taps(bad):
+    g = GroundSet(3)
+    with pytest.raises(ValueError, match=f"non-finite tap {bad} at mask 5"):
+        Filter(g, SparseSetFunction(g, {0: 1.0, 5: bad}))
+    with pytest.raises(ValueError, match=f"non-finite tap {bad} at mask 0"):
+        Filter.from_taps(g, {0: bad})
+    with pytest.raises(ValueError, match=f"non-finite tap {bad} at mask 6"):
+        Filter.delta(g, 6, bad)
+
+
+def test_direct_convolution_needs_one_scratch_block():
+    # n=18: a 2 MiB output; the taps' weighted values go through one block
+    # of 2**_BLOCK_BITS elements, not a full-size temporary per tap
+    g = GroundSet(18)
+    s = SetFunction.wrap(g, np.random.default_rng(18).standard_normal(g.size))
+    h = Filter.moving_average(g)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _convolve_direct(3, h, s)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    block = np.dtype(np.float64).itemsize << transforms._BLOCK_BITS
+    assert peak <= s.values.nbytes + 2 * block
 
 
 def test_convolve_path_validation():

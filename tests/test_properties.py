@@ -140,13 +140,15 @@ def test_direct_convolution_is_the_index_remap(model, data, n):
     values = data.draw(arrays(np.float64, size, elements=VALUES))
     ground = GroundSet(n)
     h = filters.Filter.from_taps(ground, taps)
-    got = filters._convolve_direct(model, h, SetFunction.wrap(ground, values)).values
-
     masks = np.arange(size, dtype=np.int64)
     want = np.zeros(size)
     for Q, w in h.taps.entries.items():
         want += w * values[REMAP[model](masks, Q)]
-    assert _same_bits(got, want)
+    # blocks of 2, 4 and 8 elements make the taps' high bits read other blocks
+    for block_bits in (1, 2, 3, transforms._BLOCK_BITS):
+        with mock.patch.object(transforms, "_BLOCK_BITS", block_bits):
+            got = filters._convolve_direct(model, h, SetFunction.wrap(ground, values)).values
+        assert _same_bits(got, want)
 
 
 @pytest.mark.parametrize("model", range(1, 6))

@@ -204,11 +204,13 @@ def test_synthetic_spectrum_properties():
     assert eval_sparse_many(zero, [7]).tolist() == [0.0]
 
 
-def test_synthetic_spectrum_pool():
-    g = GroundSet(10)
-    pool = np.array([3, 17, 40, 100, 512])
-    spec = synthetic_sparse_spectrum(g, 4, seed=2, freq_pool=pool)
-    assert set(spec.support.freqs.tolist()) - {0} <= set(pool.tolist())
+def test_synthetic_spectrum_frequencies():
+    # k distinct nonempty frequencies of the lattice, as many as it holds
+    g = GroundSet(3)
+    spec = synthetic_sparse_spectrum(g, 7, seed=2)
+    assert sorted(spec.support.freqs.tolist()) == list(range(8))
+    with pytest.raises(ValueError, match="cannot pick 8 distinct nonempty"):
+        synthetic_sparse_spectrum(g, 8, seed=2)
 
 
 def test_serialization_roundtrip(tmp_path):
