@@ -60,10 +60,7 @@ class SetFunctionOracle:
         return float(self._evaluate(np.array([mask], dtype=np.int64))[0])
 
     def query_many(self, masks) -> np.ndarray:
-        masks = np.asarray(masks, dtype=np.int64)
-        bad = (masks < 0) | (masks >= self.ground.size)
-        if bad.any():
-            raise ValueError(f"mask {masks[bad][0]} out of range for n={self.ground.n}")
+        masks = self.ground.check_masks(masks)
         self.queries += masks.size
         points, inverse = _distinct(masks.ravel(), self.ground.size)
         values = np.asarray(self._evaluate(points), dtype=np.float64)

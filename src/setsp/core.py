@@ -65,10 +65,23 @@ class GroundSet:
         return (1 << self.n) - 1
 
     def check_mask(self, mask: int) -> int:
-        mask = int(mask)
-        if not 0 <= mask < self.size:
-            raise ValueError(f"mask {mask} out of range for n={self.n}")
-        return mask
+        return int(self.check_masks(mask))
+
+    def check_masks(self, masks, what: str = "mask") -> np.ndarray:
+        """`masks`, of any shape, as an int64 array; an int64 array is returned
+        without a copy.  The first entry that is not an integer in [0, 2**n)
+        raises ValueError naming it and its position in the flattened array."""
+        given = np.asarray(masks)
+        bad = (given < 0) | (given >= self.size)
+        if given.dtype.kind == "f":
+            bad |= np.trunc(given) != given  # nan; +-inf are out of range
+        if bad.any():
+            at = int(np.flatnonzero(bad)[0])
+            value = given.flat[at]
+            if given.dtype.kind == "f" and not float(value).is_integer():
+                raise ValueError(f"non-integer {what} {value} at position {at}")
+            raise ValueError(f"{what} {value} out of range for n={self.n} at position {at}")
+        return given.astype(np.int64, copy=False)
 
     def check_element(self, i: int) -> int:
         """Validate a 1-based element index x_i."""
@@ -210,11 +223,6 @@ def _support_order(freqs: np.ndarray) -> np.ndarray:
     return np.lexsort((freqs, popcount(freqs)))
 
 
-def _first_bad(what: str, values: np.ndarray, bad: np.ndarray) -> None:
-    if bad.any():
-        raise ValueError(f"{what} {values[bad][0]} at position {np.flatnonzero(bad)[0]}")
-
-
 @dataclass(frozen=True)
 class SparseSupport:
     """Distinct frequency masks sorted by (cardinality, mask) ascending.
@@ -232,12 +240,7 @@ class SparseSupport:
         given = np.asarray(self.freqs)
         if given.ndim != 1:
             raise ValueError("support must be a 1-d mask array")
-        if given.dtype.kind == "f":
-            bad = ~np.isfinite(given) | (np.trunc(given) != given)
-            _first_bad("non-integer support mask", given, bad)
-        freqs = given.astype(np.int64)
-        if freqs.size and (freqs.min() < 0 or freqs.max() >= self.ground.size):
-            raise ValueError(f"support masks out of range for n={self.ground.n}")
+        freqs = self.ground.check_masks(given, "support mask")
         if np.unique(freqs).size != freqs.size:
             raise ValueError("duplicate support entries")
         freqs = freqs[_support_order(freqs)]
@@ -260,7 +263,10 @@ class SparseSpectrum:
     def __post_init__(self):
         check_model(self.model)
         coeffs = _frozen_array(self.coeffs, len(self.support), copy=True)
-        _first_bad("non-finite coefficient", coeffs, ~np.isfinite(coeffs))
+        bad = ~np.isfinite(coeffs)
+        if bad.any():
+            raise ValueError(f"non-finite coefficient {coeffs[bad][0]} "
+                             f"at position {np.flatnonzero(bad)[0]}")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

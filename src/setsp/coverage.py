@@ -190,11 +190,8 @@ def gaussian_entropy_many(model: GaussianModel, masks) -> np.ndarray:
     masks by cardinality and factorizes the stacked principal submatrices in
     blocks of `_ENTROPY_BLOCK`.  Each matrix is factored alone, so a mask's
     value does not depend on the rest of the batch."""
-    masks = np.asarray(masks, dtype=np.int64)
+    masks = model.ground.check_masks(masks)
     flat = masks.ravel()
-    bad = (flat < 0) | (flat >= model.ground.size)
-    if bad.any():
-        raise ValueError(f"mask {flat[bad][0]} out of range for n={model.n}")
     out = np.empty(flat.shape[0])
     cards = popcount(flat)
     shifts = np.arange(model.n, dtype=np.int64)

@@ -15,7 +15,8 @@ every right-hand side gets the bits it would get alone.
 
 A sparse spectrum of any of the five models evaluates as its inverse
 transform restricted to the support (`eval_sparse_many`); the compression
-band and the sampling support are both such spectra.
+band and the sampling support are both such spectra.  Terms that reach few
+probes find them through bitset tables (the method of Four Russians).
 
 Norms over the whole lattice need no lattice either: the model-4 basis
 vectors f^B_A = [A & B == 0] have the Gram matrix <f^B, f^C> = 2**(n - |B | C|),
@@ -43,18 +44,19 @@ from . import io as setfn_io
 from .transforms import INVERSE, _closed_form
 
 
-# Probes per block of `eval_sparse_many`: the block's masks and cardinalities,
-# its hit, disjointness and term buffers and its slice of the output take at
-# most 26 bytes per probe for n <= 32, so 2**16 probes (1.7 MiB) stay in a
-# 2 MiB L2 while the support is swept over them.
+# Probes per block of the sweep in `eval_sparse_many`: the block's masks, its
+# hit, disjointness and term buffers and its slice of the output take at most
+# 25 bytes per probe for n <= 32, so 2**16 probes (1.6 MiB) stay in a 2 MiB
+# L2 while the swept frequencies pass over them.
 _EVAL_CHUNK = 1 << 16
-# Frequencies with |T| at least this add their coefficient through
-# `np.add(..., where=)`, the others as a 0/1 product then a full add.  The
-# masked add gets cheaper as the hit rate 2**-|T| falls, and the product
-# costs the same at every rate: per 2**16-probe block at n=20, 635 against
-# 107 us at |T| = 1, 73 against 88 us at |T| = 5 and 50 against 95 at 6
-# (2-vCPU Xeon, numpy 2.4.6).
-_MASKED_ADD_MIN_CARD = 5
+# Models 1-4 sweep the terms before the first one with |T| at least this and
+# look the rest up in hit tables: a term hits 2**-|T| of random probes, each
+# hit costs a scattered add, and a swept term four passes at every rate.
+_TABLE_MIN_CARD = 5
+# Probes per block and 64-term words per group of the hit tables: the hit
+# words of one step take 2**11 * 16 * 8 bytes = 256 KiB, in L2.
+_TABLE_PROBES = 1 << 11
+_TABLE_WORDS = 16
 # Rows of `reconstruct`'s inclusion pattern built at once: a k=500 support
 # takes two blocks, and a 2**16 one holds 16 MiB of it at a time, not 4 GiB.
 _RECONSTRUCT_ROWS = 256
@@ -68,86 +70,109 @@ def sampling_indices(support: SparseSupport) -> np.ndarray:
 def eval_sparse_many(spectrum: SparseSpectrum, masks) -> np.ndarray:
     """The set function of a sparse spectrum at an array of masks, any shape.
 
-    Masks outside [0, 2**n) raise ValueError before any work, as in
-    `SetFunctionOracle.query_many`.  Each probe A sums c_B * f^B_A from +0.0
+    Masks that are not integers in [0, 2**n) raise ValueError before any
+    work (`GroundSet.check_masks`).  Each probe A sums c_B * f^B_A from +0.0
     in support order, with f^B_A = scale**n * (-1)**|A & B| * [condition]
     (`transforms._closed_form`).  Under models 1-4 the condition is
     P & T == 0, with P = A or N \\ A and T = B or N \\ B, and the sign is
     (-1)**|T| when P = N \\ A, folded into c_B, times (-1)**|A| when
     T = N \\ B, applied once per probe at the end as a sign-bit flip
     followed by + 0.0, so that no -0.0 appears (negating every term of a sum
-    negates the sum exactly).  P and T can be disjoint only if
-    |P| + |T| <= n, so the probes P are sorted once by cardinality, and each
-    run of frequencies with one |T| sweeps only the prefix of each block of
-    `_EVAL_CHUNK` probes (which stays in L2) with |P| <= n - |T|.  A failed
-    term is skipped or added as 0 * c_B = +-0.0; neither moves a bit, since
-    the sum starts at +0.0 and cannot become -0.0.  Model 5 adds every c_B,
-    its sign bit flipped by the parity of |A & B|.
+    negates the sum exactly).  The terms before the first with
+    |T| >= `_TABLE_MIN_CARD`, and all terms of model 5, are swept over each
+    block of `_EVAL_CHUNK` probes; a swept term that fails adds
+    0 * c_B = +-0.0, which moves no bit, since the sum starts at +0.0 and
+    cannot become -0.0.  Model 5 adds every c_B, its sign bit flipped by the
+    parity of |A & B|.  The other terms add only their hits, found through
+    hit tables (`_add_table_hits`).
     """
     ground, n = spectrum.ground, spectrum.ground.n
-    masks = np.asarray(masks, dtype=np.int64)
+    masks = ground.check_masks(masks)
     flat = masks.ravel()
-    bad = (flat < 0) | (flat >= ground.size)
-    if bad.any():
-        raise ValueError(f"mask {flat[bad][0]} out of range for n={n}")
     complement, want, scale = _closed_form(spectrum.model, INVERSE)
     full = ground.full_mask
     tests = spectrum.support.freqs ^ full if complement else spectrum.support.freqs
     coeffs = spectrum.coeffs * scale**n
     if want == "all":
         coeffs = np.where(popcount(tests) & 1, -coeffs, coeffs)
-    narrow = np.min_scalar_type(full)
     probes = flat ^ full if want == "all" else flat
-    cards = np.bitwise_count(probes).astype(np.uint8)
-    order = np.argsort(cards, kind="stable")
-    cards = cards[order]
-    sorted_probes = probes[order].astype(narrow)
-    acc_sorted = np.zeros(flat.size)
-    width = min(_EVAL_CHUNK, flat.size)
-    hit, disjoint, term = np.empty(width, narrow), np.empty(width, bool), np.empty(width)
-    terms = list(zip(tests.astype(narrow),
-                     coeffs.view(np.uint64) if want is None else coeffs.tolist()))
-    # runs of terms with one |T|, which reach the probes |P| <= n - |T|
-    sizes = popcount(tests) if want else np.zeros(tests.size, dtype=np.int64)
-    starts = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()
-    runs = [(int(sizes[a]), terms[a:b]) for a, b in zip(starts, [*starts[1:], len(terms)])]
-    cutoffs = np.arange(n + 1, dtype=np.uint8)
-    for start in range(0, flat.size, _EVAL_CHUNK):
-        stop = start + _EVAL_CHUNK
-        # limit[r]: how many probes of this block have |P| <= r
-        limit = np.searchsorted(cards[start:stop], cutoffs, side="right").tolist()
-        for size, run in runs:
-            w = limit[n - size]
-            if not w:
-                continue
-            P, acc = sorted_probes[start : start + w], acc_sorted[start : start + w]
-            h, d, t = hit[:w], disjoint[:w], term[:w]
+    large = np.flatnonzero(popcount(tests) >= _TABLE_MIN_CARD)
+    split = int(large[0]) if want and large.size else tests.size
+    out = np.zeros(flat.size)
+    if split:
+        narrow = np.min_scalar_type(full)
+        swept = probes.astype(narrow)
+        width = min(_EVAL_CHUNK, flat.size)
+        hit, disjoint, term = np.empty(width, narrow), np.empty(width, bool), np.empty(width)
+        terms = list(zip(tests[:split].astype(narrow), coeffs[:split].view(np.uint64)
+                         if want is None else coeffs[:split].tolist()))
+        for start in range(0, flat.size, _EVAL_CHUNK):
+            P, acc = swept[start : start + width], out[start : start + width]
+            h, d, t = hit[: P.size], disjoint[: P.size], term[: P.size]
             if want is None:
                 bits = t.view(np.uint64)
-                for T, c in run:
+                for T, c in terms:
                     np.bitwise_and(P, T, out=h)
                     np.bitwise_count(h, out=bits)
                     np.left_shift(bits, 63, out=bits)
                     np.bitwise_xor(bits, c, out=bits)
                     np.add(acc, t, out=acc)
-            elif size >= _MASKED_ADD_MIN_CARD:
-                for T, c in run:
-                    np.bitwise_and(P, T, out=h)
-                    np.logical_not(h, out=d)
-                    np.add(acc, c, out=acc, where=d)
             else:
-                for T, c in run:
+                for T, c in terms:
                     np.bitwise_and(P, T, out=h)
                     np.logical_not(h, out=d)
                     np.multiply(d, c, out=t)
                     np.add(acc, t, out=acc)
-    out = np.empty(flat.size)
-    out[order] = acc_sorted
+    _add_table_hits(probes, tests[split:], coeffs[split:], n, out)
     if complement:
         bits = out.view(np.uint64)
         bits ^= np.bitwise_count(flat).astype(np.uint64) << np.uint64(63)
         out += 0.0
     return out.reshape(masks.shape)
+
+
+def _table_bits(probes: int) -> int:
+    """Mask bits per hit table: about half of log2 of the batch size."""
+    return min(max(probes.bit_length() // 2, 4), 10)
+
+
+def _add_table_hits(probes, tests, coeffs, n: int, out: np.ndarray) -> None:
+    """Add c_T onto out[p] for each term T, in order, with probes[p] & T == 0.
+
+    The method of Four Russians: the n mask bits are split into chunks of
+    b = `_table_bits` bits, and the chunk at bit s gets a table whose row v
+    is the bitset of the terms with T & (v << s) == 0, 64 terms to a word in
+    little bit order.  A probe's hit words are the AND of its chunks' rows,
+    taken one block of `_TABLE_PROBES` probes and one group of `_TABLE_WORDS`
+    words at a time.  Their set bits come out probe by probe, in ascending
+    term order, and `np.add.at` applies repeated indices in order.
+    """
+    padded = np.pad(tests, (0, -tests.size % 64), constant_values=-1)  # hits nothing
+    b = _table_bits(probes.size)
+    shifts = range(0, max(n, 1), b)
+    for first in range(0, padded.size, 64 * _TABLE_WORDS):
+        group = padded[first : first + 64 * _TABLE_WORDS]
+        tables = []
+        for s in shifts:
+            table = np.packbits(group != -1, bitorder="little").view(np.uint64)[None]
+            for bit in range(s, min(s + b, n)):
+                clear = np.packbits(group & (1 << bit) == 0, bitorder="little")
+                table = np.concatenate((table, table & clear.view(np.uint64)))
+            tables.append(table)
+        for start in range(0, probes.size, _TABLE_PROBES):
+            P, acc = probes[start : start + _TABLE_PROBES], out[start : start + _TABLE_PROBES]
+            hits = np.take(tables[0], P & (len(tables[0]) - 1), axis=0)
+            for s, table in zip(shifts[1:], tables[1:]):
+                hits &= np.take(table, (P >> s) & (len(table) - 1), axis=0)
+            # the nonzero words, then their nonzero bytes, then the set bits
+            hits = hits.ravel()
+            word = np.flatnonzero(hits != 0)
+            byte = hits[word].view(np.uint8)
+            k = np.flatnonzero(byte != 0)
+            at = np.flatnonzero(np.unpackbits(byte[k], bitorder="little").view(bool))
+            k = k[at >> 3]
+            probe, word = np.divmod(word[k >> 3], len(group) // 64)
+            np.add.at(acc, probe, coeffs[first + word * 64 + (k & 7) * 8 + (at & 7)])
 
 
 def oracle_from_sparse_spectrum(spectrum: SparseSpectrum) -> SetFunctionOracle:

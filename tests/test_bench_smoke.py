@@ -16,7 +16,7 @@ from unittest import mock
 
 import pytest
 
-from setsp import transforms
+from setsp import sampling, transforms
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -81,4 +81,17 @@ def test_dense_ops_give_the_same_bits_in_many_blocks(workloads, tmp_path):
     want = _run_smoke(workload, tmp_path / "one")
     with mock.patch.object(transforms, "_BLOCK_BITS", 4):
         got = _run_smoke(workload, tmp_path / "many")
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ["sparse-sampling", "oracle-compress"])
+def test_sparse_ops_give_the_same_bits_through_small_tables(workloads, name, tmp_path):
+    # every models-1-4 term through 3-bit tables, 7-probe blocks and one-word
+    # groups (by default the compression band runs on the sweep), and model
+    # 5's sweep in blocks of 100 probes
+    workload = workloads.WORKLOADS[name]
+    want = _run_smoke(workload, tmp_path / "default")
+    with mock.patch.multiple(sampling, _TABLE_MIN_CARD=0, _table_bits=lambda size: 3,
+                             _TABLE_PROBES=7, _TABLE_WORDS=1, _EVAL_CHUNK=100):
+        got = _run_smoke(workload, tmp_path / "small")
     assert got == want

@@ -75,6 +75,26 @@ def test_ground_set_bounds():
         GroundSet(4).check_mask(16)
 
 
+def test_check_masks_passes_int64_and_names_the_first_non_mask():
+    g = GroundSet(3)
+    masks = np.array([[1, 7], [0, 2]], dtype=np.int64)
+    assert g.check_masks(masks) is masks
+    assert g.check_masks([5.0, True, np.uint64(6)]).tolist() == [5, 1, 6]
+    assert g.check_mask(np.float64(4.0)) == 4 and type(g.check_mask(4)) is int
+    for bad, message in [
+        ([1.7, 2.2], "non-integer mask 1.7 at position 0"),
+        ([[2.0, np.inf]], "non-integer mask inf at position 1"),
+        ([3, 8, 9.5], "mask 8.0 out of range for n=3 at position 1"),
+        ([2**63 + 2], "mask 9223372036854775810 out of range for n=3 at position 0"),
+        ([-(2**64)], "mask -18446744073709551616 out of range for n=3 at position 0"),
+        (-1, "mask -1 out of range for n=3 at position 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            g.check_masks(bad)
+    with pytest.raises(ValueError, match="non-integer mask 0.5 at position 0"):
+        g.check_mask(0.5)
+
+
 def test_dense_container_cap():
     with pytest.raises(ValueError, match="dense"):
         SetFunction(GroundSet(31), np.zeros(8))

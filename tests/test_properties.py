@@ -6,7 +6,8 @@ the block to 2**2..2**5 rows, the transposed low part to 1 or 2 bits and model
 5's column chunks below the block: then n <= 8 crosses several blocks, the
 paired-block reversal of models 1 and 4, both phases of a block, and model 5's
 ping-pong with odd and even stage counts.  Likewise the sparse evaluator's
-probe blocks and reconstruct's row blocks shrink to a few entries.
+probe blocks, hit tables and term groups and reconstruct's row blocks shrink
+to a few entries.
 """
 
 import subprocess
@@ -187,6 +188,8 @@ def _assert_convolution_paths_agree(model, n, taps, values):
 
 # Small n, plus the edges of the narrow mask types eval_sparse_many uses.
 SPARSE_N = st.one_of(st.integers(0, 10), st.sampled_from([16, 17, 32, 33, 62]))
+# Half of the draws with room for more than 64 terms, so for several table words.
+WIDE_N = st.one_of(st.integers(7, 10), SPARSE_N)
 
 
 def _support(data, n: int, max_size: int) -> SparseSupport:
@@ -196,16 +199,55 @@ def _support(data, n: int, max_size: int) -> SparseSupport:
     return SparseSupport(GroundSet(n), np.array(freqs, dtype=np.int64))
 
 
+def _edge_masks(n: int):
+    """The empty set, N and the sets of size 1 and n - 1, which the
+    complemented models swap, or any mask: a frequency T = 0 or N reaches
+    every probe or one, and the table of a chunk of all-zero or all-one bits
+    passes every term or none."""
+    full = (1 << n) - 1
+    singles = [1 << i for i in range(n)]
+    edge = st.sampled_from([0, full] + singles + [full ^ m for m in singles])
+    return st.one_of(edge, st.integers(0, full))
+
+
+def _wide_spectrum(data, n: int, coeff, model: int = 4) -> SparseSpectrum:
+    """Up to a dozen drawn edge masks and up to 200 more from a drawn seed,
+    so that the hit tables fill several words and groups without
+    Hypothesis drawing each term; half of the coefficients come from a
+    drawn pool of `coeff` values, so signed zeros, subnormals and
+    overflowing sums show up among the many terms."""
+    size = 1 << n
+    edges = data.draw(st.lists(_edge_masks(n), max_size=12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    most = min(size, 200)
+    uniform = rng.integers(0, size, data.draw(st.one_of(st.just(most), st.integers(0, most))))
+    freqs = np.unique(np.concatenate((np.array(edges, dtype=np.int64), uniform)))
+    pool = data.draw(st.lists(coeff, min_size=1, max_size=8))
+    coeffs = np.where(rng.random(freqs.size) < 0.5, rng.choice(pool, freqs.size),
+                      rng.uniform(-1e6, 1e6, freqs.size))
+    return SparseSpectrum(SparseSupport(GroundSet(n), freqs), model, coeffs)
+
+
+def _small_tables(data, n: int):
+    """Patches the sparse evaluator's split threshold over 0..n+1, and its
+    table width, probe blocks, term groups and sweep blocks down to a few."""
+    bits = data.draw(st.integers(1, 6))
+    return mock.patch.multiple(
+        sampling, _TABLE_MIN_CARD=data.draw(st.integers(0, n + 1)),
+        _table_bits=lambda size: bits, _TABLE_PROBES=data.draw(st.integers(1, 9)),
+        _TABLE_WORDS=data.draw(st.integers(1, 3)), _EVAL_CHUNK=data.draw(st.integers(1, 5)))
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), n=SPARSE_N, chunk=st.integers(1, 5),
+@given(data=st.data(), n=WIDE_N,
        shape=array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=7))
-def test_blocked_sparse_eval_is_the_sequential_sum(data, n, chunk, shape):
+def test_blocked_sparse_eval_is_the_sequential_sum(data, n, shape):
     # model 4 against its own disjointness reference; the spectrum refuses
     # infinite coefficients, so sums that overflow stand in for them
     coeff = st.one_of(VALUES, st.sampled_from([1e308, -1e308]))
-    spectrum = _sparse_spectrum(data, n, 16, coeff)
-    masks = data.draw(arrays(np.int64, shape, elements=st.integers(0, (1 << n) - 1)))
-    with mock.patch.object(sampling, "_EVAL_CHUNK", chunk), np.errstate(over="ignore"):
+    spectrum = _wide_spectrum(data, n, coeff)
+    masks = data.draw(arrays(np.int64, shape, elements=_edge_masks(n)))
+    with _small_tables(data, n), np.errstate(over="ignore"):
         got = eval_sparse_many(spectrum, masks)
         scalar = [eval_sparse_many(spectrum, [m])[0] for m in masks.ravel().tolist()]
     want = sparse_eval_reference(spectrum.support.freqs.tolist(), spectrum.coeffs.tolist(),
@@ -231,32 +273,6 @@ def test_sampling_theorem_recovers_exactly_sparse_spectra(data, n, rows):
     assert oracle.queries == len(support)
     assert np.array_equal(got.support.freqs, support.freqs)
     assert np.array_equal(got.coeffs, coeffs)
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), n=SPARSE_N, model=st.integers(1, 5), chunk=st.integers(1, 5),
-       shape=array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=9))
-def test_cardinality_sorted_eval_is_the_sequential_sum(data, n, model, chunk, shape):
-    # probes crowd the cardinalities where the reachable prefix is all or
-    # nothing: the empty set, N and the sets of size 1 and n - 1, which the
-    # complemented models swap; the support holds the empty set and N, the
-    # frequencies that reach every and one probe
-    full = (1 << n) - 1
-    singles = [1 << i for i in range(n)]
-    edge = st.sampled_from([0, full] + singles + [full ^ m for m in singles])
-    mask = st.one_of(edge, st.integers(0, full))
-    freqs = sorted(set(data.draw(st.lists(mask, max_size=12))) | {0, full})
-    coeff = st.one_of(VALUES, st.floats(-1e3, 1e3))
-    coeffs = data.draw(st.lists(coeff, min_size=len(freqs), max_size=len(freqs)))
-    spectrum = SparseSpectrum(SparseSupport(GroundSet(n), np.array(freqs, dtype=np.int64)),
-                              model, np.array(coeffs, dtype=np.float64))
-    masks = data.draw(arrays(np.int64, shape, elements=mask))
-    with mock.patch.object(sampling, "_EVAL_CHUNK", chunk):
-        got = eval_sparse_many(spectrum, masks)
-    want = bandlimited_eval_reference(model, n, spectrum.support.freqs.tolist(),
-                                      spectrum.coeffs.tolist(), masks.ravel().tolist())
-    assert got.shape == masks.shape
-    assert _same_bits(got, np.reshape(want, masks.shape))
 
 
 @settings(max_examples=80, deadline=None)
@@ -290,31 +306,31 @@ def test_batched_reconstruct_is_per_oracle_reconstruct(data, n, rows, count):
 
 @pytest.mark.parametrize("model", range(1, 6))
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), n=SPARSE_N, chunk=st.integers(1, 5), threshold=st.integers(0, 6),
+@given(data=st.data(), n=WIDE_N,
        shape=array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=7))
-def test_blocked_band_eval_is_the_sequential_sum(model, data, n, chunk, threshold, shape):
+def test_blocked_band_eval_is_the_sequential_sum(model, data, n, shape):
     # arbitrary finite coefficients, so that another summation order shows in
     # the last bits, with signed zeros, subnormals and sums that overflow;
-    # either term op runs on any |T|, and the one-probe calls match the batch
+    # the sweep and the tables split the terms anywhere, and one-probe calls
+    # match the batch
     coeff = st.one_of(VALUES, st.floats(-1e6, 1e6),
                       st.sampled_from([1e308, -1e308, 5e-324, -5e-324]))
-    spectrum = _sparse_spectrum(data, n, 16, coeff, model)
-    masks = data.draw(arrays(np.int64, shape, elements=st.integers(0, (1 << n) - 1)))
-    with mock.patch.multiple(sampling, _EVAL_CHUNK=chunk, _MASKED_ADD_MIN_CARD=threshold), \
-            np.errstate(over="ignore"):
+    spectrum = _wide_spectrum(data, n, coeff, model)
+    masks = data.draw(arrays(np.int64, shape, elements=_edge_masks(n)))
+    with _small_tables(data, n), np.errstate(over="ignore"):
         got = eval_sparse_many(spectrum, masks)
-        scalar = np.array([eval_sparse_many(spectrum, [m])[0] for m in masks.ravel().tolist()])
+        scalar = [eval_sparse_many(spectrum, [m])[0] for m in masks.ravel().tolist()]
     want = bandlimited_eval_reference(model, n, spectrum.support.freqs.tolist(),
                                       spectrum.coeffs.tolist(), masks.ravel().tolist())
     assert got.shape == masks.shape
     assert _same_bits(got, np.reshape(want, masks.shape))
-    assert _same_bits(scalar, want)
+    assert _same_bits(np.array(scalar, dtype=np.float64), want)
 
 
-def _sparse_spectrum(data, n: int, max_size: int, coeff, model: int = 4) -> SparseSpectrum:
+def _sparse_spectrum(data, n: int, max_size: int, coeff) -> SparseSpectrum:
     support = _support(data, n, max_size)
     coeffs = data.draw(st.lists(coeff, min_size=len(support), max_size=len(support)))
-    return SparseSpectrum(support, model, np.array(coeffs, dtype=np.float64))
+    return SparseSpectrum(support, 4, np.array(coeffs, dtype=np.float64))
 
 
 def _on(freqs: np.ndarray, spectrum) -> np.ndarray:

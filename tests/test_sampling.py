@@ -1,10 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from setsp.core import GroundSet, SetFunction, SparseSpectrum, SparseSupport, Spectrum
 from setsp.compression import SetFunctionOracle
+from setsp.coverage import GaussianModel, gaussian_entropy, gaussian_entropy_many
 from setsp.sampling import (
     eval_sparse_many,
     load_sparse_spectrum,
@@ -125,6 +127,39 @@ def test_eval_sparse_many_refuses_masks_out_of_range(bad):
         with pytest.raises(ValueError, match=f"mask {bad} out of range for n=17"):
             evaluate(bad)
     assert oracle.queries == 0
+
+
+@pytest.mark.parametrize("bad,message", [
+    (1.5, "non-integer mask 1.5 at position"),
+    (2**63, "out of range for n=3 at position"),
+])
+def test_oracle_boundaries_refuse_what_is_no_mask(bad, message):
+    # casting to int64 first read 1.5 as mask 1 and overflowed on 2**63
+    spec = SparseSpectrum(SparseSupport(GroundSet(3), np.array([0, 3])), 4, np.ones(2))
+    oracle = oracle_from_sparse_spectrum(spec)
+    model = GaussianModel(np.diag([1.0, 4.0, 9.0]))
+    for evaluate in (lambda: eval_sparse_many(spec, [2, bad]), lambda: oracle.query(bad),
+                     lambda: oracle.query_many([2, bad]), lambda: gaussian_entropy(model, bad),
+                     lambda: gaussian_entropy_many(model, [[2, bad]])):
+        with pytest.raises(ValueError, match=message):
+            evaluate()
+    assert oracle.queries == 0
+
+
+def test_eval_sparse_many_on_a_large_support_stays_within_its_output():
+    # 2**16 probes against 2**14 terms: the hit words of all of them at once
+    # would take 128 MiB, one group of one probe block 256 KiB
+    spec = synthetic_sparse_spectrum(GroundSet(20), (1 << 14) - 1, seed=20)
+    probes = np.random.default_rng(20).integers(0, 1 << 20, size=1 << 16)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = eval_sparse_many(spec, probes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + (4 << 20)
 
 
 def test_sparse_to_dense_consistency():
