@@ -27,10 +27,10 @@ WEIGHT_DROP_TOL = 1e-12
 _CHECK_EXHAUSTIVE_N = 12
 _CHECK_SAMPLES = 256
 _CHECK_TOL = 1e-9
-# Masks per block of `gaussian_entropy_many`.  A block's bit matrix, indices,
-# submatrices and factors take 16n + 16k**2 bytes per mask of cardinality k:
-# 8 MiB at n=20, k=10 for 4096 masks, against 125 MiB for 65,536.
-_ENTROPY_BLOCK = 4096
+# Masks per block of `gaussian_entropy_many`.  A block's set-bit positions,
+# submatrices and factors take 8k + 16k**2 bytes per mask of cardinality k:
+# 1.6 MiB at k=10 for 1024 masks, against 105 MiB for 65,536.
+_ENTROPY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -42,18 +42,16 @@ class CoverageRepresentation:
     fragment_weights: dict[int, float]
 
     def __post_init__(self):
-        clean: dict[int, float] = {}
-        for mask, w in self.fragment_weights.items():
-            mask = self.ground.check_mask(mask)
-            if mask == 0:
-                raise ValueError("fragment weights are indexed by nonempty subsets")
-            clean[mask] = float(w)
+        masks = self.ground.check_masks(list(self.fragment_weights))
+        if (masks == 0).any():
+            raise ValueError("fragment weights are indexed by nonempty subsets")
+        weights = np.array([float(w) for w in self.fragment_weights.values()])
+        clean = dict(zip(masks.tolist(), weights.tolist()))
         object.__setattr__(self, "fragment_weights", clean)
         object.__setattr__(self, "offset_c", float(self.offset_c))
-        masks = np.array(sorted(clean), dtype=np.int64)
-        weights = np.array([clean[int(m)] for m in masks])
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_weights", weights)
+        order = np.argsort(masks)
+        object.__setattr__(self, "_masks", masks[order])
+        object.__setattr__(self, "_weights", weights[order])
 
     @property
     def total_weight(self) -> float:
@@ -188,13 +186,15 @@ def gaussian_entropy(model: GaussianModel, A: int) -> float:
 def gaussian_entropy_many(model: GaussianModel, masks) -> np.ndarray:
     """`gaussian_entropy` at each mask of an array of any shape: groups the
     masks by cardinality and factorizes the stacked principal submatrices in
-    blocks of `_ENTROPY_BLOCK`.  Each matrix is factored alone, so a mask's
-    value does not depend on the rest of the batch."""
+    blocks of `_ENTROPY_BLOCK`.  A block of masks of cardinality k finds
+    their set-bit positions, ascending, in k passes that each peel the
+    lowest set bit, and gathers the k x k submatrices through them.  Each
+    matrix is factored alone, so a mask's value does not depend on the rest
+    of the batch."""
     masks = model.ground.check_masks(masks)
     flat = masks.ravel()
     out = np.empty(flat.shape[0])
     cards = popcount(flat)
-    shifts = np.arange(model.n, dtype=np.int64)
     for k in range(model.n + 1):
         sel = np.nonzero(cards == k)[0]
         if sel.size == 0:
@@ -204,9 +204,13 @@ def gaussian_entropy_many(model: GaussianModel, masks) -> np.ndarray:
             continue
         for start in range(0, sel.size, _ENTROPY_BLOCK):
             part = sel[start : start + _ENTROPY_BLOCK]
-            bits = (flat[part, None] >> shifts[None, :]) & 1
-            # stable argsort puts the k set-bit positions first, ascending
-            idx = np.argsort(bits == 0, axis=1, kind="stable")[:, :k]
+            # the k set-bit positions, ascending: peel the lowest bit k times
+            rest, pos = flat[part], np.empty((k, part.size), np.intp)
+            for r in range(k):
+                low = rest & -rest
+                pos[r] = np.bitwise_count(low - 1)
+                rest ^= low
+            idx = pos.T
             subs = model.covariance[idx[:, :, None], idx[:, None, :]]
             try:
                 L = np.linalg.cholesky(subs)

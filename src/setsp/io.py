@@ -219,26 +219,25 @@ def write_entries(path, n: int, kind: str, model: int | None, pairs) -> None:
     What `parse_setfn` would refuse raises ValueError, with the parser's
     message, before the file is opened, so a refused write leaves an existing
     file untouched: n beyond `MAX_N` (`DENSE_MAX_N` for dense), a kind other
-    than dense or sparse, a model other than None or 1..5, a mask outside
-    [0, 2**n), a repeated mask, a value that is not finite, or a dense file
-    that does not list all 2**n masks.
+    than dense or sparse, a model other than None or 1..5, a mask that is not
+    an integer in [0, 2**n) (`GroundSet.check_masks`), a repeated mask, a
+    value that is not finite, or a dense file that does not list all 2**n
+    masks.
     """
     pairs = list(pairs)
-    masks = np.array([mask for mask, _ in pairs], dtype=np.int64)
+    masks = [mask for mask, _ in pairs]
     values = np.array([value for _, value in pairs], dtype=np.float64)
     _write_arrays(path, n, kind, model, masks, values)
 
 
 def _write_arrays(path, n: int, kind: str, model: int | None, masks, values) -> None:
-    """`write_entries` of aligned int64 mask and float64 value arrays."""
+    """`write_entries` of aligned masks, checked here, and float64 values."""
     model_text = "none" if model is None else str(model)
     try:
         _header_fields(str(n), kind, model_text)
     except _HeaderFault as fault:
         raise ValueError(str(fault)) from None
-    bad = (masks < 0) | (masks >= 1 << n)
-    if bad.any():
-        raise ValueError(f"mask {masks[bad][0]} out of range for n={n}")
+    masks = GroundSet(n).check_masks(masks)
     repeated = _repeated(masks)
     if repeated.size:
         raise ValueError(f"duplicate mask {repeated[0]}")

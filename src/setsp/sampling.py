@@ -57,6 +57,12 @@ _TABLE_MIN_CARD = 5
 # words of one step take 2**11 * 16 * 8 bytes = 256 KiB, in L2.
 _TABLE_PROBES = 1 << 11
 _TABLE_WORDS = 16
+# Nonzero hit bytes of one step expanded at a time, in ascending order.  A
+# step whose probes hit every term then holds the index and value arrays of
+# at most 2**18 hits at once (13 MiB peak at n=20, against 97 MiB for all of
+# its 2**21).  A step of random probes has far fewer nonzero bytes (at most
+# 21k in the benchmark's workloads) and takes one slice.
+_TABLE_HIT_BYTES = 1 << 15
 # Rows of `reconstruct`'s inclusion pattern built at once: a k=500 support
 # takes two blocks, and a 2**16 one holds 16 MiB of it at a time, not 4 GiB.
 _RECONSTRUCT_ROWS = 256
@@ -145,7 +151,8 @@ def _add_table_hits(probes, tests, coeffs, n: int, out: np.ndarray) -> None:
     little bit order.  A probe's hit words are the AND of its chunks' rows,
     taken one block of `_TABLE_PROBES` probes and one group of `_TABLE_WORDS`
     words at a time.  Their set bits come out probe by probe, in ascending
-    term order, and `np.add.at` applies repeated indices in order.
+    term order, `_TABLE_HIT_BYTES` nonzero bytes at a time, and `np.add.at`
+    applies repeated indices in order.
     """
     padded = np.pad(tests, (0, -tests.size % 64), constant_values=-1)  # hits nothing
     b = _table_bits(probes.size)
@@ -168,11 +175,13 @@ def _add_table_hits(probes, tests, coeffs, n: int, out: np.ndarray) -> None:
             hits = hits.ravel()
             word = np.flatnonzero(hits != 0)
             byte = hits[word].view(np.uint8)
-            k = np.flatnonzero(byte != 0)
-            at = np.flatnonzero(np.unpackbits(byte[k], bitorder="little").view(bool))
-            k = k[at >> 3]
-            probe, word = np.divmod(word[k >> 3], len(group) // 64)
-            np.add.at(acc, probe, coeffs[first + word * 64 + (k & 7) * 8 + (at & 7)])
+            nonzero = np.flatnonzero(byte != 0)
+            for lo in range(0, nonzero.size, _TABLE_HIT_BYTES):
+                k = nonzero[lo : lo + _TABLE_HIT_BYTES]
+                at = np.flatnonzero(np.unpackbits(byte[k], bitorder="little").view(bool))
+                at = k[at >> 3] << 3 | at & 7  # the hit's bit in `byte`
+                probe, w = np.divmod(word[at >> 6], len(group) // 64)
+                np.add.at(acc, probe, coeffs[first + w * 64 + (at & 63)])
 
 
 def oracle_from_sparse_spectrum(spectrum: SparseSpectrum) -> SetFunctionOracle:

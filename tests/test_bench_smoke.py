@@ -16,7 +16,7 @@ from unittest import mock
 
 import pytest
 
-from setsp import sampling, transforms
+from setsp import coverage, sampling, transforms
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -86,12 +86,23 @@ def test_dense_ops_give_the_same_bits_in_many_blocks(workloads, tmp_path):
 
 @pytest.mark.parametrize("name", ["sparse-sampling", "oracle-compress"])
 def test_sparse_ops_give_the_same_bits_through_small_tables(workloads, name, tmp_path):
-    # every models-1-4 term through 3-bit tables, 7-probe blocks and one-word
-    # groups (by default the compression band runs on the sweep), and model
-    # 5's sweep in blocks of 100 probes
+    # every models-1-4 term through 3-bit tables, 7-probe blocks, one-word
+    # groups and 3-byte hit slices (by default the compression band runs on
+    # the sweep), and model 5's sweep in blocks of 100 probes
     workload = workloads.WORKLOADS[name]
     want = _run_smoke(workload, tmp_path / "default")
     with mock.patch.multiple(sampling, _TABLE_MIN_CARD=0, _table_bits=lambda size: 3,
-                             _TABLE_PROBES=7, _TABLE_WORDS=1, _EVAL_CHUNK=100):
+                             _TABLE_PROBES=7, _TABLE_WORDS=1, _TABLE_HIT_BYTES=3,
+                             _EVAL_CHUNK=100):
+        got = _run_smoke(workload, tmp_path / "small")
+    assert got == want
+
+
+def test_oracle_ops_give_the_same_bits_in_small_entropy_blocks(workloads, tmp_path):
+    # 7-mask blocks split the smoke oracle's cardinality groups into many
+    # blocks, most groups ending in a partial one
+    workload = workloads.WORKLOADS["oracle-compress"]
+    want = _run_smoke(workload, tmp_path / "default")
+    with mock.patch.object(coverage, "_ENTROPY_BLOCK", 7):
         got = _run_smoke(workload, tmp_path / "small")
     assert got == want

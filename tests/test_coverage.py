@@ -1,8 +1,12 @@
 import math
+import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from setsp import coverage
 from setsp.core import GroundSet, SetFunction
 from setsp.coverage import (
     CoverageRepresentation,
@@ -128,9 +132,20 @@ def test_roundtrip_random_setfunctions(n):
 
 def test_fragment_mask_validation():
     with pytest.raises(ValueError, match="nonempty"):
-        CoverageRepresentation(GroundSet(2), 0.0, {0: 1.0})
-    with pytest.raises(ValueError):
-        CoverageRepresentation(GroundSet(2), 0.0, {7: 1.0})
+        CoverageRepresentation(GroundSet(2), 0.0, {1: 1.0, 0: 1.0})
+    with pytest.raises(ValueError, match="mask 7 out of range for n=2 at position 1"):
+        CoverageRepresentation(GroundSet(2), 0.0, {1: 1.0, 7: 1.0, 9: 1.0})
+    with pytest.raises(ValueError, match="non-integer mask 1.5 at position 0"):
+        CoverageRepresentation(GroundSet(2), 0.0, {1.5: 1.0})
+
+
+def test_many_fragments_are_checked_at_once():
+    # one scalar mask check per fragment took 0.25 s for these 65,535
+    weights = dict.fromkeys(range(1, 1 << 16), 0.5)
+    start = time.perf_counter()
+    rep = CoverageRepresentation(GroundSet(16), 0.0, weights)
+    assert time.perf_counter() - start < 0.1
+    assert rep.fragment_weights == weights and rep.total_weight == 0.5 * 65535
 
 
 def test_gaussian_model_validation():
@@ -169,6 +184,43 @@ def test_gaussian_entropy_many_matches_scalar():
     want = [gaussian_entropy_reference(model.covariance, int(m)) for m in masks]
     assert batched.tobytes() == np.array(want).tobytes()
     assert np.array(single).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("block", (1, 3, None))
+@pytest.mark.parametrize("n", (1, 2, 20, 62))
+def test_gaussian_entropy_many_is_the_one_matrix_factorization(n, block):
+    # 0, N, the top bit alone, and three masks of every cardinality, shuffled,
+    # so that every set-bit position, bit 61 included, is peeled
+    rng = np.random.default_rng(n)
+    model = GaussianModel(_random_pd(n, rng))
+    masks = [0, (1 << n) - 1, 1 << (n - 1)]
+    masks += [sum(1 << int(i) for i in rng.choice(n, k, replace=False))
+              for k in range(n + 1) for _ in range(3)]
+    masks = rng.permutation(np.array(masks, dtype=np.int64))
+    size = coverage._ENTROPY_BLOCK if block is None else block
+    with mock.patch.object(coverage, "_ENTROPY_BLOCK", size):
+        got = gaussian_entropy_many(model, masks)
+    want = [gaussian_entropy_reference(model.covariance, int(m)) for m in masks]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_gaussian_entropy_many_stays_within_its_output_and_a_few_blocks():
+    rng = np.random.default_rng(16)
+    model = GaussianModel(_random_pd(20, rng))
+    masks = rng.integers(0, 1 << 20, size=1 << 16)
+    # positions, submatrices and factors of a full block at the most common
+    # cardinality (a block of k=13 takes 1.7 of these), beside the output and
+    # the masks' cardinalities
+    block = coverage._ENTROPY_BLOCK * (8 * 10 + 16 * 10**2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = gaussian_entropy_many(model, masks)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes + 4 * block
 
 
 def test_gaussian_entropy_refuses_masks_out_of_range():

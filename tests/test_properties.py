@@ -230,12 +230,14 @@ def _wide_spectrum(data, n: int, coeff, model: int = 4) -> SparseSpectrum:
 
 def _small_tables(data, n: int):
     """Patches the sparse evaluator's split threshold over 0..n+1, and its
-    table width, probe blocks, term groups and sweep blocks down to a few."""
+    table width, probe blocks, term groups, hit slices and sweep blocks down
+    to a few."""
     bits = data.draw(st.integers(1, 6))
     return mock.patch.multiple(
         sampling, _TABLE_MIN_CARD=data.draw(st.integers(0, n + 1)),
         _table_bits=lambda size: bits, _TABLE_PROBES=data.draw(st.integers(1, 9)),
-        _TABLE_WORDS=data.draw(st.integers(1, 3)), _EVAL_CHUNK=data.draw(st.integers(1, 5)))
+        _TABLE_WORDS=data.draw(st.integers(1, 3)), _TABLE_HIT_BYTES=data.draw(st.integers(1, 5)),
+        _EVAL_CHUNK=data.draw(st.integers(1, 5)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -21,7 +21,7 @@ from setsp.sampling import (
 )
 from setsp.transforms import INVERSE, dsft_matrix, idsft
 
-from reference import forward_substitution_reference
+from reference import forward_substitution_reference, sparse_eval_reference
 
 
 def test_sampling_indices_examples():
@@ -160,6 +160,27 @@ def test_eval_sparse_many_on_a_large_support_stays_within_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + (4 << 20)
+
+
+def test_probes_that_hit_every_table_term_stay_within_a_few_slices():
+    # every empty-set probe hits all 1,024 |T| = 5 terms: one hit index per
+    # (probe, term) pair of a probe block held 97 MiB at once
+    rng = np.random.default_rng(21)
+    draws = np.array([rng.choice(20, 5, replace=False) for _ in range(1200)])
+    freqs = np.unique((1 << draws).sum(axis=1))[:1024]
+    spec = SparseSpectrum(SparseSupport(GroundSet(20), freqs), 4, rng.standard_normal(1024))
+    probes = np.zeros(1 << 16, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = eval_sparse_many(spec, probes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + (20 << 20)
+    want = sparse_eval_reference(spec.support.freqs.tolist(), spec.coeffs.tolist(), [0])
+    assert out.tobytes() == np.full(out.size, want[0]).tobytes()
 
 
 def test_sparse_to_dense_consistency():
