@@ -118,15 +118,15 @@ def test_parse_errors_carry_line_numbers(tmp_path, body, line, fragment):
         (2, "sparse", [(1, 1.0), (3, -float("inf"))], "value -inf at mask 3 is not finite"),
         (2, "sparse", [(0, 1.0), (9, 2.0)], "mask 9 out of range for n=2"),
         (2, "sparse", [(-1, 2.0)], "mask -1 out of range for n=2"),
-        # cast to int64 first, 1.7 was written as mask 1 and 2**63 overflowed
-        (2, "sparse", [(0, 1.0), (1.7, 2.0)], "non-integer mask 1.7 at position 1"),
-        (2, "sparse", [(2**63, 2.0)], "mask 9223372036854775808 out of range for n=2"),
         (3, "sparse", [(5, 1.0), (2, 2.0), (5, 3.0)], "duplicate mask 5"),
         (1, "dense", [(0, 1.0)], "dense file must list all 2 masks, got 1"),
         (70, "sparse", [(0, 1.0)], "n=70 exceeds bound 62 for kind sparse"),
         (31, "dense", [(0, 1.0)], "n=31 exceeds bound 30 for kind dense"),
         (-1, "sparse", [], "n=-1 exceeds bound 62 for kind sparse"),
         (2, "half", [(0, 1.0)], "kind must be dense or sparse, got 'half'"),
+        # cast to int64 first, 1.7 was written as mask 1 and 2**63 overflowed
+        (2, "sparse", [(0, 1.0), (1.7, 2.0)], "non-integer mask 1.7 at position 1"),
+        (2, "sparse", [(2**63, 2.0)], "mask 9223372036854775808 out of range for n=2"),
     ],
 )
 def test_write_entries_refuses_what_the_parser_refuses(tmp_path, n, kind, pairs, fragment):
