@@ -21,6 +21,7 @@ from functools import partial
 import numpy as np
 
 from setsp.compression import compress_band, estimate_relative_errors, wht_regression
+from setsp.core import SparseSetFunction
 from setsp.coverage import GaussianModel, gaussian_entropy
 from setsp.experiments import entropy_oracle, random_rbf_covariance
 from setsp.sampling import eval_sparse_many
@@ -35,7 +36,7 @@ print(f"model-4 band |B|<=2: {len(band.support)} coefficients from {oracle.queri
 
 rng = np.random.default_rng(6)
 sample_masks = rng.choice(1 << n, size=1000, replace=False)
-samples = list(zip(sample_masks.tolist(), oracle.query_many(sample_masks).tolist()))
+samples = SparseSetFunction(model.ground, sample_masks, oracle.query_many(sample_masks))
 wht = wht_regression(samples, band.support)
 
 # one pass of oracle queries at the probes scores both approximations

@@ -13,6 +13,7 @@ from setsp import (
     GaussianModel,
     GroundSet,
     SetFunction,
+    SparseSetFunction,
     coverage_dense,
     coverage_from_setfunction,
     dsft,
@@ -27,7 +28,7 @@ from setsp.coverage import CoverageRepresentation
 
 # two sets S1 = {a, b}, S2 = {b, c} with weights w(a)=1, w(b)=2, w(c)=3
 g = GroundSet(2)
-rep = CoverageRepresentation(g, 0.0, {0b01: 1.0, 0b10: 3.0, 0b11: 2.0})
+rep = CoverageRepresentation(0.0, SparseSetFunction(g, [0b01, 0b10, 0b11], [1.0, 3.0, 2.0]))
 s = coverage_dense(rep)
 print("coverage function:", s.values.tolist(), "(values of {}, {x1}, {x2}, {x1,x2})")
 print("model-3 spectrum = -(intersection weights):", dsft(3, s).coeffs.tolist())
@@ -40,7 +41,7 @@ rng = np.random.default_rng(2)
 g5 = GroundSet(5)
 fn = SetFunction(g5, rng.standard_normal(32))
 rep5 = coverage_from_setfunction(fn)
-print("\nrandom function re-expressed with", len(rep5.fragment_weights),
+print("\nrandom function re-expressed with", len(rep5.fragments),
       "weighted fragments; reproduction error:",
       float(np.abs(coverage_dense(rep5).values - fn.values).max()))
 

@@ -19,7 +19,7 @@ for model in (1, 2, 3, 4, 5):
     print(f"  model {model}: {np.array2string(shift(model, 1, s).values, precision=2)}")
 
 h = Filter.moving_average(g)
-print(f"\nmoving-average filter taps: {sorted(h.taps.entries)} (empty set and singletons)")
+print(f"\nmoving-average filter taps: {h.taps.masks.tolist()} (empty set and singletons)")
 
 fr = frequency_response(1, h)
 cards = np.bitwise_count(np.arange(16))

@@ -33,7 +33,6 @@ from .transforms import (
     dsft,
     dsft_inplace,
     dsft_matrix,
-    fourier_basis_entry,
     fourier_basis_vector,
     idsft,
     kernel,

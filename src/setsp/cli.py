@@ -157,7 +157,7 @@ def cmd_generate(args) -> int:
 
         rep = load_coverage(args.fragments)
         setfn_io.write_setfn(args.out, coverage_dense(rep))
-        _log(f"generate coverage: n={rep.ground.n} fragments={len(rep.fragment_weights)}")
+        _log(f"generate coverage: n={rep.ground.n} fragments={len(rep.fragments)}")
     elif args.kind == "sparse4":
         spec = sampling_mod.synthetic_sparse_spectrum(
             GroundSet(args.n), args.k, seed=args.seed

@@ -27,6 +27,7 @@ from .core import (
     SparseSpectrum,
     SparseSupport,
     popcount,
+    require_same_ground,
     subsets_of_cardinality_at_most,
 )
 from .transforms import INVERSE, _closed_entries
@@ -72,8 +73,18 @@ class SetFunctionOracle:
 
     @classmethod
     def from_sparse(cls, s: SparseSetFunction) -> "SetFunctionOracle":
-        get = s.entries.get
-        return cls(s.ground, lambda masks: np.array([get(m, 0.0) for m in masks.tolist()]))
+        """Each mask's stored value, or +0.0, found by binary search in the
+        sorted masks; the sentinel 2**n at their end is above every mask, so
+        every search lands on an entry."""
+        order = np.argsort(s.masks)
+        keys = np.append(s.masks[order], s.ground.size)
+        values = np.append(s.values[order], 0.0)
+
+        def evaluate(masks):
+            at = np.searchsorted(keys, masks)
+            return np.where(keys[at] == masks, values[at], 0.0)
+
+        return cls(s.ground, evaluate)
 
 
 def _distinct(masks: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -136,24 +147,21 @@ def compress_band(oracle: SetFunctionOracle, m: int) -> SparseSpectrum:
     return SparseSpectrum(support, 4, coeffs)
 
 
-def wht_regression(samples, support: SparseSupport) -> SparseSpectrum:
+def wht_regression(samples: SparseSetFunction, support: SparseSupport) -> SparseSpectrum:
     """Model-5 coefficients on `support` by least squares on sampled values.
 
-    `samples` is a sequence of (mask, value) pairs with distinct masks.  The
-    design matrix holds the lazy WHT-inverse entries (1/2)**n * (-1)**|A & B|;
-    rank-deficient systems get the minimum-norm solution.
+    `samples` holds the sampled masks and their values, on the support's
+    ground set.  The design matrix holds the lazy WHT-inverse entries
+    (1/2)**n * (-1)**|A & B|; rank-deficient systems get the minimum-norm
+    solution.
     """
-    samples = list(samples)
-    if not samples:
+    require_same_ground(samples, support)
+    if not len(samples):
         raise ValueError("wht_regression requires at least one sample")
-    sample_masks = np.array([m for m, _ in samples], dtype=np.int64)
-    values = np.array([v for _, v in samples], dtype=np.float64)
-    if np.unique(sample_masks).size != sample_masks.size:
-        raise ValueError("sample masks must be distinct")
     design = _closed_entries(
-        5, INVERSE, sample_masks[:, None], support.freqs[None, :], support.ground.n
+        5, INVERSE, samples.masks[:, None], support.freqs[None, :], support.ground.n
     )
-    coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
+    coeffs, *_ = np.linalg.lstsq(design, samples.values, rcond=None)
     return SparseSpectrum(support, 5, coeffs)
 
 
@@ -182,8 +190,9 @@ def estimate_relative_errors(
     evaluators = list(evaluators)
     if not evaluators:
         raise ValueError("estimate_relative_errors requires at least one evaluator")
-    if m_samples < 1:
-        raise ValueError("m_samples must be >= 1")
+    if (isinstance(m_samples, bool) or not isinstance(m_samples, (int, np.integer))
+            or m_samples < 1):
+        raise ValueError(f"m_samples must be an integer >= 1, got {m_samples!r}")
     rng = np.random.default_rng(seed)
     size = 1 << oracle.ground.n
     probes = rng.integers(0, size, size=m_samples, dtype=np.uint64).astype(np.int64)

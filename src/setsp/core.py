@@ -89,9 +89,6 @@ class GroundSet:
             raise ValueError(f"element index {i} out of range 1..{self.n}")
         return int(i)
 
-    def complement(self, mask: int) -> int:
-        return self.full_mask & ~self.check_mask(mask)
-
     def masks(self) -> np.ndarray:
         """All subset masks 0..2**n-1 in lexicographic (= integer) order."""
         if self.n > DENSE_MAX_N:
@@ -153,39 +150,60 @@ class SetFunction:
         return float(self.values[self.ground.check_mask(mask)])
 
     def to_sparse(self) -> "SparseSetFunction":
-        nz = np.nonzero(self.values)[0]
-        return SparseSetFunction(self.ground, {int(m): float(self.values[m]) for m in nz})
+        nz = np.flatnonzero(self.values)
+        return SparseSetFunction(self.ground, nz, self.values[nz])
 
 
-@dataclass(frozen=True)
+def repeated_masks(masks: np.ndarray) -> np.ndarray:
+    """The masks that occur more than once, ascending (with repeats)."""
+    ordered = np.sort(masks)
+    return ordered[1:][ordered[1:] == ordered[:-1]]
+
+
+@dataclass(frozen=True, eq=False)
 class SparseSetFunction:
-    """Sparse set function: mask -> value map, absent masks read as zero."""
+    """Sparse set function: aligned, read-only int64 `masks` and float64
+    `values` in the order given; absent masks read as zero.
+
+    The arrays are copied and checked once, here: both 1-d and of one
+    length, every mask an integer in [0, 2**n) (`GroundSet.check_masks`),
+    no mask repeated and every value finite.  The first fault raises
+    ValueError naming it.
+    """
 
     ground: GroundSet
-    entries: dict[int, float]
+    masks: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        size = 1 << self.ground.n
-        clean: dict[int, float] = {}
-        for mask, value in self.entries.items():
-            mask = int(mask)
-            if not 0 <= mask < size:
-                raise ValueError(f"mask {mask} out of range for n={self.ground.n}")
-            if mask in clean:
-                raise ValueError(f"duplicate mask {mask}")
-            clean[mask] = float(value)
-        object.__setattr__(self, "entries", clean)
+        masks, values = np.asarray(self.masks), np.array(self.values, dtype=np.float64)
+        if masks.ndim != 1 or values.ndim != 1:
+            raise ValueError(f"masks and values must be 1-d, got shapes "
+                             f"{masks.shape} and {values.shape}")
+        if masks.size != values.size:
+            raise ValueError(f"got {masks.size} masks and {values.size} values")
+        masks = np.array(self.ground.check_masks(masks))
+        repeated = repeated_masks(masks)
+        if repeated.size:
+            raise ValueError(f"duplicate mask {repeated[0]}")
+        bad = ~np.isfinite(values)
+        if bad.any():
+            at = np.flatnonzero(bad)[0]
+            raise ValueError(f"value {values[at]} at mask {masks[at]} is not finite")
+        for name, arr in (("masks", masks), ("values", values)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __call__(self, mask: int) -> float:
-        return self.entries.get(self.ground.check_mask(mask), 0.0)
+        at = np.flatnonzero(self.masks == self.ground.check_mask(mask))
+        return float(self.values[at[0]]) if at.size else 0.0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.masks.size
 
     def to_dense(self) -> SetFunction:
         values = np.zeros(self.ground.size)
-        for mask, value in self.entries.items():
-            values[mask] = value
+        values[self.masks] = self.values
         return SetFunction.wrap(self.ground, values)
 
 
@@ -241,8 +259,9 @@ class SparseSupport:
         if given.ndim != 1:
             raise ValueError("support must be a 1-d mask array")
         freqs = self.ground.check_masks(given, "support mask")
-        if np.unique(freqs).size != freqs.size:
-            raise ValueError("duplicate support entries")
+        repeated = repeated_masks(freqs)
+        if repeated.size:
+            raise ValueError(f"duplicate support mask {repeated[0]}")
         freqs = freqs[_support_order(freqs)]
         freqs.setflags(write=False)
         object.__setattr__(self, "freqs", freqs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroundSet, SetFunction, Spectrum, popcount
+from .core import GroundSet, SetFunction, SparseSetFunction, Spectrum, popcount
 from .transforms import FORWARD, INVERSE, dsft, dsft_inplace
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -35,41 +35,42 @@ _ENTROPY_BLOCK = 1024
 
 @dataclass(frozen=True)
 class CoverageRepresentation:
-    """Offset c plus signed weights w(T_B) of the nonempty Venn fragments."""
+    """Offset c plus signed weights w(T_B) of the nonempty Venn fragments,
+    held as a `SparseSetFunction` sorted by mask."""
 
-    ground: GroundSet
     offset_c: float
-    fragment_weights: dict[int, float]
+    fragments: SparseSetFunction
 
     def __post_init__(self):
-        masks = self.ground.check_masks(list(self.fragment_weights))
+        masks, weights = self.fragments.masks, self.fragments.values
         if (masks == 0).any():
             raise ValueError("fragment weights are indexed by nonempty subsets")
-        weights = np.array([float(w) for w in self.fragment_weights.values()])
-        clean = dict(zip(masks.tolist(), weights.tolist()))
-        object.__setattr__(self, "fragment_weights", clean)
-        object.__setattr__(self, "offset_c", float(self.offset_c))
         order = np.argsort(masks)
-        object.__setattr__(self, "_masks", masks[order])
-        object.__setattr__(self, "_weights", weights[order])
+        object.__setattr__(self, "offset_c", float(self.offset_c))
+        object.__setattr__(self, "fragments",
+                           SparseSetFunction(self.ground, masks[order], weights[order]))
+
+    @property
+    def ground(self) -> GroundSet:
+        return self.fragments.ground
 
     @property
     def total_weight(self) -> float:
-        return float(self._weights.sum())
+        return float(self.fragments.values.sum())
 
 
 def coverage_eval(rep: CoverageRepresentation, A: int) -> float:
     """c plus the total weight of fragments touching A:
     sum of w(T_B) over B with B & A != 0."""
     A = rep.ground.check_mask(A)
-    touching = (rep._masks & A) != 0
-    return rep.offset_c + float(rep._weights[touching].sum())
+    touching = (rep.fragments.masks & A) != 0
+    return rep.offset_c + float(rep.fragments.values[touching].sum())
 
 
 def coverage_dense(rep: CoverageRepresentation) -> SetFunction:
     """Evaluate the representation at every subset (via the model-4 inverse)."""
     coeffs = np.zeros(rep.ground.size)
-    coeffs[rep._masks] = -rep._weights
+    coeffs[rep.fragments.masks] = -rep.fragments.values
     coeffs[0] = rep.offset_c + rep.total_weight  # = s_N
     dsft_inplace(coeffs, 4, INVERSE)
     return SetFunction.wrap(rep.ground, coeffs)
@@ -83,13 +84,10 @@ def coverage_from_setfunction(s: SetFunction, check: bool = True) -> CoverageRep
     representation reproduces the input (exhaustively up to n=12, on random
     subsets beyond).
     """
-    spectrum = dsft(4, s)
-    weights = {}
-    for mask in range(1, s.ground.size):
-        w = -spectrum.coeffs[mask]
-        if abs(w) >= WEIGHT_DROP_TOL:
-            weights[mask] = w
-    rep = CoverageRepresentation(s.ground, float(s.values[0]), weights)
+    weights = -dsft(4, s).coeffs
+    kept = np.flatnonzero(np.abs(weights[1:]) >= WEIGHT_DROP_TOL) + 1
+    rep = CoverageRepresentation(float(s.values[0]),
+                                 SparseSetFunction(s.ground, kept, weights[kept]))
     if check:
         scale = max(1.0, float(np.abs(s.values).max()))
         if s.ground.n <= _CHECK_EXHAUSTIVE_N:
@@ -114,7 +112,7 @@ def intersection_weights(rep: CoverageRepresentation) -> Spectrum:
     # superset sums w[B] = sum of w(T_C) over C >= B: the model-1 forward
     # transform reverses the array, then runs u += w per stage
     w = np.zeros(rep.ground.size)
-    w[rep.ground.full_mask ^ rep._masks] = rep._weights
+    w[rep.ground.full_mask ^ rep.fragments.masks] = rep.fragments.values
     dsft_inplace(w, 1, FORWARD)
     coeffs = -w
     coeffs[0] = rep.offset_c
@@ -125,7 +123,7 @@ def fragment_weights_spectrum(rep: CoverageRepresentation) -> Spectrum:
     """Model-4 spectrum predicted by the representation:
     -w(T_B) for B != {}, and s_N at B = {}."""
     coeffs = np.zeros(rep.ground.size)
-    coeffs[rep._masks] = -rep._weights
+    coeffs[rep.fragments.masks] = -rep.fragments.values
     coeffs[0] = rep.offset_c + rep.total_weight
     return Spectrum.wrap(rep.ground, 4, coeffs)
 
@@ -142,8 +140,10 @@ def load_coverage(path) -> CoverageRepresentation:
     fragment = rec.masks != 0
     at_zero = rec.values[~fragment]
     s_n = float(at_zero[0]) if at_zero.size else 0.0
-    weights = dict(zip(rec.masks[fragment].tolist(), (-rec.values[fragment]).tolist()))
-    return CoverageRepresentation(rec.ground, s_n - sum(weights.values()), weights)
+    weights = -rec.values[fragment]
+    # left to right in file order: np.sum's pairwise order would move its bits
+    return CoverageRepresentation(s_n - sum(weights.tolist()),
+                                  SparseSetFunction(rec.ground, rec.masks[fragment], weights))
 
 
 @dataclass(frozen=True)

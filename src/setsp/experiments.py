@@ -31,6 +31,7 @@ import numpy as np
 from .core import (
     GroundSet,
     SetFunction,
+    SparseSetFunction,
     SparseSpectrum,
     is_subset,
     popcount,
@@ -145,7 +146,7 @@ def score_compression(
     rng = np.random.default_rng(seed)
     sample_masks = rng.choice(ground.size, size=wht_samples, replace=False)
     sample_values = oracle.query_many(sample_masks)
-    wht = wht_regression(zip(sample_masks.tolist(), sample_values.tolist()), band.support)
+    wht = wht_regression(SparseSetFunction(ground, sample_masks, sample_values), band.support)
     wht_queries, wht_time = oracle.queries - before, time.perf_counter() - started
 
     started = time.perf_counter()

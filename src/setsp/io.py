@@ -60,9 +60,10 @@ class SetFnFormatError(ValueError):
 class SetFnFile:
     """Parsed and validated contents of a setfn v1 file.
 
-    `masks` (int64) and `values` (float64) are aligned arrays in file order:
-    the masks are distinct and in [0, 2**n), every value is finite, and a
-    dense file lists all 2**n masks in any order.
+    `masks` (int64) and `values` (float64) are aligned, read-only arrays in
+    file order, checked by `SparseSetFunction`: the masks are distinct and in
+    [0, 2**n), every value is finite, and a dense file lists all 2**n masks
+    in any order.
     """
 
     n: int
@@ -75,9 +76,6 @@ class SetFnFile:
     def ground(self) -> GroundSet:
         return GroundSet(self.n)
 
-    def entries(self) -> dict[int, float]:
-        return dict(zip(self.masks.tolist(), self.values.tolist()))
-
     def dense_values(self) -> np.ndarray:
         values = np.zeros(1 << self.n)
         values[self.masks] = self.values
@@ -88,10 +86,10 @@ def parse_setfn(path) -> SetFnFile:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     n, kind, model = _parse_header(path, lines)
-    entries = _read_entries(lines[4:])
-    if entries is None or not _entries_valid(*entries, n, kind):
+    fn = _read_entries(lines[4:], GroundSet(n))
+    if fn is None or kind == "dense" and len(fn) != 1 << n:
         _report_fault(path, lines, n, kind)
-    return SetFnFile(n, kind, model, *entries)
+    return SetFnFile(n, kind, model, fn.masks, fn.values)
 
 
 def _parse_header(path, lines: list[str]) -> tuple[int, str, int | None]:
@@ -140,39 +138,24 @@ def _header_fields(n_text: str, kind: str, model_text: str) -> tuple[int, int | 
     raise _HeaderFault(4, f"model must be none or 1..5, got {model_text!r}")
 
 
-def _read_entries(body: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """(masks, values) of the data lines, or None when `np.loadtxt` refuses
-    them.  A body with no data skips `loadtxt`, which warns on it; any other
-    warning refuses the body."""
+def _read_entries(body: list[str], ground: GroundSet) -> SparseSetFunction | None:
+    """The data lines as a `SparseSetFunction`, or None when `np.loadtxt` or
+    the container refuses them.  A body with no data skips `loadtxt`, which
+    warns on it; any other warning refuses the body."""
     if not any(line.strip() for line in body):
-        return np.empty(0, dtype=np.int64), np.empty(0)
+        return SparseSetFunction(ground, np.empty(0, dtype=np.int64), np.empty(0))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             records = np.loadtxt(body, dtype=_RECORD, ndmin=1, comments=None)
+        return SparseSetFunction(ground, records["mask"], records["value"])
     except (ValueError, Warning):
         return None
-    return records["mask"].copy(), records["value"].copy()
-
-
-def _entries_valid(masks: np.ndarray, values: np.ndarray, n: int, kind: str) -> bool:
-    size = 1 << n
-    if kind == "dense" and masks.size != size:
-        return False
-    if masks.size and (masks.min() < 0 or masks.max() >= size):
-        return False
-    return not _repeated(masks).size and bool(np.isfinite(values).all())
-
-
-def _repeated(masks: np.ndarray) -> np.ndarray:
-    """The masks that occur more than once, ascending (with repeats)."""
-    ordered = np.sort(masks)
-    return ordered[1:][ordered[1:] == ordered[:-1]]
 
 
 def _report_fault(path, lines: list[str], n: int, kind: str) -> NoReturn:
     """Raise the SetFnFormatError of the first faulty data line of a body
-    that `_read_entries` or `_entries_valid` refused."""
+    that `_read_entries` refused, or of a dense body that misses masks."""
 
     def fail(line_no: int, message: str) -> NoReturn:
         raise SetFnFormatError(path, line_no, message)
@@ -219,39 +202,33 @@ def write_entries(path, n: int, kind: str, model: int | None, pairs) -> None:
     What `parse_setfn` would refuse raises ValueError, with the parser's
     message, before the file is opened, so a refused write leaves an existing
     file untouched: n beyond `MAX_N` (`DENSE_MAX_N` for dense), a kind other
-    than dense or sparse, a model other than None or 1..5, a mask that is not
-    an integer in [0, 2**n) (`GroundSet.check_masks`), a repeated mask, a
-    value that is not finite, or a dense file that does not list all 2**n
-    masks.
+    than dense or sparse, a model other than None or 1..5, what
+    `SparseSetFunction` refuses (a mask that is not an integer in [0, 2**n),
+    a repeated mask, a value that is not finite), or a dense file that does
+    not list all 2**n masks.
     """
     pairs = list(pairs)
-    masks = [mask for mask, _ in pairs]
-    values = np.array([value for _, value in pairs], dtype=np.float64)
-    _write_arrays(path, n, kind, model, masks, values)
+    _write_arrays(path, n, kind, model, [mask for mask, _ in pairs],
+                  [value for _, value in pairs])
 
 
 def _write_arrays(path, n: int, kind: str, model: int | None, masks, values) -> None:
-    """`write_entries` of aligned masks, checked here, and float64 values."""
+    """`write_entries` of aligned masks and values, checked here."""
     model_text = "none" if model is None else str(model)
     try:
         _header_fields(str(n), kind, model_text)
     except _HeaderFault as fault:
         raise ValueError(str(fault)) from None
-    masks = GroundSet(n).check_masks(masks)
-    repeated = _repeated(masks)
-    if repeated.size:
-        raise ValueError(f"duplicate mask {repeated[0]}")
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise ValueError(f"value {values[bad][0]} at mask {masks[bad][0]} is not finite")
-    if kind == "dense" and masks.size != 1 << n:
-        raise ValueError(f"dense file must list all {1 << n} masks, got {masks.size}")
+    fn = SparseSetFunction(GroundSet(n), masks, values)
+    if kind == "dense" and len(fn) != 1 << n:
+        raise ValueError(f"dense file must list all {1 << n} masks, got {len(fn)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MAGIC}\n")
         fh.write(f"n {n}\n")
         fh.write(f"kind {kind}\n")
         fh.write(f"model {model_text}\n")
-        fh.writelines(f"{mask} {value!r}\n" for mask, value in zip(masks.tolist(), values.tolist()))
+        fh.writelines(f"{mask} {value!r}\n"
+                      for mask, value in zip(fn.masks.tolist(), fn.values.tolist()))
 
 
 def write_setfn(path, fn) -> None:
@@ -259,8 +236,8 @@ def write_setfn(path, fn) -> None:
     if isinstance(fn, SetFunction):
         _write_arrays(path, fn.ground.n, "dense", None, np.arange(fn.ground.size), fn.values)
     elif isinstance(fn, SparseSetFunction):
-        pairs = sorted(fn.entries.items())
-        write_entries(path, fn.ground.n, "sparse", None, pairs)
+        order = np.argsort(fn.masks)
+        _write_arrays(path, fn.ground.n, "sparse", None, fn.masks[order], fn.values[order])
     elif isinstance(fn, Spectrum):
         _write_arrays(path, fn.ground.n, "dense", fn.model, np.arange(fn.ground.size), fn.coeffs)
     else:
@@ -274,7 +251,7 @@ def read_setfn(path) -> SetFunction | SparseSetFunction:
         raise SetFnFormatError(path, 4, "expected a signal file, found a spectrum")
     if rec.kind == "dense":
         return SetFunction.wrap(rec.ground, rec.dense_values())
-    return SparseSetFunction(rec.ground, rec.entries())
+    return SparseSetFunction(rec.ground, rec.masks, rec.values)
 
 
 def read_spectrum(path) -> Spectrum:

@@ -37,8 +37,7 @@ column.  With T the elements whose column bit is c (T = col, or N \\ col
 when c == 0), the condition is that no element of T has row bit r: row & T
 == T when r == 0, row & T == 0 when r == 1 (`_closed_form`).  That is rows
 and columns disjoint, covering N, or one a subset of the other; model 5 has
-no zero entry and no condition.  `dsft_matrix` materializes these entries and
-`fourier_basis_entry` evaluates single entries lazily in O(1) popcount work.
+no zero entry and no condition.  `dsft_matrix` materializes these entries.
 The elementary shifts of `filters.shift` are derived from the same kernels.
 """
 
@@ -412,14 +411,6 @@ def dsft_matrix(model: int, direction: str, n: int) -> np.ndarray:
         raise ValueError(f"dense transform matrices are limited to n <= {MATRIX_MAX_N}")
     masks = np.arange(1 << n, dtype=np.int64)
     return _closed_entries(model, direction, masks[:, None], masks[None, :], n)
-
-
-def fourier_basis_entry(model: int, ground: GroundSet, B: int, A: int) -> float:
-    """Entry A of the model's B-th Fourier basis vector, in O(1)."""
-    check_model(model)
-    B = ground.check_mask(B)
-    A = ground.check_mask(A)
-    return float(_closed_entries(model, INVERSE, A, B, ground.n))
 
 
 def fourier_basis_vector(model: int, ground: GroundSet, B: int) -> SetFunction:

@@ -19,6 +19,7 @@ from setsp.core import (
     MODELS,
     GroundSet,
     SetFunction,
+    SparseSetFunction,
 )
 from setsp.transforms import (
     FORWARD,
@@ -215,10 +216,9 @@ def test_criterion_07_coverage_theorems():
         nonempty = np.arange(1, g.size)
         count = int(rng.integers(1, g.size))
         chosen = rng.choice(nonempty, size=min(count, nonempty.size), replace=False)
+        offset = float(rng.standard_normal())
         rep = CoverageRepresentation(
-            g,
-            float(rng.standard_normal()),
-            {int(m): float(v) for m, v in zip(chosen, rng.standard_normal(chosen.size))},
+            offset, SparseSetFunction(g, chosen, rng.standard_normal(chosen.size))
         )
         dense = coverage_dense(rep)
         worst = max(worst, _rel_max_err(dsft(3, dense).coeffs, intersection_weights(rep).coeffs))
@@ -336,7 +336,8 @@ def test_criterion_10_compression_experiment(tmp_path):
         rng = np.random.default_rng(seed)
         sample_masks = rng.choice(ground.size, size=budget, replace=False)
         sample_values = entropy_oracle(model).query_many(sample_masks)
-        wht = wht_regression(zip(sample_masks.tolist(), sample_values.tolist()), band.support)
+        wht = wht_regression(SparseSetFunction(ground, sample_masks, sample_values),
+                             band.support)
         wht_error_at_budget = estimate_relative_error(
             entropy_oracle(model), partial(eval_sparse_many, wht), probes, seed=seed
         )

@@ -106,3 +106,24 @@ def test_oracle_ops_give_the_same_bits_in_small_entropy_blocks(workloads, tmp_pa
     with mock.patch.object(coverage, "_ENTROPY_BLOCK", 7):
         got = _run_smoke(workload, tmp_path / "small")
     assert got == want
+
+
+# sha256 of the setfn files that the `cli-files` smoke ops write, recorded
+# with numpy 2.4.6 on a 2-vCPU Xeon before the sparse set function held
+# arrays.  Criterion 13 compares two runs of one commit, so this is the
+# check that a change keeps the bytes of an earlier one.  `error` and
+# `compress` write CSVs through BLAS norms, whose bits depend on the thread
+# count, so they are left out.
+CLI_FILES_SMOKE_SHA256 = {
+    "generate": "f6353857fd797b028e97739cd57f1e9c29d6b256305097d2254914e630208acf",
+    "transform": "6900173730958a3b8188e5cc85535816736d8615ea7cc1f345bdd311e19304ad",
+    "inverse": "930b4974153292da919f87aebfe3c9c3584fcbddb567e4804d448b0c2ccb76c9",
+    "convolve": "990e2fff2fe5e4926827ac0dc668d1a0c97008e1ca8479dba8ff0b3015814b89",
+    "freqresp": "3ee40cb8be1fca0e271736378771b377871522dbe749157192a251a2686ff7a2",
+    "sample": "211f5ec1291653d3a91dd73cc9fe970d9e9a3d735b60150e9e323128fa536e1c",
+}
+
+
+def test_cli_files_smoke_outputs_keep_their_bytes(workloads, tmp_path):
+    digests = _run_smoke(workloads.WORKLOADS["cli-files"], tmp_path)
+    assert {op: digests[op]["sha256"] for op in CLI_FILES_SMOKE_SHA256} == CLI_FILES_SMOKE_SHA256

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from functools import partial
 from setsp.core import (
     GroundSet,
     SetFunction,
+    SparseSetFunction,
     SparseSpectrum,
     SparseSupport,
     subsets_of_cardinality_at_most,
@@ -185,7 +187,7 @@ def test_wht_regression_square_system_is_exact():
     g = GroundSet(n)
     values = rng.standard_normal(16)
     spec = dsft(5, SetFunction(g, values))
-    approx = wht_regression([(A, float(values[A])) for A in range(16)], SparseSupport(g, range(16)))
+    approx = wht_regression(SparseSetFunction(g, range(16), values), SparseSupport(g, range(16)))
     assert np.abs(approx.coeffs - spec.coeffs[approx.support.freqs]).max() < 1e-9
 
 
@@ -198,8 +200,7 @@ def test_wht_regression_recovers_bandlimited():
     coeffs[support] = rng.standard_normal(support.size)
     signal = np.array(coeffs)
     dsft_inplace(signal, 5, INVERSE)
-    approx = wht_regression([(A, float(signal[A])) for A in range(g.size)],
-                            SparseSupport(g, support))
+    approx = wht_regression(SparseSetFunction(g, g.masks(), signal), SparseSupport(g, support))
     assert np.abs(approx.coeffs - coeffs[support]).max() < 1e-9
     assert np.abs(eval_sparse_many(approx, g.masks()) - signal).max() < 1e-9
 
@@ -215,7 +216,7 @@ def test_full_lattice_wht_regression_is_the_projection_the_band_cannot_beat(n):
     g = s.ground
     support = SparseSupport(g, subsets_of_cardinality_at_most(g, 2))
     masks = g.masks()
-    projection = wht_regression(zip(masks.tolist(), s.values.tolist()), support)
+    projection = wht_regression(SparseSetFunction(g, masks, s.values), support)
     truncated = dsft(5, s).coeffs[support.freqs]
     assert np.abs(projection.coeffs - truncated).max() <= 1e-12 * np.abs(truncated).max()
     band = compress_band(entropy_oracle(model), 2)
@@ -227,9 +228,9 @@ def test_full_lattice_wht_regression_is_the_projection_the_band_cannot_beat(n):
 def test_wht_regression_validation():
     g = GroundSet(2)
     with pytest.raises(ValueError, match="at least one"):
-        wht_regression([], SparseSupport(g, [0]))
-    with pytest.raises(ValueError, match="distinct"):
-        wht_regression([(1, 0.5), (1, 0.5)], SparseSupport(g, [0]))
+        wht_regression(SparseSetFunction(g, [], []), SparseSupport(g, [0]))
+    with pytest.raises(ValueError, match="mismatched ground sets: n=3 vs n=2"):
+        wht_regression(SparseSetFunction(GroundSet(3), [5], [0.5]), SparseSupport(g, [0]))
 
 
 def test_estimate_error_exact_approx_is_zero():
@@ -260,6 +261,20 @@ def test_estimate_error_default_probe_count():
     assert params["m_samples"].default == 10**6
 
 
+@pytest.mark.parametrize("bad", [10.5, np.float64(3.0), True, False, 0, -2, "7", None])
+def test_estimate_errors_refuse_an_m_samples_that_is_no_count(bad):
+    oracle = _dense_oracle(np.arange(8.0) + 1.0, 3)
+    zero = lambda masks: masks * 0.0  # noqa: E731
+    message = f"^m_samples must be an integer >= 1, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        estimate_relative_error(oracle, zero, bad, seed=1)
+    with pytest.raises(ValueError, match=message):
+        estimate_relative_errors(oracle, [zero], bad, seed=1)
+    assert oracle.queries == 0
+    # a numpy integer is a count
+    assert estimate_relative_error(oracle, zero, np.int64(5), seed=1) == 1.0
+
+
 def test_estimate_error_rejects_zero_signal():
     oracle = _dense_oracle(np.zeros(8), 3)
     approx = partial(eval_sparse_many, _band(GroundSet(3), 4, [0], [0.0]))
@@ -288,7 +303,8 @@ def test_estimate_errors_share_one_oracle_pass():
     values = rng.standard_normal(1 << n) + 2.0
     oracle = _dense_oracle(values, n)
     band = compress_band(_dense_oracle(values, n), 1)
-    wht = wht_regression([(A, float(values[A])) for A in range(0, 1 << n, 3)], band.support)
+    masks = np.arange(0, 1 << n, 3)
+    wht = wht_regression(SparseSetFunction(GroundSet(n), masks, values[masks]), band.support)
     band, wht = partial(eval_sparse_many, band), partial(eval_sparse_many, wht)
     noisy = lambda masks: values[masks] + 0.01  # noqa: E731
     errors = estimate_relative_errors(oracle, [band, wht, noisy], 3000, seed=9)

@@ -1,15 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from setsp import core
+from setsp import io as setfn_io
+from setsp.compression import SetFunctionOracle, wht_regression
 from setsp.core import (
     GroundSet,
     SetFunction,
     SparseSetFunction,
+    SparseSupport,
     Spectrum,
     popcount,
     subsets_of_cardinality_at_most,
 )
+from setsp.coverage import CoverageRepresentation
+from setsp.filters import Filter
 
 
 def test_subset_ops_basics():
@@ -18,7 +25,7 @@ def test_subset_ops_basics():
     assert g.elements(x1 | x2) == (1, 2)
     assert x1 & x2 == 0
     assert 5 ^ 5 == 0
-    assert g.elements(g.complement(x1)) == (2, 3)
+    assert g.elements(g.full_mask ^ x1) == (2, 3)
     assert popcount(0b101) == len(g.elements(0b101)) == 2
     assert 0b111 & ~0b101 == 0b010
 
@@ -122,19 +129,20 @@ def test_sparse_roundtrip_on_support():
     values[rng.random(32) < 0.5] = 0.0
     dense = SetFunction(GroundSet(5), values)
     sparse = dense.to_sparse()
-    assert set(sparse.entries) == set(np.nonzero(values)[0])
+    assert sparse.masks.tolist() == np.flatnonzero(values).tolist()
+    assert np.array_equal(sparse.values, values[sparse.masks])
     assert np.array_equal(sparse.to_dense().values, values)
 
 
 def test_sparse_validation():
     g = GroundSet(2)
-    sp = SparseSetFunction(g, {3: 1.5})
+    sp = SparseSetFunction(g, [3], [1.5])
     assert sp.to_dense().values.tolist() == [0.0, 0.0, 0.0, 1.5]
     assert sp(0) == 0.0 and sp(3) == 1.5
     with pytest.raises(ValueError):
-        SparseSetFunction(g, {4: 1.0})
+        SparseSetFunction(g, [4], [1.0])
     # sparse containers go beyond the dense cap
-    SparseSetFunction(GroundSet(45), {(1 << 45) - 1: 2.0})
+    SparseSetFunction(GroundSet(45), [(1 << 45) - 1], [2.0])
 
 
 def test_subsets_of_cardinality_at_most():
@@ -161,3 +169,110 @@ def test_require_same_ground():
     b = SetFunction(GroundSet(3), np.zeros(8))
     with pytest.raises(ValueError, match="mismatched"):
         core.require_same_ground(a, b)
+
+
+# One table for the sparse (mask, value) inputs: `SparseSetFunction` and
+# the callables that take their masks and values through it.  Each bad
+# input sits at position 1 of three (masks 2, 5, 3 at n=4), so the message
+# must name the faulty entry, not the first one.
+_G = GroundSet(4)
+_MASKS, _VALUES = [2, 5, 3], [0.5, -1.0, 2.0]
+
+
+def _at(items, item):
+    return items[:1] + [item] + items[2:]
+
+
+_BOUNDARY_CASES = [
+    ("mask-1", _at(_MASKS, -1), _VALUES, "mask -1 out of range for n=4 at position 1"),
+    ("mask-2**n", _at(_MASKS, 16), _VALUES, "mask 16 out of range for n=4 at position 1"),
+    ("mask-99", _at(_MASKS, 99), _VALUES, "mask 99 out of range for n=4 at position 1"),
+    ("mask-1.5", _at(_MASKS, 1.5), _VALUES, r"non-integer mask 1\.5 at position 1"),
+    ("mask-2**63", _at(_MASKS, 2**63), _VALUES,
+     r"mask 9\.223372036854776e\+18 out of range for n=4 at position 1"),
+    ("mask-nan", _at(_MASKS, math.nan), _VALUES, "non-integer mask nan at position 1"),
+    ("repeated-mask", [2, 3, 3], _VALUES, "duplicate mask 3"),
+    ("value-nan", _MASKS, _at(_VALUES, math.nan), "value nan at mask 5 is not finite"),
+    ("value-inf", _MASKS, _at(_VALUES, math.inf), "value inf at mask 5 is not finite"),
+    ("value--inf", _MASKS, _at(_VALUES, -math.inf), "value -inf at mask 5 is not finite"),
+    ("2-d-masks", [[2, 5], [3, 4]], [0.5, -1.0],
+     r"masks and values must be 1-d, got shapes \(2, 2\) and \(2,\)"),
+    ("lengths", _MASKS, _VALUES[:2], "got 3 masks and 2 values"),
+]
+
+# callable -> (call(masks, values, path), the cases its input form cannot hold):
+# a dict has no repeated key, no list key and one value per key; pairs have
+# one value per mask
+_BOUNDARY_CALLS = {
+    "SparseSetFunction": (lambda m, v, path: SparseSetFunction(_G, m, v), set()),
+    "Filter.from_taps": (lambda m, v, path: Filter.from_taps(_G, dict(zip(m, v))),
+                         {"repeated-mask", "2-d-masks", "lengths"}),
+    "CoverageRepresentation": (
+        lambda m, v, path: CoverageRepresentation(0.0, SparseSetFunction(_G, m, v)), set()),
+    "wht_regression": (lambda m, v, path: wht_regression(SparseSetFunction(_G, m, v),
+                                                         SparseSupport(_G, [0, 1])), set()),
+    "write_entries": (lambda m, v, path: setfn_io.write_entries(path, 4, "sparse", None,
+                                                                list(zip(m, v))),
+                      {"lengths"}),
+}
+
+
+@pytest.mark.parametrize("call, masks, values, message", [
+    pytest.param(call, masks, values, message, id=f"{name}-{case}")
+    for name, (call, inexpressible) in _BOUNDARY_CALLS.items()
+    for case, masks, values, message in _BOUNDARY_CASES
+    if case not in inexpressible
+])
+def test_sparse_inputs_refuse_what_is_no_mask_or_value(call, masks, values, message,
+                                                       tmp_path):
+    path = tmp_path / "out.setfn"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(masks, values, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("name", _BOUNDARY_CALLS)
+def test_sparse_inputs_take_the_table_s_valid_input(name, tmp_path):
+    _BOUNDARY_CALLS[name][0](_MASKS, _VALUES, tmp_path / "out.setfn")
+
+
+def test_sparse_setfunction_holds_read_only_copies_in_the_order_given():
+    masks, values = np.array([9, 3, 0]), np.array([1.5, -0.0, 2.0])
+    sp = SparseSetFunction(GroundSet(4), masks, values)
+    masks[0], values[0] = 1, 7.0
+    assert sp.masks.dtype == np.int64 and sp.masks.tolist() == [9, 3, 0]
+    assert sp.values.dtype == np.float64 and sp.values.tolist() == [1.5, -0.0, 2.0]
+    assert not sp.masks.flags.writeable and not sp.values.flags.writeable
+    assert len(sp) == 3
+
+
+def test_sparse_setfunction_reads_a_stored_negative_zero_back():
+    sp = SparseSetFunction(GroundSet(4), [9, 3], [1.5, -0.0])
+    assert math.copysign(1.0, sp(3)) == -1.0
+    assert math.copysign(1.0, sp(5)) == 1.0 and sp(9) == 1.5
+
+
+def _dict_lookup(sp):
+    get = dict(zip(sp.masks.tolist(), sp.values.tolist())).get
+    return lambda masks: np.array([get(m, 0.0) for m in masks.tolist()], dtype=np.float64)
+
+
+_TOP = 1 << 61  # the highest mask bit at n=62
+
+
+@pytest.mark.parametrize("n, masks, values", [
+    (4, [9, 3, 0, 14, 5], [1.5, -0.0, 2.0, -3.25, 1e-300]),
+    (4, [], []),
+    (62, [_TOP | 5, 3, _TOP, (1 << 62) - 1, 0], [-0.0, 2.5, -1.0, 7.0, 0.25]),
+], ids=["unsorted", "empty", "n62"])
+def test_oracle_from_sparse_is_the_dict_lookup_bit_for_bit(n, masks, values):
+    sp = SparseSetFunction(GroundSet(n), masks, values)
+    full = (1 << n) - 1
+    near = {min(max(m + d, 0), full) for m in masks for d in (-1, 0, 1)}
+    probes = np.array(sorted(near | {0, 1, full}), dtype=np.int64)
+    batches = [np.concatenate([probes[::-1], probes])]  # repeats, both orders
+    if n < 8:  # 2**n masks or more are looked up once per distinct mask
+        batches.append(np.arange(1 << n).repeat(2))
+    for batch in batches:
+        got = SetFunctionOracle.from_sparse(sp).query_many(batch)
+        assert got.tobytes() == _dict_lookup(sp)(batch).tobytes()

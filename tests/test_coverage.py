@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from setsp import coverage
-from setsp.core import GroundSet, SetFunction
+from setsp.core import GroundSet, SetFunction, SparseSetFunction
 from setsp.coverage import (
     CoverageRepresentation,
     GaussianModel,
@@ -29,6 +29,16 @@ from reference import coverage_reference, gaussian_entropy_reference
 H_UNIT = 0.5 * (1.0 + math.log(2.0 * math.pi))  # entropy of a unit Gaussian
 
 
+def _rep(ground, offset, weights: dict) -> CoverageRepresentation:
+    """The representation of fragment weights given as {mask: weight}."""
+    return CoverageRepresentation(
+        offset, SparseSetFunction(ground, list(weights), list(weights.values())))
+
+
+def _weights(rep) -> dict:
+    return dict(zip(rep.fragments.masks.tolist(), rep.fragments.values.tolist()))
+
+
 def _random_pd(n, rng):
     W = rng.standard_normal((n, n))
     return W @ W.T / n + 0.5 * np.eye(n)
@@ -36,14 +46,14 @@ def _random_pd(n, rng):
 
 def test_coverage_eval_examples():
     g = GroundSet(2)
-    rep = CoverageRepresentation(g, 1.0, {0b01: 1.0, 0b10: 2.0, 0b11: 0.0})
+    rep = _rep(g, 1.0, {0b01: 1.0, 0b10: 2.0, 0b11: 0.0})
     assert coverage_eval(rep, 0) == 1.0
     assert coverage_eval(rep, 0b01) == 2.0
     assert coverage_eval(rep, 0b11) == 4.0
 
 
 def test_coverage_eval_constant():
-    rep = CoverageRepresentation(GroundSet(3), 5.0, {})
+    rep = _rep(GroundSet(3), 5.0, {})
     assert [coverage_eval(rep, A) for A in range(8)] == [5.0] * 8
 
 
@@ -51,7 +61,7 @@ def test_coverage_venn_example():
     # U = {a, b, c}, S1 = {a, b}, S2 = {b, c}, w = (1, 2, 3), c = 0:
     # fragments T_{1} = {a} -> 1, T_{2} = {c} -> 3, T_{12} = {b} -> 2
     g = GroundSet(2)
-    rep = CoverageRepresentation(g, 0.0, {0b01: 1.0, 0b10: 3.0, 0b11: 2.0})
+    rep = _rep(g, 0.0, {0b01: 1.0, 0b10: 3.0, 0b11: 2.0})
     assert coverage_dense(rep).values.tolist() == [0.0, 3.0, 5.0, 6.0]
     assert intersection_weights(rep).coeffs.tolist() == [0.0, -3.0, -5.0, -2.0]
     assert fragment_weights_spectrum(rep).coeffs.tolist() == [6.0, -1.0, -3.0, -2.0]
@@ -61,7 +71,7 @@ def test_coverage_dense_matches_pointwise():
     rng = np.random.default_rng(3)
     g = GroundSet(6)
     weights = {int(m): float(w) for m, w in zip(range(1, 64, 3), rng.standard_normal(21))}
-    rep = CoverageRepresentation(g, 0.7, weights)
+    rep = _rep(g, 0.7, weights)
     expected = coverage_reference(0.7, weights, 6)
     assert np.abs(coverage_dense(rep).values - expected).max() < 1e-12
     for A in (0, 5, 63):
@@ -69,7 +79,7 @@ def test_coverage_dense_matches_pointwise():
 
 
 def test_fragment_zero_rep():
-    rep = CoverageRepresentation(GroundSet(3), 5.0, {})
+    rep = _rep(GroundSet(3), 5.0, {})
     s3 = intersection_weights(rep)
     assert s3.coeffs.tolist() == [5.0] + [0.0] * 7
 
@@ -80,7 +90,7 @@ def test_coverage_from_setfunction_example():
     rep = coverage_from_setfunction(s)
     assert rep.offset_c == 1.0
     # the zero-weight fragment T_{12} is dropped from the sparse map
-    assert rep.fragment_weights == {0b01: 1.0, 0b10: 2.0}
+    assert _weights(rep) == {0b01: 1.0, 0b10: 2.0}
     assert coverage_dense(rep).values.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
@@ -93,7 +103,7 @@ def test_modular_has_singleton_fragments_only():
     for i in range(6):
         values += w[i] * ((masks >> i) & 1)
     rep = coverage_from_setfunction(SetFunction(g, values))
-    assert all(m.bit_count() == 1 for m in rep.fragment_weights)
+    assert all(m.bit_count() == 1 for m in rep.fragments.masks.tolist())
     # modular functions are 1-band-limited in models 3 and 4
     for model in (3, 4):
         spec = dsft(model, SetFunction(g, values))
@@ -103,7 +113,7 @@ def test_modular_has_singleton_fragments_only():
 
 def test_constant_function_has_no_fragments():
     rep = coverage_from_setfunction(SetFunction(GroundSet(4), np.full(16, 2.5)))
-    assert rep.fragment_weights == {}
+    assert len(rep.fragments) == 0
     assert rep.offset_c == 2.5
 
 
@@ -115,7 +125,7 @@ def test_spectra_theorems_random_weights(n):
         int(m): float(v)
         for m, v in zip(range(1, g.size), rng.standard_normal(g.size - 1))
     }
-    rep = CoverageRepresentation(g, float(rng.standard_normal()), weights)
+    rep = _rep(g, float(rng.standard_normal()), weights)
     dense = coverage_dense(rep)
     assert np.abs(dsft(3, dense).coeffs - intersection_weights(rep).coeffs).max() < 1e-10
     assert np.abs(dsft(4, dense).coeffs - fragment_weights_spectrum(rep).coeffs).max() < 1e-10
@@ -132,20 +142,21 @@ def test_roundtrip_random_setfunctions(n):
 
 def test_fragment_mask_validation():
     with pytest.raises(ValueError, match="nonempty"):
-        CoverageRepresentation(GroundSet(2), 0.0, {1: 1.0, 0: 1.0})
+        _rep(GroundSet(2), 0.0, {1: 1.0, 0: 1.0})
     with pytest.raises(ValueError, match="mask 7 out of range for n=2 at position 1"):
-        CoverageRepresentation(GroundSet(2), 0.0, {1: 1.0, 7: 1.0, 9: 1.0})
+        _rep(GroundSet(2), 0.0, {1: 1.0, 7: 1.0, 9: 1.0})
     with pytest.raises(ValueError, match="non-integer mask 1.5 at position 0"):
-        CoverageRepresentation(GroundSet(2), 0.0, {1.5: 1.0})
+        _rep(GroundSet(2), 0.0, {1.5: 1.0})
 
 
 def test_many_fragments_are_checked_at_once():
     # one scalar mask check per fragment took 0.25 s for these 65,535
-    weights = dict.fromkeys(range(1, 1 << 16), 0.5)
+    masks, weights = np.arange(1, 1 << 16)[::-1], np.full((1 << 16) - 1, 0.5)
     start = time.perf_counter()
-    rep = CoverageRepresentation(GroundSet(16), 0.0, weights)
+    rep = CoverageRepresentation(0.0, SparseSetFunction(GroundSet(16), masks, weights))
     assert time.perf_counter() - start < 0.1
-    assert rep.fragment_weights == weights and rep.total_weight == 0.5 * 65535
+    assert rep.fragments.masks.tolist() == list(range(1, 1 << 16))
+    assert rep.total_weight == 0.5 * 65535
 
 
 def test_gaussian_model_validation():
@@ -283,7 +294,7 @@ def test_coverage_serialization_roundtrip(tmp_path):
     from setsp import io as setfn_io
 
     g = GroundSet(3)
-    rep = CoverageRepresentation(g, 1.5, {1: 2.0, 6: -0.5})
+    rep = _rep(g, 1.5, {1: 2.0, 6: -0.5})
     # the file is literally the sparse model-4 spectrum of the fragments
     spectrum = fragment_weights_spectrum(rep)
     path = tmp_path / "frag.setfn"
@@ -291,8 +302,30 @@ def test_coverage_serialization_roundtrip(tmp_path):
                            [(m, float(spectrum.coeffs[m])) for m in (0, 1, 6)])
     back = load_coverage(path)
     assert back.offset_c == rep.offset_c
-    assert back.fragment_weights == rep.fragment_weights
+    assert _weights(back) == _weights(rep)
     assert np.array_equal(fragment_weights_spectrum(back).coeffs, spectrum.coeffs)
+
+
+def test_load_coverage_sums_the_offset_left_to_right_in_file_order(tmp_path):
+    from setsp.coverage import load_coverage
+    from setsp import io as setfn_io
+
+    # 1,023 fragments in shuffled file order: numpy's pairwise sum and a sum
+    # in mask order both round differently from the sum in file order
+    rng = np.random.default_rng(0)
+    masks = rng.permutation(np.arange(1, 1 << 10))
+    coeffs = rng.standard_normal(masks.size)
+    s_n = 0.1
+    path = tmp_path / "frag.setfn"
+    setfn_io.write_entries(path, 10, "sparse", 4, [(0, s_n)] + list(zip(masks.tolist(),
+                                                                      coeffs.tolist())))
+    weights = -coeffs
+    want = s_n - sum(weights.tolist())
+    assert want != s_n - float(np.sum(weights))
+    assert want != s_n - sum(weights[np.argsort(masks)].tolist())
+    rep = load_coverage(path)
+    assert rep.offset_c.hex() == want.hex()
+    assert rep.fragments.masks.tolist() == list(range(1, 1 << 10))
 
 
 def test_entropy_function_is_submodular():

@@ -43,12 +43,12 @@ def test_dense_roundtrip_bitwise(tmp_path):
 
 
 def test_sparse_roundtrip_and_zero_fill(tmp_path):
-    sp = SparseSetFunction(GroundSet(2), {3: 1.5})
+    sp = SparseSetFunction(GroundSet(2), [3], [1.5])
     path = tmp_path / "sparse.setfn"
     setfn_io.write_setfn(path, sp)
     back = setfn_io.read_setfn(path)
     assert isinstance(back, SparseSetFunction)
-    assert back.entries == {3: 1.5}
+    assert back.masks.tolist() == [3] and back.values.tolist() == [1.5]
     assert back.to_dense().values.tolist() == [0.0, 0.0, 0.0, 1.5]
 
 
@@ -162,7 +162,7 @@ def test_empty_sparse_body_parses_to_no_entries(tmp_path):
         assert rec.masks.dtype == np.int64 and rec.masks.size == 0
         assert rec.values.dtype == np.float64 and rec.values.size == 0
         assert setfn_io.read_setfn(_write(tmp_path / "sig.setfn", (
-            "setfn v1\nn 3\nkind sparse\nmodel none\n" + body))).entries == {}
+            "setfn v1\nn 3\nkind sparse\nmodel none\n" + body))).masks.size == 0
 
 
 def test_write_entries_bytes():
@@ -223,10 +223,10 @@ def test_setfn_round_trip_is_bitwise(data, n, model):
         back = setfn_io.read_spectrum(path)
         assert back.model == model and _same_bits(back.coeffs, values)
 
-        setfn_io.write_setfn(path, SparseSetFunction(ground, entries))
-        got = setfn_io.read_setfn(path).entries
-        assert sorted(got) == sorted(entries)
-        assert _same_bits([got[m] for m in sorted(got)], [entries[m] for m in sorted(got)])
+        setfn_io.write_setfn(path, SparseSetFunction(ground, list(entries), list(entries.values())))
+        got = setfn_io.read_setfn(path)
+        assert got.masks.tolist() == sorted(entries)
+        assert _same_bits(got.values, [entries[m] for m in sorted(entries)])
 
         support = SparseSupport(ground, np.array(list(entries), dtype=np.int64))
         spectrum = SparseSpectrum(
