@@ -26,6 +26,7 @@ from .core import (
     SparseSetFunction,
     SparseSpectrum,
     SparseSupport,
+    check_count,
     popcount,
     require_same_ground,
     subsets_of_cardinality_at_most,
@@ -140,11 +141,11 @@ def compress_band(oracle: SetFunctionOracle, m: int) -> SparseSpectrum:
     oracle sees each of N, N\\{x}, N\\{x,y}, ... exactly once, in one batch,
     and each coefficient is the sum that function forms.
     """
-    support = SparseSupport(oracle.ground, subsets_of_cardinality_at_most(oracle.ground, m))
-    sets = oracle.ground.full_mask ^ support.freqs
+    freqs = subsets_of_cardinality_at_most(oracle.ground, m)
+    sets = oracle.ground.full_mask ^ freqs
     memo = dict(zip(sets.tolist(), oracle.query_many(sets).tolist()))
-    coeffs = [dsft4_coefficient_by_queries(oracle, int(B), memo) for B in support.freqs]
-    return SparseSpectrum(support, 4, coeffs)
+    coeffs = [dsft4_coefficient_by_queries(oracle, int(B), memo) for B in freqs]
+    return SparseSpectrum(oracle.ground, 4, freqs, coeffs)
 
 
 def wht_regression(samples: SparseSetFunction, support: SparseSupport) -> SparseSpectrum:
@@ -162,7 +163,7 @@ def wht_regression(samples: SparseSetFunction, support: SparseSupport) -> Sparse
         5, INVERSE, samples.masks[:, None], support.freqs[None, :], support.ground.n
     )
     coeffs, *_ = np.linalg.lstsq(design, samples.values, rcond=None)
-    return SparseSpectrum(support, 5, coeffs)
+    return SparseSpectrum(support.ground, 5, support.freqs, coeffs)
 
 
 def estimate_relative_error(
@@ -190,9 +191,7 @@ def estimate_relative_errors(
     evaluators = list(evaluators)
     if not evaluators:
         raise ValueError("estimate_relative_errors requires at least one evaluator")
-    if (isinstance(m_samples, bool) or not isinstance(m_samples, (int, np.integer))
-            or m_samples < 1):
-        raise ValueError(f"m_samples must be an integer >= 1, got {m_samples!r}")
+    m_samples = check_count(m_samples, "m_samples", 1)
     rng = np.random.default_rng(seed)
     size = 1 << oracle.ground.n
     probes = rng.integers(0, size, size=m_samples, dtype=np.uint64).astype(np.int64)

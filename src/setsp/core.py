@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,17 @@ def is_subset(a, b):
     return (a & ~b) == 0
 
 
+def check_count(value, name: str, low: int = 0, high: float = math.inf) -> int:
+    """`value` as an int in [low, high].  A bool, a value that is not an
+    integer (1.5, 2.0, "2") or one out of range raises ValueError naming the
+    parameter `name`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not low <= value <= high):
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    return int(value)
+
+
 def check_model(model: int) -> int:
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
@@ -49,11 +61,7 @@ class GroundSet:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)):
-            raise TypeError(f"ground set size must be an integer, got {self.n!r}")
-        if not 0 <= self.n <= MAX_N:
-            raise ValueError(f"ground set size must be in [0, {MAX_N}], got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_count(self.n, "ground set size n", 0, MAX_N))
 
     @property
     def size(self) -> int:
@@ -85,9 +93,7 @@ class GroundSet:
 
     def check_element(self, i: int) -> int:
         """Validate a 1-based element index x_i."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"element index {i} out of range 1..{self.n}")
-        return int(i)
+        return check_count(i, "element index", 1, self.n)
 
     def masks(self) -> np.ndarray:
         """All subset masks 0..2**n-1 in lexicographic (= integer) order."""
@@ -111,12 +117,10 @@ def require_same_ground(a, b) -> GroundSet:
     return a.ground
 
 
-def _frozen_array(values, length: int | None = None, *, copy: bool) -> np.ndarray:
+def _frozen_array(values, length: int, *, copy: bool) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=copy or None)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d value vector, got shape {arr.shape}")
-    if length is not None and arr.shape[0] != length:
-        raise ValueError(f"expected {length} values, got {arr.shape[0]}")
+    if arr.shape != (length,):
+        raise ValueError(f"expected {length} values in a 1-d array, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -154,10 +158,39 @@ class SetFunction:
         return SparseSetFunction(self.ground, nz, self.values[nz])
 
 
-def repeated_masks(masks: np.ndarray) -> np.ndarray:
-    """The masks that occur more than once, ascending (with repeats)."""
-    ordered = np.sort(masks)
-    return ordered[1:][ordered[1:] == ordered[:-1]]
+def _support_order(freqs: np.ndarray) -> np.ndarray:
+    """The permutation that sorts masks by (cardinality, mask) ascending."""
+    return np.lexsort((freqs, popcount(freqs)))
+
+
+def _checked_pairs(ground: GroundSet, masks, values, *, sort: bool, what: str = "mask"):
+    """Read-only int64 `masks` and float64 `values`, copied and checked once:
+    both 1-d and of one length, every mask an integer in [0, 2**n)
+    (`GroundSet.check_masks`), no mask repeated and every value finite.  The
+    first fault raises ValueError naming it.  With `sort` both come in the
+    masks' (cardinality, mask) order, where a repeated mask is two equal
+    neighbours; without it they stay in the order given."""
+    masks, values = np.asarray(masks), np.array(values, dtype=np.float64)
+    if masks.ndim != 1 or values.ndim != 1:
+        raise ValueError(f"masks and values must be 1-d, got shapes "
+                         f"{masks.shape} and {values.shape}")
+    if masks.size != values.size:
+        raise ValueError(f"got {masks.size} masks and {values.size} values")
+    masks = np.array(ground.check_masks(masks, what))
+    if sort:
+        order = _support_order(masks)
+        masks, values = masks[order], values[order]
+    ordered = masks if sort else np.sort(masks)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise ValueError(f"duplicate {what} {repeated[0]}")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        at = np.flatnonzero(bad)[0]
+        raise ValueError(f"value {values[at]} at mask {masks[at]} is not finite")
+    masks.setflags(write=False)
+    values.setflags(write=False)
+    return masks, values
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,10 +198,8 @@ class SparseSetFunction:
     """Sparse set function: aligned, read-only int64 `masks` and float64
     `values` in the order given; absent masks read as zero.
 
-    The arrays are copied and checked once, here: both 1-d and of one
-    length, every mask an integer in [0, 2**n) (`GroundSet.check_masks`),
-    no mask repeated and every value finite.  The first fault raises
-    ValueError naming it.
+    The arrays are copied and checked once, here, by `_checked_pairs`: its
+    first fault raises ValueError naming it.
     """
 
     ground: GroundSet
@@ -176,23 +207,9 @@ class SparseSetFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        masks, values = np.asarray(self.masks), np.array(self.values, dtype=np.float64)
-        if masks.ndim != 1 or values.ndim != 1:
-            raise ValueError(f"masks and values must be 1-d, got shapes "
-                             f"{masks.shape} and {values.shape}")
-        if masks.size != values.size:
-            raise ValueError(f"got {masks.size} masks and {values.size} values")
-        masks = np.array(self.ground.check_masks(masks))
-        repeated = repeated_masks(masks)
-        if repeated.size:
-            raise ValueError(f"duplicate mask {repeated[0]}")
-        bad = ~np.isfinite(values)
-        if bad.any():
-            at = np.flatnonzero(bad)[0]
-            raise ValueError(f"value {values[at]} at mask {masks[at]} is not finite")
-        for name, arr in (("masks", masks), ("values", values)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        masks, values = _checked_pairs(self.ground, self.masks, self.values, sort=False)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "values", values)
 
     def __call__(self, mask: int) -> float:
         at = np.flatnonzero(self.masks == self.ground.check_mask(mask))
@@ -236,11 +253,6 @@ class Spectrum:
         return float(self.coeffs[self.ground.check_mask(mask)])
 
 
-def _support_order(freqs: np.ndarray) -> np.ndarray:
-    """The permutation that sorts masks by (cardinality, mask) ascending."""
-    return np.lexsort((freqs, popcount(freqs)))
-
-
 @dataclass(frozen=True)
 class SparseSupport:
     """Distinct frequency masks sorted by (cardinality, mask) ascending.
@@ -258,39 +270,43 @@ class SparseSupport:
         given = np.asarray(self.freqs)
         if given.ndim != 1:
             raise ValueError("support must be a 1-d mask array")
-        freqs = self.ground.check_masks(given, "support mask")
-        repeated = repeated_masks(freqs)
-        if repeated.size:
-            raise ValueError(f"duplicate support mask {repeated[0]}")
-        freqs = freqs[_support_order(freqs)]
-        freqs.setflags(write=False)
+        freqs, _ = _checked_pairs(self.ground, given, np.zeros(given.size), sort=True,
+                                  what="support mask")
         object.__setattr__(self, "freqs", freqs)
 
     def __len__(self) -> int:
         return int(self.freqs.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseSpectrum:
-    """Finite Fourier coefficients of one of the five models on a sparse
-    support, aligned with `support.freqs`; absent frequencies read as zero."""
+    """Fourier coefficients of one of the five models at distinct
+    frequencies; absent frequencies read as zero.
 
-    support: SparseSupport
+    `freqs` and `coeffs` are aligned (frequency, coefficient) pairs in any
+    order.  They are checked once, as a `SparseSetFunction`'s masks and
+    values are, and held as read-only copies in support order: by
+    (cardinality, mask), each coefficient with its frequency.
+    """
+
+    ground: GroundSet
     model: int
+    freqs: np.ndarray
     coeffs: np.ndarray
 
     def __post_init__(self):
         check_model(self.model)
-        coeffs = _frozen_array(self.coeffs, len(self.support), copy=True)
-        bad = ~np.isfinite(coeffs)
-        if bad.any():
-            raise ValueError(f"non-finite coefficient {coeffs[bad][0]} "
-                             f"at position {np.flatnonzero(bad)[0]}")
+        freqs, coeffs = _checked_pairs(self.ground, self.freqs, self.coeffs, sort=True)
+        object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def ground(self) -> GroundSet:
-        return self.support.ground
+    @cached_property
+    def support(self) -> SparseSupport:
+        """`freqs` as a SparseSupport, without a second check or sort."""
+        support = object.__new__(SparseSupport)
+        object.__setattr__(support, "ground", self.ground)
+        object.__setattr__(support, "freqs", self.freqs)
+        return support
 
 
 def masks_by_cardinality(ground: GroundSet):
@@ -316,7 +332,6 @@ def subsets_of_cardinality_at_most(ground: GroundSet, m: int) -> np.ndarray:
     The cost is the output size even when 2**n is far too large to scan
     (e.g. n=46, m=2 yields 1082 masks).
     """
-    if not 0 <= m <= ground.n:
-        raise ValueError(f"order m={m} out of range 0..{ground.n}")
+    m = check_count(m, "order m", 0, ground.n)
     count = sum(math.comb(ground.n, bits) for bits in range(m + 1))
     return np.fromiter(itertools.islice(masks_by_cardinality(ground), count), np.int64, count)

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GroundSet, SetFunction, SparseSetFunction, Spectrum, popcount
-from .transforms import FORWARD, INVERSE, dsft, dsft_inplace
+from .transforms import FORWARD, dsft, dsft_inplace, idsft
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 # Fragments with |weight| below this are dropped from the sparse map.
 WEIGHT_DROP_TOL = 1e-12
-# Reproduction check at construction (exhaustive to this n, sampled beyond).
+# Reproduction check at construction (exhaustive to this n, sampled beyond),
+# and the tolerance of both it and `mi_check`.
 _CHECK_EXHAUSTIVE_N = 12
 _CHECK_SAMPLES = 256
 _CHECK_TOL = 1e-9
@@ -69,40 +70,29 @@ def coverage_eval(rep: CoverageRepresentation, A: int) -> float:
 
 def coverage_dense(rep: CoverageRepresentation) -> SetFunction:
     """Evaluate the representation at every subset (via the model-4 inverse)."""
-    coeffs = np.zeros(rep.ground.size)
-    coeffs[rep.fragments.masks] = -rep.fragments.values
-    coeffs[0] = rep.offset_c + rep.total_weight  # = s_N
-    dsft_inplace(coeffs, 4, INVERSE)
-    return SetFunction.wrap(rep.ground, coeffs)
+    return idsft(4, fragment_weights_spectrum(rep))
 
 
-def coverage_from_setfunction(s: SetFunction, check: bool = True) -> CoverageRepresentation:
+def coverage_from_setfunction(s: SetFunction) -> CoverageRepresentation:
     """Represent an arbitrary set function as a generalized coverage function.
 
     The fragment weights are the negated nonempty model-4 coefficients and the
-    offset is s_{}.  When `check` is set the construction verifies that the
-    representation reproduces the input (exhaustively up to n=12, on random
-    subsets beyond).
+    offset is s_{}.  The construction verifies that the representation
+    reproduces the input (exhaustively up to n=12, on random subsets beyond).
     """
     weights = -dsft(4, s).coeffs
     kept = np.flatnonzero(np.abs(weights[1:]) >= WEIGHT_DROP_TOL) + 1
     rep = CoverageRepresentation(float(s.values[0]),
                                  SparseSetFunction(s.ground, kept, weights[kept]))
-    if check:
-        scale = max(1.0, float(np.abs(s.values).max()))
-        if s.ground.n <= _CHECK_EXHAUSTIVE_N:
-            err = float(np.abs(coverage_dense(rep).values - s.values).max())
-        else:
-            rng = np.random.default_rng(0)
-            probes = rng.integers(0, s.ground.size, size=_CHECK_SAMPLES)
-            err = max(
-                abs(coverage_eval(rep, int(A)) - float(s.values[int(A)]))
-                for A in probes
-            )
-        if err > _CHECK_TOL * scale:
-            raise ValueError(
-                f"coverage representation failed to reproduce the input (err={err:g})"
-            )
+    scale = max(1.0, float(np.abs(s.values).max()))
+    if s.ground.n <= _CHECK_EXHAUSTIVE_N:
+        err = float(np.abs(coverage_dense(rep).values - s.values).max())
+    else:
+        rng = np.random.default_rng(0)
+        probes = rng.integers(0, s.ground.size, size=_CHECK_SAMPLES)
+        err = max(abs(coverage_eval(rep, int(A)) - float(s.values[int(A)])) for A in probes)
+    if err > _CHECK_TOL * scale:
+        raise ValueError(f"coverage representation failed to reproduce the input (err={err:g})")
     return rep
 
 
@@ -259,7 +249,7 @@ class MiReport:
     ok: bool
 
 
-def mi_check(model: GaussianModel, tol: float = 1e-9) -> MiReport:
+def mi_check(model: GaussianModel) -> MiReport:
     """Verify s3_{i,j} = -I(X_i;X_j) for all pairs and s4_{} = H(X_N)
     on the densified entropy function (n <= 12)."""
     if model.n > _CHECK_EXHAUSTIVE_N:
@@ -278,6 +268,6 @@ def mi_check(model: GaussianModel, tol: float = 1e-9) -> MiReport:
         n=model.n,
         max_pair_gap=max_pair,
         joint_entropy_gap=joint_gap,
-        tol=tol,
-        ok=bool(max_pair <= tol and joint_gap <= tol),
+        tol=_CHECK_TOL,
+        ok=bool(max_pair <= _CHECK_TOL and joint_gap <= _CHECK_TOL),
     )

@@ -33,6 +33,7 @@ from .core import (
     SetFunction,
     SparseSetFunction,
     SparseSpectrum,
+    check_count,
     is_subset,
     popcount,
     subsets_of_cardinality_at_most,
@@ -56,16 +57,22 @@ from .sampling import (
     with_dominant_offset,
 )
 
+# Length scale and nugget of `random_rbf_covariance`'s kernel.
+RBF_LENGTH_SCALE, RBF_NUGGET = 0.35, 0.05
+# Sampling bidders: pool magnitudes log-uniform on [MAG_LOW, MAG_HIGH); a pool
+# frequency enters a bidder with probability INCLUDE_PROB, its magnitude
+# jittered by a lognormal of sigma JITTER_SIGMA (`pool_bidder`).
+MAG_LOW, MAG_HIGH = 1e-3, 1.0
+INCLUDE_PROB, JITTER_SIGMA, EMPTY_FACTOR = 0.5, 0.25, 1.5
 
-def random_rbf_covariance(
-    n: int, seed: int, length_scale: float = 0.35, nugget: float = 0.05
-) -> np.ndarray:
+
+def random_rbf_covariance(n: int, seed: int) -> np.ndarray:
     """Covariance of n sensors at random plane positions with a squared-
     exponential kernel plus a nugget; always positive definite."""
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(n, 2))
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-d2 / (2.0 * length_scale**2)) + nugget * np.eye(n)
+    return np.exp(-d2 / (2.0 * RBF_LENGTH_SCALE**2)) + RBF_NUGGET * np.eye(n)
 
 
 def entropy_oracle(model: GaussianModel) -> SetFunctionOracle:
@@ -138,6 +145,7 @@ def score_compression(
     fitting time plus the time of the shared scoring pass.
     """
     ground = oracle.ground
+    wht_samples = check_count(wht_samples, "wht_samples", 1, ground.size)
     started, before = time.perf_counter(), oracle.queries
     band = compress_band(oracle, order)
     band_queries, band_time = oracle.queries - before, time.perf_counter() - started
@@ -171,35 +179,26 @@ class BidderPool:
     base_magnitudes: np.ndarray
 
 
-def random_bidder_pool(
-    ground: GroundSet,
-    size: int,
-    seed: int,
-    *,
-    mag_low: float = 1e-3,
-    mag_high: float = 1.0,
-) -> BidderPool:
+def random_bidder_pool(ground: GroundSet, size: int, seed: int) -> BidderPool:
     """Pool of `size` frequencies (the empty set plus size-1 random nonempty
     masks) with log-uniform base magnitudes shared by all bidders."""
     rng = np.random.default_rng(seed)
     masks = np.concatenate(([0], random_nonempty_masks(ground, size - 1, rng)))
-    mags = np.exp(rng.uniform(np.log(mag_low), np.log(mag_high), size=size))
+    mags = np.exp(rng.uniform(np.log(MAG_LOW), np.log(MAG_HIGH), size=size))
     return BidderPool(ground, masks, mags)
 
 
-def pool_bidder(pool: BidderPool, rng: np.random.Generator, *,
-                include_prob: float = 0.5, jitter_sigma: float = 0.25,
-                empty_factor: float = 1.5) -> SparseSpectrum:
+def pool_bidder(pool: BidderPool, rng: np.random.Generator) -> SparseSpectrum:
     """Draw one bidder: each nonempty pool frequency enters independently,
     with coefficient base_magnitude * lognormal jitter * random sign; the
-    empty-set coefficient is empty_factor * sum|coeffs| (dominant)."""
+    empty-set coefficient is EMPTY_FACTOR * sum|coeffs| (dominant)."""
     nonempty = pool.masks[1:]
     base = pool.base_magnitudes[1:]
-    include = rng.random(nonempty.size) < include_prob
+    include = rng.random(nonempty.size) < INCLUDE_PROB
     freqs = nonempty[include]
-    mags = base[include] * np.exp(jitter_sigma * rng.standard_normal(freqs.size))
+    mags = base[include] * np.exp(JITTER_SIGMA * rng.standard_normal(freqs.size))
     signs = rng.choice([-1.0, 1.0], size=freqs.size)
-    return with_dominant_offset(pool.ground, freqs, mags * signs, empty_factor)
+    return with_dominant_offset(pool.ground, freqs, mags * signs, EMPTY_FACTOR)
 
 
 @dataclass(frozen=True)
@@ -273,12 +272,12 @@ def sampling_experiment(
     missed_mass = np.zeros(n_test)
     captured = np.zeros(n_test)
     for t, (bidder, got) in enumerate(zip(test, recovered)):
-        truth[np.searchsorted(freqs, bidder.support.freqs), t] = bidder.coeffs
+        truth[np.searchsorted(freqs, bidder.freqs), t] = bidder.coeffs
         recon[np.searchsorted(freqs, support.freqs), t] = got.coeffs
 
-        inside = np.isin(bidder.support.freqs, support.freqs)
+        inside = np.isin(bidder.freqs, support.freqs)
         missed_coeffs = bidder.coeffs[~inside]
-        missed_cards = popcount(bidder.support.freqs[~inside])
+        missed_cards = popcount(bidder.freqs[~inside])
         # ||f^B||_2 = 2**((n-|B|)/2), the root of the Gram diagonal
         missed_mass[t] = float(
             (np.abs(missed_coeffs) * 2.0 ** (0.5 * (n - missed_cards))).sum()

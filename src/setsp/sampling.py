@@ -34,7 +34,7 @@ from .core import (
     GroundSet,
     SparseSpectrum,
     SparseSupport,
-    _support_order,
+    check_count,
     is_subset,
     masks_by_cardinality,
     popcount,
@@ -97,7 +97,7 @@ def eval_sparse_many(spectrum: SparseSpectrum, masks) -> np.ndarray:
     flat = masks.ravel()
     complement, want, scale = _closed_form(spectrum.model, INVERSE)
     full = ground.full_mask
-    tests = spectrum.support.freqs ^ full if complement else spectrum.support.freqs
+    tests = spectrum.freqs ^ full if complement else spectrum.freqs
     coeffs = spectrum.coeffs * scale**n
     if want == "all":
         coeffs = np.where(popcount(tests) & 1, -coeffs, coeffs)
@@ -208,7 +208,7 @@ def reconstruct(oracles, support: SparseSupport) -> SparseSpectrum | list[Sparse
     for t, oracle in enumerate(oracles):
         values[:, t] = oracle.query_many(queries)
     coeffs = _forward_substitution(support.freqs, values)
-    spectra = [SparseSpectrum(support, 4, row) for row in coeffs.T]
+    spectra = [SparseSpectrum(support.ground, 4, support.freqs, row) for row in coeffs.T]
     return spectra[0] if single else spectra
 
 
@@ -294,12 +294,11 @@ def select_support(training_spectra, k: int) -> SparseSupport:
                             f"model-{sp.model} {type(sp).__name__}")
         if sp.ground != ground:
             raise ValueError("training spectra must share a ground set")
-    if not 0 <= k <= ground.size:
-        raise ValueError(f"cannot select {k} of {ground.size} frequencies")
-    union = np.unique(np.concatenate([sp.support.freqs for sp in spectra]))
+    k = check_count(k, "support size k", 0, ground.size)
+    union = np.unique(np.concatenate([sp.freqs for sp in spectra]))
     score = np.zeros(union.size)
     for sp in spectra:
-        score[np.searchsorted(union, sp.support.freqs)] += np.abs(sp.coeffs)
+        score[np.searchsorted(union, sp.freqs)] += np.abs(sp.coeffs)
     score /= len(spectra)
     order = np.lexsort((union, popcount(union), -score))
     ranked = union[order][score[order] > 0][:k]
@@ -327,8 +326,7 @@ def synthetic_sparse_spectrum(ground: GroundSet, k: int, *, seed=None) -> Sparse
 
 def random_nonempty_masks(ground: GroundSet, k: int, rng: np.random.Generator) -> np.ndarray:
     """k distinct nonempty masks drawn uniformly, in ascending order."""
-    if not 0 <= k < ground.size:
-        raise ValueError(f"cannot pick {k} distinct nonempty frequencies for n={ground.n}")
+    k = check_count(k, "number of nonempty frequencies", 0, ground.size - 1)
     chosen: set[int] = set()
     while len(chosen) < k:
         draw = rng.integers(1, ground.size, size=k - len(chosen), dtype=np.uint64)
@@ -345,15 +343,13 @@ def with_dominant_offset(
     The offset dominates: every value of the set function is at least
     (empty_factor - 1) * sum|coeffs|.
     """
-    freqs = np.concatenate(([0], freqs))
-    coeffs = np.concatenate(([empty_factor * np.abs(coeffs).sum()], coeffs))
-    order = _support_order(freqs)
-    return SparseSpectrum(SparseSupport(ground, freqs[order]), 4, coeffs[order])
+    return SparseSpectrum(ground, 4, np.concatenate(([0], freqs)),
+                          np.concatenate(([empty_factor * np.abs(coeffs).sum()], coeffs)))
 
 
 def save_sparse_spectrum(path, spectrum: SparseSpectrum) -> None:
-    pairs = [(int(B), float(c)) for B, c in zip(spectrum.support.freqs, spectrum.coeffs)]
-    setfn_io.write_entries(path, spectrum.ground.n, "sparse", spectrum.model, pairs)
+    setfn_io._write_arrays(path, spectrum.ground.n, "sparse", spectrum.model,
+                           spectrum.freqs, spectrum.coeffs)
 
 
 def load_sparse_spectrum(path) -> SparseSpectrum:
@@ -361,14 +357,13 @@ def load_sparse_spectrum(path) -> SparseSpectrum:
     rec = setfn_io.parse_setfn(path)
     if rec.model is None or rec.kind != "sparse":
         raise setfn_io.SetFnFormatError(path, 4, "expected a sparse spectrum")
-    order = _support_order(rec.masks)
-    return SparseSpectrum(SparseSupport(rec.ground, rec.masks[order]), rec.model,
-                          rec.values[order])
+    return SparseSpectrum(rec.ground, rec.model, rec.masks, rec.values)
 
 
 def save_support(path, support: SparseSupport) -> None:
     """Supports serialize as sparse model-4 files with unit coefficients."""
-    save_sparse_spectrum(path, SparseSpectrum(support, 4, np.ones(len(support))))
+    save_sparse_spectrum(path, SparseSpectrum(support.ground, 4, support.freqs,
+                                              np.ones(len(support))))
 
 
 def load_support(path) -> SparseSupport:

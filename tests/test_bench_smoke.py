@@ -7,6 +7,7 @@ some functions by name, and a renamed one would read 0 in its metrics
 instead of failing.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -122,8 +123,23 @@ CLI_FILES_SMOKE_SHA256 = {
     "freqresp": "3ee40cb8be1fca0e271736378771b377871522dbe749157192a251a2686ff7a2",
     "sample": "211f5ec1291653d3a91dd73cc9fe970d9e9a3d735b60150e9e323128fa536e1c",
 }
+# sha256 of the set-up files that `sampling.save_sparse_spectrum` and
+# `sampling.save_support` write, recorded the same way before sparse spectra
+# took (frequency, coefficient) pairs.
+CLI_FILES_SETUP_SHA256 = {
+    "bidder.setfn": "34640e0c8beb335acc56505ad4c707ea84fb343fd2481bc33ffb6a2372959263",
+    "support.setfn": "546fe285bf2f1e2411c6fa884c7b8421a984e03d4809816495eff65c1e8fc1de",
+}
 
 
 def test_cli_files_smoke_outputs_keep_their_bytes(workloads, tmp_path):
-    digests = _run_smoke(workloads.WORKLOADS["cli-files"], tmp_path)
+    workload = workloads.WORKLOADS["cli-files"]
+    state = workload.prepare(workload.default_seed, True, str(tmp_path / "setup"))
+    try:
+        setup = {name: hashlib.sha256(Path(state.inputs["path"][name]).read_bytes()).hexdigest()
+                 for name in CLI_FILES_SETUP_SHA256}
+    finally:
+        state.close()
+    assert setup == CLI_FILES_SETUP_SHA256
+    digests = _run_smoke(workload, tmp_path / "ops")
     assert {op: digests[op]["sha256"] for op in CLI_FILES_SMOKE_SHA256} == CLI_FILES_SMOKE_SHA256

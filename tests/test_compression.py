@@ -34,10 +34,6 @@ def _dense_oracle(values, n):
     return SetFunctionOracle.from_setfunction(SetFunction(GroundSet(n), values))
 
 
-def _band(ground, model, freqs, coeffs):
-    return SparseSpectrum(SparseSupport(ground, freqs), model, coeffs)
-
-
 def test_coefficient_empty_set_is_one_query():
     oracle = _dense_oracle([1.0, 2.0, 3.0, 4.0], 2)
     assert dsft4_coefficient_by_queries(oracle, 0) == 4.0
@@ -67,7 +63,7 @@ def test_coefficient_queries_are_one_batch_with_the_memoised_bits():
     rng = np.random.default_rng(23)
     n = 8
     freqs = np.unique(rng.integers(0, 1 << n, size=40))
-    truth = _band(GroundSet(n), 4, freqs, rng.standard_normal(freqs.size))
+    truth = SparseSpectrum(GroundSet(n), 4, freqs, rng.standard_normal(freqs.size))
     memoised = compress_band(oracle_from_sparse_spectrum(truth), n)
     for B in (0, 0b1, 0b10110101, (1 << n) - 1):
         oracle = oracle_from_sparse_spectrum(truth)
@@ -146,7 +142,7 @@ def test_eval_bandlimited_examples():
     want = {1: [0.0, 0.0, 3.0, -1.0], 2: [5.0, -3.0, 0.0, 0.0], 3: [2.0, -1.0, 2.0, -1.0],
             4: [5.0, 2.0, 5.0, 2.0], 5: [1.25, -0.25, 1.25, -0.25]}
     for model, values in want.items():
-        approx = _band(g, model, [0, 1], [2.0, 3.0])
+        approx = SparseSpectrum(g, model, [0, 1], [2.0, 3.0])
         assert eval_sparse_many(approx, np.arange(4)).tolist() == values
 
 
@@ -155,7 +151,7 @@ def test_scalar_and_batched_band_eval_agree_bitwise(model):
     g = GroundSet(10)
     support = subsets_of_cardinality_at_most(g, 2)
     coeffs = np.random.default_rng(model).standard_normal(support.size)
-    approx = _band(g, model, support, coeffs)
+    approx = SparseSpectrum(g, model, support, coeffs)
     masks = g.masks()
     scalar = np.concatenate([eval_sparse_many(approx, [A]) for A in masks])
     assert scalar.tobytes() == eval_sparse_many(approx, masks).tobytes()
@@ -176,7 +172,7 @@ def test_band_eval_golden_bits(model):
     support = subsets_of_cardinality_at_most(g, 2)
     coeffs = np.random.default_rng(5).standard_normal(support.size)
     masks = np.random.default_rng(6).integers(0, g.size, size=(300, 230))
-    out = eval_sparse_many(_band(g, model, support, coeffs), masks)
+    out = eval_sparse_many(SparseSpectrum(g, model, support, coeffs), masks)
     assert out.shape == masks.shape
     assert hashlib.sha256(out.tobytes()).hexdigest() == BAND_EVAL_SHA256[model]
 
@@ -277,7 +273,7 @@ def test_estimate_errors_refuse_an_m_samples_that_is_no_count(bad):
 
 def test_estimate_error_rejects_zero_signal():
     oracle = _dense_oracle(np.zeros(8), 3)
-    approx = partial(eval_sparse_many, _band(GroundSet(3), 4, [0], [0.0]))
+    approx = partial(eval_sparse_many, SparseSpectrum(GroundSet(3), 4, [0], [0.0]))
     with pytest.raises(ValueError, match="zero"):
         estimate_relative_error(oracle, approx, 10, seed=1)
 

@@ -1,22 +1,26 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from setsp import core
 from setsp import io as setfn_io
-from setsp.compression import SetFunctionOracle, wht_regression
+from setsp.compression import SetFunctionOracle, compress_band, wht_regression
 from setsp.core import (
     GroundSet,
     SetFunction,
     SparseSetFunction,
+    SparseSpectrum,
     SparseSupport,
     Spectrum,
     popcount,
     subsets_of_cardinality_at_most,
 )
-from setsp.coverage import CoverageRepresentation
-from setsp.filters import Filter
+from setsp.coverage import CoverageRepresentation, GaussianModel, pairwise_mutual_information
+from setsp.experiments import score_compression
+from setsp.filters import Filter, shift
+from setsp.sampling import random_nonempty_masks, select_support, synthetic_sparse_spectrum
 
 
 def test_subset_ops_basics():
@@ -205,6 +209,7 @@ _BOUNDARY_CASES = [
 # one value per mask
 _BOUNDARY_CALLS = {
     "SparseSetFunction": (lambda m, v, path: SparseSetFunction(_G, m, v), set()),
+    "SparseSpectrum": (lambda m, v, path: SparseSpectrum(_G, 4, m, v), set()),
     "Filter.from_taps": (lambda m, v, path: Filter.from_taps(_G, dict(zip(m, v))),
                          {"repeated-mask", "2-d-masks", "lengths"}),
     "CoverageRepresentation": (
@@ -234,6 +239,60 @@ def test_sparse_inputs_refuse_what_is_no_mask_or_value(call, masks, values, mess
 @pytest.mark.parametrize("name", _BOUNDARY_CALLS)
 def test_sparse_inputs_take_the_table_s_valid_input(name, tmp_path):
     _BOUNDARY_CALLS[name][0](_MASKS, _VALUES, tmp_path / "out.setfn")
+
+
+def _oracle():
+    return SetFunctionOracle.from_setfunction(SetFunction(_G, np.arange(16.0) + 1.0))
+
+
+# One table for the count parameters: callable -> (call(count), the name its
+# message gives the count, the range it takes).  Each callable refuses a
+# bool, a float (integral or not), a string and the integers just outside
+# its range with one message; `m_samples` has its own test in
+# tests/test_compression.py.
+_COUNT_CALLS = {
+    "GroundSet": (GroundSet, "ground set size n", 0, 62),
+    "check_element": (_G.check_element, "element index", 1, 4),
+    "shift": (lambda c: shift(3, c, SetFunction(_G, np.arange(16.0))), "element index", 1, 4),
+    "pairwise_mutual_information": (
+        lambda c: pairwise_mutual_information(GaussianModel(np.eye(4)), 2, c),
+        "element index", 1, 4),
+    "subsets_of_cardinality_at_most": (lambda c: subsets_of_cardinality_at_most(_G, c),
+                                       "order m", 0, 4),
+    "compress_band": (lambda c: compress_band(_oracle(), c), "order m", 0, 4),
+    "random_nonempty_masks": (lambda c: random_nonempty_masks(_G, c, np.random.default_rng(1)),
+                              "number of nonempty frequencies", 0, 15),
+    "synthetic_sparse_spectrum": (lambda c: synthetic_sparse_spectrum(_G, c, seed=1),
+                                  "number of nonempty frequencies", 0, 15),
+    "select_support": (lambda c: select_support([SparseSpectrum(_G, 4, [3], [1.0])], c),
+                       "support size k", 0, 16),
+    "score_compression": (lambda c: score_compression(_oracle(), wht_samples=c, probes=50,
+                                                      seed=1),
+                          "wht_samples", 1, 16),
+}
+
+
+def _count_cases(low, high):
+    return {"bool": True, "float": 1.5, "integral-float": np.float64(2.0), "str": "2",
+            "below": low - 1, "above": high + 1}
+
+
+@pytest.mark.parametrize("call, bad, message", [
+    pytest.param(call, bad, f"^{name} must be an integer in \\[{low}, {high}\\], "
+                            f"got {re.escape(repr(bad))}$", id=f"{callable_name}-{case}")
+    for callable_name, (call, name, low, high) in _COUNT_CALLS.items()
+    for case, bad in _count_cases(low, high).items()
+])
+def test_counts_refuse_what_is_no_integer_in_their_range(call, bad, message):
+    with pytest.raises(ValueError, match=message):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", _COUNT_CALLS)
+def test_counts_take_both_ends_of_their_range(name):
+    call, _, low, high = _COUNT_CALLS[name]
+    call(low)
+    call(np.int64(high))
 
 
 def test_sparse_setfunction_holds_read_only_copies_in_the_order_given():

@@ -14,7 +14,6 @@ from setsp.core import (
     SetFunction,
     SparseSetFunction,
     SparseSpectrum,
-    SparseSupport,
     Spectrum,
 )
 from setsp.io import SetFnFormatError
@@ -228,13 +227,11 @@ def test_setfn_round_trip_is_bitwise(data, n, model):
         assert got.masks.tolist() == sorted(entries)
         assert _same_bits(got.values, [entries[m] for m in sorted(entries)])
 
-        support = SparseSupport(ground, np.array(list(entries), dtype=np.int64))
-        spectrum = SparseSpectrum(
-            support, model, np.array([entries[int(B)] for B in support.freqs], dtype=np.float64))
+        spectrum = SparseSpectrum(ground, model, list(entries), list(entries.values()))
         sampling.save_sparse_spectrum(path, spectrum)
         again = sampling.load_sparse_spectrum(path)
         assert again.model == model
-        assert np.array_equal(again.support.freqs, support.freqs)
+        assert np.array_equal(again.freqs, spectrum.freqs)
         assert _same_bits(again.coeffs, spectrum.coeffs)
 
 

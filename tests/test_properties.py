@@ -225,7 +225,7 @@ def _wide_spectrum(data, n: int, coeff, model: int = 4) -> SparseSpectrum:
     pool = data.draw(st.lists(coeff, min_size=1, max_size=8))
     coeffs = np.where(rng.random(freqs.size) < 0.5, rng.choice(pool, freqs.size),
                       rng.uniform(-1e6, 1e6, freqs.size))
-    return SparseSpectrum(SparseSupport(GroundSet(n), freqs), model, coeffs)
+    return SparseSpectrum(GroundSet(n), model, freqs, coeffs)
 
 
 def _small_tables(data, n: int):
@@ -269,7 +269,7 @@ def test_sampling_theorem_recovers_exactly_sparse_spectra(data, n, rows):
                            max_size=len(support))),
         dtype=np.float64,
     )
-    oracle = oracle_from_sparse_spectrum(SparseSpectrum(support, 4, coeffs))
+    oracle = oracle_from_sparse_spectrum(SparseSpectrum(support.ground, 4, support.freqs, coeffs))
     with mock.patch.object(sampling, "_RECONSTRUCT_ROWS", rows):
         got = reconstruct(oracle, support)
     assert oracle.queries == len(support)
@@ -332,7 +332,7 @@ def test_blocked_band_eval_is_the_sequential_sum(model, data, n, shape):
 def _sparse_spectrum(data, n: int, max_size: int, coeff) -> SparseSpectrum:
     support = _support(data, n, max_size)
     coeffs = data.draw(st.lists(coeff, min_size=len(support), max_size=len(support)))
-    return SparseSpectrum(support, 4, np.array(coeffs, dtype=np.float64))
+    return SparseSpectrum(support.ground, 4, support.freqs, coeffs)
 
 
 def _on(freqs: np.ndarray, spectrum) -> np.ndarray:
@@ -344,8 +344,7 @@ def _on(freqs: np.ndarray, spectrum) -> np.ndarray:
 
 # A coefficient whose square is subnormal: unscaled, its Gram norm is off
 # by 5e-10 relative.
-_TINY = SparseSpectrum(SparseSupport(GroundSet(1), np.array([0])), 4,
-                       np.array([5.035903750086117e-158]))
+_TINY = SparseSpectrum(GroundSet(1), 4, [0], [5.035903750086117e-158])
 
 
 @settings(max_examples=60, deadline=None)
@@ -390,9 +389,7 @@ def test_sparse_select_support_is_the_lattice_ranking(data, n, count):
     spectra = []
     for _ in range(count):
         entries = data.draw(st.dictionaries(mask, coeff, max_size=min(size, 12)))
-        support = SparseSupport(ground, np.array(list(entries), dtype=np.int64))
-        coeffs = np.array([entries[int(B)] for B in support.freqs], dtype=np.float64)
-        spectra.append(SparseSpectrum(support, 4, coeffs))
+        spectra.append(SparseSpectrum(ground, 4, list(entries), list(entries.values())))
     # mostly few enough that the cut falls among the masks that score
     k = data.draw(st.one_of(st.integers(0, min(size, 24)), st.integers(0, size)))
     got = select_support(spectra, k)
@@ -455,8 +452,7 @@ def test_deduplicated_error_estimate_is_the_per_probe_estimate(kind, data, n, mo
     m_samples = data.draw(st.integers(size, 3 * size))
     freqs = data.draw(st.lists(st.integers(0, size - 1), unique=True, max_size=min(size, 8)))
     coeffs = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(freqs), max_size=len(freqs)))
-    band = SparseSpectrum(SparseSupport(GroundSet(n), np.array(freqs, dtype=np.int64)), model,
-                          np.array(coeffs, dtype=np.float64))
+    band = SparseSpectrum(GroundSet(n), model, freqs, coeffs)
     seen = []
 
     def affine(masks):

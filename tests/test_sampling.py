@@ -53,14 +53,29 @@ def test_support_sorting_and_validation():
 def test_spectrum_refuses_non_finite_coefficients(bad):
     # an infinite coefficient would give inf where its condition holds and
     # nan, 0 * inf, where a product adds it as a zero term
-    support = SparseSupport(GroundSet(3), np.array([0, 1, 2]))
+    g = GroundSet(3)
     for model in range(1, 6):
-        with pytest.raises(ValueError, match=f"non-finite coefficient {bad} at position 1"):
-            SparseSpectrum(support, model, [1.0, bad, -np.inf])
-    with pytest.raises(ValueError, match="expected 3 values"):
-        SparseSpectrum(support, 4, [1.0, 2.0])
+        with pytest.raises(ValueError, match=f"^value {bad} at mask 1 is not finite$"):
+            SparseSpectrum(g, model, [0, 1, 2], [1.0, bad, -np.inf])
+    with pytest.raises(ValueError, match="^got 3 masks and 2 values$"):
+        SparseSpectrum(g, 4, [0, 1, 2], [1.0, 2.0])
     with pytest.raises(ValueError, match="model must be one of"):
-        SparseSpectrum(support, 6, [1.0, 2.0, 3.0])
+        SparseSpectrum(g, 6, [0, 1, 2], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("model", range(1, 6))
+def test_spectrum_keeps_each_coefficient_with_its_frequency(model):
+    # (cardinality, mask) order puts 1 before 6: sorting the frequencies
+    # alone would put 10.0 at mask 1
+    g = GroundSet(3)
+    spec = SparseSpectrum(g, model, [6, 1], [10.0, -1.0])
+    dense = np.zeros(g.size)
+    dense[[6, 1]] = [10.0, -1.0]
+    want = idsft(model, Spectrum(g, model, dense)).values
+    assert eval_sparse_many(spec, g.masks()).tolist() == want.tolist()
+    assert spec.freqs.tolist() == [1, 6] and spec.coeffs.tolist() == [-1.0, 10.0]
+    assert not spec.freqs.flags.writeable and not spec.coeffs.flags.writeable
+    assert spec.support.freqs is spec.freqs and spec.support.ground == g
 
 
 @pytest.mark.parametrize("n", (2, 4, 8))
@@ -107,9 +122,9 @@ def test_reconstruct_exact_recovery(trial):
 
 def test_eval_sparse_examples():
     g = GroundSet(2)
-    spec = SparseSpectrum(SparseSupport(g, np.array([0, 1])), 4, np.array([2.0, 3.0]))
+    spec = SparseSpectrum(g, 4, [0, 1], [2.0, 3.0])
     assert eval_sparse_many(spec, np.array([0, 1, 2, 3])).tolist() == [5.0, 2.0, 5.0, 2.0]
-    empty = SparseSpectrum(SparseSupport(g, np.array([], dtype=np.int64)), 4, np.array([]))
+    empty = SparseSpectrum(g, 4, [], [])
     assert eval_sparse_many(empty, [3, 0]).tolist() == [0.0, 0.0]
     assert eval_sparse_many(spec, np.zeros((2, 0), dtype=np.int64)).shape == (2, 0)
 
@@ -135,7 +150,7 @@ def test_eval_sparse_many_refuses_masks_out_of_range(bad):
 ])
 def test_oracle_boundaries_refuse_what_is_no_mask(bad, message):
     # casting to int64 first read 1.5 as mask 1 and overflowed on 2**63
-    spec = SparseSpectrum(SparseSupport(GroundSet(3), np.array([0, 3])), 4, np.ones(2))
+    spec = SparseSpectrum(GroundSet(3), 4, [0, 3], np.ones(2))
     oracle = oracle_from_sparse_spectrum(spec)
     model = GaussianModel(np.diag([1.0, 4.0, 9.0]))
     for evaluate in (lambda: eval_sparse_many(spec, [2, bad]), lambda: oracle.query(bad),
@@ -168,7 +183,7 @@ def test_probes_that_hit_every_table_term_stay_within_a_few_slices():
     rng = np.random.default_rng(21)
     draws = np.array([rng.choice(20, 5, replace=False) for _ in range(1200)])
     freqs = np.unique((1 << draws).sum(axis=1))[:1024]
-    spec = SparseSpectrum(SparseSupport(GroundSet(20), freqs), 4, rng.standard_normal(1024))
+    spec = SparseSpectrum(GroundSet(20), 4, freqs, rng.standard_normal(1024))
     probes = np.zeros(1 << 16, dtype=np.int64)
     tracemalloc.start()
     try:
@@ -190,13 +205,12 @@ def test_sparse_to_dense_consistency():
     dense[spec.support.freqs] = spec.coeffs
     for model in range(1, 6):
         want = idsft(model, Spectrum(g, model, dense)).values
-        got = eval_sparse_many(SparseSpectrum(spec.support, model, spec.coeffs), g.masks())
+        got = eval_sparse_many(SparseSpectrum(g, model, spec.freqs, spec.coeffs), g.masks())
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max(), model
 
 
 def _sparse(ground, entries, model=4):
-    support = SparseSupport(ground, np.array(list(entries), dtype=np.int64))
-    return SparseSpectrum(support, model, np.array([entries[int(B)] for B in support.freqs]))
+    return SparseSpectrum(ground, model, list(entries), list(entries.values()))
 
 
 def test_select_support_exact_sparse_training():
@@ -242,7 +256,8 @@ def test_select_support_validation():
         select_support([_sparse(g, {0: 1.0}), _sparse(g, {0: 1.0}, model=5)], 1)
     with pytest.raises(ValueError, match="ground"):
         select_support([_sparse(g, {0: 1.0}), _sparse(GroundSet(3), {0: 1.0})], 1)
-    with pytest.raises(ValueError, match="cannot select 5 of 4"):
+    with pytest.raises(ValueError, match=r"^support size k must be an integer in \[0, 4\], "
+                                         r"got 5$"):
         select_support([_sparse(g, {0: 1.0})], 5)
 
 
@@ -265,7 +280,8 @@ def test_synthetic_spectrum_frequencies():
     g = GroundSet(3)
     spec = synthetic_sparse_spectrum(g, 7, seed=2)
     assert sorted(spec.support.freqs.tolist()) == list(range(8))
-    with pytest.raises(ValueError, match="cannot pick 8 distinct nonempty"):
+    with pytest.raises(ValueError, match=r"^number of nonempty frequencies must be an integer "
+                                         r"in \[0, 7\], got 8$"):
         synthetic_sparse_spectrum(g, 8, seed=2)
 
 
@@ -279,7 +295,7 @@ def test_serialization_roundtrip(tmp_path):
     assert np.array_equal(back.coeffs, spec.coeffs)
 
     # a spectrum of any model keeps its model
-    other = SparseSpectrum(spec.support, 2, spec.coeffs)
+    other = SparseSpectrum(g, 2, spec.freqs, spec.coeffs)
     save_sparse_spectrum(spec_path, other)
     back = load_sparse_spectrum(spec_path)
     assert back.model == 2 and np.array_equal(back.support.freqs, spec.support.freqs)
@@ -298,7 +314,7 @@ def test_batched_reconstruct_on_a_whole_lattice():
     rng = np.random.default_rng(66)
     support = SparseSupport(g, np.arange(g.size))
     truths = [
-        SparseSpectrum(SparseSupport(g, rng.choice(g.size, 40, replace=False)), 4,
+        SparseSpectrum(g, 4, rng.choice(g.size, 40, replace=False),
                        rng.standard_normal(40) * 10.0 ** rng.uniform(-13, 13, 40))
         for _ in range(4)
     ]
@@ -316,8 +332,7 @@ def test_batched_reconstruct_on_a_whole_lattice():
 
 def test_reconstruct_refuses_an_oracle_on_another_ground_set():
     # the queries N - B_i of a support on n=3 name other sets at n=5
-    truth = SparseSpectrum(SparseSupport(GroundSet(5), np.array([0, 1, 16])), 4,
-                           np.array([4.0, 1.0, 2.0]))
+    truth = SparseSpectrum(GroundSet(5), 4, [0, 1, 16], [4.0, 1.0, 2.0])
     support = SparseSupport(GroundSet(3), np.array([0, 1]))
     same = oracle_from_sparse_spectrum(synthetic_sparse_spectrum(GroundSet(3), 2, seed=3))
     other = oracle_from_sparse_spectrum(truth)
