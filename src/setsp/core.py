@@ -117,10 +117,22 @@ def require_same_ground(a, b) -> GroundSet:
     return a.ground
 
 
-def _frozen_array(values, length: int, *, copy: bool) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=copy or None)
+def _check_finite(values: np.ndarray, masks) -> None:
+    """Refuse the first value that is not finite, naming its mask."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        at = np.flatnonzero(bad)[0]
+        raise ValueError(f"value {values[at]} at mask {masks[at]} is not finite")
+
+
+def _frozen_array(values, length: int, *, check: bool) -> np.ndarray:
+    """`values` as a read-only float64 vector of `length`: with `check` a
+    checked copy (`_check_finite`), and without it the array as it is."""
+    arr = np.array(values, dtype=np.float64, copy=check or None)
     if arr.shape != (length,):
         raise ValueError(f"expected {length} values in a 1-d array, got shape {arr.shape}")
+    if check:
+        _check_finite(arr, range(length))
     arr.setflags(write=False)
     return arr
 
@@ -136,17 +148,18 @@ class SetFunction:
         if self.ground.n > DENSE_MAX_N:
             raise ValueError(f"dense set functions require n <= {DENSE_MAX_N}")
         object.__setattr__(
-            self, "values", _frozen_array(self.values, self.ground.size, copy=True)
+            self, "values", _frozen_array(self.values, self.ground.size, check=True)
         )
 
     @classmethod
     def wrap(cls, ground: GroundSet, values: np.ndarray) -> "SetFunction":
-        """Take ownership of `values` without copying; the caller must not
-        mutate the array afterwards."""
+        """Take ownership of `values`, an array the library computed, without
+        a copy or a pass over it: unlike the constructor, it does not refuse
+        non-finite values.  The caller must not mutate the array afterwards."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "ground", ground)
         object.__setattr__(
-            obj, "values", _frozen_array(values, ground.size, copy=False)
+            obj, "values", _frozen_array(values, ground.size, check=False)
         )
         return obj
 
@@ -184,10 +197,7 @@ def _checked_pairs(ground: GroundSet, masks, values, *, sort: bool, what: str = 
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if repeated.size:
         raise ValueError(f"duplicate {what} {repeated[0]}")
-    bad = ~np.isfinite(values)
-    if bad.any():
-        at = np.flatnonzero(bad)[0]
-        raise ValueError(f"value {values[at]} at mask {masks[at]} is not finite")
+    _check_finite(values, masks)
     masks.setflags(write=False)
     values.setflags(write=False)
     return masks, values
@@ -237,16 +247,17 @@ class Spectrum:
         if self.ground.n > DENSE_MAX_N:
             raise ValueError(f"dense spectra require n <= {DENSE_MAX_N}")
         object.__setattr__(
-            self, "coeffs", _frozen_array(self.coeffs, self.ground.size, copy=True)
+            self, "coeffs", _frozen_array(self.coeffs, self.ground.size, check=True)
         )
 
     @classmethod
     def wrap(cls, ground: GroundSet, model: int, coeffs: np.ndarray) -> "Spectrum":
-        """Take ownership of `coeffs` without copying."""
+        """Take ownership of `coeffs` as `SetFunction.wrap` takes its values:
+        no copy, no pass over them, no check that they are finite."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "ground", ground)
         object.__setattr__(obj, "model", check_model(model))
-        object.__setattr__(obj, "coeffs", _frozen_array(coeffs, ground.size, copy=False))
+        object.__setattr__(obj, "coeffs", _frozen_array(coeffs, ground.size, check=False))
         return obj
 
     def __call__(self, mask: int) -> float:

@@ -23,10 +23,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 # Fragments with |weight| below this are dropped from the sparse map.
 WEIGHT_DROP_TOL = 1e-12
-# Reproduction check at construction (exhaustive to this n, sampled beyond),
-# and the tolerance of both it and `mi_check`.
+# The largest n that `mi_check` densifies, and the tolerance of both it and
+# the reproduction check of `coverage_from_setfunction`.
 _CHECK_EXHAUSTIVE_N = 12
-_CHECK_SAMPLES = 256
 _CHECK_TOL = 1e-9
 # Masks per block of `gaussian_entropy_many`.  A block's set-bit positions,
 # submatrices and factors take 8k + 16k**2 bytes per mask of cardinality k:
@@ -78,19 +77,14 @@ def coverage_from_setfunction(s: SetFunction) -> CoverageRepresentation:
 
     The fragment weights are the negated nonempty model-4 coefficients and the
     offset is s_{}.  The construction verifies that the representation
-    reproduces the input (exhaustively up to n=12, on random subsets beyond).
+    reproduces the input at every subset.
     """
     weights = -dsft(4, s).coeffs
     kept = np.flatnonzero(np.abs(weights[1:]) >= WEIGHT_DROP_TOL) + 1
     rep = CoverageRepresentation(float(s.values[0]),
                                  SparseSetFunction(s.ground, kept, weights[kept]))
     scale = max(1.0, float(np.abs(s.values).max()))
-    if s.ground.n <= _CHECK_EXHAUSTIVE_N:
-        err = float(np.abs(coverage_dense(rep).values - s.values).max())
-    else:
-        rng = np.random.default_rng(0)
-        probes = rng.integers(0, s.ground.size, size=_CHECK_SAMPLES)
-        err = max(abs(coverage_eval(rep, int(A)) - float(s.values[int(A)])) for A in probes)
+    err = float(np.abs(coverage_dense(rep).values - s.values).max())
     if err > _CHECK_TOL * scale:
         raise ValueError(f"coverage representation failed to reproduce the input (err={err:g})")
     return rep
@@ -255,15 +249,15 @@ def mi_check(model: GaussianModel) -> MiReport:
     if model.n > _CHECK_EXHAUSTIVE_N:
         raise ValueError(f"mi_check densifies the entropy function; n <= {_CHECK_EXHAUSTIVE_N}")
     s = entropy_setfunction(model)
+    H = s.values
     s3 = dsft(3, s)
     s4 = dsft(4, s)
-    max_pair = 0.0
-    for i in range(1, model.n + 1):
-        for j in range(i + 1, model.n + 1):
-            pair_mask = (1 << (i - 1)) | (1 << (j - 1))
-            gap = abs(float(s3.coeffs[pair_mask]) + pairwise_mutual_information(model, i, j))
-            max_pair = max(max_pair, gap)
-    joint_gap = abs(float(s4.coeffs[0]) - gaussian_entropy(model, model.ground.full_mask))
+    singles = 1 << np.arange(model.n)
+    i, j = np.triu_indices(model.n, 1)
+    pairs = singles[i] | singles[j]
+    gaps = np.abs(s3.coeffs[pairs] + (H[singles[i]] + H[singles[j]] - H[pairs]))
+    max_pair = float(gaps.max(initial=0.0))
+    joint_gap = abs(float(s4.coeffs[0]) - float(H[model.ground.full_mask]))
     return MiReport(
         n=model.n,
         max_pair_gap=max_pair,

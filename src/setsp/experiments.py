@@ -182,6 +182,7 @@ class BidderPool:
 def random_bidder_pool(ground: GroundSet, size: int, seed: int) -> BidderPool:
     """Pool of `size` frequencies (the empty set plus size-1 random nonempty
     masks) with log-uniform base magnitudes shared by all bidders."""
+    size = check_count(size, "size", 1, ground.size)
     rng = np.random.default_rng(seed)
     masks = np.concatenate(([0], random_nonempty_masks(ground, size - 1, rng)))
     mags = np.exp(rng.uniform(np.log(MAG_LOW), np.log(MAG_HIGH), size=size))
@@ -254,6 +255,8 @@ def sampling_experiment(
     (1 - [i not in A]).
     """
     ground = GroundSet(n)
+    pool_size = check_count(pool_size, "pool_size", 1, ground.size)
+    n_train, n_test = check_count(n_train, "n_train", 1), check_count(n_test, "n_test", 1)
     pool = random_bidder_pool(ground, pool_size, seed)
     rng = np.random.default_rng(seed + 1)
     train = [pool_bidder(pool, rng) for _ in range(n_train)]

@@ -16,7 +16,7 @@ every right-hand side gets the bits it would get alone.
 A sparse spectrum of any of the five models evaluates as its inverse
 transform restricted to the support (`eval_sparse_many`); the compression
 band and the sampling support are both such spectra.  Terms that reach few
-probes find them through bitset tables (the method of Four Russians).
+probes find them through bitset tables (Four Russians); the rest are swept.
 
 Norms over the whole lattice need no lattice either: the model-4 basis
 vectors f^B_A = [A & B == 0] have the Gram matrix <f^B, f^C> = 2**(n - |B | C|),
@@ -44,24 +44,23 @@ from . import io as setfn_io
 from .transforms import INVERSE, _closed_form
 
 
-# Probes per block of the sweep in `eval_sparse_many`: the block's masks, its
-# hit, disjointness and term buffers and its slice of the output take at most
-# 25 bytes per probe for n <= 32, so 2**16 probes (1.6 MiB) stay in a 2 MiB
-# L2 while the swept frequencies pass over them.
+# Probes per block of `_sweep`: the block's masks, its hit, disjointness and
+# term buffers and its slice of the output take at most 25 bytes per probe
+# for n <= 32, so 2**16 probes (1.6 MiB) stay in a 2 MiB L2 while the swept
+# frequencies pass over them.
 _EVAL_CHUNK = 1 << 16
-# Models 1-4 sweep the terms before the first one with |T| at least this and
-# look the rest up in hit tables: a term hits 2**-|T| of random probes, each
-# hit costs a scattered add, and a swept term four passes at every rate.
+# Models 1-4 look the terms with |T| at least this up in hit tables and sweep
+# the rest: a term hits 2**-|T| of random probes, each hit costs a scattered
+# add, and a swept term four passes at every rate.
 _TABLE_MIN_CARD = 5
 # Probes per block and 64-term words per group of the hit tables: the hit
 # words of one step take 2**11 * 16 * 8 bytes = 256 KiB, in L2.
 _TABLE_PROBES = 1 << 11
 _TABLE_WORDS = 16
-# Nonzero hit bytes of one step expanded at a time, in ascending order.  A
-# step whose probes hit every term then holds the index and value arrays of
-# at most 2**18 hits at once (13 MiB peak at n=20, against 97 MiB for all of
-# its 2**21).  A step of random probes has far fewer nonzero bytes (at most
-# 21k in the benchmark's workloads) and takes one slice.
+# Nonzero hit bytes one step (term group x probe block) may expand, which
+# holds the index and value arrays of at most 2**18 hits (13 MiB at n=20); a
+# step with more sweeps its terms.  A step of random probes has far fewer
+# (at most 21k in the benchmark's workloads).
 _TABLE_HIT_BYTES = 1 << 15
 # Rows of `reconstruct`'s inclusion pattern built at once: a k=500 support
 # takes two blocks, and a 2**16 one holds 16 MiB of it at a time, not 4 GiB.
@@ -84,13 +83,12 @@ def eval_sparse_many(spectrum: SparseSpectrum, masks) -> np.ndarray:
     (-1)**|T| when P = N \\ A, folded into c_B, times (-1)**|A| when
     T = N \\ B, applied once per probe at the end as a sign-bit flip
     followed by + 0.0, so that no -0.0 appears (negating every term of a sum
-    negates the sum exactly).  The terms before the first with
-    |T| >= `_TABLE_MIN_CARD`, and all terms of model 5, are swept over each
-    block of `_EVAL_CHUNK` probes; a swept term that fails adds
-    0 * c_B = +-0.0, which moves no bit, since the sum starts at +0.0 and
-    cannot become -0.0.  Model 5 adds every c_B, its sign bit flipped by the
-    parity of |A & B|.  The other terms add only their hits, found through
-    hit tables (`_add_table_hits`).
+    negates the sum exactly).  Under models 1-4 the terms with
+    |T| >= `_TABLE_MIN_CARD` add only their hits (`_add_table_hits`).  |T| is
+    monotone along the support, so they are one run, first where T = N \\ B
+    and last elsewhere.  The others, and all terms of model 5, are swept
+    (`_sweep`): a swept term that fails adds 0 * c_B = +-0.0, which moves no
+    bit, since the sum starts at +0.0 and cannot become -0.0.
     """
     ground, n = spectrum.ground, spectrum.ground.n
     masks = ground.check_masks(masks)
@@ -102,39 +100,45 @@ def eval_sparse_many(spectrum: SparseSpectrum, masks) -> np.ndarray:
     if want == "all":
         coeffs = np.where(popcount(tests) & 1, -coeffs, coeffs)
     probes = flat ^ full if want == "all" else flat
-    large = np.flatnonzero(popcount(tests) >= _TABLE_MIN_CARD)
-    split = int(large[0]) if want and large.size else tests.size
     out = np.zeros(flat.size)
-    if split:
-        narrow = np.min_scalar_type(full)
-        swept = probes.astype(narrow)
-        width = min(_EVAL_CHUNK, flat.size)
-        hit, disjoint, term = np.empty(width, narrow), np.empty(width, bool), np.empty(width)
-        terms = list(zip(tests[:split].astype(narrow), coeffs[:split].view(np.uint64)
-                         if want is None else coeffs[:split].tolist()))
-        for start in range(0, flat.size, _EVAL_CHUNK):
-            P, acc = swept[start : start + width], out[start : start + width]
-            h, d, t = hit[: P.size], disjoint[: P.size], term[: P.size]
-            if want is None:
-                bits = t.view(np.uint64)
-                for T, c in terms:
-                    np.bitwise_and(P, T, out=h)
-                    np.bitwise_count(h, out=bits)
-                    np.left_shift(bits, 63, out=bits)
-                    np.bitwise_xor(bits, c, out=bits)
-                    np.add(acc, t, out=acc)
-            else:
-                for T, c in terms:
-                    np.bitwise_and(P, T, out=h)
-                    np.logical_not(h, out=d)
-                    np.multiply(d, c, out=t)
-                    np.add(acc, t, out=acc)
-    _add_table_hits(probes, tests[split:], coeffs[split:], n, out)
+    tabled = np.count_nonzero(popcount(tests) >= _TABLE_MIN_CARD) if want else 0
+    cut = tabled if complement else tests.size - tabled
+    for run, table in ((slice(cut), complement), (slice(cut, None), not complement)):
+        if table:
+            _add_table_hits(probes, tests[run], coeffs[run], n, out)
+        else:
+            _sweep(probes, tests[run], coeffs[run], n, out, want is None)
     if complement:
         bits = out.view(np.uint64)
         bits ^= np.bitwise_count(flat).astype(np.uint64) << np.uint64(63)
         out += 0.0
     return out.reshape(masks.shape)
+
+
+def _sweep(probes, tests, coeffs, n: int, out: np.ndarray, parity: bool) -> None:
+    """Add each term (T, c) in order onto every out[p]: c * [probes[p] & T == 0],
+    or with `parity` c, its sign bit flipped by the parity of |probes[p] & T|."""
+    narrow = np.min_scalar_type((1 << n) - 1)
+    width = min(_EVAL_CHUNK, probes.size)
+    hit, disjoint, term = np.empty(width, narrow), np.empty(width, bool), np.empty(width)
+    terms = list(zip(tests.astype(narrow), coeffs.view(np.uint64) if parity else coeffs.tolist()))
+    for start in range(0, probes.size, _EVAL_CHUNK):
+        P, acc = probes[start : start + width].astype(narrow), out[start : start + width]
+        h, d, t = hit[: P.size], disjoint[: P.size], term[: P.size]
+        if parity:
+            bits = t.view(np.uint64)
+            for T, c in terms:
+                np.bitwise_and(P, T, out=h)
+                np.bitwise_count(h, out=bits)
+                np.left_shift(bits, 63, out=bits)
+                np.bitwise_xor(bits, c, out=bits)
+                np.add(acc, t, out=acc)
+        else:
+            for T, c in terms:
+                np.bitwise_and(P, T, out=h)
+                np.logical_not(h, out=d)
+                np.multiply(d, c, out=t)
+                np.add(acc, t, out=acc)
 
 
 def _table_bits(probes: int) -> int:
@@ -151,8 +155,8 @@ def _add_table_hits(probes, tests, coeffs, n: int, out: np.ndarray) -> None:
     little bit order.  A probe's hit words are the AND of its chunks' rows,
     taken one block of `_TABLE_PROBES` probes and one group of `_TABLE_WORDS`
     words at a time.  Their set bits come out probe by probe, in ascending
-    term order, `_TABLE_HIT_BYTES` nonzero bytes at a time, and `np.add.at`
-    applies repeated indices in order.
+    term order, and `np.add.at` applies repeated indices in order; a step
+    with more than `_TABLE_HIT_BYTES` nonzero hit bytes sweeps its terms.
     """
     padded = np.pad(tests, (0, -tests.size % 64), constant_values=-1)  # hits nothing
     b = _table_bits(probes.size)
@@ -176,12 +180,14 @@ def _add_table_hits(probes, tests, coeffs, n: int, out: np.ndarray) -> None:
             word = np.flatnonzero(hits != 0)
             byte = hits[word].view(np.uint8)
             nonzero = np.flatnonzero(byte != 0)
-            for lo in range(0, nonzero.size, _TABLE_HIT_BYTES):
-                k = nonzero[lo : lo + _TABLE_HIT_BYTES]
-                at = np.flatnonzero(np.unpackbits(byte[k], bitorder="little").view(bool))
-                at = k[at >> 3] << 3 | at & 7  # the hit's bit in `byte`
-                probe, w = np.divmod(word[at >> 6], len(group) // 64)
-                np.add.at(acc, probe, coeffs[first + w * 64 + (at & 63)])
+            if nonzero.size > _TABLE_HIT_BYTES:
+                real = slice(first, first + len(group))  # without the padding
+                _sweep(P, tests[real], coeffs[real], n, acc, False)
+                continue
+            at = np.flatnonzero(np.unpackbits(byte[nonzero], bitorder="little").view(bool))
+            at = nonzero[at >> 3] << 3 | at & 7  # the hit's bit in `byte`
+            probe, w = np.divmod(word[at >> 6], len(group) // 64)
+            np.add.at(acc, probe, coeffs[first + w * 64 + (at & 63)])
 
 
 def oracle_from_sparse_spectrum(spectrum: SparseSpectrum) -> SetFunctionOracle:

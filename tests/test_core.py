@@ -1,10 +1,12 @@
+import contextlib
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from setsp import core
+from setsp import core, experiments
 from setsp import io as setfn_io
 from setsp.compression import SetFunctionOracle, compress_band, wht_regression
 from setsp.core import (
@@ -18,7 +20,7 @@ from setsp.core import (
     subsets_of_cardinality_at_most,
 )
 from setsp.coverage import CoverageRepresentation, GaussianModel, pairwise_mutual_information
-from setsp.experiments import score_compression
+from setsp.experiments import random_bidder_pool, sampling_experiment, score_compression
 from setsp.filters import Filter, shift
 from setsp.sampling import random_nonempty_masks, select_support, synthetic_sparse_spectrum
 
@@ -176,7 +178,8 @@ def test_require_same_ground():
 
 
 # One table for the sparse (mask, value) inputs: `SparseSetFunction` and
-# the callables that take their masks and values through it.  Each bad
+# the callables that take their masks and values through it, and the dense
+# containers, given the values at those masks and zero elsewhere.  Each bad
 # input sits at position 1 of three (masks 2, 5, 3 at n=4), so the message
 # must name the faulty entry, not the first one.
 _G = GroundSet(4)
@@ -185,6 +188,12 @@ _MASKS, _VALUES = [2, 5, 3], [0.5, -1.0, 2.0]
 
 def _at(items, item):
     return items[:1] + [item] + items[2:]
+
+
+def _dense(masks, values):
+    dense = np.zeros(_G.size)
+    dense[masks] = values
+    return dense
 
 
 _BOUNDARY_CASES = [
@@ -206,8 +215,11 @@ _BOUNDARY_CASES = [
 
 # callable -> (call(masks, values, path), the cases its input form cannot hold):
 # a dict has no repeated key, no list key and one value per key; pairs have
-# one value per mask
+# one value per mask; a dense array has one value at every mask
+_MASK_CASES = {case for case, _, _, _ in _BOUNDARY_CASES if not case.startswith("value-")}
 _BOUNDARY_CALLS = {
+    "SetFunction": (lambda m, v, path: SetFunction(_G, _dense(m, v)), _MASK_CASES),
+    "Spectrum": (lambda m, v, path: Spectrum(_G, 4, _dense(m, v)), _MASK_CASES),
     "SparseSetFunction": (lambda m, v, path: SparseSetFunction(_G, m, v), set()),
     "SparseSpectrum": (lambda m, v, path: SparseSpectrum(_G, 4, m, v), set()),
     "Filter.from_taps": (lambda m, v, path: Filter.from_taps(_G, dict(zip(m, v))),
@@ -246,10 +258,10 @@ def _oracle():
 
 
 # One table for the count parameters: callable -> (call(count), the name its
-# message gives the count, the range it takes).  Each callable refuses a
-# bool, a float (integral or not), a string and the integers just outside
-# its range with one message; `m_samples` has its own test in
-# tests/test_compression.py.
+# message gives the count, the range it takes, with no top for inf).  Each
+# callable refuses a bool, a float (integral or not), a string and the
+# integers just outside its range with one message; `m_samples` has its own
+# test in tests/test_compression.py.
 _COUNT_CALLS = {
     "GroundSet": (GroundSet, "ground set size n", 0, 62),
     "check_element": (_G.check_element, "element index", 1, 4),
@@ -269,16 +281,40 @@ _COUNT_CALLS = {
     "score_compression": (lambda c: score_compression(_oracle(), wht_samples=c, probes=50,
                                                       seed=1),
                           "wht_samples", 1, 16),
+    "random_bidder_pool": (lambda c: random_bidder_pool(_G, c, 9), "size", 1, 16),
+    "sampling_experiment-pool_size": (lambda c: _sampling_experiment(pool_size=c),
+                                      "pool_size", 1, 16),
+    "sampling_experiment-n_train": (lambda c: _sampling_experiment(n_train=c),
+                                    "n_train", 1, math.inf),
+    "sampling_experiment-n_test": (lambda c: _sampling_experiment(n_test=c),
+                                   "n_test", 1, math.inf),
 }
 
 
+class _Drawn(Exception):
+    """Raised in place of the sampling experiment's first draw."""
+
+
+def _sampling_experiment(**counts):
+    # up to the pool's draw: the counts must be checked before it
+    with (mock.patch.object(experiments, "random_bidder_pool", side_effect=_Drawn),
+          contextlib.suppress(_Drawn)):
+        sampling_experiment(**{"n": 4, "pool_size": 8, "n_train": 3, "n_test": 3,
+                               "k_support": 4, "seed": 1, **counts})
+
+
 def _count_cases(low, high):
-    return {"bool": True, "float": 1.5, "integral-float": np.float64(2.0), "str": "2",
-            "below": low - 1, "above": high + 1}
+    cases = {"bool": True, "float": 1.5, "integral-float": np.float64(2.0), "str": "2",
+             "below": low - 1}
+    return cases if high == math.inf else {**cases, "above": high + 1}
+
+
+def _count_range(low, high):
+    return f">= {low}" if high == math.inf else f"in \\[{low}, {high}\\]"
 
 
 @pytest.mark.parametrize("call, bad, message", [
-    pytest.param(call, bad, f"^{name} must be an integer in \\[{low}, {high}\\], "
+    pytest.param(call, bad, f"^{name} must be an integer {_count_range(low, high)}, "
                             f"got {re.escape(repr(bad))}$", id=f"{callable_name}-{case}")
     for callable_name, (call, name, low, high) in _COUNT_CALLS.items()
     for case, bad in _count_cases(low, high).items()
@@ -292,7 +328,7 @@ def test_counts_refuse_what_is_no_integer_in_their_range(call, bad, message):
 def test_counts_take_both_ends_of_their_range(name):
     call, _, low, high = _COUNT_CALLS[name]
     call(low)
-    call(np.int64(high))
+    call(np.int64(high if high < math.inf else low + 1))
 
 
 def test_sparse_setfunction_holds_read_only_copies_in_the_order_given():

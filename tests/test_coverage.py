@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from setsp import coverage
-from setsp.core import GroundSet, SetFunction, SparseSetFunction
+from setsp.core import GroundSet, SetFunction, SparseSetFunction, Spectrum
 from setsp.coverage import (
     CoverageRepresentation,
     GaussianModel,
@@ -22,7 +22,7 @@ from setsp.coverage import (
     mi_check,
     pairwise_mutual_information,
 )
-from setsp.transforms import dsft
+from setsp.transforms import dsft, idsft
 
 from reference import coverage_reference, gaussian_entropy_reference
 
@@ -138,6 +138,19 @@ def test_roundtrip_random_setfunctions(n):
     s = SetFunction(g, rng.standard_normal(g.size))
     rep = coverage_from_setfunction(s)
     assert np.abs(coverage_dense(rep).values - s.values).max() < 1e-10
+
+
+def test_coverage_from_setfunction_refuses_what_the_dropped_weights_move():
+    # every fragment weight, 9e-13, falls below WEIGHT_DROP_TOL and is
+    # dropped; together the 8191 of them move s_N by 7.37e-9, above the 1e-9
+    # of the check
+    g = GroundSet(13)
+    coeffs = np.full(g.size, -9e-13)
+    coeffs[0] = 0.0
+    s = idsft(4, Spectrum(g, 4, coeffs))
+    with pytest.raises(ValueError, match=r"^coverage representation failed to reproduce the "
+                                         r"input \(err=7\.3719e-09\)$"):
+        coverage_from_setfunction(s)
 
 
 def test_fragment_mask_validation():
@@ -287,6 +300,24 @@ def test_mi_check_report():
     assert report.ok
     assert report.max_pair_gap <= 1e-9
     assert report.joint_entropy_gap <= 1e-9
+
+
+@pytest.mark.parametrize("n", (1, 2, 7))
+def test_mi_check_reads_the_gaps_that_per_pair_entropy_queries_give(n):
+    # each matrix is factored alone, so the densified entropies are the ones
+    # a query of that mask alone returns, bit for bit
+    model = GaussianModel(_random_pd(n, np.random.default_rng(30 + n)))
+    s3 = dsft(3, entropy_setfunction(model)).coeffs
+    s4 = dsft(4, entropy_setfunction(model)).coeffs
+    max_pair = 0.0
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            pair = (1 << (i - 1)) | (1 << (j - 1))
+            max_pair = max(max_pair, abs(float(s3[pair]) + pairwise_mutual_information(model, i, j)))
+    report = mi_check(model)
+    assert report.max_pair_gap.hex() == max_pair.hex()
+    assert report.joint_entropy_gap.hex() == abs(
+        float(s4[0]) - gaussian_entropy(model, model.ground.full_mask)).hex()
 
 
 def test_coverage_serialization_roundtrip(tmp_path):

@@ -56,11 +56,9 @@ def test_pool_bidders_share_pool():
 
 def test_bidder_pool_size_is_bounded_by_the_lattice():
     g = GroundSet(8)
-    with pytest.raises(ValueError, match=r"^number of nonempty frequencies must be an integer "
-                                         r"in \[0, 255\], got 599$"):
+    with pytest.raises(ValueError, match=r"^size must be an integer in \[1, 256\], got 600$"):
         random_bidder_pool(g, 600, 9)
-    with pytest.raises(ValueError, match=r"^number of nonempty frequencies must be an integer "
-                                         r"in \[0, 255\], got 256$"):
+    with pytest.raises(ValueError, match=r"^size must be an integer in \[1, 256\], got 257$"):
         random_bidder_pool(g, 257, 9)
     pool = random_bidder_pool(g, 256, 9)
     assert pool.masks.tolist() == list(range(256))

@@ -229,9 +229,9 @@ def _wide_spectrum(data, n: int, coeff, model: int = 4) -> SparseSpectrum:
 
 
 def _small_tables(data, n: int):
-    """Patches the sparse evaluator's split threshold over 0..n+1, and its
-    table width, probe blocks, term groups, hit slices and sweep blocks down
-    to a few."""
+    """Patches the sparse evaluator's routing threshold over 0..n+1, and its
+    table width, probe blocks, term groups, dense-step bound and sweep blocks
+    down to a few."""
     bits = data.draw(st.integers(1, 6))
     return mock.patch.multiple(
         sampling, _TABLE_MIN_CARD=data.draw(st.integers(0, n + 1)),

@@ -1,10 +1,20 @@
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from setsp.core import GroundSet, SetFunction, SparseSpectrum, SparseSupport, Spectrum
+from setsp import sampling
+from setsp.core import (
+    GroundSet,
+    SetFunction,
+    SparseSpectrum,
+    SparseSupport,
+    Spectrum,
+    popcount,
+    subsets_of_cardinality_at_most,
+)
 from setsp.compression import SetFunctionOracle
 from setsp.coverage import GaussianModel, gaussian_entropy, gaussian_entropy_many
 from setsp.sampling import (
@@ -21,7 +31,11 @@ from setsp.sampling import (
 )
 from setsp.transforms import INVERSE, dsft_matrix, idsft
 
-from reference import forward_substitution_reference, sparse_eval_reference
+from reference import (
+    bandlimited_eval_reference,
+    forward_substitution_reference,
+    sparse_eval_reference,
+)
 
 
 def test_sampling_indices_examples():
@@ -177,23 +191,63 @@ def test_eval_sparse_many_on_a_large_support_stays_within_its_output():
     assert peak <= out.nbytes + (4 << 20)
 
 
+class _NumpyCountingAddAt:
+    """numpy as the sampling module sees it, counting the calls of np.add.at."""
+
+    def __init__(self):
+        self.add_at_calls = 0
+        self.add = lambda *args, **kwargs: np.add(*args, **kwargs)
+        self.add.at = self._add_at
+
+    def _add_at(self, *args):
+        self.add_at_calls += 1
+        np.add.at(*args)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_terms_with_a_small_t_never_reach_the_tables(model):
+    # T = N \ B, so |T| falls along the support: the terms with
+    # |T| >= _TABLE_MIN_CARD come first, and they alone go to the tables
+    g = GroundSet(10)
+    low = subsets_of_cardinality_at_most(g, 2)
+    rng = np.random.default_rng(22)
+    spec = SparseSpectrum(g, model, np.concatenate((low, g.full_mask ^ low)),
+                          rng.standard_normal(2 * low.size))
+    probes = rng.integers(0, g.size, size=2000)
+    with mock.patch.object(sampling, "_add_table_hits", wraps=sampling._add_table_hits) as spy:
+        got = eval_sparse_many(spec, probes)
+    tabled = np.concatenate([call.args[1] for call in spy.call_args_list])
+    tests = spec.freqs ^ g.full_mask
+    assert tabled.tolist() == tests[popcount(tests) >= sampling._TABLE_MIN_CARD].tolist()
+    want = bandlimited_eval_reference(model, g.n, spec.freqs.tolist(), spec.coeffs.tolist(),
+                                      probes.tolist())
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 def test_probes_that_hit_every_table_term_stay_within_a_few_slices():
-    # every empty-set probe hits all 1,024 |T| = 5 terms: one hit index per
-    # (probe, term) pair of a probe block held 97 MiB at once
+    # every empty-set probe hits all 1,024 |T| = 5 terms: expanded, the 2**21
+    # hits of one probe block would take 97 MiB and a scattered add each, so
+    # every step sweeps its terms instead
     rng = np.random.default_rng(21)
     draws = np.array([rng.choice(20, 5, replace=False) for _ in range(1200)])
     freqs = np.unique((1 << draws).sum(axis=1))[:1024]
     spec = SparseSpectrum(GroundSet(20), 4, freqs, rng.standard_normal(1024))
     probes = np.zeros(1 << 16, dtype=np.int64)
+    counting = _NumpyCountingAddAt()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = eval_sparse_many(spec, probes)
+        with mock.patch.object(sampling, "np", counting):
+            out = eval_sparse_many(spec, probes)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + (20 << 20)
+    assert counting.add_at_calls == 0
     want = sparse_eval_reference(spec.support.freqs.tolist(), spec.coeffs.tolist(), [0])
     assert out.tobytes() == np.full(out.size, want[0]).tobytes()
 
