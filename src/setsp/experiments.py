@@ -261,6 +261,10 @@ def sampling_experiment(
     rng = np.random.default_rng(seed + 1)
     train = [pool_bidder(pool, rng) for _ in range(n_train)]
     test = [pool_bidder(pool, rng) for _ in range(n_test)]
+    for t, bidder in enumerate(test):
+        if not bidder.coeffs.any():
+            raise ValueError(f"test bidder {t} is the zero function: it drew none of the "
+                             f"{pool_size - 1} nonempty frequencies of a pool of size {pool_size}")
 
     support = select_support(train, k_support)
     queries = sampling_indices(support)

@@ -12,7 +12,11 @@ Set-function files ("setfn v1") look like::
 
 `kind` is dense (all 2**n masks listed) or sparse (any subset of masks);
 `model` is none for signals and 1..5 for spectra.  Values are written with
-repr(), so a write/read round trip reproduces the exact float64 bits.
+repr(), so a write/read round trip reproduces the exact float64 bits.  The
+writer formats the data lines a block at a time: `repr` once per distinct bit
+pattern in the block (the spectra of band-limited and integer signals repeat
+few values), then one `%` format builds all its lines.  The bytes are those
+of one `f"{mask} {value!r}"` line per entry.
 
 A data line is a mask and a value separated by whitespace; blank lines are
 skipped.  The data lines are read by one `np.loadtxt` into an int64 and a
@@ -45,6 +49,10 @@ MAGIC = "setfn v1"
 
 # One data line: the mask and the value, whitespace-separated.
 _RECORD = [("mask", "<i8"), ("value", "<f8")]
+
+# Data lines formatted per call of `_data_lines`: a few hundred KiB of text,
+# and the only Python objects the writer holds at a time.
+_WRITE_BLOCK = 1 << 13
 
 
 class SetFnFormatError(ValueError):
@@ -223,12 +231,21 @@ def _write_arrays(path, n: int, kind: str, model: int | None, masks, values) -> 
     if kind == "dense" and len(fn) != 1 << n:
         raise ValueError(f"dense file must list all {1 << n} masks, got {len(fn)}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{MAGIC}\n")
-        fh.write(f"n {n}\n")
-        fh.write(f"kind {kind}\n")
-        fh.write(f"model {model_text}\n")
-        fh.writelines(f"{mask} {value!r}\n"
-                      for mask, value in zip(fn.masks.tolist(), fn.values.tolist()))
+        fh.write(f"{MAGIC}\nn {n}\nkind {kind}\nmodel {model_text}\n")
+        for start in range(0, len(fn), _WRITE_BLOCK):
+            fh.write(_data_lines(fn.masks[start:start + _WRITE_BLOCK],
+                                 fn.values[start:start + _WRITE_BLOCK]))
+
+
+def _data_lines(masks: np.ndarray, values: np.ndarray) -> str:
+    """`f"{mask} {value!r}\\n"` for each pair, as one string: `repr` once per
+    distinct bit pattern (so +0.0 and -0.0 stay apart), then one `%`."""
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [repr(value) for value in bits.view(np.float64).tolist()]
+    fields = [None] * (2 * masks.size)
+    fields[0::2] = masks.tolist()
+    fields[1::2] = [texts[i] for i in where.tolist()]
+    return ("%d %s\n" * masks.size) % tuple(fields)
 
 
 def write_setfn(path, fn) -> None:

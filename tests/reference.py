@@ -6,9 +6,10 @@ reductions are the row sum of `forward_substitution_reference`, whose
 pairwise order is the one `reconstruct` must reproduce, and the norms of
 `relative_errors_reference`, which `estimate_relative_errors` must reproduce.
 `parse_setfn_reference` is the line-by-line setfn parser that the array-native
-`setsp.io.parse_setfn` replaced, and `gaussian_entropy_reference` the
-one-matrix Cholesky that `setsp.coverage.gaussian_entropy_many` must
-reproduce bit for bit.  The dense matrix oracles (`kronecker_matrix`,
+`setsp.io.parse_setfn` replaced, `write_setfn_reference` the line-at-a-time
+writer whose bytes the block writer `setsp.io._write_arrays` must reproduce,
+and `gaussian_entropy_reference` the one-matrix Cholesky that
+`setsp.coverage.gaussian_entropy_many` must reproduce bit for bit.  The dense matrix oracles (`kronecker_matrix`,
 `shift_matrix`, `filter_matrix`) build their matrices from kernels written
 out here, not from the library's kernel table.
 """
@@ -410,3 +411,12 @@ def parse_setfn_reference(path) -> SetFnFile:
     masks = np.array([mask for mask, _ in pairs], dtype=np.int64)
     values = np.array([value for _, value in pairs], dtype=np.float64)
     return SetFnFile(n=n, kind=kind, model=model, masks=masks, values=values)
+
+
+def write_setfn_reference(path, n: int, kind: str, model, pairs) -> None:
+    """A setfn file with one `f"{mask} {value!r}\\n"` line per (mask, value)
+    pair, in the order given; nothing is checked."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{MAGIC}\nn {n}\nkind {kind}\nmodel {'none' if model is None else model}\n")
+        for mask, value in pairs:
+            fh.write(f"{int(mask)} {float(value)!r}\n")

@@ -11,6 +11,7 @@ import hashlib
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 from unittest import mock
@@ -143,3 +144,31 @@ def test_cli_files_smoke_outputs_keep_their_bytes(workloads, tmp_path):
     assert setup == CLI_FILES_SETUP_SHA256
     digests = _run_smoke(workload, tmp_path / "ops")
     assert {op: digests[op]["sha256"] for op in CLI_FILES_SMOKE_SHA256} == CLI_FILES_SMOKE_SHA256
+
+
+# The `cli-files` job at full size (n=16 files of 65,536 lines, several writer
+# blocks each), checked and digested in a fresh interpreter with one BLAS
+# thread, as `bench/run.py` runs it.
+_FULL_SIZE_JOB = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from workloads import WORKLOADS
+workload = WORKLOADS["cli-files"]
+state = workload.prepare(workload.default_seed, False, sys.argv[2])
+digests = {}
+try:
+    for op, thunk in workload.ops(state):
+        record, problems = workload.check(op, thunk(), state, True)
+        digests[op] = {"sha256": record["sha256"], "problems": problems}
+finally:
+    state.close()
+print(json.dumps(digests))
+"""
+
+
+def test_cli_files_full_size_outputs_match_the_benchmark_reference(one_blas_thread, tmp_path):
+    with open(BENCH / "reference.json", encoding="utf-8") as fh:
+        want = json.load(fh)["cli-files"]
+    got = json.loads(one_blas_thread("-c", _FULL_SIZE_JOB, str(BENCH), str(tmp_path)))
+    assert {op: record["problems"] for op, record in got.items()} == {op: [] for op in want}
+    assert {op: {"sha256": record["sha256"]} for op, record in got.items()} == want

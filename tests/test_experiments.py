@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from setsp import transforms
+from setsp import experiments, transforms
 from setsp.core import DENSE_MAX_N, GroundSet, SetFunction, Spectrum
 from setsp.experiments import (
     ExperimentRow,
@@ -125,3 +125,24 @@ def test_sampling_experiment_matches_the_dense_scorer():
     }
     for key, want in recorded.items():
         assert got[key] == pytest.approx(want, rel=1e-9, abs=0.0), key
+
+
+@pytest.mark.parametrize("pool_size, seed, bidder", [(1, 1, 0), (2, 1, 1), (3, 2, 0), (4, 1, 2)])
+def test_sampling_experiment_refuses_a_zero_test_bidder(monkeypatch, pool_size, seed, bidder):
+    # a test bidder that draws no nonempty pool frequency is the zero
+    # function, whose errors divide by its zero mass and norm
+    def refuse(*args, **kwargs):
+        raise AssertionError("the zero bidder reached reconstruction")
+
+    monkeypatch.setattr(experiments, "reconstruct", refuse)
+    message = (rf"^test bidder {bidder} is the zero function: it drew none of the "
+               rf"{pool_size - 1} nonempty frequencies of a pool of size {pool_size}$")
+    with pytest.raises(ValueError, match=message):
+        sampling_experiment(n=4, pool_size=pool_size, n_train=3, n_test=3, k_support=4,
+                            seed=seed)
+
+
+def test_sampling_experiment_runs_a_small_pool_with_no_zero_bidder():
+    report = sampling_experiment(n=4, pool_size=4, n_train=3, n_test=3, k_support=4, seed=2)
+    assert report.queries_per_bidder == 4
+    assert np.all(report.captured_mass > 0)

@@ -1,5 +1,7 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from setsp.core import (
 )
 from setsp.io import SetFnFormatError
 
-from reference import parse_setfn_reference
+from reference import parse_setfn_reference, write_setfn_reference
 
 # Every class of finite float64 a file must carry: signed zeros, subnormals,
 # the extremes, the usual 1e-8..1e8 range and anything else that is finite.
@@ -233,6 +235,89 @@ def test_setfn_round_trip_is_bitwise(data, n, model):
         assert again.model == model
         assert np.array_equal(again.freqs, spectrum.freqs)
         assert _same_bits(again.coeffs, spectrum.coeffs)
+
+
+# Values that repeat often within a writer block: both zeros, the smallest
+# subnormals and both extremes, and 1.0; then any finite value.
+REPEATING = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1.0]),
+    FINITE,
+)
+
+
+def _assert_writes_reference_bytes(tmp, block: int, cases) -> None:
+    """Each (write, reference args) pair writes the bytes of
+    `write_setfn_reference(path, *args)` with blocks of `block` lines."""
+    got, want = Path(tmp) / "got.setfn", Path(tmp) / "want.setfn"
+    with mock.patch.object(setfn_io, "_WRITE_BLOCK", block):
+        for write, args in cases:
+            write(got)
+            write_setfn_reference(want, *args)
+            assert got.read_bytes() == want.read_bytes(), args
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), block=st.integers(1, 9), model=st.sampled_from([1, 2, 3, 4, 5]))
+def test_writers_give_the_bytes_of_one_line_per_entry(data, block, model):
+    # dense files of up to 64 lines and sparse ones of up to 40, in blocks of
+    # 1..9 lines, with masks near the top of 2**40 and 2**62
+    dense_n = data.draw(st.integers(0, 6))
+    dense = GroundSet(dense_n)
+    values = data.draw(st.lists(REPEATING, min_size=dense.size, max_size=dense.size))
+    shuffled = data.draw(st.permutations(list(enumerate(values))))
+    n = data.draw(st.sampled_from([0, 2, 5, 40, 62]))
+    ground = GroundSet(n)
+    near_top = st.integers(max(0, ground.size - 100), ground.size - 1)
+    entries = data.draw(st.dictionaries(st.one_of(st.integers(0, ground.size - 1), near_top),
+                                        REPEATING, max_size=min(ground.size, 40)))
+    masks, coeffs = list(entries), list(entries.values())
+    by_mask = sorted(entries.items())
+    by_cardinality = sorted(entries.items(), key=lambda item: (bin(item[0]).count("1"), item[0]))
+    cases = [
+        (lambda p: setfn_io.write_setfn(p, SetFunction(dense, values)),
+         (dense_n, "dense", None, enumerate(values))),
+        (lambda p: setfn_io.write_setfn(p, Spectrum(dense, model, values)),
+         (dense_n, "dense", model, enumerate(values))),
+        (lambda p: setfn_io.write_entries(p, dense_n, "dense", model, shuffled),
+         (dense_n, "dense", model, shuffled)),
+        (lambda p: setfn_io.write_setfn(p, SparseSetFunction(ground, masks, coeffs)),
+         (n, "sparse", None, by_mask)),
+        (lambda p: setfn_io.write_entries(p, n, "sparse", model, entries.items()),
+         (n, "sparse", model, entries.items())),
+        (lambda p: sampling.save_sparse_spectrum(p, SparseSpectrum(ground, model, masks, coeffs)),
+         (n, "sparse", model, by_cardinality)),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_writes_reference_bytes(tmp, block, cases)
+
+
+def test_writer_keeps_repeated_values_and_signed_zeros_apart_in_each_block(tmp_path):
+    values = [0.0, -0.0, 5e-324, 0.0, -1.7976931348623157e308, -0.0,
+              1.7976931348623157e308, 5e-324, -0.0, 0.0]
+    pairs = [((1 << 62) - 1 - i, value) for i, value in enumerate(values)]
+    _assert_writes_reference_bytes(tmp_path, 3, [
+        (lambda p: setfn_io.write_entries(p, 62, "sparse", None, pairs),
+         (62, "sparse", None, pairs)),
+    ])
+    lines = (tmp_path / "got.setfn").read_text(encoding="utf-8").splitlines()[4:]
+    assert lines[:3] == ["4611686018427387903 0.0", "4611686018427387902 -0.0",
+                         "4611686018427387901 5e-324"]
+    assert lines[-2:] == ["4611686018427387895 -0.0", "4611686018427387894 0.0"]
+
+
+def test_dense_write_holds_one_block_of_lines(tmp_path):
+    # n=20, every value distinct: the writer holds the Python objects of one
+    # block; most of the peak is the container check's 8 MiB arrays of
+    # 2**20 masks and values
+    fn = SetFunction(GroundSet(20), np.random.default_rng(3).standard_normal(1 << 20))
+    tracemalloc.start()
+    try:
+        setfn_io.write_setfn(tmp_path / "big.setfn", fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # Text forms of one value: what the writer emits and other spellings of the
