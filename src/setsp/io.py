@@ -43,6 +43,7 @@ from .core import (
     SetFunction,
     SparseSetFunction,
     Spectrum,
+    _check_finite,
 )
 
 MAGIC = "setfn v1"
@@ -221,20 +222,28 @@ def write_entries(path, n: int, kind: str, model: int | None, pairs) -> None:
 
 
 def _write_arrays(path, n: int, kind: str, model: int | None, masks, values) -> None:
-    """`write_entries` of aligned masks and values, checked here."""
+    """`write_entries` of aligned masks and values, checked here.  `masks`
+    None writes the 2**n values of a dense `SetFunction` or `Spectrum` in mask
+    order: only their finiteness is left to check, and each block takes its
+    masks from a range."""
     model_text = "none" if model is None else str(model)
     try:
         _header_fields(str(n), kind, model_text)
     except _HeaderFault as fault:
         raise ValueError(str(fault)) from None
-    fn = SparseSetFunction(GroundSet(n), masks, values)
-    if kind == "dense" and len(fn) != 1 << n:
-        raise ValueError(f"dense file must list all {1 << n} masks, got {len(fn)}")
+    if masks is None:
+        _check_finite(values, range(values.size))
+    else:
+        fn = SparseSetFunction(GroundSet(n), masks, values)
+        if kind == "dense" and len(fn) != 1 << n:
+            raise ValueError(f"dense file must list all {1 << n} masks, got {len(fn)}")
+        masks, values = fn.masks, fn.values
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{MAGIC}\nn {n}\nkind {kind}\nmodel {model_text}\n")
-        for start in range(0, len(fn), _WRITE_BLOCK):
-            fh.write(_data_lines(fn.masks[start:start + _WRITE_BLOCK],
-                                 fn.values[start:start + _WRITE_BLOCK]))
+        for start in range(0, values.size, _WRITE_BLOCK):
+            stop = min(start + _WRITE_BLOCK, values.size)
+            block = np.arange(start, stop) if masks is None else masks[start:stop]
+            fh.write(_data_lines(block, values[start:stop]))
 
 
 def _data_lines(masks: np.ndarray, values: np.ndarray) -> str:
@@ -251,12 +260,12 @@ def _data_lines(masks: np.ndarray, values: np.ndarray) -> str:
 def write_setfn(path, fn) -> None:
     """Write a SetFunction, SparseSetFunction, or Spectrum."""
     if isinstance(fn, SetFunction):
-        _write_arrays(path, fn.ground.n, "dense", None, np.arange(fn.ground.size), fn.values)
+        _write_arrays(path, fn.ground.n, "dense", None, None, fn.values)
     elif isinstance(fn, SparseSetFunction):
         order = np.argsort(fn.masks)
         _write_arrays(path, fn.ground.n, "sparse", None, fn.masks[order], fn.values[order])
     elif isinstance(fn, Spectrum):
-        _write_arrays(path, fn.ground.n, "dense", fn.model, np.arange(fn.ground.size), fn.coeffs)
+        _write_arrays(path, fn.ground.n, "dense", fn.model, None, fn.coeffs)
     else:
         raise TypeError(f"cannot serialize {type(fn).__name__}")
 

@@ -17,6 +17,8 @@ A sparse spectrum of any of the five models evaluates as its inverse
 transform restricted to the support (`eval_sparse_many`); the compression
 band and the sampling support are both such spectra.  Terms that reach few
 probes find them through bitset tables (Four Russians); the rest are swept.
+Model 5's sweep holds each probe's sum in the sign frame of the last term,
+so that a term costs one sign-bit XOR and one scalar add.
 
 Norms over the whole lattice need no lattice either: the model-4 basis
 vectors f^B_A = [A & B == 0] have the Gram matrix <f^B, f^C> = 2**(n - |B | C|),
@@ -44,11 +46,17 @@ from . import io as setfn_io
 from .transforms import INVERSE, _closed_form
 
 
-# Probes per block of `_sweep`: the block's masks, its hit, disjointness and
-# term buffers and its slice of the output take at most 25 bytes per probe
-# for n <= 32, so 2**16 probes (1.6 MiB) stay in a 2 MiB L2 while the swept
-# frequencies pass over them.
+# Probes per block of `_sweep`, and at most of `_sign_sweep`: the block's
+# masks, its hit, disjointness and term buffers and its slice of the output
+# take at most 25 bytes per probe for n <= 32, so 2**16 probes (1.6 MiB) stay
+# in a 2 MiB L2 while the swept frequencies pass over them.
 _EVAL_CHUNK = 1 << 16
+# Sign planes `_sign_sweep` keeps per probe block for the steps that recur
+# most, and the bytes they may take: the blocks shrink from `_EVAL_CHUNK`
+# probes so that the kept planes (8 bytes per probe each) fit in a 2 MiB L2.
+# The order-2 band at n=20 keeps 19 planes, in blocks of 13,797 probes.
+_SIGN_PLANES = 32
+_SIGN_PLANE_BYTES = 1 << 21
 # Models 1-4 look the terms with |T| at least this up in hit tables and sweep
 # the rest: a term hits 2**-|T| of random probes, each hit costs a scattered
 # add, and a swept term four passes at every rate.
@@ -86,9 +94,13 @@ def eval_sparse_many(spectrum: SparseSpectrum, masks) -> np.ndarray:
     negates the sum exactly).  Under models 1-4 the terms with
     |T| >= `_TABLE_MIN_CARD` add only their hits (`_add_table_hits`).  |T| is
     monotone along the support, so they are one run, first where T = N \\ B
-    and last elsewhere.  The others, and all terms of model 5, are swept
-    (`_sweep`): a swept term that fails adds 0 * c_B = +-0.0, which moves no
-    bit, since the sum starts at +0.0 and cannot become -0.0.
+    and last elsewhere.  The others are swept (`_sweep`): a swept term that
+    fails adds 0 * c_B = +-0.0, which moves no bit, since the sum starts at
+    +0.0 and cannot become -0.0.  Model 5's sweep (`_sign_sweep`) holds each
+    sum times the sign of the last term added and adds c_B itself, which
+    gives the plain sum's bits up to the sign of an exact zero: its last
+    step moves the sums back to sign +1 and adds + 0.0, as models 1 and 2
+    do after their (-1)**|A| flip.
     """
     ground, n = spectrum.ground, spectrum.ground.n
     masks = ground.check_masks(masks)
@@ -107,7 +119,8 @@ def eval_sparse_many(spectrum: SparseSpectrum, masks) -> np.ndarray:
         if table:
             _add_table_hits(probes, tests[run], coeffs[run], n, out)
         else:
-            _sweep(probes, tests[run], coeffs[run], n, out, want is None)
+            sweep = _sign_sweep if want is None else _sweep
+            sweep(probes, tests[run], coeffs[run], n, out)
     if complement:
         bits = out.view(np.uint64)
         bits ^= np.bitwise_count(flat).astype(np.uint64) << np.uint64(63)
@@ -115,30 +128,72 @@ def eval_sparse_many(spectrum: SparseSpectrum, masks) -> np.ndarray:
     return out.reshape(masks.shape)
 
 
-def _sweep(probes, tests, coeffs, n: int, out: np.ndarray, parity: bool) -> None:
-    """Add each term (T, c) in order onto every out[p]: c * [probes[p] & T == 0],
-    or with `parity` c, its sign bit flipped by the parity of |probes[p] & T|."""
+def _sweep(probes, tests, coeffs, n: int, out: np.ndarray) -> None:
+    """Add each term (T, c) in order onto every out[p]: c * [probes[p] & T == 0]."""
     narrow = np.min_scalar_type((1 << n) - 1)
     width = min(_EVAL_CHUNK, probes.size)
     hit, disjoint, term = np.empty(width, narrow), np.empty(width, bool), np.empty(width)
-    terms = list(zip(tests.astype(narrow), coeffs.view(np.uint64) if parity else coeffs.tolist()))
+    terms = list(zip(tests.astype(narrow), coeffs.tolist()))
     for start in range(0, probes.size, _EVAL_CHUNK):
         P, acc = probes[start : start + width].astype(narrow), out[start : start + width]
         h, d, t = hit[: P.size], disjoint[: P.size], term[: P.size]
-        if parity:
-            bits = t.view(np.uint64)
-            for T, c in terms:
-                np.bitwise_and(P, T, out=h)
-                np.bitwise_count(h, out=bits)
-                np.left_shift(bits, 63, out=bits)
-                np.bitwise_xor(bits, c, out=bits)
-                np.add(acc, t, out=acc)
-        else:
-            for T, c in terms:
-                np.bitwise_and(P, T, out=h)
-                np.logical_not(h, out=d)
-                np.multiply(d, c, out=t)
-                np.add(acc, t, out=acc)
+        for T, c in terms:
+            np.bitwise_and(P, T, out=h)
+            np.logical_not(h, out=d)
+            np.multiply(d, c, out=t)
+            np.add(acc, t, out=acc)
+
+
+def _sign_sweep(probes, tests, coeffs, n: int, out: np.ndarray) -> None:
+    """Add each term (T, c) in order onto every out[p]: c, its sign bit
+    flipped by the parity of |probes[p] & T|.
+
+    Each probe's sum is held in the sign frame of the last term added, that
+    is times (-1)**|p & T|.  The next term U moves the frame: one XOR flips
+    the sum's sign bit by the parity of |p & (T ^ U)| (a sign plane), and
+    one scalar add adds c.  Negation is exact and round-to-nearest
+    symmetric, so -(-s + c) is s + (-c) bit for bit, except where the two
+    cancel exactly: both give +0.0, so the held sum reads -0.0 where the
+    plain sum has +0.0.  A last term (0, +0.0) moves the sums back to frame
+    0 and turns that -0.0 into +0.0.
+
+    The planes of the `_SIGN_PLANES` steps T ^ U that recur most (in the
+    order-2 band, the adjacent pairs {i - 1, i}) are built once per probe
+    block, and the blocks shrink from `_EVAL_CHUNK` probes to fit them in
+    `_SIGN_PLANE_BYTES`; unless their reuses make up a third of the steps,
+    none is kept.  Every other step builds its plane in one scratch plane.
+    """
+    narrow = np.min_scalar_type((1 << n) - 1)
+    frames = np.append(tests, 0).astype(narrow)
+    steps = frames ^ np.roll(frames, 1)  # the first step starts from frame 0
+    kinds, first, where, counts = np.unique(steps, return_index=True, return_inverse=True,
+                                            return_counts=True)
+    kept = np.argsort(-counts, kind="stable")[:_SIGN_PLANES]
+    kept = kept[(counts[kept] > 1) & (kinds[kept] != 0)]
+    if 3 * (counts[kept].sum() - kept.size) < steps.size:
+        kept = kept[:0]  # too few reuses to pay for the narrower blocks
+    slot = np.full(kinds.size, kept.size)  # the scratch plane
+    slot[kept] = np.arange(kept.size)
+    slots = slot[where]
+    build = slots == kept.size  # a scratch plane at every use, a kept one at its first
+    build[first[kept]] = True
+    terms = list(zip(steps.tolist(), slots.tolist(), build.tolist(),
+                     np.append(coeffs, 0.0).tolist()))
+    block = max(1, min(_EVAL_CHUNK, _SIGN_PLANE_BYTES // (8 * max(kept.size, 1))))
+    width = min(block, probes.size)
+    hit, planes = np.empty(width, narrow), np.empty((kept.size + 1, width), np.uint64)
+    for start in range(0, probes.size, block):
+        P, acc = probes[start : start + width].astype(narrow), out[start : start + width]
+        h, bits, views = hit[: P.size], acc.view(np.uint64), list(planes[:, : P.size])
+        for D, s, fresh, c in terms:
+            if D:
+                plane = views[s]
+                if fresh:
+                    np.bitwise_and(P, D, out=h)
+                    np.bitwise_count(h, out=plane)
+                    np.left_shift(plane, 63, out=plane)
+                np.bitwise_xor(bits, plane, out=bits)
+            np.add(acc, c, out=acc)
 
 
 def _table_bits(probes: int) -> int:
@@ -182,7 +237,7 @@ def _add_table_hits(probes, tests, coeffs, n: int, out: np.ndarray) -> None:
             nonzero = np.flatnonzero(byte != 0)
             if nonzero.size > _TABLE_HIT_BYTES:
                 real = slice(first, first + len(group))  # without the padding
-                _sweep(P, tests[real], coeffs[real], n, acc, False)
+                _sweep(P, tests[real], coeffs[real], n, acc)
                 continue
             at = np.flatnonzero(np.unpackbits(byte[nonzero], bitorder="little").view(bool))
             at = nonzero[at >> 3] << 3 | at & 7  # the hit's bit in `byte`

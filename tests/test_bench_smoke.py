@@ -110,6 +110,16 @@ def test_oracle_ops_give_the_same_bits_in_small_entropy_blocks(workloads, tmp_pa
     assert got == want
 
 
+def test_oracle_ops_give_the_same_bits_in_small_sign_sweep_blocks(workloads, tmp_path):
+    # the WHT fit's band keeps 3 sign planes in blocks of 5 probes, and its
+    # other recurring steps build theirs in the scratch plane
+    workload = workloads.WORKLOADS["oracle-compress"]
+    want = _run_smoke(workload, tmp_path / "default")
+    with mock.patch.multiple(sampling, _SIGN_PLANES=3, _SIGN_PLANE_BYTES=3 * 8 * 5):
+        got = _run_smoke(workload, tmp_path / "small")
+    assert got == want
+
+
 # sha256 of the setfn files that the `cli-files` smoke ops write, recorded
 # with numpy 2.4.6 on a 2-vCPU Xeon before the sparse set function held
 # arrays.  Criterion 13 compares two runs of one commit, so this is the

@@ -177,6 +177,31 @@ def test_band_eval_golden_bits(model):
     assert hashlib.sha256(out.tobytes()).hexdigest() == BAND_EVAL_SHA256[model]
 
 
+# SHA-256 of the output bytes at the benchmark's size, recorded from the
+# evaluator that swept model 5 with one signed term per probe and term.  The
+# evaluator is numpy element-wise work only, so the bits do not depend on
+# the BLAS thread count.
+FULL_BAND_EVAL_SHA256 = {
+    4: "34a2aa92aa538663bf632018997252a16d83e5b5358360ada4f6c3e1d5bab2e2",
+    5: "8ac0ddbb607b455285ec0095fea3cf605d5f2d430d2b8d6b80c0036caa8e72c0",
+}
+
+
+@pytest.mark.parametrize("model", sorted(FULL_BAND_EVAL_SHA256))
+def test_full_size_band_eval_golden_bits(model):
+    # the order-2 band at n=20 (211 terms, a tenth of them +-0.0) at 100k
+    # probes: the `oracle-compress` scoring, several probe blocks long
+    g = GroundSet(20)
+    support = subsets_of_cardinality_at_most(g, 2)
+    rng = np.random.default_rng(20)
+    coeffs = rng.standard_normal(support.size)
+    zero = rng.random(support.size) < 0.1
+    coeffs[zero] = np.copysign(0.0, coeffs[zero])
+    masks = np.random.default_rng(21).integers(0, g.size, size=100_000)
+    out = eval_sparse_many(SparseSpectrum(g, model, support, coeffs), masks)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == FULL_BAND_EVAL_SHA256[model]
+
+
 def test_wht_regression_square_system_is_exact():
     rng = np.random.default_rng(12)
     n = 4

@@ -1,3 +1,4 @@
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -308,8 +309,8 @@ def test_writer_keeps_repeated_values_and_signed_zeros_apart_in_each_block(tmp_p
 
 def test_dense_write_holds_one_block_of_lines(tmp_path):
     # n=20, every value distinct: the writer holds the Python objects of one
-    # block; most of the peak is the container check's 8 MiB arrays of
-    # 2**20 masks and values
+    # block and the finiteness check's 1 MiB of flags, and no 8 MiB arrays of
+    # 2**20 masks or values
     fn = SetFunction(GroundSet(20), np.random.default_rng(3).standard_normal(1 << 20))
     tracemalloc.start()
     try:
@@ -317,7 +318,22 @@ def test_dense_write_holds_one_block_of_lines(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+def test_dense_writes_refuse_a_value_that_is_not_finite(tmp_path, value):
+    # `wrap` hands over unchecked values; the writer names the first bad one
+    values = np.arange(8.0)
+    values[[3, 6]] = value
+    ground = GroundSet(3)
+    for fn in (SetFunction.wrap(ground, values), Spectrum.wrap(ground, 5, values)):
+        path = tmp_path / "kept.setfn"
+        setfn_io.write_setfn(path, SetFunction(ground, np.zeros(8)))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=f"^value {value} at mask 3 is not finite$"):
+            setfn_io.write_setfn(path, fn)
+        assert path.read_bytes() == before
 
 
 # Text forms of one value: what the writer emits and other spellings of the

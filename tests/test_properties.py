@@ -10,6 +10,7 @@ probe blocks, hit tables and term groups and reconstruct's row blocks shrink
 to a few entries.
 """
 
+import math
 import subprocess
 import sys
 import textwrap
@@ -29,7 +30,13 @@ from setsp.compression import (
     dsft4_coefficient_by_queries,
     estimate_relative_errors,
 )
-from setsp.core import GroundSet, SetFunction, SparseSpectrum, SparseSupport
+from setsp.core import (
+    GroundSet,
+    SetFunction,
+    SparseSpectrum,
+    SparseSupport,
+    subsets_of_cardinality_at_most,
+)
 from setsp.coverage import GaussianModel
 from setsp.experiments import entropy_oracle
 from setsp.sampling import (
@@ -210,18 +217,25 @@ def _edge_masks(n: int):
     return st.one_of(edge, st.integers(0, full))
 
 
-def _wide_spectrum(data, n: int, coeff, model: int = 4) -> SparseSpectrum:
+def _wide_spectrum(data, n: int, coeff, model: int = 4, band: bool = False) -> SparseSpectrum:
     """Up to a dozen drawn edge masks and up to 200 more from a drawn seed,
     so that the hit tables fill several words and groups without
     Hypothesis drawing each term; half of the coefficients come from a
     drawn pool of `coeff` values, so signed zeros, subnormals and
-    overflowing sums show up among the many terms."""
+    overflowing sums show up among the many terms.  With `band`, half of
+    the supports are instead every |B| <= 0..3 (at most 700 terms), in
+    which the steps between neighbours recur."""
     size = 1 << n
-    edges = data.draw(st.lists(_edge_masks(n), max_size=12))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    most = min(size, 200)
-    uniform = rng.integers(0, size, data.draw(st.one_of(st.just(most), st.integers(0, most))))
-    freqs = np.unique(np.concatenate((np.array(edges, dtype=np.int64), uniform)))
+    if band and data.draw(st.booleans()):
+        orders = [k for k in range(min(n, 3) + 1)
+                  if sum(math.comb(n, j) for j in range(k + 1)) <= 700]
+        freqs = subsets_of_cardinality_at_most(GroundSet(n), data.draw(st.sampled_from(orders)))
+    else:
+        edges = data.draw(st.lists(_edge_masks(n), max_size=12))
+        most = min(size, 200)
+        uniform = rng.integers(0, size, data.draw(st.one_of(st.just(most), st.integers(0, most))))
+        freqs = np.unique(np.concatenate((np.array(edges, dtype=np.int64), uniform)))
     pool = data.draw(st.lists(coeff, min_size=1, max_size=8))
     coeffs = np.where(rng.random(freqs.size) < 0.5, rng.choice(pool, freqs.size),
                       rng.uniform(-1e6, 1e6, freqs.size))
@@ -230,14 +244,15 @@ def _wide_spectrum(data, n: int, coeff, model: int = 4) -> SparseSpectrum:
 
 def _small_tables(data, n: int):
     """Patches the sparse evaluator's routing threshold over 0..n+1, and its
-    table width, probe blocks, term groups, dense-step bound and sweep blocks
-    down to a few."""
+    table width, probe blocks, term groups, dense-step bound, sweep blocks
+    and sign-plane count and bytes down to a few."""
     bits = data.draw(st.integers(1, 6))
     return mock.patch.multiple(
         sampling, _TABLE_MIN_CARD=data.draw(st.integers(0, n + 1)),
         _table_bits=lambda size: bits, _TABLE_PROBES=data.draw(st.integers(1, 9)),
         _TABLE_WORDS=data.draw(st.integers(1, 3)), _TABLE_HIT_BYTES=data.draw(st.integers(1, 5)),
-        _EVAL_CHUNK=data.draw(st.integers(1, 5)))
+        _EVAL_CHUNK=data.draw(st.integers(1, 5)), _SIGN_PLANES=data.draw(st.integers(0, 40)),
+        _SIGN_PLANE_BYTES=data.draw(st.integers(8, 40)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -314,10 +329,11 @@ def test_blocked_band_eval_is_the_sequential_sum(model, data, n, shape):
     # arbitrary finite coefficients, so that another summation order shows in
     # the last bits, with signed zeros, subnormals and sums that overflow;
     # the sweep and the tables split the terms anywhere, and one-probe calls
-    # match the batch
+    # match the batch; band supports keep model 5's sign planes across
+    # blocks of 1 to 5 probes
     coeff = st.one_of(VALUES, st.floats(-1e6, 1e6),
                       st.sampled_from([1e308, -1e308, 5e-324, -5e-324]))
-    spectrum = _wide_spectrum(data, n, coeff, model)
+    spectrum = _wide_spectrum(data, n, coeff, model, band=True)
     masks = data.draw(arrays(np.int64, shape, elements=_edge_masks(n)))
     with _small_tables(data, n), np.errstate(over="ignore"):
         got = eval_sparse_many(spectrum, masks)

@@ -143,6 +143,19 @@ def test_eval_sparse_examples():
     assert eval_sparse_many(spec, np.zeros((2, 0), dtype=np.int64)).shape == (2, 0)
 
 
+@pytest.mark.parametrize("n,freqs,coeffs,masks,want", [
+    # 0.5 - 0.5 cancels exactly in the sign frame of {x0}, where the plain
+    # sum has 0.5 + -0.5; back in frame 0 that zero is -0.0 until + 0.0
+    (1, [0, 1], [1.0, 1.0], [1, 0], [0.0, 1.0]),
+    (3, [], [], [0, 5, 7], [0.0, 0.0, 0.0]),
+    (3, [0], [-2.0], [0, 5, 7], [-0.25, -0.25, -0.25]),
+    (3, [0], [-0.0], [0, 5], [0.0, 0.0]),
+])
+def test_model5_eval_of_edge_supports_keeps_its_bits(n, freqs, coeffs, masks, want):
+    out = eval_sparse_many(SparseSpectrum(GroundSet(n), 5, freqs, coeffs), masks)
+    assert out.tobytes() == np.array(want).tobytes()
+
+
 X17 = 0b1_0110_0000_0110_1001  # a mask at n=17
 
 
@@ -189,6 +202,24 @@ def test_eval_sparse_many_on_a_large_support_stays_within_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + (4 << 20)
+
+
+def test_model5_band_eval_holds_its_sign_planes_in_a_few_mib():
+    # the order-3 band at n=20 recurs in 34 steps; 32 planes of every probe
+    # would take 8 MiB per 2**15 probes
+    g = GroundSet(20)
+    support = subsets_of_cardinality_at_most(g, 3)
+    spec = SparseSpectrum(g, 5, support, np.random.default_rng(3).standard_normal(support.size))
+    probes = np.random.default_rng(20).integers(0, 1 << 20, size=1 << 15)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = eval_sparse_many(spec, probes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + (3 << 20), f"peak {peak / 2**20:.1f} MiB"
 
 
 class _NumpyCountingAddAt:
