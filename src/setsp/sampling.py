@@ -54,7 +54,11 @@ _EVAL_CHUNK = 1 << 16
 # Sign planes `_sign_sweep` keeps per probe block for the steps that recur
 # most, and the bytes they may take: the blocks shrink from `_EVAL_CHUNK`
 # probes so that the kept planes (8 bytes per probe each) fit in a 2 MiB L2.
-# The order-2 band at n=20 keeps 19 planes, in blocks of 13,797 probes.
+# The order-2 band at n=20 keeps 19 planes, in blocks of 13,797 probes.  The
+# cap bounds the call overhead of narrow blocks: 2,000 random frequencies at
+# n=16 recur in 237 steps, and at 100k probes all 237 planes (1,106-probe
+# blocks) took 672 ms against 454 ms for 32 (8,192-probe blocks; min of 9
+# runs on a shared 2-vCPU Xeon).
 _SIGN_PLANES = 32
 _SIGN_PLANE_BYTES = 1 << 21
 # Models 1-4 look the terms with |T| at least this up in hit tables and sweep
@@ -162,6 +166,11 @@ def _sign_sweep(probes, tests, coeffs, n: int, out: np.ndarray) -> None:
     block, and the blocks shrink from `_EVAL_CHUNK` probes to fit them in
     `_SIGN_PLANE_BYTES`; unless their reuses make up a third of the steps,
     none is kept.  Every other step builds its plane in one scratch plane.
+    In random frequencies a few steps recur, too rarely to pay for the
+    narrower blocks: at 100k probes (min of 9, as for `_SIGN_PLANES`), 500
+    at n=20 (7 planes, 9 reuses) took 121 ms with their planes against
+    114 ms without, and 2,000 at n=20 (32 planes, 542 reuses in 1,999
+    steps) 528 ms against 414 ms.
     """
     narrow = np.min_scalar_type((1 << n) - 1)
     frames = np.append(tests, 0).astype(narrow)

@@ -329,11 +329,11 @@ def test_blocked_band_eval_is_the_sequential_sum(model, data, n, shape):
     # arbitrary finite coefficients, so that another summation order shows in
     # the last bits, with signed zeros, subnormals and sums that overflow;
     # the sweep and the tables split the terms anywhere, and one-probe calls
-    # match the batch; band supports keep model 5's sign planes across
-    # blocks of 1 to 5 probes
+    # match the batch; under model 5, half of the supports are bands, which
+    # keep sign planes across blocks of 1 to 5 probes
     coeff = st.one_of(VALUES, st.floats(-1e6, 1e6),
                       st.sampled_from([1e308, -1e308, 5e-324, -5e-324]))
-    spectrum = _wide_spectrum(data, n, coeff, model, band=True)
+    spectrum = _wide_spectrum(data, n, coeff, model, band=model == 5)
     masks = data.draw(arrays(np.int64, shape, elements=_edge_masks(n)))
     with _small_tables(data, n), np.errstate(over="ignore"):
         got = eval_sparse_many(spectrum, masks)
