@@ -20,8 +20,11 @@ instead of a full-size temporary.  Each output still starts at +0.0 and adds
 weight * value once per tap, in the order of the taps' arrays (the order they
 were given in), so its bits are those of one full-array pass per tap,
 whatever the block size.  That order fixes them: floating-point addition is
-not associative, so other tap orders can round differently.  Models 1 and 2 keep one composed shift per tap, because
-their X-fold shift is not a remap: each output sums 2**|X| values of s.
+not associative, so other tap orders can round differently.  A tap of
+weight +-1.0 adds or subtracts with no product, and one on bit 0 or 1 runs
+on transposed views (see `_convolve_direct`).  Models 1 and 2 keep one
+composed shift per tap, because their X-fold shift is not a remap: each
+output sums 2**|X| values of s.
 
 The elementary shift needs no table of its own.  The transform diagonalizes
 it, with the frequency response r of the one-element delta on the diagonal,
@@ -168,7 +171,12 @@ def _convolve_direct(model: int, h: Filter, s: SetFunction) -> SetFunction:
     once.  Per output block, each tap writes weight * view into one scratch
     block and adds that to the output block, all in L2.  This moves where a
     product is held, never an operand, so every output adds the same values
-    in the same order as one full-array pass per tap would.
+    in the same order as one full-array pass per tap would.  A tap of weight
+    +-1.0 adds or subtracts the view itself: 1.0 * v is v, and x - v is
+    x + (-v).  The view of a tap on bit 0 or 1 leaves contiguous runs of 1
+    or 2 elements, so its ufuncs run on block and view transposed, the cube
+    axes above that bit innermost, in order 'C': a few strided loops over
+    2**(L-2) or more elements per block.
 
     Models 1 and 2 sum 2**|Q| values per X-fold shift, so they add one
     composed `shift_by_set` per tap.
@@ -187,16 +195,24 @@ def _convolve_direct(model: int, h: Filter, s: SetFunction) -> SetFunction:
     # bit) read index 0 (broadcast), index 1 (broadcast) or the reversed axis
     on_q = {3: slice(0, 1), 4: slice(1, 2), 5: slice(None, None, -1)}[model]
     remap = {3: lambda k, q: k & ~q, 4: lambda k, q: k | q, 5: lambda k, q: k ^ q}[model]
-    views = []
+    terms = []
     for Q, weight in taps:
         view = tuple(on_q if Q >> i & 1 else slice(None) for i in reversed(range(low)))
-        views.append((Q >> low, view, weight))
+        source, target, order = src[(slice(None),) + view], dst, "K"
+        i = (Q & -Q).bit_length() - 1  # Q's lowest bit
+        if 0 <= i < min(2, low):  # iterate with the cube axes above bit i innermost
+            axes = (0, *range(low - i, low + 1), *range(1, low - i))
+            source, target, order = source.transpose(axes), dst.transpose(axes), "C"
+        terms.append((Q >> low, source, target, weight, order))
     scratch = np.empty(cube)
     for k in range(dst.shape[0]):
-        acc = dst[k, ...]
-        for q_high, view, weight in views:
-            np.multiply(src[(remap(k, q_high),) + view], weight, out=scratch)
-            np.add(acc, scratch, out=acc)
+        for q_high, source, target, weight, order in terms:
+            acc, term = target[k, ...], source[remap(k, q_high)]
+            if weight in (1.0, -1.0):
+                (np.add if weight > 0 else np.subtract)(acc, term, out=acc, order=order)
+            else:
+                np.multiply(term, weight, out=scratch, order=order)
+                np.add(acc, scratch, out=acc, order=order)
     return SetFunction.wrap(s.ground, out)
 
 

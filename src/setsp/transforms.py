@@ -21,7 +21,9 @@ pairs long contiguous rows (of 128 elements or more in a full block), under
 a small ufunc buffer that numpy does not copy such rows through; the
 reversal of models 1 and 4 is folded into that copy.  Model 5 writes each stage into a second buffer,
 two ufuncs a stage, and runs its high stages a few columns at a time in L2.
-Model 2 runs pairs of stages in six quarter passes instead of eight.  None
+Model 2 runs pairs of stages in six quarter passes instead of eight.  A
+block of +0.0 only skips its stages when the stage op maps (+0.0, +0.0) to
+(+0.0, +0.0); model 2's negation gives -0.0, so it runs every block.  None
 of this changes an output bit: each output is the same sum, formed in the
 same order up to swapping the operands of an addition (see `dsft_inplace`).
 
@@ -214,6 +216,23 @@ def _wht_stages(x: np.ndarray, y: np.ndarray, first: int, stop: int):
     return x, y
 
 
+@cache
+def _keeps_zero(op) -> bool:
+    """Whether stage op `op` maps a pair of +0.0 to a pair of +0.0."""
+    x, y = np.zeros(2), np.zeros(2)
+    if op is _wht:
+        op(x, y, 0)  # from x into y
+    else:
+        op(*_halves(y, 0))
+    return not y.view(np.uint64).any()
+
+
+def _all_plus_zero(block: np.ndarray) -> bool:
+    """Whether every bit of `block` is 0: +0.0 only, no -0.0."""
+    bits = block.view(np.uint64)
+    return not bits.flat[0] and not bits.any()
+
+
 def _transpose(dst: np.ndarray, src: np.ndarray, bits: int) -> None:
     """dst <- src with the row index's high and low parts swapped: row
     i * 2**k + j of src, where j < 2**k and i < 2**bits, is row j * 2**bits
@@ -305,6 +324,12 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
     loaded from block nb-1-k read backwards, so blocks are loaded in
     mirrored pairs, both before either is written.
 
+    A block whose bits are all 0 is not loaded when its stage op maps a pair
+    of +0.0 to +0.0 (`_keeps_zero`), as all but model 2's negation do; under
+    models 1 and 4 its mirrored partner must be zero too.  Bits are tested,
+    so a block holding -0.0 runs, and the first element before the rest, so
+    a dense input pays about one branch per block.
+
     Model 5 cannot run in place in two ufuncs, so each stage writes into a
     second buffer.  In a block, its stages alternate between the two
     scratch blocks, then between the block and a scratch block, starting
@@ -352,6 +377,8 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
                 pairs = [(k, nb - 1 - k), (nb - 1 - k, k)][: min(nb, 2)]
             else:
                 pairs = [(k, k)]
+            if _keeps_zero(op) and all(_all_plus_zero(blocks[src]) for _, src in pairs):
+                continue
             for j, (_, src) in enumerate(pairs):
                 _transpose(scratch[j], blocks[src][::-1] if reverse else blocks[src], low - b)
             for j, (dst, _) in enumerate(pairs):

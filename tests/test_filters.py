@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from types import SimpleNamespace
 
@@ -167,20 +168,22 @@ def test_filter_refuses_non_finite_taps(bad):
 
 def test_direct_convolution_needs_one_scratch_block():
     # n=18: a 2 MiB output; the taps' weighted values go through one block
-    # of 2**_BLOCK_BITS elements, not a full-size temporary per tap
+    # of 2**_BLOCK_BITS elements, not a full-size temporary per tap, and
+    # +-1.0 and low-bit taps through views only
     g = GroundSet(18)
     s = SetFunction.wrap(g, np.random.default_rng(18).standard_normal(g.size))
-    h = Filter.moving_average(g)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        _convolve_direct(3, h, s)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    low_bits = Filter.from_taps(g, {0: 1.0, 1: -1.0, 2: 0.5, 3: -1.0, 6: 1.0, 1 << 17 | 1: -0.25})
     block = np.dtype(np.float64).itemsize << transforms._BLOCK_BITS
-    assert peak <= s.values.nbytes + 2 * block
+    for model, h in [(3, Filter.moving_average(g))] + [(m, low_bits) for m in (3, 4, 5)]:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _convolve_direct(model, h, s)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= s.values.nbytes + 2 * block, (model, peak)
 
 
 def test_convolve_path_validation():
@@ -312,3 +315,42 @@ def test_filter_serialization(tmp_path):
     back = setfn_io.read_setfn(path)
     assert isinstance(back, SparseSetFunction)
     assert back.masks.tolist() == [0, 5] and back.values.tolist() == [1.0, -2.5]
+
+
+# SHA-256 of the outputs at n=18 (eight blocks of 2**15), recorded from the
+# direct path that multiplied every tap and ran low-bit taps on strided
+# views, and from the transform that ran every block.
+CONVOLVE_SHA256 = {
+    (3, "direct"): "ec7263325bbd13c0051be83556c4796d3005b5d927ea88515e7bbb9fe75be768",
+    (3, "spectral"): "9ec8d55c6afe5a80c38aafd66a0b519e1fea895db1348266ee11da90a3628129",
+    (4, "direct"): "c89a535112aae1c0dbafbe75e6a572bff57106433319dd237b26ec838ed7b38b",
+    (4, "spectral"): "0e417d6193a55fd7a31d30ce6dae6e340cb7fe09344776a79533336bd6a7cfa9",
+    (5, "direct"): "aaec19d37eeed625d7384c1835f2519e070d229ee1ee5cd6f72c388b81327810",
+    (5, "spectral"): "224fdc60c4df6bd0b19b370341982a058436835841f18fbd146241649d1d905a",
+}
+FREQUENCY_RESPONSE_SHA256 = {
+    (3, "moving_average"): "06f7696daab138bf6d41df8d750e6f2b590adf8e1821ba0cc8520976668fba1b",
+    (3, "sparse"): "36d18a56784c66a9924c4325ed5b594172a46200f18722827b8f5b8dc82da1fb",
+    (5, "moving_average"): "eef18580e6cdffdc4b80108a00a9b59d484a2418496b520bb9ad6b6f712f56b4",
+    (5, "sparse"): "3e7ac9f2ab3f292f609015096f050b7c845e6610f6515c27d8117c8aedac0cef",
+}
+
+
+def _golden_filters(g):
+    # the moving average, and a few taps with a -0.0 alone in block 6
+    return {"moving_average": Filter.moving_average(g),
+            "sparse": Filter.from_taps(g, {0: 1.0, 3: -0.5, (1 << 17) | 5: 2.0, 6 << 15: -0.0})}
+
+
+@pytest.mark.parametrize("model,path", sorted(CONVOLVE_SHA256))
+def test_moving_average_convolution_golden_bits(model, path):
+    g = GroundSet(18)
+    s = SetFunction.wrap(g, np.random.default_rng(18).standard_normal(g.size))
+    out = convolve(model, Filter.moving_average(g), s, path=path).values
+    assert hashlib.sha256(out.tobytes()).hexdigest() == CONVOLVE_SHA256[(model, path)]
+
+
+@pytest.mark.parametrize("model,name", sorted(FREQUENCY_RESPONSE_SHA256))
+def test_frequency_response_golden_bits(model, name):
+    out = frequency_response(model, _golden_filters(GroundSet(18))[name])
+    assert hashlib.sha256(out.tobytes()).hexdigest() == FREQUENCY_RESPONSE_SHA256[(model, name)]

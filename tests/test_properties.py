@@ -82,12 +82,47 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
 SCHEDULES = [(2, 1, 0), (3, 1, 1), (4, 2, 4), (5, 2, 6)]
 
 
+def _zero_block_values(data, shape) -> np.ndarray:
+    """Runs of 2**g rows, each all +0.0, +0.0 but for one -0.0, +0.0 but for
+    one nonzero in its first or last row, or drawn from VALUES."""
+    values = np.zeros(shape)
+    rows = 1 << data.draw(st.integers(0, shape[0].bit_length() - 1))
+    nonzero = VALUES.filter(lambda v: v != 0.0)
+    for start in range(0, shape[0], rows):
+        run = values[start : start + rows]
+        kind = data.draw(st.sampled_from(["zero", "minus zero", "edge", "dense"]))
+        if kind == "dense":
+            run[...] = data.draw(arrays(np.float64, run.shape, elements=VALUES))
+        elif kind != "zero":
+            at = data.draw(st.integers(0, run.size - 1) if kind == "minus zero"
+                           else st.sampled_from([0, run.size - 1]))
+            run.flat[at] = -0.0 if kind == "minus zero" else data.draw(nonzero)
+    return values
+
+
+def _loaded_blocks(values, model, direction, block_bits) -> int:
+    """How many blocks `dsft_inplace` loads: all of them under model 2, whose
+    negation turns +0.0 into -0.0, else those not all +0.0 (under models 1
+    and 4, those in a mirrored pair not all +0.0)."""
+    n = values.shape[0].bit_length() - 1
+    low = min(n, max(1, block_bits - ((values.size >> n) - 1).bit_length()))
+    zero = [not b.view(np.uint64).any() for b in values.reshape(1 << (n - low), -1)]
+    if model == 2:
+        return len(zero)
+    if transforms._TABLE[(model, direction)][1]:
+        zero = [z and mirror for z, mirror in zip(zero, reversed(zero))]
+    return zero.count(False)
+
+
 @pytest.mark.parametrize("model,direction", PAIRS)
 @settings(max_examples=15, deadline=None)
-@given(data=st.data(), n=st.integers(0, 8), columns=st.integers(0, 3))
-def test_blocked_transform_is_the_plain_butterfly(model, direction, data, n, columns):
+@given(data=st.data(), n=st.integers(0, 8), columns=st.integers(0, 3), blocks=st.booleans())
+def test_blocked_transform_is_the_plain_butterfly(model, direction, data, n, columns, blocks):
     shape = (1 << n, columns) if columns else (1 << n,)
-    values = data.draw(arrays(np.float64, shape, elements=VALUES))
+    if blocks:
+        values = _zero_block_values(data, shape)
+    else:
+        values = data.draw(arrays(np.float64, shape, elements=VALUES))
     cols = values.reshape(1 << n, -1)
     want = np.column_stack(
         [butterfly_reference(model, direction, cols[:, j].tolist(), n) for j in range(cols.shape[1])]
@@ -95,10 +130,14 @@ def test_blocked_transform_is_the_plain_butterfly(model, direction, data, n, col
     for block_bits, split_bits, chunk_bits in SCHEDULES:
         got = values.copy()
         with mock.patch.multiple(transforms, _BLOCK_BITS=block_bits, _SPLIT_BITS=split_bits,
-                                 _CHUNK_BITS=chunk_bits):
+                                 _CHUNK_BITS=chunk_bits), \
+                mock.patch.object(transforms, "_transpose", wraps=transforms._transpose) as copies:
             additions = dsft_inplace(got, model, direction)
         assert additions == n * (values.size // 2) * (2 if model == 5 else 1)
         assert _same_bits(got, want)
+        # each loaded block is copied into scratch and back
+        loaded = _loaded_blocks(values, model, direction, block_bits) if n else 0
+        assert copies.call_count == 2 * loaded
 
 
 @pytest.mark.parametrize("model,direction", PAIRS)
@@ -141,9 +180,14 @@ REMAP = {
 @given(data=st.data(), n=st.integers(0, 8))
 def test_direct_convolution_is_the_index_remap(model, data, n):
     size = 1 << n
-    weight = st.floats(min_value=-1e3, max_value=1e3)
+    weight = st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0]),
+                       st.floats(min_value=-1e3, max_value=1e3))
+    # taps whose lowest bit is 0 or 1, with any bits above
+    low_bit = st.tuples(st.integers(0, size - 1), st.sampled_from([1, 2, 3])).map(
+        lambda t: (t[0] & ~3 | t[1]) & (size - 1))
     taps = {0: data.draw(weight)}
     taps.update(data.draw(st.dictionaries(st.integers(0, size - 1), weight, max_size=5)))
+    taps.update(data.draw(st.dictionaries(low_bit, weight, max_size=3)))
     taps[size - 1] = data.draw(weight)
     values = data.draw(arrays(np.float64, size, elements=VALUES))
     ground = GroundSet(n)

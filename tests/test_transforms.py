@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -215,3 +217,35 @@ def test_transform_preserves_input():
     s = SetFunction(g, np.arange(16.0))
     dsft(3, s)
     assert np.array_equal(s.values, np.arange(16.0))
+
+
+# SHA-256 of `dsft_inplace` of `_zero_padded_signal()`, recorded from the
+# transform that ran the stages of every block, zero or not.
+ZERO_PADDED_SHA256 = {
+    (1, "forward"): "61493a3ba4e1e88747eb8fb9c9fd0e09d9343d5861421aeb2698fa96ec0af665",
+    (1, "inverse"): "55ff0d1a854614d09c5292d39019e40d219caded1a486320c619a995b0b086b4",
+    (2, "forward"): "68f3dca6597a8c2e7a26219df640a46eb17583897dfdda73ba520132cd7cb7d7",
+    (2, "inverse"): "68f3dca6597a8c2e7a26219df640a46eb17583897dfdda73ba520132cd7cb7d7",
+    (3, "forward"): "e9b91f7f32d869abfef4d1d34689e93770816f8e3e921ad458416202ff8e9ba3",
+    (3, "inverse"): "e9b91f7f32d869abfef4d1d34689e93770816f8e3e921ad458416202ff8e9ba3",
+    (4, "forward"): "55ff0d1a854614d09c5292d39019e40d219caded1a486320c619a995b0b086b4",
+    (4, "inverse"): "61493a3ba4e1e88747eb8fb9c9fd0e09d9343d5861421aeb2698fa96ec0af665",
+    (5, "forward"): "9dd30775f1f4756ff5a06a6d9da4d3b4077cbf6de6b80ecff8c21ce88bd3fcbf",
+    (5, "inverse"): "df4194172943228a0c2722a9225e7ad811d09ace8daaebcfe78a87e6507591a7",
+}
+
+
+def _zero_padded_signal() -> np.ndarray:
+    # n=18, eight blocks of 2**15: random values in blocks 0 and 1, a -0.0
+    # opening block 5 and +0.0 everywhere else
+    x = np.zeros(1 << 18)
+    x[: 2 << 15] = np.random.default_rng(18).standard_normal(2 << 15)
+    x[5 << 15] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("model,direction", sorted(ZERO_PADDED_SHA256))
+def test_zero_padded_transform_golden_bits(model, direction):
+    x = _zero_padded_signal()
+    dsft_inplace(x, model, direction)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == ZERO_PADDED_SHA256[(model, direction)]
