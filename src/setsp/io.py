@@ -11,12 +11,15 @@ Set-function files ("setfn v1") look like::
     ...
 
 `kind` is dense (all 2**n masks listed) or sparse (any subset of masks);
-`model` is none for signals and 1..5 for spectra.  Values are written with
-repr(), so a write/read round trip reproduces the exact float64 bits.  The
-writer formats the data lines a block at a time: `repr` once per distinct bit
-pattern in the block (the spectra of band-limited and integer signals repeat
-few values), then one `%` format builds all its lines.  The bytes are those
-of one `f"{mask} {value!r}"` line per entry.
+`model` is none for signals and 1..5 for spectra.  Each data line is
+`f"{mask} {value!r}\n"`: values are written as `repr` writes them, the
+shortest decimal that reads back as the same double, so a write/read round
+trip reproduces the exact float64 bits.  The writer builds those bytes 8,192
+lines at a time with numpy (`setsp.ryu`): the vectorized Ryu kernel (Adams,
+PLDI 2018) finds the digits of each distinct bit pattern in the block once
+(the spectra of band-limited and integer signals repeat few values), and the
+text of all the block's lines is laid out in words and compressed in one
+pass.  `repr` stays the reference the tests hold the writer to.
 
 A data line is a mask and a value separated by whitespace; blank lines are
 skipped.  The data lines are read by one `np.loadtxt` into an int64 and a
@@ -51,8 +54,8 @@ MAGIC = "setfn v1"
 # One data line: the mask and the value, whitespace-separated.
 _RECORD = [("mask", "<i8"), ("value", "<f8")]
 
-# Data lines formatted per call of `_data_lines`: a few hundred KiB of text,
-# and the only Python objects the writer holds at a time.
+# Data lines formatted per call of `ryu.data_lines`: about 2 MiB of arrays
+# at most, and the only ones the writer holds at a time.
 _WRITE_BLOCK = 1 << 13
 
 
@@ -238,23 +241,14 @@ def _write_arrays(path, n: int, kind: str, model: int | None, masks, values) -> 
         if kind == "dense" and len(fn) != 1 << n:
             raise ValueError(f"dense file must list all {1 << n} masks, got {len(fn)}")
         masks, values = fn.masks, fn.values
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{MAGIC}\nn {n}\nkind {kind}\nmodel {model_text}\n")
+    from .ryu import data_lines  # compiled on the first write, not by `import setsp`
+
+    with open(path, "wb") as fh:
+        fh.write(f"{MAGIC}\nn {n}\nkind {kind}\nmodel {model_text}\n".encode())
         for start in range(0, values.size, _WRITE_BLOCK):
             stop = min(start + _WRITE_BLOCK, values.size)
             block = np.arange(start, stop) if masks is None else masks[start:stop]
-            fh.write(_data_lines(block, values[start:stop]))
-
-
-def _data_lines(masks: np.ndarray, values: np.ndarray) -> str:
-    """`f"{mask} {value!r}\\n"` for each pair, as one string: `repr` once per
-    distinct bit pattern (so +0.0 and -0.0 stay apart), then one `%`."""
-    bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    texts = [repr(value) for value in bits.view(np.float64).tolist()]
-    fields = [None] * (2 * masks.size)
-    fields[0::2] = masks.tolist()
-    fields[1::2] = [texts[i] for i in where.tolist()]
-    return ("%d %s\n" * masks.size) % tuple(fields)
+            fh.write(data_lines(block, values[start:stop]))
 
 
 def write_setfn(path, fn) -> None:

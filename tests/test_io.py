@@ -307,6 +307,42 @@ def test_writer_keeps_repeated_values_and_signed_zeros_apart_in_each_block(tmp_p
     assert lines[-2:] == ["4611686018427387895 -0.0", "4611686018427387894 0.0"]
 
 
+def _bulk_values() -> np.ndarray:
+    """About 10**6 finite doubles, each with both signs."""
+    rng = np.random.default_rng(2018)
+    # random bit patterns, 100 in each of the 2,047 finite binades
+    exponents = np.repeat(np.arange(2047, dtype=np.uint64), 100)
+    patterns = (exponents << 52 | rng.integers(0, 1 << 52, exponents.size, dtype=np.uint64))
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))  # all 2,098 powers of two
+    extremes = [0.0, 5e-324, 1.7976931348623157e308]
+    integers = rng.integers(0, 1 << 53, 50_000) >> rng.integers(0, 53, 50_000)
+    # decimals of 1 to 17 digits, scaled by one correctly rounded operation
+    lengths = rng.integers(1, 18, 250_000)
+    digits, scale = rng.integers(10 ** (lengths - 1), 10**lengths), rng.integers(-22, 23, lengths.size)
+    decimals = np.where(scale < 0, digits * 10.0 ** -scale, digits / 10.0**scale)
+    # 3 ulps either side of where `repr` switches between notations
+    around = [np.array([1e-5, 1e-4, 1e15, 1e16, 1e17])]
+    up = down = around[0]
+    for _ in range(3):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0)
+        around += [up, down]
+    values = np.concatenate([patterns.view(np.float64), powers, extremes, integers, decimals, *around])
+    return np.concatenate([values, -values])
+
+
+def test_writer_gives_the_bytes_of_repr_on_a_million_values(tmp_path):
+    values = np.random.default_rng(62).permutation(_bulk_values())
+    # increasing masks of 1 to 19 digits, from 0 to 2**62 - 1
+    size = values.size
+    masks = np.arange(size) + np.geomspace(1, 2.0**61, size).astype(np.int64) - 1
+    masks[-1] = (1 << 62) - 1
+    assert masks[0] == 0 and (np.diff(masks) > 0).all()
+    path = tmp_path / "bulk.setfn"
+    setfn_io.write_setfn(path, SparseSetFunction(GroundSet(62), masks, values))
+    want = "".join(f"{mask} {value!r}\n" for mask, value in zip(masks.tolist(), values.tolist()))
+    assert path.read_bytes() == f"setfn v1\nn 62\nkind sparse\nmodel none\n{want}".encode()
+
+
 def test_dense_write_holds_one_block_of_lines(tmp_path):
     # n=20, every value distinct: the writer holds the Python objects of one
     # block and the finiteness check's 1 MiB of flags, and no 8 MiB arrays of
