@@ -3,8 +3,8 @@
 The joint entropy of n correlated Gaussian sensors costs a Cholesky
 factorization per query.  Dropping every model-4 frequency above |B| = 2
 leaves 1 + n + C(n,2) coefficients, each computable from at most 4 queries
-near the top of the lattice (s_N, s_N minus one sensor, minus two); with a
-shared memo the whole band needs exactly 1 + n + C(n,2) distinct queries.
+near the top of the lattice (s_N, s_N minus one sensor, minus two); the
+whole band shares them, so it needs exactly 1 + n + C(n,2) distinct queries.
 After that every approximate value costs an O(n^2) masked sum.
 
 The baseline estimates the same-order WHT band by least squares on p random

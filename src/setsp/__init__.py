@@ -62,7 +62,6 @@ from .coverage import (
 from .compression import (
     SetFunctionOracle,
     compress_band,
-    dsft4_coefficient_by_queries,
     estimate_relative_error,
     estimate_relative_errors,
     wht_regression,

@@ -7,8 +7,10 @@ The model-4 coefficient at frequency B needs only 2**|B| oracle queries:
 For |B| <= 2 these are the three classic cases s_N, s_{N\\{x}} - s_N, and
 s_{N\\{x,y}} - s_{N\\{x}} - s_{N\\{y}} + s_N.  The sets N \\ (B \\ C) that
 these sums need for every |B| <= m are exactly the sets N \\ D, |D| <= m, so
-`compress_band` queries them in one batch, once each, and forms every sum
-from that memo.
+`compress_band` queries them in one batch, once each, and then sums all
+coefficients of a cardinality c together, each from +0.0, one term at a time:
+D = B \\ C is B first, then the other submasks of B in ascending order, with
+sign (-1)**(c - |D|); that is C = {}, then the rest in descending order.
 
 The WHT baseline fits model-5 coefficients on the same band by least squares
 over randomly sampled values.  Both give a `core.SparseSpectrum`, evaluated by
@@ -104,47 +106,26 @@ def _distinct(masks: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray | No
     return points, slot[masks]
 
 
-def _submasks(B: int):
-    """All C subseteq B, empty set first, then descending submask order."""
-    yield 0
-    sub = B
-    while sub:
-        yield sub
-        sub = (sub - 1) & B
-
-
-def dsft4_coefficient_by_queries(
-    oracle: SetFunctionOracle, B: int, memo: dict[int, float] | None = None
-) -> float:
-    """Model-4 coefficient at B from exactly 2**|B| oracle queries (fewer
-    when a shared memo already holds some of them), asked in one batch."""
-    B = oracle.ground.check_mask(B)
-    base = oracle.ground.full_mask & ~B
-    memo = {} if memo is None else memo
-    subs = list(_submasks(B))
-    missing = [base | C for C in subs if base | C not in memo]
-    if missing:
-        memo.update(zip(missing, oracle.query_many(np.array(missing, dtype=np.int64)).tolist()))
-    total = 0.0
-    for C in subs:
-        value = memo[base | C]
-        total += -value if popcount(C) & 1 else value
-    return total
-
-
 def compress_band(oracle: SetFunctionOracle, m: int) -> SparseSpectrum:
     """Model-4 band-limited approximation of order m.
 
     The support is every frequency B with |B| <= m in (cardinality, mask)
-    order.  One `query_many` at the sets N \\ B of the support fills a memo
-    that holds every set `dsft4_coefficient_by_queries` asks for, so the
-    oracle sees each of N, N\\{x}, N\\{x,y}, ... exactly once, in one batch,
-    and each coefficient is the sum that function forms.
+    order.  One `query_many` asks each set N \\ B of the support once.
     """
     freqs = subsets_of_cardinality_at_most(oracle.ground, m)
-    sets = oracle.ground.full_mask ^ freqs
-    memo = dict(zip(sets.tolist(), oracle.query_many(sets).tolist()))
-    coeffs = [dsft4_coefficient_by_queries(oracle, int(B), memo) for B in freqs]
+    values = oracle.query_many(oracle.ground.full_mask ^ freqs)
+    order, sizes = np.argsort(freqs), popcount(freqs)
+    coeffs = 0.0 + values  # +0.0 plus each sum's first term, D = B
+    with np.errstate(over="ignore", invalid="ignore"):  # SparseSpectrum refuses inf, nan
+        for c in range(1, m + 1):
+            group = sizes == c
+            B, total = freqs[group], coeffs[group]
+            D = np.zeros_like(B)
+            for i in range((1 << c) - 1):  # D is the i-th submask of B, |D| = |i|
+                term = values[order[np.searchsorted(freqs, D, sorter=order)]]
+                total += -term if (c - i.bit_count()) & 1 else term
+                D = (D - B) & B
+            coeffs[group] = total
     return SparseSpectrum(oracle.ground, 4, freqs, coeffs)
 
 

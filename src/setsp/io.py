@@ -282,16 +282,27 @@ def read_spectrum(path) -> Spectrum:
     return Spectrum.wrap(rec.ground, rec.model, rec.dense_values())
 
 
-def read_covariance(path) -> np.ndarray:
-    """Read an n x n covariance matrix from CSV."""
-    K = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    if K.shape[0] != K.shape[1]:
-        raise ValueError(f"covariance must be square, got shape {K.shape}")
+def _check_square(K: np.ndarray) -> np.ndarray:
+    if K.ndim != 2 or K.shape[0] != K.shape[1] or not K.size:
+        raise ValueError(f"covariance must be square and non-empty, got shape {K.shape}")
     return K
 
 
+def read_covariance(path) -> np.ndarray:
+    """Read an n x n covariance matrix, n >= 1, from CSV."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on a file with no data
+            K = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except (ValueError, Warning) as exc:
+        raise ValueError(f"covariance file {path}: {exc}") from None
+    return _check_square(K)
+
+
 def write_covariance(path, K: np.ndarray) -> None:
-    K = np.asarray(K, dtype=np.float64)
+    """Write an n x n covariance matrix, n >= 1, as CSV; any other shape is
+    refused before the file is opened."""
+    K = _check_square(np.asarray(K, dtype=np.float64))
     with open(path, "w", encoding="utf-8") as fh:
         for row in K:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -243,6 +243,24 @@ def sparse_eval_reference(freqs, coeffs, masks) -> list[float]:
     return out
 
 
+def band_coefficient_reference(query, n: int, B: int) -> float:
+    """Model-4 coefficient at B from its 2**|B| sets near the top of the
+    lattice: the sum over C subseteq B of (-1)**|C| * s_{(N\\B) u C}, one
+    scalar `query` per set, C = {} first and then the nonempty submasks of B
+    in descending order, added left to right in Python floats from 0.0."""
+    base = ((1 << n) - 1) & ~B
+    subs = [0]
+    sub = B
+    while sub:
+        subs.append(sub)
+        sub = (sub - 1) & B
+    total = 0.0
+    for C in subs:
+        value = float(query(base | C))
+        total += -value if bits(C) & 1 else value
+    return total
+
+
 def forward_substitution_reference(freqs, values):
     """The unit-lower-triangular solve of `reconstruct`, one row at a time:
     coeff_i = values_i - the sum of the coeff_j, j < i, with B_j subseteq

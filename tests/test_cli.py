@@ -247,7 +247,7 @@ def test_file_oracle_specs_read_dense_and_sparse_files(tmp_path):
     setfn_io.write_entries(sparse, 40, "sparse", None, [(5, 1.5), (1 << 39, -2.0)])
     oracle = parse_oracle_spec(f"file:{sparse}")
     assert oracle.query_many([1 << 39, 4, 5]).tolist() == [-2.0, 0.0, 1.5]
-    assert oracle.query(5) == 1.5 and oracle.queries == 4
+    assert oracle.query_many([5]).tolist() == [1.5] and oracle.queries == 4
 
 
 def test_missing_file_exits_nonzero(tmp_path):

@@ -19,7 +19,6 @@ from setsp.core import (
 from setsp.compression import (
     SetFunctionOracle,
     compress_band,
-    dsft4_coefficient_by_queries,
     estimate_relative_error,
     estimate_relative_errors,
     wht_regression,
@@ -29,6 +28,8 @@ from setsp.experiments import entropy_oracle, random_rbf_covariance
 from setsp.sampling import eval_sparse_many, oracle_from_sparse_spectrum
 from setsp.transforms import INVERSE, dsft, dsft_inplace
 
+from reference import band_coefficient_reference
+
 
 def _dense_oracle(values, n):
     return SetFunctionOracle.from_setfunction(SetFunction(GroundSet(n), values))
@@ -36,14 +37,17 @@ def _dense_oracle(values, n):
 
 def test_coefficient_empty_set_is_one_query():
     oracle = _dense_oracle([1.0, 2.0, 3.0, 4.0], 2)
-    assert dsft4_coefficient_by_queries(oracle, 0) == 4.0
+    band = compress_band(oracle, 0)
+    assert band.support.freqs.tolist() == [0] and band.coeffs.tolist() == [4.0]
     assert oracle.queries == 1
 
 
 def test_coefficient_singleton_example():
+    # s4_{x1} = s_{N \ {x1}} - s_N = 3 - 4
     oracle = _dense_oracle([1.0, 2.0, 3.0, 4.0], 2)
-    assert dsft4_coefficient_by_queries(oracle, 0b01) == -1.0
-    assert oracle.queries == 2
+    band = compress_band(oracle, 1)
+    assert band.coeffs[band.support.freqs == 0b01].tolist() == [-1.0]
+    assert oracle.queries == 3
 
 
 def test_coefficient_pair_vanishes_on_modular():
@@ -55,34 +59,38 @@ def test_coefficient_pair_vanishes_on_modular():
     for i in range(n):
         values += w[i] * ((masks >> i) & 1)
     oracle = _dense_oracle(values, n)
-    assert abs(dsft4_coefficient_by_queries(oracle, 0b00011)) < 1e-12
-    assert oracle.queries == 4  # 2**|B| without a memo
+    band = compress_band(oracle, 2)
+    pairs = np.bitwise_count(band.support.freqs) == 2
+    assert pairs.sum() == 10 and np.abs(band.coeffs[pairs]).max() < 1e-12
+    assert oracle.queries == 1 + n + 10
 
 
-def test_coefficient_queries_are_one_batch_with_the_memoised_bits():
+def test_band_queries_are_one_batch_with_the_per_coefficient_bits():
     rng = np.random.default_rng(23)
     n = 8
     freqs = np.unique(rng.integers(0, 1 << n, size=40))
     truth = SparseSpectrum(GroundSet(n), 4, freqs, rng.standard_normal(freqs.size))
-    memoised = compress_band(oracle_from_sparse_spectrum(truth), n)
-    for B in (0, 0b1, 0b10110101, (1 << n) - 1):
-        oracle = oracle_from_sparse_spectrum(truth)
-        oracle.query = None  # only query_many may be asked
-        got = dsft4_coefficient_by_queries(oracle, B)
-        assert oracle.queries == 1 << bin(B).count("1")
-        want = memoised.coeffs[np.flatnonzero(memoised.support.freqs == B)[0]]
-        assert np.float64(got).tobytes() == want.tobytes()
-
-    # a memo that holds some sets already: only the others are asked
-    B = 0b10110101
-    base = ((1 << n) - 1) & ~B
-    held = [base, base | 0b1, base | B]
-    memo = dict(zip(held, oracle_from_sparse_spectrum(truth).query_many(np.array(held)).tolist()))
     oracle = oracle_from_sparse_spectrum(truth)
-    got = dsft4_coefficient_by_queries(oracle, B, memo)
-    assert oracle.queries == (1 << 5) - len(held)
-    assert len(memo) == 1 << 5
-    assert np.float64(got).tobytes() == memoised.coeffs[memoised.support.freqs == B].tobytes()
+    oracle.query = None  # only query_many may be asked
+    calls, evaluate = [], oracle._evaluate
+    oracle._evaluate = lambda masks: (calls.append(masks.tolist()), evaluate(masks))[1]
+    band = compress_band(oracle, n)
+    assert calls == [list(range(1 << n))] and oracle.queries == 1 << n
+    single = oracle_from_sparse_spectrum(truth)
+    for B in (0, 0b1, 0b10110101, (1 << n) - 1):
+        want = band_coefficient_reference(lambda A: single.query_many([A])[0], n, B)
+        assert np.float64(want).tobytes() == band.coeffs[band.support.freqs == B].tobytes()
+    assert single.queries == 1 + 2 + (1 << 5) + (1 << n)
+
+
+@pytest.mark.parametrize("values", [[1.7e308, -1.7e308, -1.7e308, 1.7e308],
+                                    [1.0, 2.0, math.inf, math.inf]])
+def test_band_sum_that_is_not_finite_is_refused_without_a_float_warning(values):
+    # an overflow (-1.7e308 - 1.7e308) or inf - inf in a coefficient sum: the
+    # spectrum refuses it, and no numpy warning comes first
+    oracle = SetFunctionOracle(GroundSet(2), lambda masks: np.array(values)[masks])
+    with pytest.raises(ValueError, match="is not finite"):
+        compress_band(oracle, 1)
 
 
 @pytest.mark.parametrize("n", (1, 4, 8))
@@ -90,11 +98,8 @@ def test_coefficients_match_dense_transform(n):
     rng = np.random.default_rng(n)
     values = rng.standard_normal(1 << n)
     spec = dsft(4, SetFunction(GroundSet(n), values))
-    oracle = _dense_oracle(values, n)
-    memo = {}
-    for B in range(1 << n):
-        got = dsft4_coefficient_by_queries(oracle, B, memo)
-        assert abs(got - spec.coeffs[B]) < 1e-10
+    band = compress_band(_dense_oracle(values, n), n)
+    assert np.abs(band.coeffs - spec.coeffs[band.support.freqs]).max() < 1e-10
 
 
 def test_compress_band_full_order_reproduces():
@@ -133,6 +138,25 @@ def test_compress_band_wide_ground_set():
     assert oracle.queries == 1082
     pair_coeffs = approx.coeffs[np.bitwise_count(approx.support.freqs) == 2]
     assert np.abs(pair_coeffs).max() < 1e-9
+
+
+# SHA-256 of the coefficient bytes of the order-2 band of the n=20 entropy
+# oracles that the benchmark's `oracle-compress` trials compress, recorded
+# from the per-coefficient Python float sums.  The bits were the same under
+# one and two BLAS threads.
+FULL_BAND_SHA256 = {
+    10000: "264c2eb5f1caa0cfb33dc88e4a78141e7b7de37ff676d83aa766f183360c1773",
+    10001: "fc72e9a6d6511661a843691f756bf0786ffce05b5f2a5dc3cb35ed61d5b69221",
+    10002: "2d3bc92dd942bf6e52d1ed75a5b29cc4c8c85c30daa992725b558487e51c3cbc",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FULL_BAND_SHA256))
+def test_full_size_compress_band_golden_bits(seed):
+    oracle = entropy_oracle(GaussianModel(random_rbf_covariance(20, seed)))
+    band = compress_band(oracle, 2)
+    assert oracle.queries == len(band.support) == 211
+    assert hashlib.sha256(band.coeffs.tobytes()).hexdigest() == FULL_BAND_SHA256[seed]
 
 
 def test_eval_bandlimited_examples():
@@ -388,13 +412,15 @@ def test_oracle_counter_and_determinism():
         return masks.astype(np.float64)
 
     oracle = SetFunctionOracle(GroundSet(3), evaluate)
-    assert oracle.query(5) == 5.0
-    assert oracle.query(5) == 5.0
+    assert oracle.query_many([5]).tolist() == [5.0]
+    assert oracle.query_many([5]).tolist() == [5.0]
     assert oracle.queries == 2
     assert oracle.query_many(np.array([1, 2])).tolist() == [1.0, 2.0]
     assert oracle.queries == 4
-    # `query` is a one-mask batch through the same function
-    assert calls == [[5], [5], [1, 2]]
+    # one batch per call; `query` is a one-mask batch through the same function
+    assert oracle.query(5) == 5.0
+    assert oracle.queries == 5
+    assert calls == [[5], [5], [1, 2], [5]]
     with pytest.raises(ValueError):
         oracle.query(8)
     # query_many validates like query, before counting; a dense oracle would

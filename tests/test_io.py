@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from setsp import io as setfn_io
 from setsp import sampling
+from setsp.cli import main
 from setsp.core import (
     GroundSet,
     SetFunction,
@@ -202,6 +203,39 @@ def test_covariance_roundtrip(tmp_path):
     bad.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="square"):
         setfn_io.read_covariance(bad)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (), (2, 2, 2), (0, 0)])
+def test_covariance_writer_refuses_what_the_reader_refuses(tmp_path, shape):
+    # a 2x3 matrix was written, and then refused by the reader
+    path = tmp_path / "cov.csv"
+    with pytest.raises(ValueError, match=r"covariance must be square and non-empty, got shape"):
+        setfn_io.write_covariance(path, np.ones(shape))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("text,why", [
+    ("", "no data"),
+    ("\n\n", "no data"),
+    ("1.0,abc\n2.0,3.0\n", "could not convert string 'abc'"),
+    ("1.0,2.0\n3.0\n", "number of columns changed"),
+])
+def test_unreadable_covariance_file_is_a_value_error_naming_it(tmp_path, capsys, text, why):
+    # numpy warns on a file with no data; the reader then said "got shape
+    # (0, 1)", and under warnings-as-errors the warning escaped `cli.main`.
+    # numpy's parse errors named no file
+    path = tmp_path / "cov.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as refused:
+        setfn_io.read_covariance(path)
+    assert str(refused.value).startswith(f"covariance file {path}: ")
+    assert why in str(refused.value)
+    out = tmp_path / "comp.csv"
+    rc = main(["compress", "--oracle", f"gaussian:{path}", "--wht-samples", "2",
+               "--probes", "10", "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert f"error: covariance file {path}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _same_bits(a, b) -> bool:

@@ -27,7 +27,6 @@ from setsp import filters, sampling, transforms
 from setsp.compression import (
     SetFunctionOracle,
     compress_band,
-    dsft4_coefficient_by_queries,
     estimate_relative_errors,
 )
 from setsp.core import (
@@ -49,6 +48,7 @@ from setsp.sampling import (
 from setsp.transforms import FORWARD, INVERSE, dsft_inplace
 
 from reference import (
+    band_coefficient_reference,
     bandlimited_eval_reference,
     butterfly_reference,
     forward_substitution_reference,
@@ -498,7 +498,7 @@ def test_query_many_on_a_covered_lattice_is_per_mask_query(kind, data, n, rows):
     assert oracle.queries == masks.size
     assert [c.tolist() for c in calls] == [np.unique(masks).tolist()]
     assert got.shape == masks.shape
-    want = [oracle.query(int(m)) for m in masks.ravel()]
+    want = np.concatenate([oracle.query_many([m]) for m in masks.ravel()])
     assert _same_bits(got.ravel(), want)
 
 
@@ -528,7 +528,8 @@ def test_deduplicated_error_estimate_is_the_per_probe_estimate(kind, data, n, mo
     assert oracle.queries == m_samples
     assert len(seen) == 1 and np.all(np.diff(seen[0]) > 0)  # each probe once
     want = relative_errors_reference(
-        oracle.query, [lambda A: eval_sparse_many(band, [A])[0], lambda A: A * 0.25 - 1.0],
+        lambda A: oracle.query_many([A])[0],
+        [lambda A: eval_sparse_many(band, [A])[0], lambda A: A * 0.25 - 1.0],
         m_samples, seed, n)
     assert _same_bits(np.array(got), want)
 
@@ -543,8 +544,9 @@ def test_batched_compress_band_is_the_per_frequency_sum(kind, data, n):
     band = compress_band(oracle, m)
     assert len(calls) == 1
     assert oracle.queries == len(band.support)
-    # each coefficient from its own 2**|B| queries, without a memo
-    want = [dsft4_coefficient_by_queries(oracle, int(B)) for B in band.support.freqs]
+    # each coefficient from its own 2**|B| one-mask queries
+    want = [band_coefficient_reference(lambda A: oracle.query_many([A])[0], n, int(B))
+            for B in band.support.freqs]
     assert _same_bits(band.coeffs, want)
 
 

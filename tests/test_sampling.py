@@ -165,7 +165,8 @@ def test_eval_sparse_many_refuses_masks_out_of_range(bad):
     # cardinality of the raw int64 mask would return a wrong value
     spec = synthetic_sparse_spectrum(GroundSet(17), 30, seed=17)
     oracle = oracle_from_sparse_spectrum(spec)
-    for evaluate in (oracle.query, lambda m: eval_sparse_many(spec, np.array([X17, m, X17]))):
+    for evaluate in (lambda m: oracle.query_many([X17, m, X17]),
+                     lambda m: eval_sparse_many(spec, np.array([X17, m, X17]))):
         with pytest.raises(ValueError, match=f"mask {bad} out of range for n=17"):
             evaluate(bad)
     assert oracle.queries == 0
@@ -180,7 +181,7 @@ def test_oracle_boundaries_refuse_what_is_no_mask(bad, message):
     spec = SparseSpectrum(GroundSet(3), 4, [0, 3], np.ones(2))
     oracle = oracle_from_sparse_spectrum(spec)
     model = GaussianModel(np.diag([1.0, 4.0, 9.0]))
-    for evaluate in (lambda: eval_sparse_many(spec, [2, bad]), lambda: oracle.query(bad),
+    for evaluate in (lambda: eval_sparse_many(spec, [2, bad]), lambda: oracle.query_many([bad]),
                      lambda: oracle.query_many([2, bad]), lambda: gaussian_entropy(model, bad),
                      lambda: gaussian_entropy_many(model, [[2, bad]])):
         with pytest.raises(ValueError, match=message):
@@ -451,7 +452,7 @@ def test_scalar_and_batched_queries_return_the_same_bits():
     batch = oracle.query_many(np.arange(g.size))
     scalar = np.concatenate([eval_sparse_many(spectrum, [m]) for m in range(g.size)])
     assert scalar.tobytes() == batch.tobytes()
-    queried = np.array([oracle.query(m) for m in range(0, g.size, 31)])
+    queried = np.concatenate([oracle.query_many([m]) for m in range(0, g.size, 31)])
     assert queried.tobytes() == batch[::31].tobytes()
 
 
