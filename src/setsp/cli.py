@@ -20,6 +20,7 @@ Oracle specs follow the grammar `kind:params`:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -220,7 +221,11 @@ def cmd_error(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `main` is called many
+    times in one process (the tests, the benchmark), and building the tree
+    of subcommands takes milliseconds.  Parsing leaves the parser as it is."""
     parser = argparse.ArgumentParser(
         prog="setsp",
         description="Discrete signal processing on set functions (powerset signals).",

@@ -22,12 +22,16 @@ text of all the block's lines is laid out in words and compressed in one
 pass.  `repr` stays the reference the tests hold the writer to.
 
 A data line is a mask and a value separated by whitespace; blank lines are
-skipped.  The data lines are read by one `np.loadtxt` into an int64 and a
-float64 array, so its number grammar is the file's: a mask is an optional
-sign and ASCII digits, a value is what `float` reads from ASCII text without
-`_` digit separators (inf and nan parse, and are then refused as not
-finite).  A file the fast read refuses is walked line by line only to name
-its first faulty line.
+skipped.  A body in the writer's own grammar (one space, a final newline, a
+mask of at most 18 digits, a value of at most 19 significant digits, and no
+line break in the header but `\n`) is read from the file's bytes by
+`setsp.lemire`, 8,192 lines at a time on uint64 lanes, to the bits `float`
+gives.  Any other body, or one that the checks refuse, is read whole by one
+`np.loadtxt` into an int64 and a float64 array, so its number grammar is the
+file's: a mask is an optional sign and ASCII digits, a value is what `float`
+reads from ASCII text without `_` digit separators (inf and nan parse, and
+are then refused as not finite).  A file that read refuses is walked line by
+line only to name its first faulty line.
 """
 
 from __future__ import annotations
@@ -95,12 +99,48 @@ class SetFnFile:
 
 
 def parse_setfn(path) -> SetFnFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        text = fh.read()
+    parsed = _read_strict(path, text)
+    if parsed is not None:
+        return parsed
+    # `splitlines` splits at the line breaks that reading in text mode
+    # translates, so these are the lines a text-mode read gives
+    lines = text.decode("utf-8").splitlines()
     n, kind, model = _parse_header(path, lines)
     fn = _read_entries(lines[4:], GroundSet(n))
     if fn is None or kind == "dense" and len(fn) != 1 << n:
         _report_fault(path, lines, n, kind)
+    return SetFnFile(n, kind, model, fn.masks, fn.values)
+
+
+def _read_strict(path, text: bytes) -> SetFnFile | None:
+    """The file, when its header lines hold no line break but `\\n` and its
+    body is in the writer's own grammar (`setsp.lemire`) and passes the
+    checks; None for any other file, which the general parser reads."""
+    end = -1
+    for _ in range(4):
+        end = text.find(b"\n", end + 1)
+        if end < 0:
+            return None
+    head = text[:end]
+    if not head.isascii() or any(byte in head for byte in b"\r\v\f\x1c\x1d\x1e"):
+        return None
+    try:
+        n, kind, model = _parse_header(path, head.decode().split("\n"))
+    except SetFnFormatError:
+        return None
+    from .lemire import data_pairs  # compiled on the first parse, not by `import setsp`
+
+    pairs = data_pairs(text, end + 1)
+    if pairs is None:
+        return None
+    try:
+        fn = SparseSetFunction(GroundSet(n), *pairs)
+    except ValueError:
+        return None
+    if kind == "dense" and len(fn) != 1 << n:
+        return None
     return SetFnFile(n, kind, model, fn.masks, fn.values)
 
 

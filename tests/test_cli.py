@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -270,3 +271,50 @@ def test_help_lists_subcommands():
     text = build_parser().format_help()
     for name in ("transform", "convolve", "freqresp", "generate", "compress", "sample", "error"):
         assert name in text
+
+
+def test_calls_in_one_process_give_the_files_of_separate_calls(tmp_path, monkeypatch, capsys):
+    # `main` builds its parser once per process; calls that leave out --path,
+    # --order or --inverse get their defaults, whatever an earlier call set
+    from setsp.cli import build_parser
+
+    calls = [
+        ["generate", "modular", "--n", "4", "--seed", "3", "--out", "sig.setfn"],
+        ["generate", "sparse4", "--n", "4", "--k", "3", "--seed", "1", "--out", "bidder.setfn"],
+        ["convolve", "--model", "3", "--filter", "taps.setfn", "--in", "sig.setfn",
+         "--out", "direct.setfn", "--path", "direct"],
+        ["convolve", "--model", "3", "--filter", "taps.setfn", "--in", "sig.setfn",
+         "--out", "auto.setfn"],
+        ["transform", "--model", "4", "--inverse", "--in", "sig.setfn", "--out", "x.setfn"],
+        ["transform", "--model", "4", "--in", "sig.setfn", "--out", "spec.setfn"],
+        ["transform", "--model", "4", "--in", "spec.setfn", "--out", "y.setfn"],
+        ["transform", "--model", "4", "--inverse", "--in", "spec.setfn", "--out", "back.setfn"],
+        ["freqresp", "--model", "3", "--filter", "taps.setfn", "--out", "fr.setfn"],
+        ["compress", "--oracle", "file:sig.setfn", "--order", "1", "--wht-samples", "8",
+         "--probes", "20", "--seed", "2", "--out", "order1.csv"],
+        ["compress", "--oracle", "file:sig.setfn", "--wht-samples", "8", "--probes", "20",
+         "--seed", "2", "--out", "order2.csv"],
+        ["error", "--oracle", "sparse4:bidder.setfn", "--approx", "bidder.setfn",
+         "--probes", "20", "--seed", "4", "--out", "err.csv"],
+        ["sample", "--oracle", "file:sig.setfn", "--support", "nope.setfn", "--out", "s.setfn"],
+    ]
+    runs = {}
+    capsys.readouterr()
+    for shared in (True, False):
+        work = tmp_path / str(shared)
+        work.mkdir()
+        setfn_io.write_entries(work / "taps.setfn", 4, "sparse", None,
+                               [(0, 0.5), (1, -1.0), (4, 2.0)])
+        monkeypatch.chdir(work)
+        codes = []
+        for argv in calls:
+            if not shared:
+                build_parser.cache_clear()
+            codes.append(main(argv))
+        log = re.sub(r"time=\S+", "", capsys.readouterr().err)
+        runs[shared] = codes, {p.name: p.read_bytes() for p in sorted(work.iterdir())}, log
+    assert runs[True] == runs[False]
+    codes, files, log = runs[True]
+    assert codes == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0, 0, 2]
+    assert "path=direct" in log and "path=auto" in log
+    assert files["order1.csv"] != files["order2.csv"]

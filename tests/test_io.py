@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -419,7 +423,9 @@ def setfn_texts(draw):
     """(text, n, kind, masks, values) of a valid setfn file: dense files in
     any order, sparse ones with any number of entries (none included), blank
     and whitespace-only lines, tabs, and n in 0..8, 40 or 62 with masks near
-    the top of the range."""
+    the top of the range.  A third of the files keep to the writer's grammar,
+    which `parse_setfn` reads on its word path: one space, `repr` values, no
+    blank line and a final newline."""
     kind = draw(st.sampled_from(["dense", "sparse"]))
     if kind == "dense":
         n = draw(st.integers(0, 8))
@@ -432,13 +438,17 @@ def setfn_texts(draw):
                               max_size=min(size, 40), unique=True))
     values = draw(st.lists(FINITE, min_size=len(masks), max_size=len(masks)))
     model = draw(st.sampled_from(["none", "1", "2", "3", "4", "5"]))
+    header = [f"setfn v1", f"n {n}", f"kind {kind}", f"model {model}"]
+    if draw(st.integers(0, 2)) == 0:
+        lines = [f"{mask} {value!r}" for mask, value in zip(masks, values)]
+        return "".join(f"{line}\n" for line in header + lines), n, kind, masks, values
     lines = []
     for mask, value in zip(masks, values):
         lines += draw(st.lists(BLANK, max_size=1))
         lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " "]))
         lines.append(f"{lead}{mask}{draw(SEPARATOR)}{draw(VALUE_TEXT)(value)}{trail}")
     lines += draw(st.lists(BLANK, max_size=2))
-    text = "\n".join([f"setfn v1", f"n {n}", f"kind {kind}", f"model {model}", *lines])
+    text = "\n".join([*header, *lines])
     return text + draw(st.sampled_from(["", "\n"])), n, kind, masks, values
 
 
@@ -527,3 +537,148 @@ def test_array_parse_refuses_digit_separators_and_non_ascii_digits(case, token, 
     what = "mask is not an integer" if column == 0 else "value is not a number"
     assert err.value.line == at + 1
     assert str(err.value).endswith(f"{what}: {token!r}")
+
+
+HEADER = "setfn v1\nn 20\nkind sparse\nmodel none\n"
+
+
+def _body(texts) -> str:
+    return "".join(f"{mask} {text}\n" for mask, text in enumerate(texts))
+
+
+def _no_loadtxt():
+    """A context in which a parse that leaves the word path fails."""
+    return mock.patch.object(np, "loadtxt", side_effect=AssertionError("left the word path"))
+
+
+def _assert_reads_as_float(path, texts):
+    """`parse_setfn` gives the bits `float` and the reference parser give."""
+    got = setfn_io.parse_setfn(path)
+    want = np.array([float(text) for text in texts])
+    assert got.values.tobytes() == want.tobytes()
+    assert got.values.tobytes() == parse_setfn_reference(path).values.tobytes()
+    assert got.masks.tolist() == list(range(len(texts)))
+
+
+@pytest.mark.parametrize("spell", [repr, lambda v: format(v, ".16e")], ids=["repr", ".16e"])
+def test_word_path_gives_the_bits_of_float_in_every_binade(tmp_path, spell):
+    # 24 random bit patterns of each sign in each of the 2,047 finite binades;
+    # a body with subnormals leaves the word path as a whole
+    rng = np.random.default_rng(1024)
+    biased = np.repeat(np.arange(2047, dtype=np.uint64), 48)
+    bits = (biased << 52 | rng.integers(0, 1 << 52, biased.size, dtype=np.uint64)
+            | np.tile(np.arange(2, dtype=np.uint64), biased.size // 2) << 63)
+    values = bits.view(np.float64).tolist()
+    path = tmp_path / "f.setfn"
+    normal = [spell(v) for v, b in zip(values, biased.tolist()) if b > 0]
+    _write(path, HEADER + _body(normal))
+    with _no_loadtxt():
+        _assert_reads_as_float(path, normal)
+    every = [spell(v) for v in values]
+    _write(path, HEADER + _body(every))
+    _assert_reads_as_float(path, every)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       spell=st.sampled_from([repr, lambda v: format(v, ".16e"), lambda v: format(v, ".17g")]))
+def test_word_path_gives_the_bits_of_float_on_random_patterns(data, spell):
+    normal = st.builds(lambda b, f, s: (s << 63 | b << 52 | f), st.integers(1, 2046),
+                       st.integers(0, (1 << 52) - 1), st.integers(0, 1))
+    bits = data.draw(st.lists(normal, min_size=1, max_size=50))
+    texts = [spell(v) for v in np.array(bits, np.uint64).view(np.float64).tolist()]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp) / "f.setfn", HEADER + _body(texts))
+        with _no_loadtxt():
+            _assert_reads_as_float(path, texts)
+
+
+# Decimals whose nearest double is hard to find: halfway and near-halfway
+# cases, the normal and subnormal extremes and 19 significant digits.  The
+# last column says whether the word path reads them: subnormal results and
+# exponents without a sign leave it.
+HARD = [
+    ("9007199254740993", True), ("9007199254740993.0", True), ("-9007199254740995", True),
+    ("2.2250738585072011e-308", False), ("2.2250738585072014e-308", True),
+    ("2.4703282292062327e-324", False), ("4.9406564584124654e-324", False),
+    ("1.7976931348623158e+308", True), ("1.7976931348623158e308", False),
+    ("1.7976931348623157e+308", True), ("7.2057594037927933e+16", True),
+    ("7.2057594037927933e16", False), ("1e+23", True), ("1e23", False),
+    ("8.98846567431158e+307", True), ("1.0000000000000002", True),
+    ("1234567890123456789", True), ("9.999999999999999999e-1", True),
+    ("0.1234567890123456789", True), ("1844674407370955161.5", False),
+    ("0.30000000000000004", True), ("123456789012345678e-310", True),
+    ("1.00000000000000011102230246251565404236316680908203125", False),
+    ("0e-999", True), ("-0.0", True), ("-0e+400", True), ("5e-1", True), ("1e-22", True),
+    ("1e+22", True), ("9007199254740993e-22", True), ("0.000123456789012345678", True),
+]
+
+
+@pytest.mark.parametrize("text,word_path", HARD)
+def test_hard_decimals_read_as_float_reads_them(tmp_path, text, word_path):
+    texts = ["1.5", text, "-0.25"]
+    path = _write(tmp_path / "f.setfn", HEADER + _body(texts))
+    if word_path:
+        with _no_loadtxt():
+            _assert_reads_as_float(path, texts)
+    else:
+        _assert_reads_as_float(path, texts)
+
+
+def test_word_path_guard(tmp_path):
+    # a file the writer wrote reads without `np.loadtxt`, and the same file
+    # with tabs between the fields reads through it, to the same bits
+    fn = SetFunction(GroundSet(16), np.random.default_rng(16).standard_normal(1 << 16) * 1e-3)
+    path = tmp_path / "sig.setfn"
+    setfn_io.write_setfn(path, fn)
+    with _no_loadtxt():
+        assert setfn_io.read_setfn(path).values.tobytes() == fn.values.tobytes()
+    head, body = path.read_text(encoding="utf-8").split("model none\n")
+    tabs = _write(tmp_path / "tabs.setfn", head + "model none\n" + body.replace(" ", "\t"))
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        assert setfn_io.read_setfn(tabs).values.tobytes() == fn.values.tobytes()
+    assert loadtxt.call_count == 1
+
+
+# Faulty lines in a body that is otherwise in the writer's grammar; "{m}" is
+# the mask of the line replaced, "{e}" an earlier mask, "{n}" 2**n.
+STRICT_FAULTS = ["{n} 1.0", "1234567890123456789 1.0", "9223372036854775808 1.0",
+                 "18446744073709551619 1.0", "{e} 2.5", "{m} 1e400", "{m} -1e+400", "{m} 1.0.0",
+                 "{m} 1e", "{m} --1", "{m} -", "{m} 1.", "{m} .5", "{m} +1.0", "{m} 1E+5",
+                 "{m} 1e+0005", "{m} inf", "{m} 1.7976931348623159e+308"]
+
+
+@pytest.mark.parametrize("fault", STRICT_FAULTS)
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+def test_faults_in_strict_bodies_are_the_reference_parsers(tmp_path, fault, crlf):
+    header = ["setfn v1", "n 3", "kind sparse", "model none"]
+    masks = [3, 0, 6, 1]
+    lines = [f"{mask} {value!r}" for mask, value in zip(masks, [0.5, -1.25, 3e-7, 2.0])]
+    end = "\r\n" if crlf else "\n"
+    for at in range(len(lines)):
+        bad = list(lines)
+        bad[at] = fault.format(n=1 << 3, m=masks[at], e=masks[max(at - 1, 0)])
+        path = _write(tmp_path / "bad.setfn", "".join(line + end for line in header + bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast, ref = _parse_both(path)
+        if isinstance(ref, SetFnFormatError):
+            assert isinstance(fast, SetFnFormatError), (fault, at)
+            assert (fast.line, str(fast)) == (ref.line, str(ref))
+        else:  # a duplicate of the first line is no duplicate
+            assert fast.masks.tobytes() == ref.masks.tobytes()
+            assert _same_bits(fast.values, ref.values)
+
+
+def test_crlf_bodies_read_as_the_reference_reads_them(tmp_path):
+    text = "setfn v1\r\nn 2\r\nkind dense\r\nmodel 4\r\n0 1.0\r\n1 -0.0\r\n2 5e-324\r\n3 1e+300\r\n"
+    fast, ref = _parse_both(_write(tmp_path / "crlf.setfn", text))
+    assert fast.values.tobytes() == ref.values.tobytes() == np.array(
+        [1.0, -0.0, 5e-324, 1e300]).tobytes()
+
+
+def test_import_compiles_neither_text_kernel():
+    code = "import sys, setsp; print(sorted(m for m in sys.modules if m in ('setsp.ryu', 'setsp.lemire')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(Path(setfn_io.__file__).parents[1])))
+    assert done.stdout.strip() == "[]"
