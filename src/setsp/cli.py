@@ -73,7 +73,11 @@ def parse_oracle_spec(text: str) -> SetFunctionOracle:
                 raise ValueError(f"synthetic-sparse oracle has no key {key!r}")
             if key in opts:
                 raise ValueError(f"synthetic-sparse oracle repeats key {key!r}")
-            opts[key] = int(value)
+            try:
+                opts[key] = int(value)
+            except ValueError:
+                raise ValueError(f"synthetic-sparse oracle needs an integer {key}=..., "
+                                 f"got {item.strip()!r}") from None
         for key in ("n", "k", "seed"):
             if key not in opts:
                 raise ValueError(f"synthetic-sparse oracle needs {key}=...")

@@ -77,9 +77,13 @@ class GroundSet:
 
     def check_masks(self, masks, what: str = "mask") -> np.ndarray:
         """`masks`, of any shape, as an int64 array; an int64 array is returned
-        without a copy.  The first entry that is not an integer in [0, 2**n)
-        raises ValueError naming it and its position in the flattened array."""
+        without a copy.  An array of bool, complex, str or bytes raises
+        ValueError naming its dtype; the first entry that is not an integer
+        in [0, 2**n) raises ValueError naming it and its position in the
+        flattened array."""
         given = np.asarray(masks)
+        if given.dtype.kind in "bcSU":
+            raise ValueError(f"{what} must be an integer, got dtype {given.dtype}")
         bad = (given < 0) | (given >= self.size)
         if given.dtype.kind == "f":
             bad |= np.trunc(given) != given  # nan; +-inf are out of range

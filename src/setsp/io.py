@@ -26,12 +26,13 @@ skipped.  A body in the writer's own grammar (one space, a final newline, a
 mask of at most 18 digits, a value of at most 19 significant digits, and no
 line break in the header but `\n`) is read from the file's bytes by
 `setsp.lemire`, 8,192 lines at a time on uint64 lanes, to the bits `float`
-gives.  Any other body, or one that the checks refuse, is read whole by one
-`np.loadtxt` into an int64 and a float64 array, so its number grammar is the
-file's: a mask is an optional sign and ASCII digits, a value is what `float`
-reads from ASCII text without `_` digit separators (inf and nan parse, and
-are then refused as not finite).  A file that read refuses is walked line by
-line only to name its first faulty line.
+gives.  Any other body, or one that the checks refuse, is read by one walk
+over its lines, which collects the masks and values and raises at the first
+faulty line.  Its number grammar is the file's: a mask is an optional sign
+and ASCII digits, a value is what `float` reads from ASCII text without `_`
+digit separators (inf and nan parse, and are then refused as not finite).
+The walk costs about 1.3 us a line: a 65,536-line body with tabs between
+the fields reads in about 85 ms, against 16 ms in the writer's grammar.
 """
 
 from __future__ import annotations
@@ -49,14 +50,12 @@ from .core import (
     GroundSet,
     SetFunction,
     SparseSetFunction,
+    SparseSpectrum,
     Spectrum,
     _check_finite,
 )
 
 MAGIC = "setfn v1"
-
-# One data line: the mask and the value, whitespace-separated.
-_RECORD = [("mask", "<i8"), ("value", "<f8")]
 
 # Data lines formatted per call of `ryu.data_lines`: about 2 MiB of arrays
 # at most, and the only ones the writer holds at a time.
@@ -108,16 +107,14 @@ def parse_setfn(path) -> SetFnFile:
     # translates, so these are the lines a text-mode read gives
     lines = text.decode("utf-8").splitlines()
     n, kind, model = _parse_header(path, lines)
-    fn = _read_entries(lines[4:], GroundSet(n))
-    if fn is None or kind == "dense" and len(fn) != 1 << n:
-        _report_fault(path, lines, n, kind)
+    fn = SparseSetFunction(GroundSet(n), *_walk_body(path, lines, n, kind))
     return SetFnFile(n, kind, model, fn.masks, fn.values)
 
 
 def _read_strict(path, text: bytes) -> SetFnFile | None:
     """The file, when its header lines hold no line break but `\\n` and its
     body is in the writer's own grammar (`setsp.lemire`) and passes the
-    checks; None for any other file, which the general parser reads."""
+    checks; None for any other file, which `_walk_body` reads."""
     end = -1
     for _ in range(4):
         end = text.find(b"\n", end + 1)
@@ -190,34 +187,22 @@ def _header_fields(n_text: str, kind: str, model_text: str) -> tuple[int, int | 
     raise _HeaderFault(4, f"model must be none or 1..5, got {model_text!r}")
 
 
-def _read_entries(body: list[str], ground: GroundSet) -> SparseSetFunction | None:
-    """The data lines as a `SparseSetFunction`, or None when `np.loadtxt` or
-    the container refuses them.  A body with no data skips `loadtxt`, which
-    warns on it; any other warning refuses the body."""
-    if not any(line.strip() for line in body):
-        return SparseSetFunction(ground, np.empty(0, dtype=np.int64), np.empty(0))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            records = np.loadtxt(body, dtype=_RECORD, ndmin=1, comments=None)
-        return SparseSetFunction(ground, records["mask"], records["value"])
-    except (ValueError, Warning):
-        return None
-
-
-def _report_fault(path, lines: list[str], n: int, kind: str) -> NoReturn:
-    """Raise the SetFnFormatError of the first faulty data line of a body
-    that `_read_entries` refused, or of a dense body that misses masks."""
+def _walk_body(path, lines: list[str], n: int, kind: str) -> tuple[list[int], list[float]]:
+    """The masks and values of the data lines after the 4 header `lines`, in
+    file order.  The first faulty line raises its SetFnFormatError, and a
+    dense body that misses masks raises at the line after the last."""
 
     def fail(line_no: int, message: str) -> NoReturn:
         raise SetFnFormatError(path, line_no, message)
 
     size = 1 << n
+    masks: list[int] = []
+    values: list[float] = []
     seen: set[int] = set()
     for line_no, line in enumerate(lines[4:], start=5):
-        if not line.strip():
-            continue
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 2:
             fail(line_no, f"expected '<mask> <value>', got {line!r}")
         try:
@@ -235,14 +220,17 @@ def _report_fault(path, lines: list[str], n: int, kind: str) -> NoReturn:
             fail(line_no, f"value is not a number: {parts[1]!r}")
         if not math.isfinite(value):
             fail(line_no, f"value is not finite: {parts[1]!r}")
+        masks.append(mask)
+        values.append(value)
 
-    if kind == "dense" and len(seen) != size:
-        fail(len(lines) + 1, f"dense file must list all {size} masks, got {len(seen)}")
-    fail(5, "the data lines could not be read")
+    if kind == "dense" and len(masks) != size:
+        fail(len(lines) + 1, f"dense file must list all {size} masks, got {len(masks)}")
+    return masks, values
 
 
 def _number(convert, token: str):
-    """`convert(token)` within `np.loadtxt`'s grammar: ASCII, no `_`."""
+    """`convert(token)` of an ASCII token without `_`: the format has no
+    digit separators and no digits but ASCII ones."""
     if "_" in token or not token.isascii():
         raise ValueError(token)
     return convert(token)
@@ -292,7 +280,9 @@ def _write_arrays(path, n: int, kind: str, model: int | None, masks, values) -> 
 
 
 def write_setfn(path, fn) -> None:
-    """Write a SetFunction, SparseSetFunction, or Spectrum."""
+    """Write a SetFunction, SparseSetFunction, Spectrum or SparseSpectrum.
+    Sparse set functions are written in mask order, sparse spectra in their
+    support order."""
     if isinstance(fn, SetFunction):
         _write_arrays(path, fn.ground.n, "dense", None, None, fn.values)
     elif isinstance(fn, SparseSetFunction):
@@ -300,6 +290,8 @@ def write_setfn(path, fn) -> None:
         _write_arrays(path, fn.ground.n, "sparse", None, fn.masks[order], fn.values[order])
     elif isinstance(fn, Spectrum):
         _write_arrays(path, fn.ground.n, "dense", fn.model, None, fn.coeffs)
+    elif isinstance(fn, SparseSpectrum):
+        _write_arrays(path, fn.ground.n, "sparse", fn.model, fn.freqs, fn.coeffs)
     else:
         raise TypeError(f"cannot serialize {type(fn).__name__}")
 

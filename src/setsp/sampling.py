@@ -418,8 +418,7 @@ def with_dominant_offset(
 
 
 def save_sparse_spectrum(path, spectrum: SparseSpectrum) -> None:
-    setfn_io._write_arrays(path, spectrum.ground.n, "sparse", spectrum.model,
-                           spectrum.freqs, spectrum.coeffs)
+    setfn_io.write_setfn(path, spectrum)
 
 
 def load_sparse_spectrum(path) -> SparseSpectrum:

@@ -192,7 +192,7 @@ def test_non_finite_covariance_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_oracle_spec_errors():
+def test_oracle_spec_errors(tmp_path, capsys):
     with pytest.raises(ValueError, match="unknown oracle kind"):
         parse_oracle_spec("mystery:thing")
     with pytest.raises(ValueError, match="parameters"):
@@ -202,9 +202,17 @@ def test_oracle_spec_errors():
     for spec, message in (("n=6,k=5,seed=1,kk=9", "has no key 'kk'"),
                           ("n=6,k=5,sed=1,seed=2", "has no key 'sed'"),
                           ("n=6,k=5,seed=1,n=7", "repeats key 'n'"),
-                          ("n=6, k=5,seed=1,seed=1", "repeats key 'seed'")):
-        with pytest.raises(ValueError, match=message):
+                          ("n=6, k=5,seed=1,seed=1", "repeats key 'seed'"),
+                          ("n=8,k,seed=1", "needs an integer k=..., got 'k'"),
+                          ("n,k=3,seed=1", "needs an integer n=..., got 'n'"),
+                          ("n=8,k=3,seed=", "needs an integer seed=..., got 'seed='"),
+                          ("n=eight,k=3,seed=1", "needs an integer n=..., got 'n=eight'"),
+                          ("n=8,k=3, seed=1.5", "needs an integer seed=..., got 'seed=1.5'")):
+        with pytest.raises(ValueError, match=f"^synthetic-sparse oracle {re.escape(message)}$"):
             parse_oracle_spec(f"synthetic-sparse:{spec}")
+    rc = main(["compress", "--oracle", "synthetic-sparse:n=8,k,seed=1", "--seed", "1",
+               "--out", str(tmp_path / "c.csv")])
+    assert rc == 2 and "needs an integer k=..., got 'k'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model", [1, 3, 5])

@@ -108,6 +108,20 @@ def test_check_masks_passes_int64_and_names_the_first_non_mask():
         g.check_mask(0.5)
 
 
+@pytest.mark.parametrize("masks,dtype", [
+    (True, "bool"), ([True, False], "bool"), (np.ones(2, dtype=bool), "bool"),
+    (1 + 0j, "complex128"), ([1 + 0j, 2], "complex128"), (np.ones(2, np.complex64), "complex64"),
+    ("1", "<U1"), (["1", "2"], "<U1"), (b"1", "|S1"), (np.array([b"12"]), "|S2"),
+])
+def test_check_masks_refuses_bool_complex_and_text_dtypes(masks, dtype):
+    # a ComplexWarning would fail the test: pytest turns warnings into errors
+    message = f"mask must be an integer, got dtype {re.escape(dtype)}$"
+    with pytest.raises(ValueError, match=f"^{message}"):
+        GroundSet(3).check_masks(masks)
+    with pytest.raises(ValueError, match=f"^support {message}"):
+        SparseSupport(GroundSet(3), np.atleast_1d(masks))
+
+
 def test_dense_container_cap():
     with pytest.raises(ValueError, match="dense"):
         SetFunction(GroundSet(31), np.zeros(8))

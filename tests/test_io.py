@@ -186,6 +186,28 @@ def test_write_entries_bytes():
         )
 
 
+@pytest.mark.parametrize("model", [1, 4, 5])
+def test_write_setfn_writes_a_sparse_spectrum_in_support_order(tmp_path, model):
+    ground = GroundSet(40)
+    freqs = [7, 1 << 39, 0, 3, (1 << 40) - 1, 12]
+    spec = SparseSpectrum(ground, model, freqs, [0.1, -0.0, 5e-324, 1e300, -2.5, 3.0])
+    path, old, ref = tmp_path / "spec.setfn", tmp_path / "old.setfn", tmp_path / "ref.setfn"
+    setfn_io.write_setfn(path, spec)
+    setfn_io._write_arrays(old, 40, "sparse", model, spec.freqs, spec.coeffs)
+    write_setfn_reference(ref, 40, "sparse", model, zip(spec.freqs, spec.coeffs))
+    assert path.read_bytes() == old.read_bytes() == ref.read_bytes()
+    assert spec.freqs.tolist() == [0, 1 << 39, 3, 12, 7, (1 << 40) - 1]
+    back = sampling.load_sparse_spectrum(path)
+    assert back.model == model and back.freqs.tobytes() == spec.freqs.tobytes()
+    assert back.coeffs.tobytes() == spec.coeffs.tobytes()
+    # the sampling layer's savers write through it
+    with mock.patch.object(setfn_io, "write_setfn", wraps=setfn_io.write_setfn) as write:
+        sampling.save_sparse_spectrum(old, spec)
+        sampling.save_support(ref, spec.support)
+    assert write.call_count == 2 and old.read_bytes() == path.read_bytes()
+    assert sampling.load_support(ref).freqs.tobytes() == spec.freqs.tobytes()
+
+
 def test_dense_any_order(tmp_path):
     path = _write(
         tmp_path / "shuffled.setfn",
@@ -411,7 +433,7 @@ def test_dense_writes_refuse_a_value_that_is_not_finite(tmp_path, value):
 
 
 # Text forms of one value: what the writer emits and other spellings of the
-# same float that `float` and `np.loadtxt` both read.
+# same float that `float` reads.
 VALUE_TEXT = st.sampled_from([repr, lambda v: format(v, ".17e"), lambda v: format(v, ".17g"),
                               lambda v: format(v, "+.25g")])
 SEPARATOR = st.sampled_from([" ", "\t", "  ", " \t "])
@@ -546,9 +568,9 @@ def _body(texts) -> str:
     return "".join(f"{mask} {text}\n" for mask, text in enumerate(texts))
 
 
-def _no_loadtxt():
+def _no_walk():
     """A context in which a parse that leaves the word path fails."""
-    return mock.patch.object(np, "loadtxt", side_effect=AssertionError("left the word path"))
+    return mock.patch.object(setfn_io, "_walk_body", side_effect=AssertionError("left the word path"))
 
 
 def _assert_reads_as_float(path, texts):
@@ -572,7 +594,7 @@ def test_word_path_gives_the_bits_of_float_in_every_binade(tmp_path, spell):
     path = tmp_path / "f.setfn"
     normal = [spell(v) for v, b in zip(values, biased.tolist()) if b > 0]
     _write(path, HEADER + _body(normal))
-    with _no_loadtxt():
+    with _no_walk():
         _assert_reads_as_float(path, normal)
     every = [spell(v) for v in values]
     _write(path, HEADER + _body(every))
@@ -589,7 +611,7 @@ def test_word_path_gives_the_bits_of_float_on_random_patterns(data, spell):
     texts = [spell(v) for v in np.array(bits, np.uint64).view(np.float64).tolist()]
     with tempfile.TemporaryDirectory() as tmp:
         path = _write(Path(tmp) / "f.setfn", HEADER + _body(texts))
-        with _no_loadtxt():
+        with _no_walk():
             _assert_reads_as_float(path, texts)
 
 
@@ -619,25 +641,31 @@ def test_hard_decimals_read_as_float_reads_them(tmp_path, text, word_path):
     texts = ["1.5", text, "-0.25"]
     path = _write(tmp_path / "f.setfn", HEADER + _body(texts))
     if word_path:
-        with _no_loadtxt():
+        with _no_walk():
             _assert_reads_as_float(path, texts)
     else:
         _assert_reads_as_float(path, texts)
 
 
 def test_word_path_guard(tmp_path):
-    # a file the writer wrote reads without `np.loadtxt`, and the same file
-    # with tabs between the fields reads through it, to the same bits
+    # a file the writer wrote never reaches the line walk; the same file
+    # with tabs between the fields is walked once, to the same bits, and so
+    # is that file with a fault on its last line
     fn = SetFunction(GroundSet(16), np.random.default_rng(16).standard_normal(1 << 16) * 1e-3)
     path = tmp_path / "sig.setfn"
     setfn_io.write_setfn(path, fn)
-    with _no_loadtxt():
+    with _no_walk():
         assert setfn_io.read_setfn(path).values.tobytes() == fn.values.tobytes()
     head, body = path.read_text(encoding="utf-8").split("model none\n")
     tabs = _write(tmp_path / "tabs.setfn", head + "model none\n" + body.replace(" ", "\t"))
-    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+    with mock.patch.object(setfn_io, "_walk_body", wraps=setfn_io._walk_body) as walk:
         assert setfn_io.read_setfn(tabs).values.tobytes() == fn.values.tobytes()
-    assert loadtxt.call_count == 1
+    assert walk.call_count == 1
+    _write(tabs, tabs.read_text(encoding="utf-8").rpartition("\t")[0] + "\t1.0.0\n")
+    with mock.patch.object(setfn_io, "_walk_body", wraps=setfn_io._walk_body) as walk:
+        with pytest.raises(SetFnFormatError, match=r":65540: value is not a number: '1\.0\.0'$"):
+            setfn_io.read_setfn(tabs)
+    assert walk.call_count == 1
 
 
 # Faulty lines in a body that is otherwise in the writer's grammar; "{m}" is
