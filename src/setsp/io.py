@@ -15,11 +15,13 @@ Set-function files ("setfn v1") look like::
 `f"{mask} {value!r}\n"`: values are written as `repr` writes them, the
 shortest decimal that reads back as the same double, so a write/read round
 trip reproduces the exact float64 bits.  The writer builds those bytes 8,192
-lines at a time with numpy (`setsp.ryu`): the vectorized Ryu kernel (Adams,
-PLDI 2018) finds the digits of each distinct bit pattern in the block once
-(the spectra of band-limited and integer signals repeat few values), and the
-text of all the block's lines is laid out in words and compressed in one
-pass.  `repr` stays the reference the tests hold the writer to.
+lines at a time with numpy (`setsp.dragonbox`): the vectorized Dragonbox
+kernel (Jeon, 2020) finds each value's shortest digits with one integer
+product and divisions by constants, only once per distinct bit pattern when
+the block's first values repeat (the spectra of band-limited and integer
+signals repeat few values), and the text of all the block's lines is laid
+out in words and compressed in one pass.  `repr` stays the reference the
+tests hold the writer to.
 
 A data line is a mask and a value separated by whitespace; blank lines are
 skipped.  A body in the writer's own grammar (one space, a final newline, a
@@ -27,12 +29,14 @@ mask of at most 18 digits, a value of at most 19 significant digits, and no
 line break in the header but `\n`) is read from the file's bytes by
 `setsp.lemire`, 8,192 lines at a time on uint64 lanes, to the bits `float`
 gives.  Any other body, or one that the checks refuse, is read by one walk
-over its lines, which collects the masks and values and raises at the first
-faulty line.  Its number grammar is the file's: a mask is an optional sign
-and ASCII digits, a value is what `float` reads from ASCII text without `_`
-digit separators (inf and nan parse, and are then refused as not finite).
-The walk costs about 1.3 us a line: a 65,536-line body with tabs between
-the fields reads in about 85 ms, against 16 ms in the writer's grammar.
+over its lines, which collects the masks and values, checks each line once
+and raises at the first faulty one; a first data line outside the grammar
+(a tab, a CR, a blank line) sends the body to the walk at once.  Its number
+grammar is the file's: a mask is an optional sign and ASCII digits, a value
+is what `float` reads from ASCII text without `_` digit separators (inf and
+nan parse, and are then refused as not finite).  The walk costs about 1 us
+a line: in process on a 2-vCPU Xeon, a 65,536-line body with tabs between
+the fields reads in 60-110 ms, against 12-17 ms in the writer's grammar.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .core import (
 
 MAGIC = "setfn v1"
 
-# Data lines formatted per call of `ryu.data_lines`: about 2 MiB of arrays
+# Data lines formatted per call of `dragonbox.data_lines`: about 2 MiB of arrays
 # at most, and the only ones the writer holds at a time.
 _WRITE_BLOCK = 1 << 13
 
@@ -76,9 +80,9 @@ class SetFnFile:
     """Parsed and validated contents of a setfn v1 file.
 
     `masks` (int64) and `values` (float64) are aligned, read-only arrays in
-    file order, checked by `SparseSetFunction`: the masks are distinct and in
-    [0, 2**n), every value is finite, and a dense file lists all 2**n masks
-    in any order.
+    file order, checked once, by `SparseSetFunction` on the word path or line
+    by line by the walk: the masks are distinct and in [0, 2**n), every value
+    is finite, and a dense file lists all 2**n masks in any order.
     """
 
     n: int
@@ -107,8 +111,7 @@ def parse_setfn(path) -> SetFnFile:
     # translates, so these are the lines a text-mode read gives
     lines = text.decode("utf-8").splitlines()
     n, kind, model = _parse_header(path, lines)
-    fn = SparseSetFunction(GroundSet(n), *_walk_body(path, lines, n, kind))
-    return SetFnFile(n, kind, model, fn.masks, fn.values)
+    return SetFnFile(n, kind, model, *_walk_body(path, lines, n, kind))
 
 
 def _read_strict(path, text: bytes) -> SetFnFile | None:
@@ -126,6 +129,12 @@ def _read_strict(path, text: bytes) -> SetFnFile | None:
     try:
         n, kind, model = _parse_header(path, head.decode().split("\n"))
     except SetFnFormatError:
+        return None
+    # a first data line with a tab, a CR or a second space, or a blank one,
+    # is plainly foreign: no need to scan the body for separators
+    newline = text.find(b"\n", end + 1)
+    mask, _, value = text[end + 1:newline if newline > 0 else None].partition(b" ")
+    if not mask.isdigit() or not value or min(value) <= 32:
         return None
     from .lemire import data_pairs  # compiled on the first parse, not by `import setsp`
 
@@ -187,9 +196,10 @@ def _header_fields(n_text: str, kind: str, model_text: str) -> tuple[int, int | 
     raise _HeaderFault(4, f"model must be none or 1..5, got {model_text!r}")
 
 
-def _walk_body(path, lines: list[str], n: int, kind: str) -> tuple[list[int], list[float]]:
+def _walk_body(path, lines: list[str], n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """The masks and values of the data lines after the 4 header `lines`, in
-    file order.  The first faulty line raises its SetFnFormatError, and a
+    file order, as read-only int64 and float64 arrays, checked here and
+    nowhere else.  The first faulty line raises its SetFnFormatError, and a
     dense body that misses masks raises at the line after the last."""
 
     def fail(line_no: int, message: str) -> NoReturn:
@@ -225,7 +235,10 @@ def _walk_body(path, lines: list[str], n: int, kind: str) -> tuple[list[int], li
 
     if kind == "dense" and len(masks) != size:
         fail(len(lines) + 1, f"dense file must list all {size} masks, got {len(masks)}")
-    return masks, values
+    arrays = np.array(masks, np.int64), np.array(values, np.float64)
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def _number(convert, token: str):
@@ -269,7 +282,7 @@ def _write_arrays(path, n: int, kind: str, model: int | None, masks, values) -> 
         if kind == "dense" and len(fn) != 1 << n:
             raise ValueError(f"dense file must list all {1 << n} masks, got {len(fn)}")
         masks, values = fn.masks, fn.values
-    from .ryu import data_lines  # compiled on the first write, not by `import setsp`
+    from .dragonbox import data_lines  # compiled on the first write, not by `import setsp`
 
     with open(path, "wb") as fh:
         fh.write(f"{MAGIC}\nn {n}\nkind {kind}\nmodel {model_text}\n".encode())

@@ -2,7 +2,7 @@
 by numpy on uint64 lanes, with the bits `int` and `float` give.
 
 `data_pairs(text, start)` reads the lines `"<mask> <value>\\n"` that follow
-byte `start` of a file, in the grammar the writer (`setsp.ryu`) keeps to:
+byte `start` of a file, in the grammar the writer (`setsp.dragonbox`) keeps to:
 one space and one newline per line, the newline last; a mask of 1 to 18
 ASCII digits; a value `-?D+(\\.D+)?(e[+-]D{1,3})?` with at most 19
 significant digits.  Any other body, and a value it cannot decide, gives
@@ -26,7 +26,8 @@ second", 2019) check and read 8 digits per word.  A value is then
   bits under the mantissa.  Mushtak and Lemire ("Fast number parsing without
   fallback", SPE 2023) prove that this is correctly rounded for every w
   below 10**19.  A subnormal or infinite result, or q outside the table,
-  is left undecided.
+  is left undecided, and `float` of its text decides it: one line's
+  subnormal keeps its body on this path, and an infinity gives None.
 
 `setsp.io` imports this module on its first parse, so that `import setsp`
 does not compile it.
@@ -130,21 +131,19 @@ def _mul(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a1 * b1 + (cross >> 32) + (other >> 32) + (mid >> 32), mid << 32 | low & _M32
 
 
-def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> np.ndarray | None:
+def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The float64 bits of w * 10**q for nonzero w below 10**19, rounded to
-    nearest even, or None when q is outside the table or a result is
-    subnormal or infinite."""
-    if q.min() < _Q_MIN or q.max() > _Q_MAX:
-        return None
+    nearest even, and whether each is left undecided: q outside the table,
+    or a subnormal or infinite result."""
     log2 = (w.astype(np.float64).view(np.uint64) >> 52) - np.uint64(1023)  # may round up
     log2 -= (w >> log2) == 0
     w = w << 63 - log2
     high_words, low_words = _table()
     index = q - _Q_MIN
-    high, low = _mul(w, high_words[index])
+    high, low = _mul(w, high_words.take(index, mode="clip"))
     again = np.flatnonzero(high & 0x1FF == 0x1FF)
     if again.size:
-        extra = _mul(w[again], low_words[index[again]])[0]
+        extra = _mul(w[again], low_words.take(index[again], mode="clip"))[0]
         sum_low = low[again] + extra
         high[again] += sum_low < extra
         low[again] = sum_low
@@ -158,29 +157,25 @@ def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> np.ndarray | None:
                            & (m << upper[near] + np.uint64(9) == high[near]))
     mantissa = mantissa + (mantissa & 1) >> 1  # 2**52 to 2**53
     biased = (217706 * q >> 16) + (upper + log2).astype(np.int64) + 1022  # less one
-    if biased.min() < 0:
-        return None
     bits = (biased.astype(np.uint64) << 52) + mantissa  # a carry moves to the exponent
-    if bits.max() >= 0x7FF0000000000000:
-        return None
-    return bits
+    outside = index.view(np.uint64) > _Q_MAX - _Q_MIN
+    return bits, outside | (biased < 0) | (bits >= 0x7FF0000000000000)
 
 
-def _values(w: np.ndarray, q: np.ndarray) -> np.ndarray | None:
-    """The float64 bits of w * 10**q (w below 10**19), or None when one of
-    them is left undecided."""
+def _values(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 bits of w * 10**q (w below 10**19), and the lanes left
+    undecided."""
     rest = np.flatnonzero(((w > 1 << 53) | (q < -22) | (q > 22)) & (w != 0))
     if rest.size == w.size:
-        return _eisel_lemire(w, q)
+        bits, undecided = _eisel_lemire(w, q)
+        return bits, np.flatnonzero(undecided)
     scale = _POW10[np.minimum(np.abs(q), 22)]
     f = w.astype(np.float64)
     bits = np.where(q < 0, f / scale, f * scale).view(np.uint64)
-    if rest.size:
-        slow = _eisel_lemire(w[rest], q[rest])
-        if slow is None:
-            return None
-        bits[rest] = slow
-    return bits
+    if not rest.size:
+        return bits, rest
+    bits[rest], undecided = _eisel_lemire(w[rest], q[rest])
+    return bits, rest[undecided]
 
 
 def _block(data: np.ndarray, words: np.ndarray, begin: np.ndarray, space: np.ndarray,
@@ -224,9 +219,13 @@ def _block(data: np.ndarray, words: np.ndarray, begin: np.ndarray, space: np.nda
     w = _number(rows)
     if w is None:
         return None
-    bits = _values(w, exponent - np.where(point >= 0, width - 1 - point, 0))
-    if bits is None:
-        return None
+    bits, undecided = _values(w, exponent - np.where(point >= 0, width - 1 - point, 0))
+    if undecided.size:  # `float` of their text decides them; the walk refuses an infinity
+        exact = np.array([float(data[a:b].tobytes()) for a, b in zip(space[undecided] + 1,
+                                                                      end[undecided])])
+        if np.isinf(exact).any():
+            return None
+        bits[undecided] = exact.view(np.uint64)
     return masks.astype(np.int64), bits | negative.astype(np.uint64) << 63
 
 

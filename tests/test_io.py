@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from setsp import dragonbox, lemire
 from setsp import io as setfn_io
 from setsp import sampling
 from setsp.cli import main
@@ -403,6 +405,49 @@ def test_writer_gives_the_bytes_of_repr_on_a_million_values(tmp_path):
     assert path.read_bytes() == f"setfn v1\nn 62\nkind sparse\nmodel none\n{want}".encode()
 
 
+# Values that reach each branch of the digit kernel, `dragonbox.shortest`.
+KERNEL_BRANCHES = [
+    3.8, 123.0, 1e22, 4.5e-300,  # the big divisor (1000), with trailing zeros
+    7.287756917509179e16, 9.888722976466939e16,  # an excluded right end, r = 0
+    77.61416058272481, 0.5194618635960631,  # r = delta, and the left end is out
+    0.0671, 7e22,  # r = delta, and the left end is in
+    9.835878635255836, 66.14288099718704,  # a remainder 100 divides: y's parity steps down, or not
+    713729375387.9062, 75482763453671.88,  # ... and y is an integer: a tie to the even digit
+    0.5, 1024.0, 2.0**-1000, 2.0**1023,  # normal powers of two, from the table
+    2.0**-1022, 5e-324, 1e-323, 2.225073858507201e-308,  # 2**-1022 and subnormals
+]
+
+
+def test_every_branch_of_the_digit_kernel_gives_the_bytes_of_repr(tmp_path):
+    values = KERNEL_BRANCHES + [-v for v in KERNEL_BRANCHES]
+    pairs = list(enumerate(values))
+    _assert_writes_reference_bytes(tmp_path, 8, [
+        (lambda p: setfn_io.write_entries(p, 6, "sparse", None, pairs),
+         (6, "sparse", None, pairs)),
+    ])
+    lines = (tmp_path / "got.setfn").read_text(encoding="utf-8").splitlines()[4:]
+    assert lines == [f"{mask} {value!r}" for mask, value in pairs]
+
+
+def test_formatting_repeated_values_once_never_changes_the_bytes(tmp_path):
+    # the block's sample of leading values has no repeat, so it formats every
+    # line; its reverse leads with the repeats and formats each distinct bit
+    # pattern once
+    head = np.random.default_rng(256).standard_normal(dragonbox._SAMPLE)
+    values = np.concatenate([head, head[:100], [0.0, -0.0, 5e-324, 0.0, -0.0]]).tolist()
+    assert len(set(values[:dragonbox._SAMPLE])) == dragonbox._SAMPLE
+    assert len(set(values[::-1][:dragonbox._SAMPLE])) < dragonbox._SAMPLE
+    forward, backward = list(enumerate(values)), list(enumerate(values))[::-1]
+    _assert_writes_reference_bytes(tmp_path, 1 << 13, [
+        (lambda p: setfn_io.write_entries(p, 12, "sparse", None, forward),
+         (12, "sparse", None, forward)),
+    ])
+    lines = (tmp_path / "got.setfn").read_text(encoding="utf-8").splitlines()
+    setfn_io.write_entries(tmp_path / "back.setfn", 12, "sparse", None, backward)
+    back = (tmp_path / "back.setfn").read_text(encoding="utf-8").splitlines()
+    assert back[:4] == lines[:4] and back[4:] == lines[4:][::-1]
+
+
 def test_dense_write_holds_one_block_of_lines(tmp_path):
     # n=20, every value distinct: the writer holds the Python objects of one
     # block and the finiteness check's 1 MiB of flags, and no 8 MiB arrays of
@@ -585,7 +630,7 @@ def _assert_reads_as_float(path, texts):
 @pytest.mark.parametrize("spell", [repr, lambda v: format(v, ".16e")], ids=["repr", ".16e"])
 def test_word_path_gives_the_bits_of_float_in_every_binade(tmp_path, spell):
     # 24 random bit patterns of each sign in each of the 2,047 finite binades;
-    # a body with subnormals leaves the word path as a whole
+    # `float` decides the subnormals on the word path
     rng = np.random.default_rng(1024)
     biased = np.repeat(np.arange(2047, dtype=np.uint64), 48)
     bits = (biased << 52 | rng.integers(0, 1 << 52, biased.size, dtype=np.uint64)
@@ -598,7 +643,8 @@ def test_word_path_gives_the_bits_of_float_in_every_binade(tmp_path, spell):
         _assert_reads_as_float(path, normal)
     every = [spell(v) for v in values]
     _write(path, HEADER + _body(every))
-    _assert_reads_as_float(path, every)
+    with _no_walk():
+        _assert_reads_as_float(path, every)
 
 
 @settings(max_examples=60, deadline=None)
@@ -617,8 +663,9 @@ def test_word_path_gives_the_bits_of_float_on_random_patterns(data, spell):
 
 # Decimals whose nearest double is hard to find: halfway and near-halfway
 # cases, the normal and subnormal extremes and 19 significant digits.  The
-# last column says whether the word path reads them: subnormal results and
-# exponents without a sign leave it.
+# last column says whether the test holds them to the word path: exponents
+# without a sign leave it (subnormal results stay on it, see
+# `test_word_path_decides_subnormal_and_underflowing_values`).
 HARD = [
     ("9007199254740993", True), ("9007199254740993.0", True), ("-9007199254740995", True),
     ("2.2250738585072011e-308", False), ("2.2250738585072014e-308", True),
@@ -647,6 +694,20 @@ def test_hard_decimals_read_as_float_reads_them(tmp_path, text, word_path):
         _assert_reads_as_float(path, texts)
 
 
+# Values whose nearest double is subnormal or zero, which Eisel-Lemire leaves
+# to `float`: the word path keeps their body.
+UNDERFLOWING = ["2.2250738585072011e-308", "2.4703282292062327e-324", "2.4703282292062328e-324",
+                "4.9406564584124654e-324", "-5e-324", "1e-310", "-9.99e-309", "-1e-400", "1e-999",
+                "123456789012345678e-340", "2.2250738585072009e-308"]
+
+
+def test_word_path_decides_subnormal_and_underflowing_values(tmp_path):
+    texts = ["1.5", *UNDERFLOWING, "-0.25"]
+    path = _write(tmp_path / "f.setfn", HEADER + _body(texts))
+    with _no_walk():
+        _assert_reads_as_float(path, texts)
+
+
 def test_word_path_guard(tmp_path):
     # a file the writer wrote never reaches the line walk; the same file
     # with tabs between the fields is walked once, to the same bits, and so
@@ -668,12 +729,76 @@ def test_word_path_guard(tmp_path):
     assert walk.call_count == 1
 
 
+def test_plainly_foreign_bodies_skip_the_separator_scan(tmp_path):
+    # the first data line shows a body outside the writer's grammar: its
+    # body is walked with no separator scan, to the same entries
+    fn = SparseSetFunction(GroundSet(9), [0, 3, 17, 511], [0.5, -0.0, 5e-324, -1e300])
+    path = tmp_path / "f.setfn"
+    setfn_io.write_setfn(path, fn)
+    text = path.read_text(encoding="utf-8")
+    head, body = text.split("model none\n")
+    head += "model none\n"
+    foreign = {"tabs": head + body.replace(" ", "\t"), "crlf": text.replace("\n", "\r\n"),
+               "crlf body": head + body.replace("\n", "\r\n"), "blank": head + "\n" + body,
+               "indent": head + " " + body, "two spaces": head + body.replace(" ", "  ", 1)}
+    with mock.patch.object(lemire, "data_pairs", wraps=lemire.data_pairs) as scan:
+        assert setfn_io.read_setfn(path).masks.tolist() == [0, 3, 17, 511]
+        assert scan.call_count == 1
+        for name, variant in foreign.items():
+            fast, ref = _parse_both(_write(tmp_path / "foreign.setfn", variant))
+            assert fast.masks.tobytes() == ref.masks.tobytes() == fn.masks.tobytes(), name
+            assert _same_bits(fast.values, ref.values) and _same_bits(fast.values, fn.values)
+        assert scan.call_count == 1
+
+
+def test_walked_body_is_checked_once_into_read_only_arrays(tmp_path):
+    # the walk's checks are the only ones: no `SparseSetFunction` is built,
+    # and the arrays are those it would have built, in file order
+    masks, values = [5, 0, 62, 7, 1], [1.5, -0.0, 5e-324, -1e300, 2.0]
+    path = _write(tmp_path / "tabs.setfn", "setfn v1\nn 6\nkind sparse\nmodel 3\n"
+                  + "".join(f"{m}\t{v!r}\n" for m, v in zip(masks, values)))
+    twice = AssertionError("checked twice")
+    with mock.patch.object(setfn_io, "SparseSetFunction", side_effect=twice):
+        got = setfn_io.parse_setfn(path)
+    want = SparseSetFunction(GroundSet(6), masks, values)
+    for array, before in ((got.masks, want.masks), (got.values, want.values)):
+        assert array.dtype == before.dtype and array.tobytes() == before.tobytes()
+        assert not array.flags.writeable
+    assert (got.n, got.kind, got.model) == (6, "sparse", 3)
+
+
+# Each refusal of the line walk, on a tab-separated body: the line and the
+# whole message.
+WALK_REFUSALS = [
+    ("sparse", "1\t1.0\n7\t1.0\n", 6, "mask 7 out of range for n=2"),
+    ("sparse", "1\t1.0\n-1\t1.0\n", 6, "mask -1 out of range for n=2"),
+    ("sparse", "1\t1.0\n\n1\t2.0\n", 7, "duplicate mask 1"),
+    ("sparse", "0\t1.0\n3\tinf\n", 6, "value is not finite: 'inf'"),
+    ("sparse", "0\t1e999\n", 5, "value is not finite: '1e999'"),
+    ("sparse", "0\tnan\n", 5, "value is not finite: 'nan'"),
+    ("sparse", "2\tabc\n", 5, "value is not a number: 'abc'"),
+    ("sparse", "x\t1.0\n", 5, "mask is not an integer: 'x'"),
+    ("sparse", "0\t1.0\t2.0\n", 5, "expected '<mask> <value>', got '0\\t1.0\\t2.0'"),
+    ("dense", "0\t1.0\n1\t1.0\n3\t1.0\n", 8, "dense file must list all 4 masks, got 3"),
+]
+
+
+@pytest.mark.parametrize("kind,body,line,message", WALK_REFUSALS)
+def test_walk_refusals_keep_their_line_and_message(tmp_path, kind, body, line, message):
+    path = _write(tmp_path / "bad.setfn", f"setfn v1\nn 2\nkind {kind}\nmodel none\n{body}")
+    with pytest.raises(SetFnFormatError) as err:
+        setfn_io.parse_setfn(path)
+    assert (err.value.line, str(err.value)) == (line, f"{path}:{line}: {message}")
+    with pytest.raises(SetFnFormatError, match=f"^{re.escape(str(err.value))}$"):
+        parse_setfn_reference(path)
+
+
 # Faulty lines in a body that is otherwise in the writer's grammar; "{m}" is
 # the mask of the line replaced, "{e}" an earlier mask, "{n}" 2**n.
 STRICT_FAULTS = ["{n} 1.0", "1234567890123456789 1.0", "9223372036854775808 1.0",
                  "18446744073709551619 1.0", "{e} 2.5", "{m} 1e400", "{m} -1e+400", "{m} 1.0.0",
-                 "{m} 1e", "{m} --1", "{m} -", "{m} 1.", "{m} .5", "{m} +1.0", "{m} 1E+5",
-                 "{m} 1e+0005", "{m} inf", "{m} 1.7976931348623159e+308"]
+                 "{m} 1e+999", "{m} 1e", "{m} --1", "{m} -", "{m} 1.", "{m} .5", "{m} +1.0",
+                 "{m} 1E+5", "{m} 1e+0005", "{m} inf", "{m} 1.7976931348623159e+308"]
 
 
 @pytest.mark.parametrize("fault", STRICT_FAULTS)
@@ -706,7 +831,8 @@ def test_crlf_bodies_read_as_the_reference_reads_them(tmp_path):
 
 
 def test_import_compiles_neither_text_kernel():
-    code = "import sys, setsp; print(sorted(m for m in sys.modules if m in ('setsp.ryu', 'setsp.lemire')))"
+    code = ("import sys, setsp; print(sorted(m for m in sys.modules"
+            " if m in ('setsp.dragonbox', 'setsp.lemire')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=str(Path(setfn_io.__file__).parents[1])))
     assert done.stdout.strip() == "[]"
