@@ -49,7 +49,6 @@ from .coverage import (
     GaussianModel,
     MiReport,
     coverage_dense,
-    coverage_eval,
     coverage_from_setfunction,
     entropy_setfunction,
     fragment_weights_spectrum,

@@ -38,7 +38,7 @@ from .coverage import (
 from .compression import (
     RNG_ALGORITHM,
     SetFunctionOracle,
-    estimate_relative_error,
+    estimate_relative_errors,
 )
 from . import experiments
 from . import sampling as sampling_mod
@@ -209,12 +209,12 @@ def cmd_error(args) -> int:
     oracle = parse_oracle_spec(args.oracle)
     spec = sampling_mod.load_sparse_spectrum(args.approx)
     started = time.perf_counter()
-    err = estimate_relative_error(
+    err = estimate_relative_errors(
         oracle,
-        lambda masks: sampling_mod.eval_sparse_many(spec, masks),
+        [lambda masks: sampling_mod.eval_sparse_many(spec, masks)],
         args.probes,
         seed=args.seed,
-    )
+    )[0]
     elapsed = time.perf_counter() - started
     row = ExperimentRow(
         f"sparse{spec.model}-eval", oracle.ground.n, f"k={len(spec.support)}", args.probes,

@@ -59,6 +59,8 @@ class SetFunctionOracle:
         self.queries = 0
 
     def query(self, mask: int) -> float:
+        """The value at one mask.  The library calls `query_many`; this one
+        stays because the bench tracer's `ATTRS` names it."""
         mask = self.ground.check_mask(mask)
         self.queries += 1
         return float(self._evaluate(np.array([mask], dtype=np.int64))[0])
@@ -150,7 +152,9 @@ def wht_regression(samples: SparseSetFunction, support: SparseSupport) -> Sparse
 def estimate_relative_error(
     oracle: SetFunctionOracle, evaluate, m_samples: int = 1_000_000, *, seed: int
 ) -> float:
-    """`estimate_relative_errors` of one evaluator."""
+    """`estimate_relative_errors` of one evaluator.  The library calls the
+    batch form; this one stays because `bench/workloads.py` calls it and the
+    bench tracer reads its self time."""
     return estimate_relative_errors(oracle, [evaluate], m_samples, seed=seed)[0]
 
 

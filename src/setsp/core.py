@@ -129,6 +129,15 @@ def _check_finite(values: np.ndarray, masks) -> None:
         raise ValueError(f"value {values[at]} at mask {masks[at]} is not finite")
 
 
+def _built(cls, **fields):
+    """A frozen `cls` holding `fields` as given, without `__post_init__`: for
+    arrays the library computed or has already checked."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _frozen_array(values, length: int, *, check: bool) -> np.ndarray:
     """`values` as a read-only float64 vector of `length`: with `check` a
     checked copy (`_check_finite`), and without it the array as it is."""
@@ -160,12 +169,7 @@ class SetFunction:
         """Take ownership of `values`, an array the library computed, without
         a copy or a pass over it: unlike the constructor, it does not refuse
         non-finite values.  The caller must not mutate the array afterwards."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "ground", ground)
-        object.__setattr__(
-            obj, "values", _frozen_array(values, ground.size, check=False)
-        )
-        return obj
+        return _built(cls, ground=ground, values=_frozen_array(values, ground.size, check=False))
 
     def __call__(self, mask: int) -> float:
         return float(self.values[self.ground.check_mask(mask)])
@@ -178,6 +182,14 @@ class SetFunction:
 def _support_order(freqs: np.ndarray) -> np.ndarray:
     """The permutation that sorts masks by (cardinality, mask) ascending."""
     return np.lexsort((freqs, popcount(freqs)))
+
+
+def _taken(order, masks: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copies of aligned `masks` and `values`, taken in `order`."""
+    masks, values = masks[order], values[order]
+    masks.setflags(write=False)
+    values.setflags(write=False)
+    return masks, values
 
 
 def _checked_pairs(ground: GroundSet, masks, values, *, sort: bool, what: str = "mask"):
@@ -258,11 +270,8 @@ class Spectrum:
     def wrap(cls, ground: GroundSet, model: int, coeffs: np.ndarray) -> "Spectrum":
         """Take ownership of `coeffs` as `SetFunction.wrap` takes its values:
         no copy, no pass over them, no check that they are finite."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "ground", ground)
-        object.__setattr__(obj, "model", check_model(model))
-        object.__setattr__(obj, "coeffs", _frozen_array(coeffs, ground.size, check=False))
-        return obj
+        return _built(cls, ground=ground, model=check_model(model),
+                      coeffs=_frozen_array(coeffs, ground.size, check=False))
 
     def __call__(self, mask: int) -> float:
         return float(self.coeffs[self.ground.check_mask(mask)])
@@ -318,10 +327,7 @@ class SparseSpectrum:
     @cached_property
     def support(self) -> SparseSupport:
         """`freqs` as a SparseSupport, without a second check or sort."""
-        support = object.__new__(SparseSupport)
-        object.__setattr__(support, "ground", self.ground)
-        object.__setattr__(support, "freqs", self.freqs)
-        return support
+        return _built(SparseSupport, ground=self.ground, freqs=self.freqs)
 
 
 def masks_by_cardinality(ground: GroundSet):

@@ -14,29 +14,19 @@ Set-function files ("setfn v1") look like::
 `model` is none for signals and 1..5 for spectra.  Each data line is
 `f"{mask} {value!r}\n"`: values are written as `repr` writes them, the
 shortest decimal that reads back as the same double, so a write/read round
-trip reproduces the exact float64 bits.  The writer builds those bytes 8,192
-lines at a time with numpy (`setsp.dragonbox`): the vectorized Dragonbox
-kernel (Jeon, 2020) finds each value's shortest digits with one integer
-product and divisions by constants, only once per distinct bit pattern when
-the block's first values repeat (the spectra of band-limited and integer
-signals repeat few values), and the text of all the block's lines is laid
-out in words and compressed in one pass.  `repr` stays the reference the
-tests hold the writer to.
+trip reproduces the exact float64 bits.  `setsp.body` writes those lines and
+reads back a body in the same grammar; it describes both.
 
 A data line is a mask and a value separated by whitespace; blank lines are
-skipped.  A body in the writer's own grammar (one space, a final newline, a
-mask of at most 18 digits, a value of at most 19 significant digits, and no
-line break in the header but `\n`) is read from the file's bytes by
-`setsp.lemire`, 8,192 lines at a time on uint64 lanes, to the bits `float`
-gives.  Any other body, or one that the checks refuse, is read by one walk
-over its lines, which collects the masks and values, checks each line once
-and raises at the first faulty one; a first data line outside the grammar
-(a tab, a CR, a blank line) sends the body to the walk at once.  Its number
-grammar is the file's: a mask is an optional sign and ASCII digits, a value
-is what `float` reads from ASCII text without `_` digit separators (inf and
-nan parse, and are then refused as not finite).  The walk costs about 1 us
-a line: in process on a 2-vCPU Xeon, a 65,536-line body with tabs between
-the fields reads in 60-110 ms, against 12-17 ms in the writer's grammar.
+skipped.  A body `setsp.body` reads, under a header broken only by `\n`, is
+checked once, as a whole.  Any other body, or one the checks refuse, is read
+by one walk over its lines, which checks each line once and raises at the
+first faulty one: a mask is an optional sign and ASCII digits, a value what
+`float` reads from ASCII text without `_` (inf and nan parse, and are then
+refused as not finite).  A file that is not UTF-8 is refused at the line of
+its first bad byte.  The walk costs about 1 us a line: in process on a 2-vCPU
+Xeon, a 65,536-line body with tabs between the fields reads in 60-110 ms,
+against 12-17 ms in the writer's grammar.
 """
 
 from __future__ import annotations
@@ -56,14 +46,12 @@ from .core import (
     SparseSetFunction,
     SparseSpectrum,
     Spectrum,
+    _built,
     _check_finite,
+    _checked_pairs,
 )
 
 MAGIC = "setfn v1"
-
-# Data lines formatted per call of `dragonbox.data_lines`: about 2 MiB of arrays
-# at most, and the only ones the writer holds at a time.
-_WRITE_BLOCK = 1 << 13
 
 
 class SetFnFormatError(ValueError):
@@ -80,7 +68,7 @@ class SetFnFile:
     """Parsed and validated contents of a setfn v1 file.
 
     `masks` (int64) and `values` (float64) are aligned, read-only arrays in
-    file order, checked once, by `SparseSetFunction` on the word path or line
+    file order, checked once, by `_checked_pairs` on the word path or line
     by line by the walk: the masks are distinct and in [0, 2**n), every value
     is finite, and a dense file lists all 2**n masks in any order.
     """
@@ -109,15 +97,20 @@ def parse_setfn(path) -> SetFnFile:
         return parsed
     # `splitlines` splits at the line breaks that reading in text mode
     # translates, so these are the lines a text-mode read gives
-    lines = text.decode("utf-8").splitlines()
+    try:
+        lines = text.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((text[:exc.start].decode("utf-8") + "_").splitlines())
+        raise SetFnFormatError(path, line, f"not UTF-8: {exc.reason} "
+                               f"0x{text[exc.start]:02x}") from None
     n, kind, model = _parse_header(path, lines)
     return SetFnFile(n, kind, model, *_walk_body(path, lines, n, kind))
 
 
 def _read_strict(path, text: bytes) -> SetFnFile | None:
     """The file, when its header lines hold no line break but `\\n` and its
-    body is in the writer's own grammar (`setsp.lemire`) and passes the
-    checks; None for any other file, which `_walk_body` reads."""
+    body is one `setsp.body` reads and passes the checks; None for any other
+    file, which `_walk_body` reads."""
     end = -1
     for _ in range(4):
         end = text.find(b"\n", end + 1)
@@ -130,24 +123,18 @@ def _read_strict(path, text: bytes) -> SetFnFile | None:
         n, kind, model = _parse_header(path, head.decode().split("\n"))
     except SetFnFormatError:
         return None
-    # a first data line with a tab, a CR or a second space, or a blank one,
-    # is plainly foreign: no need to scan the body for separators
-    newline = text.find(b"\n", end + 1)
-    mask, _, value = text[end + 1:newline if newline > 0 else None].partition(b" ")
-    if not mask.isdigit() or not value or min(value) <= 32:
-        return None
-    from .lemire import data_pairs  # compiled on the first parse, not by `import setsp`
+    from . import body  # compiled on the first parse, not by `import setsp`
 
-    pairs = data_pairs(text, end + 1)
+    pairs = body.data_pairs(text, end + 1)
     if pairs is None:
         return None
     try:
-        fn = SparseSetFunction(GroundSet(n), *pairs)
+        masks, values = _checked_pairs(GroundSet(n), *pairs, sort=False)
     except ValueError:
         return None
-    if kind == "dense" and len(fn) != 1 << n:
+    if kind == "dense" and masks.size != 1 << n:
         return None
-    return SetFnFile(n, kind, model, fn.masks, fn.values)
+    return SetFnFile(n, kind, model, masks, values)
 
 
 def _parse_header(path, lines: list[str]) -> tuple[int, str, int | None]:
@@ -250,7 +237,9 @@ def _number(convert, token: str):
 
 
 def write_entries(path, n: int, kind: str, model: int | None, pairs) -> None:
-    """Low-level writer; `pairs` is an iterable of (mask, value).
+    """Low-level writer; `pairs` is an iterable of (mask, value), written in
+    the order given.  The library writes through `write_setfn`; this stays
+    because `bench/workloads.py` writes its taps file with it.
 
     What `parse_setfn` would refuse raises ValueError, with the parser's
     message, before the file is opened, so a refused write leaves an existing
@@ -261,52 +250,52 @@ def write_entries(path, n: int, kind: str, model: int | None, pairs) -> None:
     not list all 2**n masks.
     """
     pairs = list(pairs)
-    _write_arrays(path, n, kind, model, [mask for mask, _ in pairs],
-                  [value for _, value in pairs])
+    header = _header(n, kind, model)
+    masks, values = _checked_pairs(GroundSet(n), [mask for mask, _ in pairs],
+                                   [value for _, value in pairs], sort=False)
+    if kind == "dense" and masks.size != 1 << n:
+        raise ValueError(f"dense file must list all {1 << n} masks, got {masks.size}")
+    _write(path, header, masks, values)
 
 
-def _write_arrays(path, n: int, kind: str, model: int | None, masks, values) -> None:
-    """`write_entries` of aligned masks and values, checked here.  `masks`
-    None writes the 2**n values of a dense `SetFunction` or `Spectrum` in mask
-    order: only their finiteness is left to check, and each block takes its
-    masks from a range."""
+def _header(n: int, kind: str, model: int | None) -> bytes:
+    """The header lines of a file; a field `parse_setfn` would refuse raises
+    ValueError with the parser's message."""
     model_text = "none" if model is None else str(model)
     try:
         _header_fields(str(n), kind, model_text)
     except _HeaderFault as fault:
         raise ValueError(str(fault)) from None
-    if masks is None:
-        _check_finite(values, range(values.size))
-    else:
-        fn = SparseSetFunction(GroundSet(n), masks, values)
-        if kind == "dense" and len(fn) != 1 << n:
-            raise ValueError(f"dense file must list all {1 << n} masks, got {len(fn)}")
-        masks, values = fn.masks, fn.values
-    from .dragonbox import data_lines  # compiled on the first write, not by `import setsp`
+    return f"{MAGIC}\nn {n}\nkind {kind}\nmodel {model_text}\n".encode()
+
+
+def _write(path, header: bytes, masks: np.ndarray | None, values: np.ndarray) -> None:
+    """`header`, then the data lines of checked `masks` and `values`; `masks`
+    None stands for 0..values.size - 1."""
+    from . import body  # compiled on the first write, not by `import setsp`
 
     with open(path, "wb") as fh:
-        fh.write(f"{MAGIC}\nn {n}\nkind {kind}\nmodel {model_text}\n".encode())
-        for start in range(0, values.size, _WRITE_BLOCK):
-            stop = min(start + _WRITE_BLOCK, values.size)
-            block = np.arange(start, stop) if masks is None else masks[start:stop]
-            fh.write(data_lines(block, values[start:stop]))
+        fh.write(header)
+        body.write_lines(fh, masks, values)
 
 
 def write_setfn(path, fn) -> None:
     """Write a SetFunction, SparseSetFunction, Spectrum or SparseSpectrum.
     Sparse set functions are written in mask order, sparse spectra in their
-    support order."""
-    if isinstance(fn, SetFunction):
-        _write_arrays(path, fn.ground.n, "dense", None, None, fn.values)
+    support order.  The sparse containers were checked when built; a dense
+    one built by `wrap` is checked for finite values here."""
+    if isinstance(fn, (SetFunction, Spectrum)):
+        kind, masks = "dense", None
+        values = fn.values if isinstance(fn, SetFunction) else fn.coeffs
+        _check_finite(values, range(values.size))
     elif isinstance(fn, SparseSetFunction):
         order = np.argsort(fn.masks)
-        _write_arrays(path, fn.ground.n, "sparse", None, fn.masks[order], fn.values[order])
-    elif isinstance(fn, Spectrum):
-        _write_arrays(path, fn.ground.n, "dense", fn.model, None, fn.coeffs)
+        kind, masks, values = "sparse", fn.masks[order], fn.values[order]
     elif isinstance(fn, SparseSpectrum):
-        _write_arrays(path, fn.ground.n, "sparse", fn.model, fn.freqs, fn.coeffs)
+        kind, masks, values = "sparse", fn.freqs, fn.coeffs
     else:
         raise TypeError(f"cannot serialize {type(fn).__name__}")
+    _write(path, _header(fn.ground.n, kind, getattr(fn, "model", None)), masks, values)
 
 
 def read_setfn(path) -> SetFunction | SparseSetFunction:
@@ -316,7 +305,7 @@ def read_setfn(path) -> SetFunction | SparseSetFunction:
         raise SetFnFormatError(path, 4, "expected a signal file, found a spectrum")
     if rec.kind == "dense":
         return SetFunction.wrap(rec.ground, rec.dense_values())
-    return SparseSetFunction(rec.ground, rec.masks, rec.values)
+    return _built(SparseSetFunction, ground=rec.ground, masks=rec.masks, values=rec.values)
 
 
 def read_spectrum(path) -> Spectrum:

@@ -36,6 +36,9 @@ from .core import (
     GroundSet,
     SparseSpectrum,
     SparseSupport,
+    _built,
+    _support_order,
+    _taken,
     check_count,
     is_subset,
     masks_by_cardinality,
@@ -365,10 +368,9 @@ def select_support(training_spectra, k: int) -> SparseSupport:
         if sp.ground != ground:
             raise ValueError("training spectra must share a ground set")
     k = check_count(k, "support size k", 0, ground.size)
-    union = np.unique(np.concatenate([sp.freqs for sp in spectra]))
+    union, where = np.unique(np.concatenate([sp.freqs for sp in spectra]), return_inverse=True)
     score = np.zeros(union.size)
-    for sp in spectra:
-        score[np.searchsorted(union, sp.freqs)] += np.abs(sp.coeffs)
+    np.add.at(score, where, np.abs(np.concatenate([sp.coeffs for sp in spectra])))
     score /= len(spectra)
     order = np.lexsort((union, popcount(union), -score))
     ranked = union[order][score[order] > 0][:k]
@@ -426,7 +428,9 @@ def load_sparse_spectrum(path) -> SparseSpectrum:
     rec = setfn_io.parse_setfn(path)
     if rec.model is None or rec.kind != "sparse":
         raise setfn_io.SetFnFormatError(path, 4, "expected a sparse spectrum")
-    return SparseSpectrum(rec.ground, rec.model, rec.masks, rec.values)
+    # the file's checks stand: only the support order is left to make
+    freqs, coeffs = _taken(_support_order(rec.masks), rec.masks, rec.values)
+    return _built(SparseSpectrum, ground=rec.ground, model=rec.model, freqs=freqs, coeffs=coeffs)
 
 
 def save_support(path, support: SparseSupport) -> None:

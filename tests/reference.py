@@ -3,11 +3,13 @@
 Everything here evaluates the defining sums directly with plain Python loops
 over subsets; nothing is shared with the fast library code paths.  The numpy
 reductions are the row sum of `forward_substitution_reference`, whose
-pairwise order is the one `reconstruct` must reproduce, and the norms of
-`relative_errors_reference`, which `estimate_relative_errors` must reproduce.
+pairwise order is the one `reconstruct` must reproduce, the norms of
+`relative_errors_reference`, which `estimate_relative_errors` must reproduce,
+and the fragment sum of `coverage_eval`, a coverage representation's value at
+one subset by its definition.
 `parse_setfn_reference` is the line-by-line setfn parser that the array-native
 `setsp.io.parse_setfn` replaced, `write_setfn_reference` the line-at-a-time
-writer whose bytes the block writer `setsp.io._write_arrays` must reproduce,
+writer whose bytes the block writer `setsp.body.write_lines` must reproduce,
 and `gaussian_entropy_reference` the one-matrix Cholesky that
 `setsp.coverage.gaussian_entropy_many` must reproduce bit for bit.  The dense matrix oracles (`kronecker_matrix`,
 `shift_matrix`, `filter_matrix`) build their matrices from kernels written
@@ -345,6 +347,15 @@ def coverage_reference(offset: float, weights: dict, n: int) -> list[float]:
                 total += w
         out.append(total)
     return out
+
+
+def coverage_eval(rep, A: int) -> float:
+    """c plus the total weight of the fragments of `rep` (a
+    `CoverageRepresentation`) touching A: the sum of w(T_B) over B with
+    B & A != 0."""
+    A = rep.ground.check_mask(A)
+    touching = (rep.fragments.masks & A) != 0
+    return rep.offset_c + float(rep.fragments.values[touching].sum())
 
 
 def relative_errors_reference(query, evaluators, m_samples: int, seed: int, n: int) -> list[float]:

@@ -12,7 +12,6 @@ from setsp.coverage import (
     CoverageRepresentation,
     GaussianModel,
     coverage_dense,
-    coverage_eval,
     coverage_from_setfunction,
     entropy_setfunction,
     fragment_weights_spectrum,
@@ -24,7 +23,7 @@ from setsp.coverage import (
 )
 from setsp.transforms import dsft, idsft
 
-from reference import coverage_reference, gaussian_entropy_reference
+from reference import coverage_eval, coverage_reference, gaussian_entropy_reference
 
 H_UNIT = 0.5 * (1.0 + math.log(2.0 * math.pi))  # entropy of a unit Gaussian
 
@@ -45,16 +44,19 @@ def _random_pd(n, rng):
 
 
 def test_coverage_eval_examples():
+    # the definition in `reference`, and the library's batch form at the same subsets
     g = GroundSet(2)
     rep = _rep(g, 1.0, {0b01: 1.0, 0b10: 2.0, 0b11: 0.0})
     assert coverage_eval(rep, 0) == 1.0
     assert coverage_eval(rep, 0b01) == 2.0
     assert coverage_eval(rep, 0b11) == 4.0
+    assert coverage_dense(rep).values.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_coverage_eval_constant():
     rep = _rep(GroundSet(3), 5.0, {})
     assert [coverage_eval(rep, A) for A in range(8)] == [5.0] * 8
+    assert coverage_dense(rep).values.tolist() == [5.0] * 8
 
 
 def test_coverage_venn_example():

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import re
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from setsp import dragonbox, lemire
+from setsp import body as setfn_body
+from setsp import core, coverage
 from setsp import io as setfn_io
 from setsp import sampling
 from setsp.cli import main
@@ -27,6 +29,7 @@ from setsp.core import (
     Spectrum,
 )
 from setsp.io import SetFnFormatError
+from setsp.coverage import CoverageRepresentation
 
 from reference import parse_setfn_reference, write_setfn_reference
 
@@ -195,7 +198,7 @@ def test_write_setfn_writes_a_sparse_spectrum_in_support_order(tmp_path, model):
     spec = SparseSpectrum(ground, model, freqs, [0.1, -0.0, 5e-324, 1e300, -2.5, 3.0])
     path, old, ref = tmp_path / "spec.setfn", tmp_path / "old.setfn", tmp_path / "ref.setfn"
     setfn_io.write_setfn(path, spec)
-    setfn_io._write_arrays(old, 40, "sparse", model, spec.freqs, spec.coeffs)
+    setfn_io.write_entries(old, 40, "sparse", model, zip(spec.freqs, spec.coeffs))
     write_setfn_reference(ref, 40, "sparse", model, zip(spec.freqs, spec.coeffs))
     assert path.read_bytes() == old.read_bytes() == ref.read_bytes()
     assert spec.freqs.tolist() == [0, 1 << 39, 3, 12, 7, (1 << 40) - 1]
@@ -313,7 +316,7 @@ def _assert_writes_reference_bytes(tmp, block: int, cases) -> None:
     """Each (write, reference args) pair writes the bytes of
     `write_setfn_reference(path, *args)` with blocks of `block` lines."""
     got, want = Path(tmp) / "got.setfn", Path(tmp) / "want.setfn"
-    with mock.patch.object(setfn_io, "_WRITE_BLOCK", block):
+    with mock.patch.object(setfn_body, "BLOCK", block):
         for write, args in cases:
             write(got)
             write_setfn_reference(want, *args)
@@ -405,7 +408,7 @@ def test_writer_gives_the_bytes_of_repr_on_a_million_values(tmp_path):
     assert path.read_bytes() == f"setfn v1\nn 62\nkind sparse\nmodel none\n{want}".encode()
 
 
-# Values that reach each branch of the digit kernel, `dragonbox.shortest`.
+# Values that reach each branch of the digit kernel, `setsp.body.shortest`.
 KERNEL_BRANCHES = [
     3.8, 123.0, 1e22, 4.5e-300,  # the big divisor (1000), with trailing zeros
     7.287756917509179e16, 9.888722976466939e16,  # an excluded right end, r = 0
@@ -433,10 +436,10 @@ def test_formatting_repeated_values_once_never_changes_the_bytes(tmp_path):
     # the block's sample of leading values has no repeat, so it formats every
     # line; its reverse leads with the repeats and formats each distinct bit
     # pattern once
-    head = np.random.default_rng(256).standard_normal(dragonbox._SAMPLE)
+    head = np.random.default_rng(256).standard_normal(setfn_body._SAMPLE)
     values = np.concatenate([head, head[:100], [0.0, -0.0, 5e-324, 0.0, -0.0]]).tolist()
-    assert len(set(values[:dragonbox._SAMPLE])) == dragonbox._SAMPLE
-    assert len(set(values[::-1][:dragonbox._SAMPLE])) < dragonbox._SAMPLE
+    assert len(set(values[:setfn_body._SAMPLE])) == setfn_body._SAMPLE
+    assert len(set(values[::-1][:setfn_body._SAMPLE])) < setfn_body._SAMPLE
     forward, backward = list(enumerate(values)), list(enumerate(values))[::-1]
     _assert_writes_reference_bytes(tmp_path, 1 << 13, [
         (lambda p: setfn_io.write_entries(p, 12, "sparse", None, forward),
@@ -741,7 +744,7 @@ def test_plainly_foreign_bodies_skip_the_separator_scan(tmp_path):
     foreign = {"tabs": head + body.replace(" ", "\t"), "crlf": text.replace("\n", "\r\n"),
                "crlf body": head + body.replace("\n", "\r\n"), "blank": head + "\n" + body,
                "indent": head + " " + body, "two spaces": head + body.replace(" ", "  ", 1)}
-    with mock.patch.object(lemire, "data_pairs", wraps=lemire.data_pairs) as scan:
+    with mock.patch.object(setfn_body, "_scan", wraps=setfn_body._scan) as scan:
         assert setfn_io.read_setfn(path).masks.tolist() == [0, 3, 17, 511]
         assert scan.call_count == 1
         for name, variant in foreign.items():
@@ -751,20 +754,129 @@ def test_plainly_foreign_bodies_skip_the_separator_scan(tmp_path):
         assert scan.call_count == 1
 
 
+@contextlib.contextmanager
+def _counting_checks():
+    """Counts the calls of `core._checked_pairs`, under each name it is called by."""
+    checks = mock.Mock(wraps=core._checked_pairs)
+    with mock.patch.object(core, "_checked_pairs", checks), \
+            mock.patch.object(setfn_io, "_checked_pairs", checks):
+        yield checks
+
+
 def test_walked_body_is_checked_once_into_read_only_arrays(tmp_path):
     # the walk's checks are the only ones: no `SparseSetFunction` is built,
-    # and the arrays are those it would have built, in file order
+    # `_checked_pairs` is never called, and the arrays are those it would
+    # have built, in file order
     masks, values = [5, 0, 62, 7, 1], [1.5, -0.0, 5e-324, -1e300, 2.0]
     path = _write(tmp_path / "tabs.setfn", "setfn v1\nn 6\nkind sparse\nmodel 3\n"
                   + "".join(f"{m}\t{v!r}\n" for m, v in zip(masks, values)))
     twice = AssertionError("checked twice")
-    with mock.patch.object(setfn_io, "SparseSetFunction", side_effect=twice):
+    with mock.patch.object(setfn_io, "SparseSetFunction", side_effect=twice), \
+            _counting_checks() as checks:
         got = setfn_io.parse_setfn(path)
+    assert checks.call_count == 0
     want = SparseSetFunction(GroundSet(6), masks, values)
     for array, before in ((got.masks, want.masks), (got.values, want.values)):
         assert array.dtype == before.dtype and array.tobytes() == before.tobytes()
         assert not array.flags.writeable
     assert (got.n, got.kind, got.model) == (6, "sparse", 3)
+
+
+def test_sparse_files_are_checked_once_on_write_and_read(tmp_path):
+    # each write checks its entries once, where the container is built or
+    # where `write_entries` takes raw pairs; each read once, in `parse_setfn`
+    ground = GroundSet(9)
+    masks, values = [17, 0, 511, 3], [0.5, 2.0, -1e300, 5e-324]
+    path = tmp_path / "f.setfn"
+    writes = {
+        "write_setfn": lambda: setfn_io.write_setfn(path, SparseSetFunction(ground, masks, values)),
+        "write_entries": lambda: setfn_io.write_entries(path, 9, "sparse", 4, zip(masks, values)),
+        "save_sparse_spectrum": lambda: sampling.save_sparse_spectrum(
+            path, SparseSpectrum(ground, 4, masks, values)),
+    }
+    for name, write in writes.items():
+        with _counting_checks() as checks:
+            write()
+        assert checks.call_count == 1, name
+    # the last file holds its entries in support order; this one in file order
+    setfn_io.write_entries(tmp_path / "sig.setfn", 9, "sparse", None, zip(masks, values))
+    setfn_io.write_entries(tmp_path / "spec.setfn", 9, "sparse", 4, zip(masks, values))
+    reads = {
+        "read_setfn": lambda: setfn_io.read_setfn(tmp_path / "sig.setfn"),
+        "load_sparse_spectrum": lambda: sampling.load_sparse_spectrum(tmp_path / "spec.setfn"),
+        "load_support": lambda: sampling.load_support(tmp_path / "spec.setfn"),
+        "load_coverage": lambda: coverage.load_coverage(tmp_path / "spec.setfn"),
+    }
+    got = {}
+    for name, read in reads.items():
+        with _counting_checks() as checks:
+            got[name] = read()
+        assert checks.call_count == 1, name
+    # the containers are the ones the checked constructors build
+    fn = got["read_setfn"]
+    assert fn.masks.tolist() == masks and _same_bits(fn.values, values)
+    spec, want = got["load_sparse_spectrum"], SparseSpectrum(ground, 4, masks, values)
+    assert (spec.model, spec.freqs.tolist()) == (4, want.freqs.tolist())
+    assert _same_bits(spec.coeffs, want.coeffs)
+    assert got["load_support"].freqs.tolist() == want.freqs.tolist()
+    rep = got["load_coverage"]
+    fragments = [m for m in masks if m]
+    weights = [-v for m, v in zip(masks, values) if m]
+    old = CoverageRepresentation(2.0 - sum(weights), SparseSetFunction(ground, fragments, weights))
+    assert rep.offset_c == old.offset_c
+    assert rep.fragments.masks.tolist() == old.fragments.masks.tolist() == sorted(fragments)
+    assert _same_bits(rep.fragments.values, old.fragments.values)
+    for array in (fn.masks, fn.values, spec.freqs, spec.coeffs, rep.fragments.masks,
+                  rep.fragments.values):
+        assert not array.flags.writeable
+
+
+def _scaled(q: int) -> tuple[int, int]:
+    """floor and ceil of 10**q times the power of two that puts it in
+    [2**127, 2**128), and floor(log2(10**q)), from exact integers."""
+    num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+    log2 = num.bit_length() - den.bit_length()  # or one more
+    if num << max(-log2, 0) < den << max(log2, 0):
+        log2 -= 1
+    num, den = num << max(127 - log2, 0), den << max(log2 - 127, 0)
+    return num // den, -(-num // den), log2
+
+
+def test_power_tables_hold_the_exact_words():
+    # Eisel-Lemire's words: truncated, but rounded up for q in [-27, -1]
+    high, low = setfn_body._powers()
+    for q in range(-342, 309):
+        floor, ceil, _ = _scaled(q)
+        word = int(high[q + 342]) << 64 | int(low[q + 342])
+        assert word == (ceil if -27 <= q < 0 else floor), q
+    # Dragonbox's constants: ceil(10**k * 2**(127 - floor(log2(10**k)))) * 2**beta
+    table = setfn_body._table()
+    ks = set()
+    for biased in range(2047):
+        k = -int(table[6].view(np.int64)[biased])
+        _, phi, log2 = _scaled(k)
+        beta = max(biased, 1) - 1075 + log2
+        c = phi << beta
+        assert sum(int(table[i, biased]) << 31 * i for i in range(5)) == c, biased
+        assert int(table[5, biased]) == c >> 127
+        ks.add(k)
+    assert min(ks) == -290 and max(ks) == 326 and len(ks) == 617
+
+
+def test_files_that_are_not_utf8_name_the_line_of_the_first_bad_byte(tmp_path, capsys):
+    head = b"setfn v1\nn 3\nkind sparse\nmodel none\n"
+    cases = [(head + b"1 1.5\n2 \xff\n", 6, "invalid start byte 0xff"),
+             (head.replace(b"sparse", b"sp\xffrse") + b"1 1.5\n", 3, "invalid start byte 0xff"),
+             (head + b"1 1.5\r\n2 2.5\r3 \xe2\x82\n", 7, "invalid continuation byte 0xe2")]
+    for text, line, reason in cases:
+        path = tmp_path / "bad.setfn"
+        path.write_bytes(text)
+        with pytest.raises(SetFnFormatError) as err:
+            setfn_io.parse_setfn(path)
+        assert (err.value.line, str(err.value)) == (line, f"{path}:{line}: not UTF-8: {reason}")
+        out = tmp_path / "out.setfn"
+        assert main(["transform", "--model", "4", "--in", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {err.value}"
 
 
 # Each refusal of the line walk, on a tab-separated body: the line and the
@@ -832,7 +944,7 @@ def test_crlf_bodies_read_as_the_reference_reads_them(tmp_path):
 
 def test_import_compiles_neither_text_kernel():
     code = ("import sys, setsp; print(sorted(m for m in sys.modules"
-            " if m in ('setsp.dragonbox', 'setsp.lemire')))")
+            " if m.startswith('setsp.body')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=str(Path(setfn_io.__file__).parents[1])))
     assert done.stdout.strip() == "[]"
