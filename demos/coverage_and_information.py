@@ -19,7 +19,7 @@ from setsp import (
     dsft,
     entropy_setfunction,
     fragment_weights_spectrum,
-    gaussian_entropy,
+    gaussian_entropy_many,
     intersection_weights,
     mi_check,
     pairwise_mutual_information,
@@ -62,7 +62,7 @@ for i, j in ((1, 2), (1, 3), (2, 3)):
 
 s4 = dsft(4, ent)
 print("s4 at B={} equals the joint entropy of everything:",
-      float(s4.coeffs[0]), "=", gaussian_entropy(model, 0b111))
+      float(s4.coeffs[0]), "=", float(gaussian_entropy_many(model, [0b111])[0]))
 
 report = mi_check(model)
 print("identity check:", report)

@@ -52,7 +52,6 @@ from .coverage import (
     coverage_from_setfunction,
     entropy_setfunction,
     fragment_weights_spectrum,
-    gaussian_entropy,
     gaussian_entropy_many,
     intersection_weights,
     mi_check,
@@ -61,7 +60,6 @@ from .coverage import (
 from .compression import (
     SetFunctionOracle,
     compress_band,
-    estimate_relative_error,
     estimate_relative_errors,
     wht_regression,
 )

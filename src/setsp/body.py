@@ -5,7 +5,7 @@ module on its first write or parse, so that `import setsp` does not compile it.
 The grammar is the writer's: one space and one newline per line, the newline
 last; a mask of ASCII digits; a value `-?D+(\\.D+)?(e[+-]D{1,3})?`, the
 shortest decimal that reads back as the same double, as `repr` writes it.
-`data_pairs` reads masks of 1 to 18 digits and values of at most 19
+`data_pairs` reads masks of 1 to 19 digits and values of at most 19
 significant digits, to the bits `float` gives; any other body gives None,
 and `setsp.io` walks it line by line.  Both directions share the block size,
 the byte masks and the table of 128-bit powers of ten.
@@ -413,7 +413,7 @@ def _block(data: np.ndarray, words: np.ndarray, begin: np.ndarray, space: np.nda
     """The masks and value bits of the lines [begin, end) whose one space is
     at `space`, or None."""
     size = space - begin
-    if size.min() < 1 or size.max() > 18:
+    if size.min() < 1 or size.max() > 19:
         return None
     masks = _number(_text(words, space, size))
     if masks is None:
@@ -461,10 +461,11 @@ def _block(data: np.ndarray, words: np.ndarray, begin: np.ndarray, space: np.nda
 
 def data_pairs(text: bytes, start: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The int64 masks and float64 values of the data lines after byte
-    `start` (at least 24) of `text`, in the writer's grammar; None for an
-    empty body, a body outside that grammar, or a value this module cannot
-    decide.  A first line with a tab, a CR or a second space, or a blank
-    one, is plainly foreign and gives None before the separator scan."""
+    `start` (at least 24) of `text`, in the writer's grammar (a mask of 2**63
+    or more comes back negative); None for an empty body, a body outside that
+    grammar, or a value this module cannot decide.  A first line with a tab,
+    a CR or a second space, or a blank one, is plainly foreign and gives None
+    before the separator scan."""
     newline = text.find(b"\n", start)
     mask, _, value = text[start:newline if newline > 0 else None].partition(b" ")
     if start < 24 or not mask.isdigit() or not value or min(value) <= 32:

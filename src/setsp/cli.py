@@ -26,15 +26,11 @@ import time
 
 import numpy as np
 
-from .core import GroundSet, SetFunction, SparseSetFunction, Spectrum
+from .core import GroundSet, SetFunction, SparseSetFunction, Spectrum, require_same_ground
 from . import io as setfn_io
 from . import transforms
 from .filters import Filter, convolve, frequency_response
-from .coverage import (
-    ENTROPY_DENSE_MAX_N,
-    GaussianModel,
-    entropy_setfunction,
-)
+from .coverage import GaussianModel, entropy_setfunction
 from .compression import (
     RNG_ALGORITHM,
     SetFunctionOracle,
@@ -150,11 +146,6 @@ def cmd_freqresp(args) -> int:
 def cmd_generate(args) -> int:
     if args.kind == "gaussian":
         model = GaussianModel(setfn_io.read_covariance(args.cov))
-        if model.n > ENTROPY_DENSE_MAX_N:
-            raise ValueError(
-                f"n={model.n} too large to densify; use an oracle spec "
-                f"'gaussian:{args.cov}' with compress/sample/error instead"
-            )
         setfn_io.write_setfn(args.out, entropy_setfunction(model))
         _log(f"generate gaussian: n={model.n}")
     elif args.kind == "coverage":
@@ -208,6 +199,7 @@ def cmd_sample(args) -> int:
 def cmd_error(args) -> int:
     oracle = parse_oracle_spec(args.oracle)
     spec = sampling_mod.load_sparse_spectrum(args.approx)
+    require_same_ground(oracle, spec)
     started = time.perf_counter()
     err = estimate_relative_errors(
         oracle,

@@ -101,9 +101,7 @@ class GroundSet:
 
     def masks(self) -> np.ndarray:
         """All subset masks 0..2**n-1 in lexicographic (= integer) order."""
-        if self.n > DENSE_MAX_N:
-            raise ValueError(f"cannot enumerate 2**{self.n} masks densely")
-        return np.arange(self.size, dtype=np.int64)
+        return np.arange(_dense_size(self), dtype=np.int64)
 
     def elements(self, mask: int) -> tuple[int, ...]:
         """1-based indices of the elements of the subset `mask`."""
@@ -113,6 +111,24 @@ class GroundSet:
     def label(self, mask: int) -> str:
         """Human-readable subset label such as '{x1,x3}'."""
         return "{" + ",".join(f"x{i}" for i in self.elements(mask)) + "}"
+
+
+def _dense_size(ground: GroundSet) -> int:
+    """2**n, the length of an array of one value per subset.  Every such
+    array is sized here, so n above `DENSE_MAX_N` raises ValueError before
+    anything is allocated."""
+    if ground.n > DENSE_MAX_N:
+        raise ValueError(f"n={ground.n} is too large for a dense array of 2**n values "
+                         f"(n <= {DENSE_MAX_N})")
+    return ground.size
+
+
+def _scatter(ground: GroundSet, masks: np.ndarray, values) -> np.ndarray:
+    """A fresh writable array of 2**n zeros holding `values` at the checked,
+    distinct `masks`."""
+    out = np.zeros(_dense_size(ground))
+    out[masks] = values
+    return out
 
 
 def require_same_ground(a, b) -> GroundSet:
@@ -138,9 +154,10 @@ def _built(cls, **fields):
     return obj
 
 
-def _frozen_array(values, length: int, *, check: bool) -> np.ndarray:
-    """`values` as a read-only float64 vector of `length`: with `check` a
+def _frozen_array(values, ground: GroundSet, *, check: bool) -> np.ndarray:
+    """`values` as a read-only float64 vector of 2**n: with `check` a
     checked copy (`_check_finite`), and without it the array as it is."""
+    length = _dense_size(ground)
     arr = np.array(values, dtype=np.float64, copy=check or None)
     if arr.shape != (length,):
         raise ValueError(f"expected {length} values in a 1-d array, got shape {arr.shape}")
@@ -158,18 +175,14 @@ class SetFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.ground.n > DENSE_MAX_N:
-            raise ValueError(f"dense set functions require n <= {DENSE_MAX_N}")
-        object.__setattr__(
-            self, "values", _frozen_array(self.values, self.ground.size, check=True)
-        )
+        object.__setattr__(self, "values", _frozen_array(self.values, self.ground, check=True))
 
     @classmethod
     def wrap(cls, ground: GroundSet, values: np.ndarray) -> "SetFunction":
         """Take ownership of `values`, an array the library computed, without
         a copy or a pass over it: unlike the constructor, it does not refuse
         non-finite values.  The caller must not mutate the array afterwards."""
-        return _built(cls, ground=ground, values=_frozen_array(values, ground.size, check=False))
+        return _built(cls, ground=ground, values=_frozen_array(values, ground, check=False))
 
     def __call__(self, mask: int) -> float:
         return float(self.values[self.ground.check_mask(mask)])
@@ -245,9 +258,7 @@ class SparseSetFunction:
         return self.masks.size
 
     def to_dense(self) -> SetFunction:
-        values = np.zeros(self.ground.size)
-        values[self.masks] = self.values
-        return SetFunction.wrap(self.ground, values)
+        return SetFunction.wrap(self.ground, _scatter(self.ground, self.masks, self.values))
 
 
 @dataclass(frozen=True)
@@ -260,18 +271,14 @@ class Spectrum:
 
     def __post_init__(self):
         check_model(self.model)
-        if self.ground.n > DENSE_MAX_N:
-            raise ValueError(f"dense spectra require n <= {DENSE_MAX_N}")
-        object.__setattr__(
-            self, "coeffs", _frozen_array(self.coeffs, self.ground.size, check=True)
-        )
+        object.__setattr__(self, "coeffs", _frozen_array(self.coeffs, self.ground, check=True))
 
     @classmethod
     def wrap(cls, ground: GroundSet, model: int, coeffs: np.ndarray) -> "Spectrum":
         """Take ownership of `coeffs` as `SetFunction.wrap` takes its values:
         no copy, no pass over them, no check that they are finite."""
         return _built(cls, ground=ground, model=check_model(model),
-                      coeffs=_frozen_array(coeffs, ground.size, check=False))
+                      coeffs=_frozen_array(coeffs, ground, check=False))
 
     def __call__(self, mask: int) -> float:
         return float(self.coeffs[self.ground.check_mask(mask)])

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroundSet, SetFunction, SparseSetFunction, Spectrum, _built, _taken, popcount
+from .core import (GroundSet, SetFunction, SparseSetFunction, Spectrum, _built, _scatter, _taken,
+                   popcount)
 from .transforms import FORWARD, dsft, dsft_inplace, idsft
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -87,8 +88,7 @@ def intersection_weights(rep: CoverageRepresentation) -> Spectrum:
     -w(intersection of S_i, i in B) for B != {}, and s_{} at B = {}."""
     # superset sums w[B] = sum of w(T_C) over C >= B: the model-1 forward
     # transform reverses the array, then runs u += w per stage
-    w = np.zeros(rep.ground.size)
-    w[rep.ground.full_mask ^ rep.fragments.masks] = rep.fragments.values
+    w = _scatter(rep.ground, rep.ground.full_mask ^ rep.fragments.masks, rep.fragments.values)
     dsft_inplace(w, 1, FORWARD)
     coeffs = -w
     coeffs[0] = rep.offset_c
@@ -98,8 +98,7 @@ def intersection_weights(rep: CoverageRepresentation) -> Spectrum:
 def fragment_weights_spectrum(rep: CoverageRepresentation) -> Spectrum:
     """Model-4 spectrum predicted by the representation:
     -w(T_B) for B != {}, and s_N at B = {}."""
-    coeffs = np.zeros(rep.ground.size)
-    coeffs[rep.fragments.masks] = -rep.fragments.values
+    coeffs = _scatter(rep.ground, rep.fragments.masks, -rep.fragments.values)
     coeffs[0] = rep.offset_c + rep.total_weight
     return Spectrum.wrap(rep.ground, 4, coeffs)
 

@@ -46,6 +46,7 @@ from .core import (
     GroundSet,
     SetFunction,
     SparseSetFunction,
+    _scatter,
     check_model,
     require_same_ground,
 )
@@ -135,8 +136,7 @@ def frequency_response(model: int, h: Filter) -> np.ndarray:
     """Per-frequency filter multipliers, indexed by frequency mask B: the
     transform of the taps, model 1 for models 1-4, model 5 for the WHT."""
     check_model(model)
-    arr = h.taps.to_dense().values
-    arr.setflags(write=True)  # to_dense's fresh array; nothing else holds it
+    arr = _scatter(h.ground, h.taps.masks, h.taps.values)
     dsft_inplace(arr, _response_model(model), FORWARD)
     return arr
 

@@ -18,15 +18,17 @@ trip reproduces the exact float64 bits.  `setsp.body` writes those lines and
 reads back a body in the same grammar; it describes both.
 
 A data line is a mask and a value separated by whitespace; blank lines are
-skipped.  A body `setsp.body` reads, under a header broken only by `\n`, is
-checked once, as a whole.  Any other body, or one the checks refuse, is read
-by one walk over its lines, which checks each line once and raises at the
-first faulty one: a mask is an optional sign and ASCII digits, a value what
-`float` reads from ASCII text without `_` (inf and nan parse, and are then
-refused as not finite).  A file that is not UTF-8 is refused at the line of
-its first bad byte.  The walk costs about 1 us a line: in process on a 2-vCPU
-Xeon, a 65,536-line body with tabs between the fields reads in 60-110 ms,
-against 12-17 ms in the writer's grammar.
+skipped.  The header is parsed once, before either body reader, so a fault
+in it is refused at its line before anything in the body.  A body
+`setsp.body` reads (masks of up to 19 digits), under a header broken only by
+`\n`, is checked once, as a whole.  Any other body, or one the checks
+refuse, is read by one walk over its lines, which checks each line once and
+raises at the first faulty one: a mask is an optional sign and ASCII digits,
+a value what `float` reads from ASCII text without `_` (inf and nan parse,
+and are then refused as not finite).  A file that is not UTF-8 is refused at
+the line of its first bad byte.  The walk costs about 1 us a line: in process
+on a 2-vCPU Xeon, a 65,536-line body with tabs between the fields reads in
+60-110 ms, against 12-17 ms in the writer's grammar.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .core import (
     _built,
     _check_finite,
     _checked_pairs,
+    _scatter,
 )
 
 MAGIC = "setfn v1"
@@ -83,34 +86,36 @@ class SetFnFile:
     def ground(self) -> GroundSet:
         return GroundSet(self.n)
 
-    def dense_values(self) -> np.ndarray:
-        values = np.zeros(1 << self.n)
-        values[self.masks] = self.values
-        return values
-
 
 def parse_setfn(path) -> SetFnFile:
     with open(path, "rb") as fh:
         text = fh.read()
-    parsed = _read_strict(path, text)
-    if parsed is not None:
-        return parsed
+    start = _header_end(text)
+    # the header is parsed once, from its bytes when its lines end in "\n"
+    # alone, else from the decoded lines; a fault in it comes first
+    if start is not None:
+        n, kind, model = _parse_header(path, text[:start - 1].decode().split("\n"))
+        read = _read_strict(text, start, n, kind)
+        if read is not None:
+            return SetFnFile(n, kind, model, *read)
     # `splitlines` splits at the line breaks that reading in text mode
     # translates, so these are the lines a text-mode read gives
     try:
         lines = text.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        line = len((text[:exc.start].decode("utf-8") + "_").splitlines())
-        raise SetFnFormatError(path, line, f"not UTF-8: {exc.reason} "
+        lines = (text[:exc.start].decode("utf-8") + "_").splitlines()
+        if start is None and len(lines) > 4:  # the bad byte is past the header
+            _parse_header(path, lines)
+        raise SetFnFormatError(path, len(lines), f"not UTF-8: {exc.reason} "
                                f"0x{text[exc.start]:02x}") from None
-    n, kind, model = _parse_header(path, lines)
+    if start is None:
+        n, kind, model = _parse_header(path, lines)
     return SetFnFile(n, kind, model, *_walk_body(path, lines, n, kind))
 
 
-def _read_strict(path, text: bytes) -> SetFnFile | None:
-    """The file, when its header lines hold no line break but `\\n` and its
-    body is one `setsp.body` reads and passes the checks; None for any other
-    file, which `_walk_body` reads."""
+def _header_end(text: bytes) -> int | None:
+    """The byte after the fourth `\\n` of `text`, when the four header lines
+    before it hold no other line break and only ASCII; None otherwise."""
     end = -1
     for _ in range(4):
         end = text.find(b"\n", end + 1)
@@ -119,13 +124,16 @@ def _read_strict(path, text: bytes) -> SetFnFile | None:
     head = text[:end]
     if not head.isascii() or any(byte in head for byte in b"\r\v\f\x1c\x1d\x1e"):
         return None
-    try:
-        n, kind, model = _parse_header(path, head.decode().split("\n"))
-    except SetFnFormatError:
-        return None
+    return end + 1
+
+
+def _read_strict(text: bytes, start: int, n: int, kind: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The masks and values of the body after byte `start`, when `setsp.body`
+    reads it and they pass the checks; None for any other body, which
+    `_walk_body` reads and refuses at its first faulty line."""
     from . import body  # compiled on the first parse, not by `import setsp`
 
-    pairs = body.data_pairs(text, end + 1)
+    pairs = body.data_pairs(text, start)
     if pairs is None:
         return None
     try:
@@ -134,7 +142,7 @@ def _read_strict(path, text: bytes) -> SetFnFile | None:
         return None
     if kind == "dense" and masks.size != 1 << n:
         return None
-    return SetFnFile(n, kind, model, masks, values)
+    return masks, values
 
 
 def _parse_header(path, lines: list[str]) -> tuple[int, str, int | None]:
@@ -151,36 +159,28 @@ def _parse_header(path, lines: list[str]) -> tuple[int, str, int | None]:
                 path, line_no, f"expected '{key} <value>', got {lines[line_no - 1]!r}"
             )
         fields[key] = parts[1]
-    try:
-        n, model = _header_fields(fields["n"], fields["kind"], fields["model"])
-    except _HeaderFault as fault:
-        raise SetFnFormatError(path, fault.line, str(fault)) from None
+    n, model = _header_fields(path, fields["n"], fields["kind"], fields["model"])
     return n, fields["kind"], model
 
 
-class _HeaderFault(ValueError):
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(message)
-
-
-def _header_fields(n_text: str, kind: str, model_text: str) -> tuple[int, int | None]:
-    """n and model from the texts of the header fields; the first fault, in
-    the order the parser checks, raises `_HeaderFault` with its line."""
+def _header_fields(path, n_text: str, kind: str, model_text: str) -> tuple[int, int | None]:
+    """n and model from the texts of the header fields of the file at `path`,
+    read or to be written; the first fault, in the order the parser checks,
+    raises SetFnFormatError at its line."""
     try:
         n = int(n_text)
     except ValueError:
-        raise _HeaderFault(2, f"n is not an integer: {n_text!r}") from None
+        raise SetFnFormatError(path, 2, f"n is not an integer: {n_text!r}") from None
     if kind not in ("dense", "sparse"):
-        raise _HeaderFault(3, f"kind must be dense or sparse, got {kind!r}")
+        raise SetFnFormatError(path, 3, f"kind must be dense or sparse, got {kind!r}")
     limit = DENSE_MAX_N if kind == "dense" else MAX_N
     if not 0 <= n <= limit:
-        raise _HeaderFault(2, f"n={n} exceeds bound {limit} for kind {kind}")
+        raise SetFnFormatError(path, 2, f"n={n} exceeds bound {limit} for kind {kind}")
     if model_text == "none":
         return n, None
     if model_text in ("1", "2", "3", "4", "5"):
         return n, int(model_text)
-    raise _HeaderFault(4, f"model must be none or 1..5, got {model_text!r}")
+    raise SetFnFormatError(path, 4, f"model must be none or 1..5, got {model_text!r}")
 
 
 def _walk_body(path, lines: list[str], n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -241,16 +241,17 @@ def write_entries(path, n: int, kind: str, model: int | None, pairs) -> None:
     the order given.  The library writes through `write_setfn`; this stays
     because `bench/workloads.py` writes its taps file with it.
 
-    What `parse_setfn` would refuse raises ValueError, with the parser's
-    message, before the file is opened, so a refused write leaves an existing
-    file untouched: n beyond `MAX_N` (`DENSE_MAX_N` for dense), a kind other
-    than dense or sparse, a model other than None or 1..5, what
-    `SparseSetFunction` refuses (a mask that is not an integer in [0, 2**n),
-    a repeated mask, a value that is not finite), or a dense file that does
-    not list all 2**n masks.
+    What `parse_setfn` would refuse raises ValueError before the file is
+    opened, so a refused write leaves an existing file untouched.  A header
+    field raises the parser's SetFnFormatError, naming the file and the line:
+    n beyond `MAX_N` (`DENSE_MAX_N` for dense), a kind other than dense or
+    sparse, a model other than None or 1..5.  The entries raise with the
+    message of their check: what `SparseSetFunction` refuses (a mask that is
+    not an integer in [0, 2**n), a repeated mask, a value that is not
+    finite), and a dense file that does not list all 2**n masks.
     """
     pairs = list(pairs)
-    header = _header(n, kind, model)
+    header = _header(path, n, kind, model)
     masks, values = _checked_pairs(GroundSet(n), [mask for mask, _ in pairs],
                                    [value for _, value in pairs], sort=False)
     if kind == "dense" and masks.size != 1 << n:
@@ -258,14 +259,11 @@ def write_entries(path, n: int, kind: str, model: int | None, pairs) -> None:
     _write(path, header, masks, values)
 
 
-def _header(n: int, kind: str, model: int | None) -> bytes:
+def _header(path, n: int, kind: str, model: int | None) -> bytes:
     """The header lines of a file; a field `parse_setfn` would refuse raises
-    ValueError with the parser's message."""
+    the parser's SetFnFormatError."""
     model_text = "none" if model is None else str(model)
-    try:
-        _header_fields(str(n), kind, model_text)
-    except _HeaderFault as fault:
-        raise ValueError(str(fault)) from None
+    _header_fields(path, str(n), kind, model_text)
     return f"{MAGIC}\nn {n}\nkind {kind}\nmodel {model_text}\n".encode()
 
 
@@ -295,7 +293,7 @@ def write_setfn(path, fn) -> None:
         kind, masks, values = "sparse", fn.freqs, fn.coeffs
     else:
         raise TypeError(f"cannot serialize {type(fn).__name__}")
-    _write(path, _header(fn.ground.n, kind, getattr(fn, "model", None)), masks, values)
+    _write(path, _header(path, fn.ground.n, kind, getattr(fn, "model", None)), masks, values)
 
 
 def read_setfn(path) -> SetFunction | SparseSetFunction:
@@ -304,16 +302,17 @@ def read_setfn(path) -> SetFunction | SparseSetFunction:
     if rec.model is not None:
         raise SetFnFormatError(path, 4, "expected a signal file, found a spectrum")
     if rec.kind == "dense":
-        return SetFunction.wrap(rec.ground, rec.dense_values())
+        return SetFunction.wrap(rec.ground, _scatter(rec.ground, rec.masks, rec.values))
     return _built(SparseSetFunction, ground=rec.ground, masks=rec.masks, values=rec.values)
 
 
 def read_spectrum(path) -> Spectrum:
-    """Read a dense spectrum file (model 1..5); sparse spectra densify."""
+    """Read a dense spectrum file (model 1..5); sparse spectra densify, and
+    refuse n above `DENSE_MAX_N` before they allocate."""
     rec = parse_setfn(path)
     if rec.model is None:
         raise SetFnFormatError(path, 4, "expected a spectrum file, found a signal")
-    return Spectrum.wrap(rec.ground, rec.model, rec.dense_values())
+    return Spectrum.wrap(rec.ground, rec.model, _scatter(rec.ground, rec.masks, rec.values))
 
 
 def _check_square(K: np.ndarray) -> np.ndarray:

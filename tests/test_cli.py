@@ -6,7 +6,7 @@ import pytest
 
 from setsp import io as setfn_io
 from setsp.cli import main, parse_oracle_spec
-from setsp.core import GroundSet, SetFunction, Spectrum
+from setsp.core import GroundSet, SetFunction, SparseSetFunction, SparseSpectrum, Spectrum
 from setsp.coverage import GaussianModel
 from setsp.experiments import random_rbf_covariance
 from setsp.transforms import dsft, idsft
@@ -71,7 +71,7 @@ def test_convolve_and_freqresp(tmp_path):
     assert np.array_equal(fr.values, np.ones(8))
 
 
-def test_generate_gaussian_identity(tmp_path):
+def test_generate_gaussian_identity(tmp_path, capsys):
     cov = tmp_path / "cov.csv"
     setfn_io.write_covariance(cov, np.eye(3))
     out = str(tmp_path / "ent.setfn")
@@ -80,6 +80,13 @@ def test_generate_gaussian_identity(tmp_path):
     unit = 0.5 * (1.0 + math.log(2.0 * math.pi))
     expected = unit * np.bitwise_count(np.arange(8))
     assert np.abs(fn.values - expected).max() < 1e-12
+
+    # past n=22 the library's one check refuses, before any entropy is taken
+    setfn_io.write_covariance(cov, np.eye(23))
+    capsys.readouterr()
+    assert main(["generate", "gaussian", "--cov", str(cov), "--out", out]) == 2
+    assert capsys.readouterr().err == ("error: entropy set functions densify only for n <= 22; "
+                                       "use an oracle for larger ground sets\n")
 
 
 def test_generate_modular_is_one_bandlimited(tmp_path):
@@ -177,6 +184,41 @@ def test_sample_and_error_commands(tmp_path):
     assert rc == 0
     row = (tmp_path / "err.csv").read_text().splitlines()[1].split(",")
     assert float(row[7]) < 1e-10  # exact theorem case: zero relative error
+
+
+def test_error_refuses_an_approximation_on_another_ground_set(tmp_path, capsys):
+    specs = {n: str(tmp_path / f"spec{n}.setfn") for n in (6, 8)}
+    for n, path in specs.items():
+        assert main(["generate", "sparse4", "--n", str(n), "--k", "5", "--seed", "3",
+                     "--out", path]) == 0
+    capsys.readouterr()
+    out = tmp_path / "err.csv"
+    for oracle, approx in ((6, 8), (8, 6)):
+        assert main(["error", "--oracle", f"bandlimited:{specs[oracle]}", "--approx",
+                     specs[approx], "--probes", "100", "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: mismatched ground sets: n={oracle} vs n={approx}\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["transform", "inverse", "convolve", "freqresp", "coverage"])
+def test_commands_that_densify_refuse_a_sparse_file_past_the_dense_cap(tmp_path, capsys, command):
+    # valid sparse files at n=40: each command exits 2 before it allocates
+    ground, masks, values = GroundSet(40), [1, 6, (1 << 40) - 1], [1.0, 0.5, -2.0]
+    signal, spec, out = tmp_path / "s.setfn", tmp_path / "spec.setfn", tmp_path / "out.setfn"
+    setfn_io.write_setfn(signal, SparseSetFunction(ground, masks, values))
+    setfn_io.write_setfn(spec, SparseSpectrum(ground, 4, masks, values))
+    argv = {
+        "transform": ["transform", "--model", "4", "--in", signal],
+        "inverse": ["transform", "--model", "4", "--inverse", "--in", spec],
+        "convolve": ["convolve", "--model", "4", "--filter", signal, "--in", signal],
+        "freqresp": ["freqresp", "--model", "4", "--filter", signal],
+        "coverage": ["generate", "coverage", "--fragments", spec],
+    }[command]
+    assert main([*map(str, argv), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: n=40 is too large for a dense array of 2**n values (n <= 30)\n")
+    assert not out.exists()
 
 
 def test_non_finite_covariance_is_refused(tmp_path, capsys):

@@ -19,9 +19,16 @@ from setsp.core import (
     popcount,
     subsets_of_cardinality_at_most,
 )
-from setsp.coverage import CoverageRepresentation, GaussianModel, pairwise_mutual_information
+from setsp.coverage import (
+    CoverageRepresentation,
+    GaussianModel,
+    coverage_dense,
+    fragment_weights_spectrum,
+    intersection_weights,
+    pairwise_mutual_information,
+)
 from setsp.experiments import random_bidder_pool, sampling_experiment, score_compression
-from setsp.filters import Filter, shift
+from setsp.filters import Filter, frequency_response, shift
 from setsp.sampling import random_nonempty_masks, select_support, synthetic_sparse_spectrum
 
 
@@ -122,11 +129,42 @@ def test_check_masks_refuses_bool_complex_and_text_dtypes(masks, dtype):
         SparseSupport(GroundSet(3), np.atleast_1d(masks))
 
 
+def _dense_cap(n: int) -> str:
+    return rf"^n={n} is too large for a dense array of 2\*\*n values \(n <= 30\)$"
+
+
 def test_dense_container_cap():
-    with pytest.raises(ValueError, match="dense"):
+    with pytest.raises(ValueError, match=_dense_cap(31)):
         SetFunction(GroundSet(31), np.zeros(8))
-    with pytest.raises(ValueError, match="dense"):
+    with pytest.raises(ValueError, match=_dense_cap(31)):
         Spectrum(GroundSet(31), 4, np.zeros(8))
+    with pytest.raises(ValueError, match=_dense_cap(31)):
+        SetFunction.wrap(GroundSet(31), np.zeros(8))
+    with pytest.raises(ValueError, match=_dense_cap(31)):
+        Spectrum.wrap(GroundSet(31), 4, np.zeros(8))
+
+
+def test_densifying_a_sparse_container_or_file_past_the_cap_is_refused(tmp_path):
+    # each path that builds 2**n values from sparse data refuses n=40 before
+    # it allocates (at 8 TiB the request would fail, or take the machine)
+    ground = GroundSet(40)
+    taps = SparseSetFunction(ground, [1, 6, (1 << 40) - 1], [1.0, 0.5, -2.0])
+    rep = CoverageRepresentation(1.5, taps)
+    path = tmp_path / "spec.setfn"
+    setfn_io.write_setfn(path, SparseSpectrum(ground, 4, taps.masks, taps.values))
+    densify = {
+        "masks": ground.masks,
+        "to_dense": taps.to_dense,
+        "read_spectrum": lambda: setfn_io.read_spectrum(path),
+        "coverage_dense": lambda: coverage_dense(rep),
+        "fragment_weights_spectrum": lambda: fragment_weights_spectrum(rep),
+        "intersection_weights": lambda: intersection_weights(rep),
+        "frequency_response": lambda: frequency_response(4, Filter(ground, taps)),
+    }
+    for name, call in densify.items():
+        with pytest.raises(ValueError, match=_dense_cap(40)):
+            call()
+    assert setfn_io.parse_setfn(path).masks.size == 3  # the file itself is valid
 
 
 def test_setfunction_immutable():

@@ -12,6 +12,11 @@ import setsp
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
+def test_the_demos_are_found():
+    # an empty glob would leave `test_demo_runs` with no case, which pytest skips
+    assert DEMOS, "no demo script under demos/"
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(Path(setsp.__file__).resolve().parents[1]))

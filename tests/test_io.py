@@ -153,6 +153,21 @@ def test_write_entries_refuses_the_models_the_parser_refuses(tmp_path, model, fr
     _assert_write_refused(tmp_path, fragment, 2, "sparse", model, [(0, 1.0)])
 
 
+@pytest.mark.parametrize("n,kind,model,line,message", [
+    (70, "sparse", None, 2, "n=70 exceeds bound 62 for kind sparse"),
+    (2, "half", None, 3, "kind must be dense or sparse, got 'half'"),
+    (2, "sparse", 9, 4, "model must be none or 1..5, got '9'"),
+])
+def test_write_entries_names_the_file_and_line_of_a_refused_header(tmp_path, n, kind, model,
+                                                                   line, message):
+    path = tmp_path / "out.setfn"
+    with pytest.raises(SetFnFormatError) as err:
+        setfn_io.write_entries(path, n, kind, model, [(0, 1.0)])
+    assert (err.value.path, err.value.line) == (path, line)
+    assert str(err.value) == f"{path}:{line}: {message}"
+    assert not path.exists()
+
+
 def _assert_write_refused(tmp_path, fragment, *args):
     """`write_entries(path, *args)` raises before it opens the file, whether
     the file exists or not."""
@@ -877,6 +892,51 @@ def test_files_that_are_not_utf8_name_the_line_of_the_first_bad_byte(tmp_path, c
         out = tmp_path / "out.setfn"
         assert main(["transform", "--model", "4", "--in", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.strip() == f"error: {err.value}"
+
+
+def test_the_header_is_parsed_once_and_refused_before_the_body(tmp_path):
+    # a fault in the header is raised at its line, before a later byte that
+    # is not UTF-8, whichever line breaks the header has
+    path = tmp_path / "bad.setfn"
+    for end in (b"\n", b"\r\n", b"\r"):
+        text = b"setfn v1\nn 99\nkind sparse\nmodel none\n1 1.5\n2 \xff\n"
+        path.write_bytes(text.replace(b"\n", end))
+        with pytest.raises(SetFnFormatError) as err:
+            setfn_io.parse_setfn(path)
+        assert err.value.line == 2
+        assert str(err.value) == f"{path}:2: n=99 exceeds bound 62 for kind sparse"
+    # one header parse whichever reader takes the body
+    head = "setfn v1\nn 3\nkind sparse\nmodel 4\n"
+    files = {"words": head + "1 1.5\n6 -0.0\n", "tabs": head + "1\t1.5\n6\t-0.0\n",
+             "crlf": (head + "1 1.5\n6 -0.0\n").replace("\n", "\r\n"),
+             "refused": head + "1 1.5\n9 -0.0\n"}
+    for name, text in files.items():
+        _write(path, text)
+        with mock.patch.object(setfn_io, "_parse_header", wraps=setfn_io._parse_header) as parse:
+            fast, ref = _parse_both(path)
+        assert parse.call_count == 1, name
+        if name == "refused":
+            assert (fast.line, str(fast)) == (ref.line, str(ref))
+            assert str(fast) == f"{path}:6: mask 9 out of range for n=3"
+        else:
+            assert fast.masks.tolist() == [1, 6] and _same_bits(fast.values, [1.5, -0.0]), name
+
+
+def test_masks_of_nineteen_digits_stay_on_the_word_path(tmp_path):
+    masks, values = [0, 10**18 - 1, 10**18, (1 << 62) - 1], [0.5, -1.25, 5e-324, 1e300]
+    path = tmp_path / "f.setfn"
+    setfn_io.write_setfn(path, SparseSetFunction(GroundSet(62), masks, values))
+    with _no_walk():
+        got = setfn_io.parse_setfn(path)
+    assert got.masks.tolist() == masks and _same_bits(got.values, values)
+    assert _same_bits(got.values, parse_setfn_reference(path).values)
+    # a 19-digit mask of 2**63 or more is still refused at its line
+    text = path.read_text(encoding="utf-8")
+    for big in (1 << 63, 10**19 - 1):
+        bad = _write(tmp_path / "bad.setfn", text.replace(f"{(1 << 62) - 1} ", f"{big} "))
+        fast, ref = _parse_both(bad)
+        assert (fast.line, str(fast)) == (ref.line, str(ref))
+        assert str(fast) == f"{bad}:8: mask {big} out of range for n=62"
 
 
 # Each refusal of the line walk, on a tab-separated body: the line and the
