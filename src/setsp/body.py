@@ -25,20 +25,19 @@ shows, insert the point with a one-byte shift across the words and give the
 exponent, and one boolean compress drops the zero padding.  When a block's
 first values repeat, each distinct bit pattern is formatted once.
 
-`data_pairs` finds the separators by one `np.flatnonzero` over the body (a
-first line outside the grammar gives None before it) and gathers each field
-right-aligned in 8-byte words from an unaligned uint64 view.  A byte shift
-takes out the decimal point, and simdjson's digit test and three
-multiply-shift steps (Langdale and Lemire, "Parsing gigabytes of JSON per
-second", 2019) check and read 8 digits per word.  A value `w * 10**q`, w
-below 10**19, is one IEEE multiply or divide where w <= 2**53 and |q| <= 22
-(Clinger's fast path), and Eisel-Lemire elsewhere (Lemire, "Number parsing
-at a gigabyte per second", SPE 2021): w times a 128-bit truncated power of
-five, with the second 64-bit product only where the first leaves nine 1
-bits under the mantissa, correctly rounded for every such w (Mushtak and
-Lemire, "Fast number parsing without fallback", SPE 2023).  `float` of its
-text decides a subnormal result or q outside the table; an infinity gives
-None.
+`data_pairs` finds the separators by one `np.flatnonzero` over the body and
+gathers each field right-aligned in 8-byte words from an unaligned uint64
+view.  A byte shift takes out the decimal point, and simdjson's digit test
+and three multiply-shift steps (Langdale and Lemire, "Parsing gigabytes of
+JSON per second", 2019) check and read 8 digits per word.  A value
+`w * 10**q`, w below 10**19, is one IEEE multiply or divide where
+w <= 2**53 and |q| <= 22 (Clinger's fast path), and Eisel-Lemire elsewhere
+(Lemire, "Number parsing at a gigabyte per second", SPE 2021): w times a
+128-bit truncated power of five, with the second 64-bit product only where
+the first leaves nine 1 bits under the mantissa, correctly rounded for every
+such w (Mushtak and Lemire, "Fast number parsing without fallback", SPE
+2023).  `float` of its text decides a subnormal result or q outside the
+table; an infinity gives None.
 
 In process on a 2-vCPU Xeon (numpy 2.4.6), a 65,536-line file of random
 doubles writes in 15-17 ms and reads in 12-17 ms; a call costs at least
@@ -463,21 +462,10 @@ def data_pairs(text: bytes, start: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The int64 masks and float64 values of the data lines after byte
     `start` (at least 24) of `text`, in the writer's grammar (a mask of 2**63
     or more comes back negative); None for an empty body, a body outside that
-    grammar, or a value this module cannot decide.  A first line with a tab,
-    a CR or a second space, or a blank one, is plainly foreign and gives None
-    before the separator scan."""
-    newline = text.find(b"\n", start)
-    mask, _, value = text[start:newline if newline > 0 else None].partition(b" ")
-    if start < 24 or not mask.isdigit() or not value or min(value) <= 32:
-        return None
-    return _scan(text, start)
-
-
-def _scan(text: bytes, start: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """`data_pairs` past its look at the first line: one scan for the
-    separators, then `_block` per `BLOCK` lines."""
+    grammar, or a value this module cannot decide.  One scan finds the
+    separators, then `_block` reads `BLOCK` lines at a time."""
     data = np.frombuffer(text, np.uint8)
-    if data[-1] != 10:
+    if start < 24 or data[-1] != 10:
         return None
     marks = np.flatnonzero(data[start:] <= 32) + start
     space, end = marks[0::2], marks[1::2]

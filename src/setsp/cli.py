@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from .core import GroundSet, SetFunction, SparseSetFunction, Spectrum, require_same_ground
+from .core import MODELS, GroundSet, SetFunction, SparseSetFunction, Spectrum, require_same_ground
 from . import io as setfn_io
 from . import transforms
 from .filters import Filter, convolve, frequency_response
@@ -229,14 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transform", help="fast transform of a dense signal file")
-    p.add_argument("--model", type=int, required=True, choices=(1, 2, 3, 4, 5))
+    p.add_argument("--model", type=int, required=True, choices=MODELS)
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("convolve", help="convolve a filter file with a signal file")
-    p.add_argument("--model", type=int, required=True, choices=(1, 2, 3, 4, 5))
+    p.add_argument("--model", type=int, required=True, choices=MODELS)
     p.add_argument("--filter", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_convolve)
 
     p = sub.add_parser("freqresp", help="frequency response of a filter file")
-    p.add_argument("--model", type=int, required=True, choices=(1, 2, 3, 4, 5))
+    p.add_argument("--model", type=int, required=True, choices=MODELS)
     p.add_argument("--filter", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_freqresp)

@@ -28,6 +28,7 @@ from .core import (
     SparseSetFunction,
     SparseSpectrum,
     SparseSupport,
+    _check_finite,
     check_count,
     popcount,
     require_same_ground,
@@ -44,13 +45,17 @@ class SetFunctionOracle:
     """Query interface A -> s_A with an evaluation counter.
 
     `evaluate` maps a 1-d int64 array of masks to their values; it is the
-    oracle's only evaluation path, and `query` passes it a one-mask array.
-    It must be deterministic: repeated queries at the same mask return
-    identical values, and a mask's value must not depend on the rest of the
-    batch.  A batch that holds at least 2**n masks is evaluated once per
-    distinct mask, and the values are expanded back to the batch's order and
-    shape.  The counter counts every probe: it grows by 1 per `query` and by
-    masks.size per `query_many`, repeats included.
+    oracle's only evaluation path, called once per `query_many` (`query` is
+    a one-mask batch).  It must be deterministic: repeated queries at the
+    same mask return identical values, and a mask's value must not depend on
+    the rest of the batch.  A batch that holds at least 2**n masks is
+    evaluated once per distinct mask, and the values are expanded back to
+    the batch's order and shape.  `query_many` checks the masks going in and
+    the values coming out: the first mask outside [0, 2**n), or the first
+    value in batch order that is nan or +-inf, raises ValueError naming its
+    set (`oracle value inf at mask 5 is not finite`), with no numpy overflow
+    or invalid-value warning first.  The counter counts every probe: it grows by 1 per
+    `query` and by masks.size per `query_many`, repeats included.
     """
 
     def __init__(self, ground: GroundSet, evaluate):
@@ -61,16 +66,19 @@ class SetFunctionOracle:
     def query(self, mask: int) -> float:
         """The value at one mask.  The library calls `query_many`; this one
         stays because the bench tracer's `ATTRS` names it."""
-        mask = self.ground.check_mask(mask)
-        self.queries += 1
-        return float(self._evaluate(np.array([mask], dtype=np.int64))[0])
+        return float(self.query_many(mask))
 
     def query_many(self, masks) -> np.ndarray:
         masks = self.ground.check_masks(masks)
         self.queries += masks.size
-        points, inverse = _distinct(masks.ravel(), self.ground.size)
-        values = np.asarray(self._evaluate(points), dtype=np.float64)
-        return (values if inverse is None else values[inverse]).reshape(masks.shape)
+        probes = masks.ravel()
+        points, inverse = _distinct(probes, self.ground.size)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused below
+            values = np.asarray(self._evaluate(points), dtype=np.float64)
+        if inverse is not None:
+            values = values[inverse]
+        _check_finite(values, probes, "oracle value")
+        return values.reshape(masks.shape)
 
     @classmethod
     def from_setfunction(cls, s: SetFunction) -> "SetFunctionOracle":
@@ -169,9 +177,11 @@ def estimate_relative_errors(
     array to approximate values, such as `sampling.eval_sparse_many` bound to
     a spectrum; like the oracle's batch function, its value at a mask must
     not depend on the rest of the batch, since with m_samples >= 2**n it
-    sees each distinct probe once.  A nan or +-inf value on either side
-    raises ValueError, naming the first probe in draw order that returned
-    one and, for an approximation, the evaluator's index.
+    sees each distinct probe once.  A nan or +-inf value raises ValueError
+    naming the first probe in draw order that returned one: the oracle's
+    own check (`SetFunctionOracle.query_many`) refuses its values, and an
+    evaluator's are refused with its index (`evaluator 0 value nan at mask
+    6 is not finite`).
     """
     evaluators = list(evaluators)
     if not evaluators:
@@ -181,7 +191,6 @@ def estimate_relative_errors(
     size = 1 << oracle.ground.n
     probes = rng.integers(0, size, size=m_samples, dtype=np.uint64).astype(np.int64)
     truth = oracle.query_many(probes)
-    _check_finite("oracle", probes, truth)
     denom = float(np.linalg.norm(truth))
     if denom == 0.0:
         raise ValueError("relative error undefined: all sampled oracle values are zero")
@@ -191,16 +200,7 @@ def estimate_relative_errors(
         approx_values = np.asarray(evaluate(points), dtype=np.float64)
         if inverse is not None:
             approx_values = approx_values[inverse]
-        _check_finite("approximation", probes, approx_values, f" (evaluator {index})")
+        _check_finite(approx_values, probes, f"evaluator {index} value")
         errors.append(float(np.linalg.norm(truth - approx_values) / denom))
     return errors
 
-
-def _check_finite(source: str, probes: np.ndarray, values: np.ndarray, where="") -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        first = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"{source} returned non-finite value {values[first]!r} at mask "
-            f"{probes[first]}{where}"
-        )

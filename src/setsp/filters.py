@@ -77,8 +77,7 @@ class Filter:
     taps: SparseSetFunction
 
     def __post_init__(self):
-        if self.taps.ground != self.ground:
-            raise ValueError("filter taps must live on the filter's ground set")
+        require_same_ground(self, self.taps)
 
     @classmethod
     def from_taps(cls, ground: GroundSet, taps: dict[int, float]) -> "Filter":

@@ -98,8 +98,10 @@ def parse_setfn(path) -> SetFnFile:
         read = _read_strict(text, start, n, kind)
         if read is not None:
             return SetFnFile(n, kind, model, *read)
-    # `splitlines` splits at the line breaks that reading in text mode
-    # translates, so these are the lines a text-mode read gives
+    # `splitlines` splits at \n, \r and \r\n, as a text-mode read does, and
+    # also at \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029, which a text-mode
+    # read keeps inside a line: so `0 1.5\f1 2.5` is two entries, and a line
+    # number counts those breaks too
     try:
         lines = text.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

@@ -43,6 +43,7 @@ from .core import (
     is_subset,
     masks_by_cardinality,
     popcount,
+    require_same_ground,
 )
 from .compression import SetFunctionOracle
 from . import io as setfn_io
@@ -273,9 +274,7 @@ def reconstruct(oracles, support: SparseSupport) -> SparseSpectrum | list[Sparse
     single = isinstance(oracles, SetFunctionOracle)
     oracles = [oracles] if single else list(oracles)
     for oracle in oracles:
-        if oracle.ground != support.ground:
-            raise ValueError(f"oracle on n={oracle.ground.n} cannot answer a support "
-                             f"on n={support.ground.n}")
+        require_same_ground(oracle, support)
     queries = sampling_indices(support)
     values = np.empty((len(support), len(oracles)))
     for t, oracle in enumerate(oracles):
@@ -365,8 +364,7 @@ def select_support(training_spectra, k: int) -> SparseSupport:
         if not isinstance(sp, SparseSpectrum) or sp.model != 4:
             raise TypeError(f"training spectra must be sparse model 4, got a "
                             f"model-{sp.model} {type(sp).__name__}")
-        if sp.ground != ground:
-            raise ValueError("training spectra must share a ground set")
+        require_same_ground(spectra[0], sp)
     k = check_count(k, "support size k", 0, ground.size)
     union, where = np.unique(np.concatenate([sp.freqs for sp in spectra]), return_inverse=True)
     score = np.zeros(union.size)

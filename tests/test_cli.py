@@ -1,9 +1,14 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import setsp
 from setsp import io as setfn_io
 from setsp.cli import main, parse_oracle_spec
 from setsp.core import GroundSet, SetFunction, SparseSetFunction, SparseSpectrum, Spectrum
@@ -199,6 +204,56 @@ def test_error_refuses_an_approximation_on_another_ground_set(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: mismatched ground sets: n={oracle} vs n={approx}\n")
         assert not out.exists()
+
+
+def _overflowing_oracle(tmp_path):
+    """A bandlimited oracle file on n=3 whose model-3 sum at N, c_0 - c_N,
+    overflows to inf; every other set reads 1.7e308."""
+    path = tmp_path / "overflow.setfn"
+    setfn_io.write_setfn(path, SparseSpectrum(GroundSet(3), 3, [0, 7], [1.7e308, -1.7e308]))
+    return f"bandlimited:{path}"
+
+
+@pytest.mark.parametrize("command", ["compress", "sample", "error"])
+def test_commands_refuse_a_non_finite_oracle_value_naming_its_set(tmp_path, capsys, command):
+    approx, out = tmp_path / "approx.setfn", tmp_path / "out"
+    setfn_io.write_setfn(approx, SparseSpectrum(GroundSet(3), 4, [0], [1.0]))
+    argv = {
+        "compress": ["compress", "--wht-samples", "8", "--seed", "1"],
+        "sample": ["sample", "--support", approx],
+        "error": ["error", "--approx", approx, "--seed", "1"],
+    }[command]
+    assert main([*map(str, argv), "--oracle", _overflowing_oracle(tmp_path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: oracle value inf at mask 7 is not finite\n"
+    assert not out.exists()
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """`python -m setsp ARGS...` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(setsp.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "setsp", *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_the_module_runs_a_command_and_writes_its_file(tmp_path):
+    src = _write_signal(tmp_path / "s.setfn", np.arange(8.0), 3)
+    out, want = tmp_path / "spec.setfn", tmp_path / "want.setfn"
+    done = _run_module("transform", "--model", "4", "--in", src, "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith("transform: n=3 model=4 additions=12 ")
+    assert main(["transform", "--model", "4", "--in", src, "--out", str(want)]) == 0
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_the_module_exits_2_with_one_line_on_a_refusal(tmp_path):
+    approx, out = tmp_path / "approx.setfn", tmp_path / "err.csv"
+    setfn_io.write_setfn(approx, SparseSpectrum(GroundSet(3), 4, [0], [1.0]))
+    done = _run_module("error", "--oracle", _overflowing_oracle(tmp_path), "--approx",
+                       str(approx), "--seed", "1", "--out", str(out))
+    assert done.returncode == 2
+    assert done.stderr == "error: oracle value inf at mask 7 is not finite\n"
+    assert done.stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["transform", "inverse", "convolve", "freqresp", "coverage"])

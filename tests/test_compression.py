@@ -24,8 +24,8 @@ from setsp.compression import (
     wht_regression,
 )
 from setsp.coverage import GaussianModel, entropy_setfunction
-from setsp.experiments import entropy_oracle, random_rbf_covariance
-from setsp.sampling import eval_sparse_many, oracle_from_sparse_spectrum
+from setsp.experiments import entropy_oracle, random_rbf_covariance, score_compression
+from setsp.sampling import eval_sparse_many, oracle_from_sparse_spectrum, reconstruct
 from setsp.transforms import INVERSE, dsft, dsft_inplace
 
 from reference import band_coefficient_reference
@@ -338,7 +338,8 @@ def test_estimate_error_rejects_non_finite_values(side, bad):
 
     oracle_fn, approx_fn = (tainted, clean) if side == "oracle" else (clean, tainted)
     oracle = SetFunctionOracle(GroundSet(3), oracle_fn)
-    with pytest.raises(ValueError, match=f"{side} returned non-finite value .* at mask 5"):
+    source = "oracle" if side == "oracle" else "evaluator 0"
+    with pytest.raises(ValueError, match=f"^{source} value {bad} at mask 5 is not finite$"):
         estimate_relative_error(oracle, approx_fn, 200, seed=1)
 
 
@@ -376,8 +377,45 @@ def test_non_finite_value_names_the_first_probe_drawn_on_a_covered_lattice(side)
     assert next(int(m) for m in drawn if m in (2, 6)) == 6
     oracle_fn, approx_fn = (tainted, clean) if side == "oracle" else (clean, tainted)
     oracle = SetFunctionOracle(GroundSet(3), oracle_fn)
-    with pytest.raises(ValueError, match=f"{side} returned non-finite value .* at mask 6( |$)"):
+    source = "oracle" if side == "oracle" else "evaluator 1"
+    with pytest.raises(ValueError, match=f"^{source} value nan at mask 6 is not finite$"):
         estimate_relative_errors(oracle, [clean, approx_fn], 64, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_oracle_value_is_refused_naming_its_set(bad):
+    # the oracle refuses the value where it enters, so each caller names the
+    # set it asked, not a frequency computed from the value
+    ground = GroundSet(3)
+    oracle = SetFunctionOracle(ground, lambda masks: np.where(masks == 5, bad, 1.0 + masks))
+    calls = {
+        "query": lambda: oracle.query(5),
+        "query_many": lambda: oracle.query_many([[1, 5], [2, 3]]),
+        "compress_band": lambda: compress_band(oracle, 1),  # asks N - {x2} = 5
+        "reconstruct": lambda: reconstruct(oracle, SparseSupport(ground, [0, 2])),
+        "estimate_relative_errors": lambda: estimate_relative_errors(
+            oracle, [lambda masks: 1.0 + masks], 200, seed=1),
+        # order 0 asks only N = 7; the 8 WHT samples then ask every set
+        "score_compression": lambda: score_compression(oracle, order=0, wht_samples=8,
+                                                       probes=10, seed=1),
+    }
+    for call in calls.values():
+        with pytest.raises(ValueError, match=f"^oracle value {bad} at mask 5 is not finite$"):
+            call()
+    assert oracle.queries == 1 + 4 + 4 + 2 + 200 + 1 + 8
+    # a batch of 2**n masks or more is evaluated once per distinct mask, in
+    # ascending order; the first bad probe in batch order is still the one named
+    late = SetFunctionOracle(ground, lambda masks: np.where(masks >= 5, bad, 1.0))
+    for batch, first in (([1, 7, 5], 7), ([0, 6, 1, 2, 3, 4, 5, 7], 6)):
+        with pytest.raises(ValueError, match=f"^oracle value {bad} at mask {first} is not"):
+            late.query_many(batch)
+
+
+def test_an_oracle_sum_that_overflows_is_refused_without_a_float_warning():
+    # under the suite's warnings-as-errors filter a RuntimeWarning would fail this
+    overflow = SparseSpectrum(GroundSet(3), 4, [0, 7], [1.7e308, 1.7e308])
+    with pytest.raises(ValueError, match="^oracle value inf at mask 0 is not finite$"):
+        oracle_from_sparse_spectrum(overflow).query(0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -385,7 +423,7 @@ def test_estimate_errors_name_the_failing_evaluator(bad):
     oracle = SetFunctionOracle(GroundSet(3), lambda masks: 1.0 + masks)
     clean = lambda masks: 1.0 + masks  # noqa: E731
     tainted = lambda masks: np.where(masks == 5, bad, 1.0 + masks)  # noqa: E731
-    with pytest.raises(ValueError, match=r"non-finite value .* at mask 5 \(evaluator 1\)"):
+    with pytest.raises(ValueError, match=f"^evaluator 1 value {bad} at mask 5 is not finite$"):
         estimate_relative_errors(oracle, [clean, tainted, clean], 200, seed=1)
     with pytest.raises(ValueError, match="at least one evaluator"):
         estimate_relative_errors(oracle, [], 200, seed=1)

@@ -166,6 +166,12 @@ def test_filter_refuses_non_finite_taps(bad):
         Filter.delta(g, 6, bad)
 
 
+def test_filter_refuses_taps_on_another_ground_set():
+    taps = SparseSetFunction(GroundSet(4), [0, 9], [1.0, 0.5])
+    with pytest.raises(ValueError, match="^mismatched ground sets: n=3 vs n=4$"):
+        Filter(GroundSet(3), taps)
+
+
 def test_direct_convolution_needs_one_scratch_block():
     # n=18: a 2 MiB output; the taps' weighted values go through one block
     # of 2**_BLOCK_BITS elements, not a full-size temporary per tap, and

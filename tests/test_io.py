@@ -747,9 +747,9 @@ def test_word_path_guard(tmp_path):
     assert walk.call_count == 1
 
 
-def test_plainly_foreign_bodies_skip_the_separator_scan(tmp_path):
-    # the first data line shows a body outside the writer's grammar: its
-    # body is walked with no separator scan, to the same entries
+def test_plainly_foreign_bodies_give_the_written_entries(tmp_path):
+    # bodies outside the writer's grammar from their first data line are
+    # walked to the entries written, as the reference parser reads them
     fn = SparseSetFunction(GroundSet(9), [0, 3, 17, 511], [0.5, -0.0, 5e-324, -1e300])
     path = tmp_path / "f.setfn"
     setfn_io.write_setfn(path, fn)
@@ -759,14 +759,24 @@ def test_plainly_foreign_bodies_skip_the_separator_scan(tmp_path):
     foreign = {"tabs": head + body.replace(" ", "\t"), "crlf": text.replace("\n", "\r\n"),
                "crlf body": head + body.replace("\n", "\r\n"), "blank": head + "\n" + body,
                "indent": head + " " + body, "two spaces": head + body.replace(" ", "  ", 1)}
-    with mock.patch.object(setfn_body, "_scan", wraps=setfn_body._scan) as scan:
-        assert setfn_io.read_setfn(path).masks.tolist() == [0, 3, 17, 511]
-        assert scan.call_count == 1
-        for name, variant in foreign.items():
-            fast, ref = _parse_both(_write(tmp_path / "foreign.setfn", variant))
-            assert fast.masks.tobytes() == ref.masks.tobytes() == fn.masks.tobytes(), name
-            assert _same_bits(fast.values, ref.values) and _same_bits(fast.values, fn.values)
-        assert scan.call_count == 1
+    assert setfn_io.read_setfn(path).masks.tolist() == [0, 3, 17, 511]
+    for name, variant in foreign.items():
+        fast, ref = _parse_both(_write(tmp_path / "foreign.setfn", variant))
+        assert fast.masks.tobytes() == ref.masks.tobytes() == fn.masks.tobytes(), name
+        assert _same_bits(fast.values, ref.values) and _same_bits(fast.values, fn.values)
+
+
+@pytest.mark.parametrize("brk", list("\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_the_walk_breaks_lines_where_splitlines_does(tmp_path, brk):
+    # besides \n, \r and \r\n, `str.splitlines` breaks at these, which a
+    # text-mode read keeps inside a line; the reference parser does the same
+    head = "setfn v1\nn 2\nkind sparse\nmodel none\n"
+    for rec in _parse_both(_write(tmp_path / "two.setfn", f"{head}0 1.5{brk}1 2.5\n")):
+        assert rec.masks.tolist() == [0, 1] and rec.values.tolist() == [1.5, 2.5]
+    # so a fault after such a break is named one line past its count of "\n"
+    path = _write(tmp_path / "late.setfn", f"{head}0 1.5{brk}\n1 x\n")
+    for exc in _parse_both(path):
+        assert str(exc) == f"{path}:7: value is not a number: 'x'"
 
 
 @contextlib.contextmanager
