@@ -22,7 +22,7 @@ import numpy as np
 
 from setsp.compression import compress_band, estimate_relative_errors, wht_regression
 from setsp.core import SparseSetFunction
-from setsp.coverage import GaussianModel, gaussian_entropy
+from setsp.coverage import GaussianModel, gaussian_entropy_many
 from setsp.experiments import entropy_oracle, random_rbf_covariance
 from setsp.sampling import eval_sparse_many
 
@@ -57,4 +57,4 @@ for B in single[:4]:
 
 full = model.ground.full_mask
 print("\nempty-frequency coefficient vs H(everything):",
-      float(band.coeffs[0]), "=", gaussian_entropy(model, full))
+      float(band.coeffs[0]), "=", gaussian_entropy_many(model, [full])[0])

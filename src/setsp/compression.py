@@ -44,18 +44,14 @@ RNG_ALGORITHM = "pcg64"
 class SetFunctionOracle:
     """Query interface A -> s_A with an evaluation counter.
 
-    `evaluate` maps a 1-d int64 array of masks to their values; it is the
+    `evaluate` maps a 1-d int64 array of masks to as many values; it is the
     oracle's only evaluation path, called once per `query_many` (`query` is
-    a one-mask batch).  It must be deterministic: repeated queries at the
-    same mask return identical values, and a mask's value must not depend on
-    the rest of the batch.  A batch that holds at least 2**n masks is
-    evaluated once per distinct mask, and the values are expanded back to
-    the batch's order and shape.  `query_many` checks the masks going in and
-    the values coming out: the first mask outside [0, 2**n), or the first
-    value in batch order that is nan or +-inf, raises ValueError naming its
-    set (`oracle value inf at mask 5 is not finite`), with no numpy overflow
-    or invalid-value warning first.  The counter counts every probe: it grows by 1 per
-    `query` and by masks.size per `query_many`, repeats included.
+    a one-mask batch).  It must be deterministic, and a mask's value must
+    not depend on the rest of the batch.  `query_many` refuses the first
+    mask outside [0, 2**n), and `_evaluated` a result of the wrong shape or
+    the first nan or +-inf in batch order (`oracle value inf at mask 5 is
+    not finite`).  The counter grows by masks.size per `query_many` (by 1
+    per `query`), repeats included.
     """
 
     def __init__(self, ground: GroundSet, evaluate):
@@ -71,14 +67,7 @@ class SetFunctionOracle:
     def query_many(self, masks) -> np.ndarray:
         masks = self.ground.check_masks(masks)
         self.queries += masks.size
-        probes = masks.ravel()
-        points, inverse = _distinct(probes, self.ground.size)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused below
-            values = np.asarray(self._evaluate(points), dtype=np.float64)
-        if inverse is not None:
-            values = values[inverse]
-        _check_finite(values, probes, "oracle value")
-        return values.reshape(masks.shape)
+        return next(_evaluated(self.ground, masks, [(self._evaluate, "oracle")]))
 
     @classmethod
     def from_setfunction(cls, s: SetFunction) -> "SetFunctionOracle":
@@ -100,33 +89,45 @@ class SetFunctionOracle:
         return cls(s.ground, evaluate)
 
 
-def _distinct(masks: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """(points, inverse) with points[inverse] == masks, for 1-d masks in
-    [0, size).  When there are at least `size` masks, the points are the
-    distinct masks, ascending, found through a presence table of `size`
-    entries; otherwise the masks are their own points and inverse is None,
-    so the table is never larger than the masks."""
-    if masks.size < size:
-        return masks, None
-    present = np.zeros(size, dtype=bool)
-    present[masks] = True
-    points = np.flatnonzero(present)
-    slot = np.empty(size, dtype=np.intp)
-    slot[points] = np.arange(points.size)
-    return points, slot[masks]
+def _evaluated(ground: GroundSet, masks: np.ndarray, calls):
+    """For each (evaluate, source) in `calls`, in turn, `evaluate`'s values at
+    checked `masks`, in their shape: the one path by which an oracle's or an
+    evaluator's values enter.  Every `evaluate` gets the same 1-d masks: the
+    distinct ones, ascending, found once through a presence table of 2**n
+    entries when there are at least 2**n; else the masks as given.  A result
+    of the wrong shape or a nan or +-inf raises ValueError naming `source`."""
+    probes = masks.ravel()
+    points, inverse = probes, slice(None)
+    if probes.size >= ground.size:
+        present = np.zeros(ground.size, dtype=bool)
+        present[probes] = True
+        points = np.flatnonzero(present)
+        slot = np.empty(ground.size, dtype=np.intp)
+        slot[points] = np.arange(points.size)
+        inverse = slot[probes]
+    for evaluate, source in calls:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused below
+            values = np.asarray(evaluate(points), dtype=np.float64)
+        if values.shape != points.shape:
+            raise ValueError(f"{source} gave shape {values.shape} for {points.size} masks")
+        values = values[inverse]
+        _check_finite(values, probes, f"{source} value")
+        yield values.reshape(masks.shape)
 
 
 def compress_band(oracle: SetFunctionOracle, m: int) -> SparseSpectrum:
     """Model-4 band-limited approximation of order m.
 
     The support is every frequency B with |B| <= m in (cardinality, mask)
-    order.  One `query_many` asks each set N \\ B of the support once.
+    order.  One `query_many` asks each set N \\ B of the support once.  A
+    sum that overflows or is nan raises ValueError naming its frequency
+    (`coefficient inf at frequency 3 is not finite`), with no float warning.
     """
     freqs = subsets_of_cardinality_at_most(oracle.ground, m)
     values = oracle.query_many(oracle.ground.full_mask ^ freqs)
     order, sizes = np.argsort(freqs), popcount(freqs)
     coeffs = 0.0 + values  # +0.0 plus each sum's first term, D = B
-    with np.errstate(over="ignore", invalid="ignore"):  # SparseSpectrum refuses inf, nan
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused below
         for c in range(1, m + 1):
             group = sizes == c
             B, total = freqs[group], coeffs[group]
@@ -136,6 +137,7 @@ def compress_band(oracle: SetFunctionOracle, m: int) -> SparseSpectrum:
                 total += -term if (c - i.bit_count()) & 1 else term
                 D = (D - B) & B
             coeffs[group] = total
+    _check_finite(coeffs, freqs, "coefficient", "frequency")
     return SparseSpectrum(oracle.ground, 4, freqs, coeffs)
 
 
@@ -173,34 +175,25 @@ def estimate_relative_errors(
 
     Draws `m_samples` masks uniformly with replacement (seeded PCG64),
     queries the oracle there once, and returns ||s_C - s'_C||_2 / ||s_C||_2
-    for each evaluator, in order.  An evaluator is a callable mapping a mask
-    array to approximate values, such as `sampling.eval_sparse_many` bound to
-    a spectrum; like the oracle's batch function, its value at a mask must
-    not depend on the rest of the batch, since with m_samples >= 2**n it
-    sees each distinct probe once.  A nan or +-inf value raises ValueError
-    naming the first probe in draw order that returned one: the oracle's
-    own check (`SetFunctionOracle.query_many`) refuses its values, and an
-    evaluator's are refused with its index (`evaluator 0 value nan at mask
-    6 is not finite`).
+    for each evaluator, in order.  An evaluator maps a mask array to
+    approximate values, as `sampling.eval_sparse_many` bound to a spectrum
+    does; its values enter as the oracle's do (`_evaluated`), and a refusal
+    names its index (`evaluator 0 value nan at mask 6 is not finite`).  Both
+    norms are of values scaled by the power of two that brings max |s_C|
+    into [1/2, 1), so the oracle's sum of squares neither overflows nor vanishes.
     """
     evaluators = list(evaluators)
     if not evaluators:
         raise ValueError("estimate_relative_errors requires at least one evaluator")
     m_samples = check_count(m_samples, "m_samples", 1)
     rng = np.random.default_rng(seed)
-    size = 1 << oracle.ground.n
-    probes = rng.integers(0, size, size=m_samples, dtype=np.uint64).astype(np.int64)
+    probes = rng.integers(0, oracle.ground.size, size=m_samples, dtype=np.uint64).astype(np.int64)
     truth = oracle.query_many(probes)
+    _, e = np.frexp(max(truth.max(), -truth.min()))  # norms of values scaled into [1/2, 1)
+    truth = np.ldexp(truth, -e)
     denom = float(np.linalg.norm(truth))
     if denom == 0.0:
         raise ValueError("relative error undefined: all sampled oracle values are zero")
-    points, inverse = _distinct(probes, size)
-    errors = []
-    for index, evaluate in enumerate(evaluators):
-        approx_values = np.asarray(evaluate(points), dtype=np.float64)
-        if inverse is not None:
-            approx_values = approx_values[inverse]
-        _check_finite(approx_values, probes, f"evaluator {index} value")
-        errors.append(float(np.linalg.norm(truth - approx_values) / denom))
-    return errors
-
+    calls = ((evaluate, f"evaluator {index}") for index, evaluate in enumerate(evaluators))
+    return [float(np.linalg.norm(truth - np.ldexp(approx, -e)) / denom)
+            for approx in _evaluated(oracle.ground, probes, calls)]

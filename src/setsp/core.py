@@ -137,13 +137,13 @@ def require_same_ground(a, b) -> GroundSet:
     return a.ground
 
 
-def _check_finite(values: np.ndarray, masks, what: str = "value") -> None:
+def _check_finite(values: np.ndarray, masks, what: str = "value", noun: str = "mask") -> None:
     """Refuse the first value that is not finite, naming its mask; `what`
-    names the source of the values."""
+    names the source of the values and `noun` what their masks are."""
     bad = ~np.isfinite(values)
     if bad.any():
         at = np.flatnonzero(bad)[0]
-        raise ValueError(f"{what} {values[at]} at mask {masks[at]} is not finite")
+        raise ValueError(f"{what} {values[at]} at {noun} {masks[at]} is not finite")
 
 
 def _built(cls, **fields):

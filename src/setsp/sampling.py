@@ -37,6 +37,7 @@ from .core import (
     SparseSpectrum,
     SparseSupport,
     _built,
+    _check_finite,
     _support_order,
     _taken,
     check_count,
@@ -269,7 +270,9 @@ def reconstruct(oracles, support: SparseSupport) -> SparseSpectrum | list[Sparse
     `oracles` is one oracle, which gives one SparseSpectrum, or a sequence
     of oracles on the support's ground set, which gives a list of them in
     the same order.  Each oracle is queried at N \\ B_i, and one forward
-    substitution (`_forward_substitution`) solves all of them at once.
+    substitution (`_forward_substitution`) solves all of them at once.  A
+    coefficient that overflows or is nan raises ValueError naming its
+    frequency (`coefficient -inf at frequency 1 is not finite`).
     """
     single = isinstance(oracles, SetFunctionOracle)
     oracles = [oracles] if single else list(oracles)
@@ -279,7 +282,10 @@ def reconstruct(oracles, support: SparseSupport) -> SparseSpectrum | list[Sparse
     values = np.empty((len(support), len(oracles)))
     for t, oracle in enumerate(oracles):
         values[:, t] = oracle.query_many(queries)
-    coeffs = _forward_substitution(support.freqs, values)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: refused below
+        coeffs = _forward_substitution(support.freqs, values)
+    for row in coeffs.T:
+        _check_finite(row, support.freqs, "coefficient", "frequency")
     spectra = [SparseSpectrum(support.ground, 4, support.freqs, row) for row in coeffs.T]
     return spectra[0] if single else spectra
 

@@ -229,6 +229,41 @@ def test_commands_refuse_a_non_finite_oracle_value_naming_its_set(tmp_path, caps
     assert not out.exists()
 
 
+def _computed_overflows(tmp_path):
+    """Files whose queried values are finite while a value computed from
+    them overflows: `over`, an n=3 model-4 spectrum with 1.7e308 at 0 and 7
+    (every set but {} reads 1.7e308, and its band sum at {x1, x2} overflows),
+    `ok`, a spectrum that reads 1 everywhere, and on n=2 `two`, values
+    -1.7e308 at {x2} and 1.7e308 at N, with `support` {}, {x1}."""
+    paths = {name: tmp_path / f"{name}.setfn" for name in ("over", "ok", "two", "support")}
+    setfn_io.write_setfn(paths["over"], SparseSpectrum(GroundSet(3), 4, [0, 7], [1.7e308] * 2))
+    setfn_io.write_setfn(paths["ok"], SparseSpectrum(GroundSet(3), 4, [0], [1.0]))
+    setfn_io.write_setfn(paths["two"], SparseSetFunction(GroundSet(2), [2, 3], [-1.7e308, 1.7e308]))
+    setfn_io.write_setfn(paths["support"], SparseSpectrum(GroundSet(2), 4, [0, 1], [1.0, 1.0]))
+    return paths
+
+
+@pytest.mark.parametrize("command, message", [
+    ("compress", "coefficient inf at frequency 3 is not finite"),
+    ("sample", "coefficient -inf at frequency 1 is not finite"),
+    ("error", "evaluator 0 value inf at mask 0 is not finite"),
+])
+def test_commands_refuse_a_computed_value_that_is_not_finite_naming_it(tmp_path, capsys,
+                                                                       command, message):
+    # under the suite's warnings-as-errors filter a RuntimeWarning would fail this
+    files, out = _computed_overflows(tmp_path), tmp_path / "out"
+    argv = {
+        "compress": ["compress", "--oracle", f"bandlimited:{files['over']}",
+                     "--wht-samples", "8", "--seed", "1"],
+        "sample": ["sample", "--oracle", f"file:{files['two']}", "--support", files["support"]],
+        "error": ["error", "--oracle", f"bandlimited:{files['ok']}", "--approx", files["over"],
+                  "--seed", "1"],
+    }[command]
+    assert main([*map(str, argv), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def _run_module(*args: str) -> subprocess.CompletedProcess:
     """`python -m setsp ARGS...` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(setsp.__file__).resolve().parents[1]))
@@ -253,6 +288,17 @@ def test_the_module_exits_2_with_one_line_on_a_refusal(tmp_path):
                        str(approx), "--seed", "1", "--out", str(out))
     assert done.returncode == 2
     assert done.stderr == "error: oracle value inf at mask 7 is not finite\n"
+    assert done.stdout == "" and not out.exists()
+
+
+def test_the_module_exits_2_with_one_line_on_an_evaluator_overflow(tmp_path):
+    # a fresh interpreter keeps numpy's default warnings, so an overflow
+    # warning before the refusal would show in stderr
+    files, out = _computed_overflows(tmp_path), tmp_path / "err.csv"
+    done = _run_module("error", "--oracle", f"bandlimited:{files['ok']}", "--approx",
+                       str(files["over"]), "--seed", "1", "--out", str(out))
+    assert done.returncode == 2
+    assert done.stderr == "error: evaluator 0 value inf at mask 0 is not finite\n"
     assert done.stdout == "" and not out.exists()
 
 

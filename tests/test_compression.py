@@ -83,14 +83,33 @@ def test_band_queries_are_one_batch_with_the_per_coefficient_bits():
     assert single.queries == 1 + 2 + (1 << 5) + (1 << n)
 
 
-@pytest.mark.parametrize("values", [[1.7e308, -1.7e308, -1.7e308, 1.7e308],
-                                    [1.0, 2.0, math.inf, math.inf]])
-def test_band_sum_that_is_not_finite_is_refused_without_a_float_warning(values):
-    # an overflow (-1.7e308 - 1.7e308) or inf - inf in a coefficient sum: the
-    # spectrum refuses it, and no numpy warning comes first
+@pytest.mark.parametrize("values, message", [
+    ([1.7e308, -1.7e308, -1.7e308, 1.7e308], "coefficient -inf at frequency 1"),
+    ([1.0, 2.0, math.inf, math.inf], "oracle value inf at mask 3"),
+], ids=["values0", "values1"])
+def test_band_sum_that_is_not_finite_is_refused_without_a_float_warning(values, message):
+    # an overflow (-1.7e308 - 1.7e308) in a coefficient sum is refused naming
+    # the coefficient's frequency, and no numpy warning comes first; an inf
+    # oracle value is refused where it enters, before any sum
     oracle = SetFunctionOracle(GroundSet(2), lambda masks: np.array(values)[masks])
-    with pytest.raises(ValueError, match="is not finite"):
+    with pytest.raises(ValueError, match=f"^{message} is not finite$"):
         compress_band(oracle, 1)
+
+
+def test_a_coefficient_that_overflows_is_refused_naming_its_frequency():
+    # every set the band asks reads 1.7e308; the sum at B = {x1, x2} overflows
+    over = SparseSpectrum(GroundSet(3), 4, [0, 7], [1.7e308, 1.7e308])
+    with pytest.raises(ValueError, match="^coefficient inf at frequency 3 is not finite$"):
+        compress_band(oracle_from_sparse_spectrum(over), 2)
+    # reconstruct: s_{x2} - s_N at B = {x1} overflows, alone or beside a clean oracle
+    ground = GroundSet(2)
+    values = np.array([0.0, 0.0, -1.7e308, 1.7e308])
+    bad = SetFunctionOracle(ground, lambda masks: values[masks])
+    clean = SetFunctionOracle(ground, lambda masks: 1.0 + masks)
+    support = SparseSupport(ground, [0, 1])
+    for oracles in (bad, [clean, bad]):
+        with pytest.raises(ValueError, match="^coefficient -inf at frequency 1 is not finite$"):
+            reconstruct(oracles, support)
 
 
 @pytest.mark.parametrize("n", (1, 4, 8))
@@ -416,6 +435,48 @@ def test_an_oracle_sum_that_overflows_is_refused_without_a_float_warning():
     overflow = SparseSpectrum(GroundSet(3), 4, [0, 7], [1.7e308, 1.7e308])
     with pytest.raises(ValueError, match="^oracle value inf at mask 0 is not finite$"):
         oracle_from_sparse_spectrum(overflow).query(0)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310, 5e-324])
+def test_relative_errors_hold_at_the_ends_of_the_float_range(scale):
+    # s**2 overflows at 1e200 and underflows at 1e-200 and below; the norms
+    # are taken at a power-of-two scale, so the errors are those at scale 1
+    oracle = SetFunctionOracle(GroundSet(3), lambda masks: np.full(masks.shape, scale))
+    twice = lambda masks: np.full(masks.shape, 2 * scale)  # noqa: E731
+    exact = lambda masks: np.full(masks.shape, scale)  # noqa: E731
+    for probes in (5, 200):
+        assert estimate_relative_errors(oracle, [twice, exact], probes, seed=1) == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("probes", [5, 64])  # as given, and once per distinct mask
+@pytest.mark.parametrize("wrong", ["column", "scalar", "short"])
+def test_an_evaluate_result_of_the_wrong_shape_is_refused(wrong, probes):
+    # a column would broadcast against the truth, and a short result would
+    # leave probes without a value; 64 probes (seed 0) cover the 8 masks
+    result = {"column": lambda masks: (1.0 + masks)[:, None],
+              "scalar": lambda masks: 1.0,
+              "short": lambda masks: (1.0 + masks)[1:]}[wrong]
+    given = min(probes, 8)
+    shape = {"column": (given, 1), "scalar": (), "short": (given - 1,)}[wrong]
+    gave = re.escape(f"gave shape {shape} for {given} masks")
+    clean = lambda masks: 1.0 + masks  # noqa: E731
+    oracle = SetFunctionOracle(GroundSet(3), clean)
+    with pytest.raises(ValueError, match=f"^evaluator 1 {gave}$"):
+        estimate_relative_errors(oracle, [clean, result], probes, seed=0)
+    wrong_oracle = SetFunctionOracle(GroundSet(3), result)
+    with pytest.raises(ValueError, match=f"^oracle {gave}$"):
+        wrong_oracle.query_many(np.arange(probes) % 8)
+    assert wrong_oracle.queries == probes
+
+
+def test_an_evaluator_sum_that_overflows_is_refused_without_a_float_warning():
+    # under the suite's warnings-as-errors filter a RuntimeWarning would fail this
+    overflow = SparseSpectrum(GroundSet(3), 4, [0, 7], [1.7e308, 1.7e308])
+    oracle = SetFunctionOracle(GroundSet(3), lambda masks: 1.0 + masks)
+    for probes in (5, 200):
+        with pytest.raises(ValueError, match="^evaluator 0 value inf at mask 0 is not finite$"):
+            estimate_relative_errors(oracle, [partial(eval_sparse_many, overflow)], probes,
+                                     seed=3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
