@@ -24,13 +24,11 @@ import functools
 import sys
 import time
 
-import numpy as np
-
 from .core import MODELS, GroundSet, SetFunction, SparseSetFunction, Spectrum, require_same_ground
 from . import io as setfn_io
 from . import transforms
 from .filters import Filter, convolve, frequency_response
-from .coverage import GaussianModel, entropy_setfunction
+from .coverage import GaussianModel, coverage_dense, entropy_setfunction, load_coverage
 from .compression import (
     RNG_ALGORITHM,
     SetFunctionOracle,
@@ -91,51 +89,39 @@ def _write_csv(path, rows, with_timing: bool) -> None:
             fh.write(row.csv(with_timing) + "\n")
 
 
+def _read_dense(path) -> SetFunction:
+    """A signal file as a dense set function: a sparse file is scattered."""
+    fn = setfn_io.read_setfn(path)
+    return fn.to_dense() if isinstance(fn, SparseSetFunction) else fn
+
+
 def cmd_transform(args) -> int:
-    model = args.model
+    model, inverse = args.model, args.inverse
     started = time.perf_counter()
-    if args.inverse:
-        spectrum = setfn_io.read_spectrum(args.infile)
-        arr = np.array(spectrum.coeffs)
-        if spectrum.model != model:
-            raise ValueError(
-                f"spectrum file is model {spectrum.model}, --model says {model}"
-            )
-        additions = transforms.dsft_inplace(arr, model, transforms.INVERSE)
-        out = SetFunction.wrap(spectrum.ground, arr)
-        n = spectrum.ground.n
-    else:
-        fn = setfn_io.read_setfn(args.infile)
-        if isinstance(fn, SparseSetFunction):
-            fn = fn.to_dense()
-        arr = np.array(fn.values)
-        additions = transforms.dsft_inplace(arr, model, transforms.FORWARD)
-        out = Spectrum.wrap(fn.ground, model, arr)
-        n = fn.ground.n
+    read = setfn_io.read_spectrum(args.infile) if inverse else _read_dense(args.infile)
+    if inverse and read.model != model:
+        raise ValueError(f"spectrum file is model {read.model}, --model says {model}")
+    arr = read.coeffs if inverse else read.values
+    arr.setflags(write=True)  # the reader's fresh `_scatter` array, which only `read` holds
+    direction = transforms.INVERSE if inverse else transforms.FORWARD
+    additions = transforms.dsft_inplace(arr, model, direction)
+    out = SetFunction.wrap(read.ground, arr) if inverse else Spectrum.wrap(read.ground, model, arr)
     setfn_io.write_setfn(args.out, out)
     elapsed = time.perf_counter() - started
-    _log(f"transform: n={n} model={model} additions={additions} time={elapsed:.3f}s")
+    _log(f"transform: n={read.ground.n} model={model} additions={additions} time={elapsed:.3f}s")
     return 0
 
 
 def cmd_convolve(args) -> int:
-    fn = setfn_io.read_setfn(args.infile)
-    if isinstance(fn, SparseSetFunction):
-        fn = fn.to_dense()
-    taps = setfn_io.read_setfn(args.filter)
-    if isinstance(taps, SetFunction):
-        taps = taps.to_sparse()
-    h = Filter(fn.ground, taps)
-    result = convolve(args.model, h, fn, path=args.path)
-    setfn_io.write_setfn(args.out, result)
+    fn = _read_dense(args.infile)
+    h = Filter(fn.ground, setfn_io.read_setfn(args.filter))
+    setfn_io.write_setfn(args.out, convolve(args.model, h, fn, path=args.path))
     _log(f"convolve: n={fn.ground.n} model={args.model} taps={len(h)} path={args.path}")
     return 0
 
 
 def cmd_freqresp(args) -> int:
     taps = setfn_io.read_setfn(args.filter)
-    if isinstance(taps, SetFunction):
-        taps = taps.to_sparse()
     h = Filter(taps.ground, taps)
     fr = frequency_response(args.model, h)
     setfn_io.write_setfn(args.out, SetFunction.wrap(h.ground, fr))
@@ -149,8 +135,6 @@ def cmd_generate(args) -> int:
         setfn_io.write_setfn(args.out, entropy_setfunction(model))
         _log(f"generate gaussian: n={model.n}")
     elif args.kind == "coverage":
-        from .coverage import coverage_dense, load_coverage
-
         rep = load_coverage(args.fragments)
         setfn_io.write_setfn(args.out, coverage_dense(rep))
         _log(f"generate coverage: n={rep.ground.n} fragments={len(rep.fragments)}")

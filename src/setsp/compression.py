@@ -147,7 +147,7 @@ def wht_regression(samples: SparseSetFunction, support: SparseSupport) -> Sparse
     `samples` holds the sampled masks and their values, on the support's
     ground set.  The design matrix holds the lazy WHT-inverse entries
     (1/2)**n * (-1)**|A & B|; rank-deficient systems get the minimum-norm
-    solution.
+    solution.  A coefficient that overflows is refused by its frequency.
     """
     require_same_ground(samples, support)
     if not len(samples):
@@ -156,6 +156,7 @@ def wht_regression(samples: SparseSetFunction, support: SparseSupport) -> Sparse
         5, INVERSE, samples.masks[:, None], support.freqs[None, :], support.ground.n
     )
     coeffs, *_ = np.linalg.lstsq(design, samples.values, rcond=None)
+    _check_finite(coeffs, support.freqs, "coefficient", "frequency")
     return SparseSpectrum(support.ground, 5, support.freqs, coeffs)
 
 
@@ -173,14 +174,15 @@ def estimate_relative_errors(
 ) -> list[float]:
     """Monte-Carlo relative reconstruction errors over one set of probes.
 
-    Draws `m_samples` masks uniformly with replacement (seeded PCG64),
-    queries the oracle there once, and returns ||s_C - s'_C||_2 / ||s_C||_2
-    for each evaluator, in order.  An evaluator maps a mask array to
-    approximate values, as `sampling.eval_sparse_many` bound to a spectrum
-    does; its values enter as the oracle's do (`_evaluated`), and a refusal
-    names its index (`evaluator 0 value nan at mask 6 is not finite`).  Both
-    norms are of values scaled by the power of two that brings max |s_C|
-    into [1/2, 1), so the oracle's sum of squares neither overflows nor vanishes.
+    Draws `m_samples` masks uniformly with replacement (seeded PCG64), queries
+    the oracle there once, and returns ||s_C - s'_C||_2 / ||s_C||_2 for each
+    evaluator, in order.  An evaluator maps a mask array to approximate
+    values, as `sampling.eval_sparse_many` bound to a spectrum does; its
+    values enter as the oracle's do (`_evaluated`), and a refusal names its
+    index (`evaluator 0 value nan at mask 6 is not finite`).  The oracle's
+    values, and each gap s_C - s'_C, are scaled by the power of two that
+    brings their largest magnitude into [1/2, 1) before their norm, so no sum
+    of squares overflows or vanishes; a ratio past the range is inf.
     """
     evaluators = list(evaluators)
     if not evaluators:
@@ -195,5 +197,11 @@ def estimate_relative_errors(
     if denom == 0.0:
         raise ValueError("relative error undefined: all sampled oracle values are zero")
     calls = ((evaluate, f"evaluator {index}") for index, evaluate in enumerate(evaluators))
-    return [float(np.linalg.norm(truth - np.ldexp(approx, -e)) / denom)
-            for approx in _evaluated(oracle.ground, probes, calls)]
+    errors = []
+    for approx in _evaluated(oracle.ground, probes, calls):
+        with np.errstate(over="ignore"):  # a value or a ratio past the float range is inf
+            gap = np.ldexp(approx, -e) - truth  # numpy subtracts into ldexp's temporary
+            _, f = np.frexp(max(gap.max(), -gap.min()))  # the gap scaled as the truth is
+            errors.append(float(np.ldexp(np.linalg.norm(np.ldexp(gap, -f, out=gap)) / denom, f)))
+        del gap  # freed before the next evaluator allocates its values
+    return errors

@@ -71,26 +71,20 @@ _SHIFTS = {
 @dataclass(frozen=True)
 class Filter:
     """Sparse filter taps h_X indexed by subset mask X; `SparseSetFunction`
-    refuses a tap that is not finite."""
+    refuses a tap that is not finite.  Dense taps, a `SetFunction`, keep
+    their nonzero entries (`to_sparse`), so a +-0.0 tap is dropped."""
 
     ground: GroundSet
     taps: SparseSetFunction
 
     def __post_init__(self):
+        if isinstance(self.taps, SetFunction):
+            object.__setattr__(self, "taps", self.taps.to_sparse())
         require_same_ground(self, self.taps)
 
     @classmethod
     def from_taps(cls, ground: GroundSet, taps: dict[int, float]) -> "Filter":
         return cls(ground, SparseSetFunction(ground, list(taps), list(taps.values())))
-
-    @classmethod
-    def identity(cls, ground: GroundSet) -> "Filter":
-        """The single tap h_() = 1; identity for every model."""
-        return cls.from_taps(ground, {0: 1.0})
-
-    @classmethod
-    def delta(cls, ground: GroundSet, mask: int, value: float = 1.0) -> "Filter":
-        return cls.from_taps(ground, {mask: value})
 
     @classmethod
     def moving_average(cls, ground: GroundSet) -> "Filter":

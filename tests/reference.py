@@ -360,15 +360,27 @@ def coverage_eval(rep, A: int) -> float:
 
 def relative_errors_reference(query, evaluators, m_samples: int, seed: int, n: int) -> list[float]:
     """`estimate_relative_errors` one probe at a time: `query` and each
-    evaluator map one mask to one value, in draw order."""
+    evaluator map one mask to one value, in draw order.  Each norm is taken
+    of values scaled by the power of two that brings their largest magnitude
+    into [1/2, 1), the truth's and then each gap's, and the ratio is scaled
+    back, so tiny or huge values neither underflow nor overflow a square."""
+
+    def exponent(x):
+        return int(np.frexp(np.abs(x).max())[1])
+
     rng = np.random.default_rng(seed)
     probes = rng.integers(0, 1 << n, size=m_samples, dtype=np.uint64).astype(np.int64)
     truth = np.array([query(int(A)) for A in probes])
+    e = exponent(truth)
+    truth = np.ldexp(truth, -e)
     denom = float(np.linalg.norm(truth))
     errors = []
     for evaluate in evaluators:
         approx = np.array([evaluate(int(A)) for A in probes])
-        errors.append(float(np.linalg.norm(truth - approx) / denom))
+        with np.errstate(over="ignore"):  # past the float range the error is inf
+            gap = np.ldexp(approx, -e) - truth
+            f = exponent(gap)
+            errors.append(float(np.ldexp(np.linalg.norm(np.ldexp(gap, -f)) / denom, f)))
     return errors
 
 

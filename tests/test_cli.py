@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import setsp
+from setsp import core, transforms
 from setsp import io as setfn_io
 from setsp.cli import main, parse_oracle_spec
 from setsp.core import GroundSet, SetFunction, SparseSetFunction, SparseSpectrum, Spectrum
@@ -74,6 +75,65 @@ def test_convolve_and_freqresp(tmp_path):
     assert main(["freqresp", "--model", "1", "--filter", str(taps), "--out", fr_out]) == 0
     fr = setfn_io.read_setfn(fr_out)
     assert np.array_equal(fr.values, np.ones(8))
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_transform_runs_in_place_on_the_array_the_reader_scattered(tmp_path, monkeypatch,
+                                                                   inverse, kind):
+    # the reader's fresh array is transformed as it is, with no copy first
+    g, masks = GroundSet(3), [0, 2, 4, 7]
+    values = np.zeros(g.size)
+    values[masks] = [1.0, -2.0, 0.5, 3.0]
+    if inverse:
+        fn, sparse = Spectrum(g, 4, values), SparseSpectrum(g, 4, masks, values[masks])
+    else:
+        fn, sparse = SetFunction(g, values), SparseSetFunction(g, masks, values[masks])
+    src, out = tmp_path / "in.setfn", tmp_path / "out.setfn"
+    setfn_io.write_setfn(src, fn if kind == "dense" else sparse)
+    scattered, transformed = [], []
+    real_scatter, real_dsft_inplace = core._scatter, transforms.dsft_inplace
+
+    def scatter(ground, masks, vals):
+        scattered.append(real_scatter(ground, masks, vals))
+        return scattered[-1]
+
+    def dsft_inplace(arr, model, direction):
+        transformed.append(arr)
+        return real_dsft_inplace(arr, model, direction)
+
+    monkeypatch.setattr(setfn_io, "_scatter", scatter)
+    monkeypatch.setattr(core, "_scatter", scatter)
+    monkeypatch.setattr(transforms, "dsft_inplace", dsft_inplace)
+    argv = ["transform", "--model", "4", *(["--inverse"] if inverse else []), "--in", str(src)]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert len(scattered) == 1 and len(transformed) == 1
+    assert transformed[0] is scattered[0]
+    got = setfn_io.read_setfn(out).values if inverse else setfn_io.read_spectrum(out).coeffs
+    want = (idsft if inverse else dsft)(4, fn)
+    assert got.tobytes() == (want.values if inverse else want.coeffs).tobytes()
+
+
+@pytest.mark.parametrize("command", ["convolve", "freqresp"])
+def test_a_dense_taps_file_writes_the_bytes_of_its_sparse_taps(tmp_path, command):
+    # a dense taps file acts as its nonzero entries; its -0.0 and +0.0 taps drop
+    g, rng = GroundSet(4), np.random.default_rng(44)
+    values = np.zeros(g.size)
+    values[[0, 3, 6, 9]] = [0.5, -1.0, -0.0, 2.0]
+    dense, sparse = tmp_path / "dense.setfn", tmp_path / "sparse.setfn"
+    setfn_io.write_setfn(dense, SetFunction(g, values))
+    setfn_io.write_setfn(sparse, SparseSetFunction(g, [0, 3, 9], [0.5, -1.0, 2.0]))
+    src = _write_signal(tmp_path / "s.setfn", rng.standard_normal(g.size), 4)
+    runs = [["--path", path, "--in", src] for path in ("auto", "direct", "spectral")]
+    for model in range(1, 6):
+        for run in runs if command == "convolve" else [[]]:
+            written = []
+            for taps in (dense, sparse):
+                out = tmp_path / f"{taps.stem}.out"
+                argv = [command, "--model", str(model), "--filter", str(taps), *run]
+                assert main([*argv, "--out", str(out)]) == 0
+                written.append(out.read_bytes())
+            assert written[0] == written[1], (model, run)
 
 
 def test_generate_gaussian_identity(tmp_path, capsys):

@@ -295,6 +295,10 @@ def test_wht_regression_validation():
         wht_regression(SparseSetFunction(g, [], []), SparseSupport(g, [0]))
     with pytest.raises(ValueError, match="mismatched ground sets: n=3 vs n=2"):
         wht_regression(SparseSetFunction(GroundSet(3), [5], [0.5]), SparseSupport(g, [0]))
+    # a fitted coefficient that overflows is refused by its frequency
+    over = SparseSetFunction(g, [0, 1, 2, 3], [1.7e308, -1.7e308, 1.7e308, -1.7e308])
+    with pytest.raises(ValueError, match="^coefficient inf at frequency 1 is not finite$"):
+        wht_regression(over, SparseSupport(g, [0, 1, 2, 3]))
 
 
 def test_estimate_error_exact_approx_is_zero():
@@ -446,6 +450,19 @@ def test_relative_errors_hold_at_the_ends_of_the_float_range(scale):
     exact = lambda masks: np.full(masks.shape, scale)  # noqa: E731
     for probes in (5, 200):
         assert estimate_relative_errors(oracle, [twice, exact], probes, seed=1) == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("truth, approx, error", [
+    (1e-300, 1e300, math.inf),  # the approximation, scaled as the truth is, overflows
+    (1e-150, 1e150, 1e300),  # the gap's sum of squares would overflow unscaled
+    (2.0**-1023, -1.0, 2.0**1023),  # a subnormal truth, whose square vanishes unscaled
+])
+def test_relative_errors_past_the_range_of_a_square(truth, approx, error):
+    # under the suite's warnings-as-errors filter a RuntimeWarning would fail this
+    oracle = SetFunctionOracle(GroundSet(3), lambda masks: np.full(masks.shape, truth))
+    got = estimate_relative_errors(oracle, [lambda masks: np.full(masks.shape, approx)], 100,
+                                   seed=1)
+    assert got == [pytest.approx(error, rel=1e-15)]
 
 
 @pytest.mark.parametrize("probes", [5, 64])  # as given, and once per distinct mask

@@ -138,7 +138,7 @@ def test_identity_filter(model):
     rng = np.random.default_rng(71 + model)
     g = GroundSet(5)
     s = SetFunction(g, rng.standard_normal(32))
-    out = convolve(model, Filter.identity(g), s)
+    out = convolve(model, Filter.from_taps(g, {0: 1.0}), s)
     assert np.abs(out.values - s.values).max() < 1e-12
 
 
@@ -163,7 +163,24 @@ def test_filter_refuses_non_finite_taps(bad):
     with pytest.raises(ValueError, match=f"value {bad} at mask 0 is not finite"):
         Filter.from_taps(g, {0: bad})
     with pytest.raises(ValueError, match=f"value {bad} at mask 6 is not finite"):
-        Filter.delta(g, 6, bad)
+        Filter.from_taps(g, {6: bad})
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_dense_taps_act_as_their_nonzero_entries(model):
+    # a dense SetFunction, as `read_setfn` reads a dense taps file, keeps its
+    # nonzero taps: the -0.0 tap and the +0.0 ones are dropped
+    g = GroundSet(4)
+    values = np.zeros(g.size)
+    values[[0, 3, 6, 9]] = [0.5, -1.0, -0.0, 2.0]
+    dense = SetFunction(g, values)
+    h, want = Filter(g, dense), Filter(g, dense.to_sparse())
+    assert h.taps.masks.tolist() == [0, 3, 9] and len(h) == 3
+    s = SetFunction(g, np.random.default_rng(5 + model).standard_normal(g.size))
+    for path in ("auto", "direct", "spectral"):
+        got, expected = convolve(model, h, s, path=path), convolve(model, want, s, path=path)
+        assert got.values.tobytes() == expected.values.tobytes(), path
+    assert frequency_response(model, h).tobytes() == frequency_response(model, want).tobytes()
 
 
 def test_filter_refuses_taps_on_another_ground_set():
@@ -196,10 +213,10 @@ def test_convolve_path_validation():
     g = GroundSet(2)
     s = SetFunction(g, np.zeros(4))
     with pytest.raises(ValueError, match="path"):
-        convolve(1, Filter.identity(g), s, path="sideways")
+        convolve(1, Filter.from_taps(g, {0: 1.0}), s, path="sideways")
     other = SetFunction(GroundSet(3), np.zeros(8))
     with pytest.raises(ValueError, match="mismatched"):
-        convolve(1, Filter.identity(g), other)
+        convolve(1, Filter.from_taps(g, {0: 1.0}), other)
 
 
 def test_moving_average_frequency_response():
@@ -221,7 +238,7 @@ def test_moving_average_n3_values():
 def test_delta_filter_response_is_flat():
     g = GroundSet(4)
     for model in MODELS:
-        fr = frequency_response(model, Filter.identity(g))
+        fr = frequency_response(model, Filter.from_taps(g, {0: 1.0}))
         assert np.array_equal(fr, np.ones(16))
 
 
@@ -286,10 +303,10 @@ def test_filter_matrix_worked_example():
 def test_filter_matrix_single_taps():
     g = GroundSet(3)
     assert np.array_equal(
-        _filter_matrix(3, Filter.delta(g, 0b001)), shift_matrix(3, 1, 3)
+        _filter_matrix(3, Filter.from_taps(g, {0b001: 1.0})), shift_matrix(3, 1, 3)
     )
     X = 0b110
-    M = _filter_matrix(5, Filter.delta(g, X))
+    M = _filter_matrix(5, Filter.from_taps(g, {X: 1.0}))
     perm = np.zeros((8, 8))
     for A in range(8):
         perm[A ^ X, A] = 1.0
@@ -310,7 +327,7 @@ def test_filter_matrix_matches_convolve(model):
 def test_filter_matrix_guard():
     g = GroundSet(11)
     with pytest.raises(ValueError, match="n <= 10"):
-        filter_matrix(1, Filter.identity(g))
+        filter_matrix(1, Filter.from_taps(g, {0: 1.0}))
 
 
 def test_filter_serialization(tmp_path):
