@@ -19,13 +19,14 @@ block in L2, the high ones stream over the array.  Inside a block, the
 stages of the low index bits run on a transposed copy, so that every stage
 pairs long contiguous rows (of 128 elements or more in a full block), under
 a small ufunc buffer that numpy does not copy such rows through; the
-reversal of models 1 and 4 is folded into that copy.  Model 5 writes each stage into a second buffer,
-two ufuncs a stage, and runs its high stages a few columns at a time in L2.
-Model 2 runs pairs of stages in six quarter passes instead of eight.  A
-block of +0.0 only skips its stages when the stage op maps (+0.0, +0.0) to
-(+0.0, +0.0); model 2's negation gives -0.0, so it runs every block.  None
-of this changes an output bit: each output is the same sum, formed in the
-same order up to swapping the operands of an addition (see `dsft_inplace`).
+reversal of models 1 and 4 is folded into that copy.  Model 5 writes each
+stage into a second buffer, two ufuncs a stage, and runs its high stages a
+few columns at a time in L2.  Model 2 runs pairs of stages in six quarter
+passes instead of eight.  A block of +0.0 skips its stages unless some
+kernel row is a single negative entry, the only way a stage turns +0.0 into
+-0.0; model 2's w -> -w is one, so model 2 runs every block.  None of this
+changes an output bit: each output is the same sum, formed in the same
+order up to swapping the operands of an addition (see `dsft_inplace`).
 
 Everything else model-specific is derived from the kernel.  Every matrix
 entry has the closed form
@@ -169,11 +170,10 @@ def _closed_form(model: int, direction: str) -> tuple[bool, str | None, float]:
 
 # The low stages pair rows inside aligned blocks of about 2**_BLOCK_BITS
 # elements (256 KiB of float64; 2**_BLOCK_BITS rows of 1-d input), which
-# stay in L2 while all of those stages run.  The stages of a block's low
-# _SPLIT_BITS index bits (at most half of its bits) run on a transposed copy
-# of the block, where they pair long rows instead of short ones.
+# stay in L2 while all of those stages run.  The stages of the low half of a
+# block's index bits run on a transposed copy of the block, where they pair
+# long rows instead of short ones.
 _BLOCK_BITS = 15
-_SPLIT_BITS = 7
 # Model 5's high stages run on chunks of about 2**_CHUNK_BITS elements
 # (512 KiB): a few columns of the (blocks, rows per block) view at a time,
 # two such buffers staying in L2.
@@ -214,17 +214,6 @@ def _wht_stages(x: np.ndarray, y: np.ndarray, first: int, stop: int):
         _wht(x, y, i)
         x, y = y, x
     return x, y
-
-
-@cache
-def _keeps_zero(op) -> bool:
-    """Whether stage op `op` maps a pair of +0.0 to a pair of +0.0."""
-    x, y = np.zeros(2), np.zeros(2)
-    if op is _wht:
-        op(x, y, 0)  # from x into y
-    else:
-        op(*_halves(y, 0))
-    return not y.view(np.uint64).any()
 
 
 def _all_plus_zero(block: np.ndarray) -> bool:
@@ -282,7 +271,8 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
     """Fast transform of `values` in place; returns the add/sub count.
 
     `values` is a float64 array of length 2**n indexed by subset mask; a 2-d
-    array of shape (2**n, m) transforms m signals at once (columns).
+    array of shape (2**n, m) transforms m signals at once (columns).  Any
+    other dtype or number of dimensions is refused before any work.
 
     Each (model, direction) is one row of `_TABLE`: an optional complement
     reversal J (`values[::-1]` along axis 0) followed by n stages of one
@@ -314,21 +304,22 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
 
     On a block, stage i pairs rows of 2**i contiguous elements, and numpy
     runs short rows slowly: one inner loop per row, each copied through
-    the ufunc buffer.  So the block's row bits are split into
-    b = min(_SPLIT_BITS, low // 2) low bits and a = low - b high ones.  The
-    block is copied into a scratch block with the two parts swapped (a
-    transpose of its (2**a, 2**b) view), where stages 0..b-1 are stages
-    a..low-1 on rows of at least 2**a elements.  It is copied back swapped
-    again, and stages b..low-1 run in place on rows of at least 2**b.  The
-    reversal of models 1 and 4 is folded into the first copy: block k is
-    loaded from block nb-1-k read backwards, so blocks are loaded in
-    mirrored pairs, both before either is written.
+    the ufunc buffer.  So the block's row bits are split into b = low // 2
+    low bits and a = low - b high ones.  The block is copied into a scratch
+    block with the two parts swapped (a transpose of its (2**a, 2**b)
+    view), where stages 0..b-1 are stages a..low-1 on rows of at least 2**a
+    elements.  It is copied back swapped again, and stages b..low-1 run in
+    place on rows of at least 2**b.  The reversal of models 1 and 4 is
+    folded into the first copy: block k is loaded from block nb-1-k read
+    backwards, so blocks are loaded in mirrored pairs, both before either
+    is written.
 
-    A block whose bits are all 0 is not loaded when its stage op maps a pair
-    of +0.0 to +0.0 (`_keeps_zero`), as all but model 2's negation do; under
-    models 1 and 4 its mirrored partner must be zero too.  Bits are tested,
-    so a block holding -0.0 runs, and the first element before the rest, so
-    a dense input pays about one branch per block.
+    A block whose bits are all 0 is not loaded unless some row of the kernel
+    is a single negative entry: only such a row (model 2's w -> -w) makes a
+    stage turn +0.0 into -0.0.  Under models 1 and 4 its mirrored partner
+    must be zero too.  Bits are tested, so a block holding -0.0 runs, and
+    the first element before the rest, so a dense input pays about one
+    branch per block.
 
     Model 5 cannot run in place in two ufuncs, so each stage writes into a
     second buffer.  In a block, its stages alternate between the two
@@ -355,18 +346,18 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
     makes exact; likewise x - y is x + (-y).  (Which NaN payload or sign a
     NaN output carries, IEEE arithmetic leaves open.)
     """
-    check_model(model)
-    check_direction(direction)
-    if values.dtype != np.float64:
-        raise ValueError("in-place transform requires a float64 array")
+    kern, reverse, op = _row(model, direction)
+    if values.dtype != np.float64 or values.ndim not in (1, 2):
+        raise ValueError("in-place transform requires a 1-d or 2-d float64 array")
     n = _infer_n(values.shape[0])
     if n == 0 or values.size == 0:
         return 0
-    kern, reverse, op = _TABLE[(model, direction)]
     *_, scale = _closed_form(model, direction)
+    # zero blocks skip unless a kernel row is one negative entry: +0.0 -> -0.0
+    skip_zero = not any(np.count_nonzero(r) == 1 and r.sum() < 0 for r in kern)
     # row bits of a block: 2**low rows of m = values.size >> n elements
     low = min(n, max(1, _BLOCK_BITS - ((values.size >> n) - 1).bit_length()))
-    b = min(_SPLIT_BITS, low // 2)
+    b = low // 2
     nb = 1 << (n - low)
     blocks = _split(values, (nb, 1 << low))
     scratch = np.empty((2 if reverse or op is _wht else 1,) + blocks.shape[1:])
@@ -377,7 +368,7 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
                 pairs = [(k, nb - 1 - k), (nb - 1 - k, k)][: min(nb, 2)]
             else:
                 pairs = [(k, k)]
-            if _keeps_zero(op) and all(_all_plus_zero(blocks[src]) for _, src in pairs):
+            if skip_zero and all(_all_plus_zero(blocks[src]) for _, src in pairs):
                 continue
             for j, (_, src) in enumerate(pairs):
                 _transpose(scratch[j], blocks[src][::-1] if reverse else blocks[src], low - b)
@@ -432,8 +423,7 @@ def dsft_matrix(model: int, direction: str, n: int) -> np.ndarray:
     inverses the roles swap.  Guarded to n <= 12; this is an oracle for
     testing, not a compute path.
     """
-    check_model(model)
-    check_direction(direction)
+    _row(model, direction)  # refuses a bad model or direction before n
     if n > MATRIX_MAX_N:
         raise ValueError(f"dense transform matrices are limited to n <= {MATRIX_MAX_N}")
     masks = np.arange(1 << n, dtype=np.int64)

@@ -74,12 +74,12 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
 
 
-# (_BLOCK_BITS, _SPLIT_BITS, _CHUNK_BITS): on 1-d input, blocks of 2..5 row
-# bits split into b transposed and a = low - b in-place stages, (b, a)
+# (_BLOCK_BITS, _CHUNK_BITS): on 1-d input, blocks of 2..5 row bits split
+# into b = low // 2 transposed and a = low - b in-place stages, (b, a)
 # odd/odd, odd/even, even/even and even/odd, so that model 5's two ping-pong
 # phases each run an odd and an even count; model 5's high-stage chunks of
 # 1 to 64 elements are narrower than the block, and ragged for 3 columns.
-SCHEDULES = [(2, 1, 0), (3, 1, 1), (4, 2, 4), (5, 2, 6)]
+SCHEDULES = [(2, 0), (3, 1), (4, 4), (5, 6)]
 
 
 def _zero_block_values(data, shape) -> np.ndarray:
@@ -100,14 +100,26 @@ def _zero_block_values(data, shape) -> np.ndarray:
     return values
 
 
+def _keeps_plus_zero(model, direction) -> bool:
+    """Whether the stage op of the `_TABLE` row maps a pair of +0.0 to a
+    pair of +0.0, found by running it on one."""
+    op = transforms._TABLE[(model, direction)][2]
+    x, y = np.zeros(2), np.zeros(2)
+    if op is transforms._wht:
+        op(x, y, 0)  # from x into y
+    else:
+        op(*transforms._halves(y, 0))
+    return not y.view(np.uint64).any()
+
+
 def _loaded_blocks(values, model, direction, block_bits) -> int:
-    """How many blocks `dsft_inplace` loads: all of them under model 2, whose
-    negation turns +0.0 into -0.0, else those not all +0.0 (under models 1
-    and 4, those in a mirrored pair not all +0.0)."""
+    """How many blocks `dsft_inplace` loads: all of them when the stage op
+    turns +0.0 into -0.0 (model 2's negation), else those not all +0.0
+    (under models 1 and 4, those in a mirrored pair not all +0.0)."""
     n = values.shape[0].bit_length() - 1
     low = min(n, max(1, block_bits - ((values.size >> n) - 1).bit_length()))
     zero = [not b.view(np.uint64).any() for b in values.reshape(1 << (n - low), -1)]
-    if model == 2:
+    if not _keeps_plus_zero(model, direction):
         return len(zero)
     if transforms._TABLE[(model, direction)][1]:
         zero = [z and mirror for z, mirror in zip(zero, reversed(zero))]
@@ -127,10 +139,9 @@ def test_blocked_transform_is_the_plain_butterfly(model, direction, data, n, col
     want = np.column_stack(
         [butterfly_reference(model, direction, cols[:, j].tolist(), n) for j in range(cols.shape[1])]
     ).reshape(shape)
-    for block_bits, split_bits, chunk_bits in SCHEDULES:
+    for block_bits, chunk_bits in SCHEDULES:
         got = values.copy()
-        with mock.patch.multiple(transforms, _BLOCK_BITS=block_bits, _SPLIT_BITS=split_bits,
-                                 _CHUNK_BITS=chunk_bits), \
+        with mock.patch.multiple(transforms, _BLOCK_BITS=block_bits, _CHUNK_BITS=chunk_bits), \
                 mock.patch.object(transforms, "_transpose", wraps=transforms._transpose) as copies:
             additions = dsft_inplace(got, model, direction)
         assert additions == n * (values.size // 2) * (2 if model == 5 else 1)
@@ -138,6 +149,19 @@ def test_blocked_transform_is_the_plain_butterfly(model, direction, data, n, col
         # each loaded block is copied into scratch and back
         loaded = _loaded_blocks(values, model, direction, block_bits) if n else 0
         assert copies.call_count == 2 * loaded
+
+
+@pytest.mark.parametrize("model,direction", PAIRS)
+def test_zero_blocks_skip_exactly_where_the_stage_op_keeps_plus_zero(model, direction):
+    # the rule `dsft_inplace` derives from the kernel rows, against the stage
+    # op run on a pair of +0.0: an op that turns +0.0 into -0.0 must run
+    # every block, and any other op none of an all +0.0 signal's 8 blocks
+    values = np.zeros(1 << 5)
+    with mock.patch.object(transforms, "_BLOCK_BITS", 2), \
+            mock.patch.object(transforms, "_transpose", wraps=transforms._transpose) as copies:
+        dsft_inplace(values, model, direction)
+    assert copies.call_count == (0 if _keeps_plus_zero(model, direction) else 2 * 8)
+    assert _same_bits(values, butterfly_reference(model, direction, [0.0] * 32, 5))
 
 
 @pytest.mark.parametrize("model,direction", PAIRS)
@@ -151,7 +175,7 @@ def test_transform_writes_through_strided_views_and_restores_the_bufsize(model, 
     saved = np.getbufsize()
     np.setbufsize(4096)
     try:
-        with mock.patch.multiple(transforms, _BLOCK_BITS=4, _SPLIT_BITS=2, _CHUNK_BITS=2):
+        with mock.patch.multiple(transforms, _BLOCK_BITS=4, _CHUNK_BITS=2):
             for contiguous, view in ((want_flat, flat[::2]), (want_grid, grid)):
                 dsft_inplace(contiguous, model, direction)
                 dsft_inplace(view, model, direction)

@@ -210,6 +210,14 @@ def test_inplace_requires_float64():
         dsft_inplace(np.zeros(6), 1)
     with pytest.raises(ValueError, match="signal length 0 is not a power of two"):
         dsft_inplace(np.zeros(0), 1)
+    # a (2**n, m, k) array is not a batch of signals, and a 0-d one no signal
+    for shape in ((8, 2, 2), (4, 1, 1, 1), ()):
+        values = np.arange(float(np.prod(shape))).reshape(shape)
+        want = values.copy()
+        for model in MODELS:
+            with pytest.raises(ValueError, match="1-d or 2-d float64"):
+                dsft_inplace(values, model, FORWARD)
+        assert values.tobytes() == want.tobytes()
 
 
 def test_transform_preserves_input():
