@@ -23,10 +23,10 @@ reversal of models 1 and 4 is folded into that copy.  Model 5 writes each
 stage into a second buffer, two ufuncs a stage, and runs its high stages a
 few columns at a time in L2.  Model 2 runs pairs of stages in six quarter
 passes instead of eight.  A block of +0.0 skips its stages unless some
-kernel row is a single negative entry, the only way a stage turns +0.0 into
--0.0; model 2's w -> -w is one, so model 2 runs every block.  None of this
-changes an output bit: each output is the same sum, formed in the same
-order up to swapping the operands of an addition (see `dsft_inplace`).
+kernel row has no positive entry (model 2's w -> -w): only a sum of negated
+terms turns +0.0 into -0.0.  None of this changes an output bit: each
+output is the same sum, formed in the same order up to swapping the
+operands of an addition (see `dsft_inplace`).
 
 Everything else model-specific is derived from the kernel.  Every matrix
 entry has the closed form
@@ -315,8 +315,8 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
     is written.
 
     A block whose bits are all 0 is not loaded unless some row of the kernel
-    is a single negative entry: only such a row (model 2's w -> -w) makes a
-    stage turn +0.0 into -0.0.  Under models 1 and 4 its mirrored partner
+    has no positive entry: only a sum of negated terms (model 2's w -> -w)
+    turns +0.0 into -0.0.  Under models 1 and 4 its mirrored partner
     must be zero too.  Bits are tested, so a block holding -0.0 runs, and
     the first element before the rest, so a dense input pays about one
     branch per block.
@@ -353,8 +353,8 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
     if n == 0 or values.size == 0:
         return 0
     *_, scale = _closed_form(model, direction)
-    # zero blocks skip unless a kernel row is one negative entry: +0.0 -> -0.0
-    skip_zero = not any(np.count_nonzero(r) == 1 and r.sum() < 0 for r in kern)
+    # zero blocks skip unless a kernel row has no positive entry: +0.0 -> -0.0
+    skip_zero = not any((r <= 0).all() for r in kern)
     # row bits of a block: 2**low rows of m = values.size >> n elements
     low = min(n, max(1, _BLOCK_BITS - ((values.size >> n) - 1).bit_length()))
     b = low // 2

@@ -1,17 +1,16 @@
 """Write BENCH_<pr>.json: bench/run.py records of every BENCHMARK.json workload.
 
     python3 tools/record_bench.py --pr 32
-    python3 tools/record_bench.py --pr 32 --parent <commit> --seconds 25
 
-Runs `python3 bench/run.py --workload W --seconds S --trace T` from the
+Runs `python3 bench/run.py --workload W --seconds 25 --trace T` from the
 repository root for each workload that BENCHMARK.json lists, untraced (T = 0)
 and traced (T = 1), one at a time.  Each run keeps its exit code and its last
 two stdout lines: the report (machine record, every sample, digests) and the
 result (end-to-end metrics; per-layer metrics under --trace 1), each parsed
 as JSON where it is JSON and kept as text where it is not.
 
-`parent` defaults to HEAD, the commit the tree under test sits on before it
-is committed.  The file has the keys what, command, parent, date, host, runs.
+`parent` is HEAD, the commit the tree under test sits on before it is
+committed.  The file has the keys what, command, parent, date, host, runs.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COMMAND = "python3 bench/run.py --workload W --seconds {seconds} --trace T"
+COMMAND = "python3 bench/run.py --workload W --seconds 25 --trace T"
 
 
 def _line(text: str):
@@ -46,13 +45,13 @@ def _host(runs: list[dict]) -> str:
             f"caches {m['caches']}")
 
 
-def record(seconds: int) -> list[dict]:
+def record() -> list[dict]:
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     runs = []
     for workload in workloads:
         for trace in (0, 1):
             argv = [sys.executable, "bench/run.py", "--workload", workload,
-                    "--seconds", str(seconds), "--trace", str(trace)]
+                    "--seconds", "25", "--trace", str(trace)]
             done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
             lines = done.stdout.splitlines()[-2:]
             report, result = ([None] * (2 - len(lines)) + [_line(s) for s in lines])
@@ -65,17 +64,15 @@ def record(seconds: int) -> list[dict]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="names the file BENCH_<pr>.json")
-    parser.add_argument("--parent", default=None, help="parent commit (default: HEAD)")
-    parser.add_argument("--seconds", type=int, default=25)
     args = parser.parse_args(argv)
-    parent = args.parent or subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
-                                           capture_output=True, text=True).stdout.strip()
-    runs = record(args.seconds)
+    parent = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    runs = record()
     out = {
         "what": "bench/run.py records of the BENCHMARK.json workloads on this commit's "
                 "tree: for each run, the report line (machine record, every sample, digests) "
                 "and the result line (end-to-end metrics; per-layer metrics under --trace 1)",
-        "command": COMMAND.format(seconds=args.seconds),
+        "command": COMMAND,
         "parent": parent,
         "date": time.strftime("%Y-%m-%dT%H:%MZ", time.gmtime()),
         "host": _host(runs),
