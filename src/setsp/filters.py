@@ -14,17 +14,17 @@ model-1 transform, model 5 uses the WHT.
 
 On the direct path, models 3-5 are index remaps: (h * s)[A] is the sum of
 h_Q * s at A \\ Q, A u Q or A xor Q over the taps Q.  The output is filled one
-aligned block of 2**min(n, transforms._BLOCK_BITS) elements at a time, while
-the block stays in L2, and every tap's products go through one scratch block
-instead of a full-size temporary.  Each output still starts at +0.0 and adds
-weight * value once per tap, in the order of the taps' arrays (the order they
-were given in), so its bits are those of one full-array pass per tap,
-whatever the block size.  That order fixes them: floating-point addition is
-not associative, so other tap orders can round differently.  A tap of
-weight +-1.0 adds or subtracts with no product, and one on bit 0 or 1 runs
-on transposed views (see `_convolve_direct`).  Models 1 and 2 keep one
-composed shift per tap, because their X-fold shift is not a remap: each
-output sums 2**|X| values of s.
+aligned block of 2**min(n, transforms._BLOCK_BITS) elements at a time, the
+transforms' block, which stays in L2 with the one scratch block that every
+tap's products go through instead of a full-size temporary.  Each output
+still starts at +0.0 and adds weight * value once per tap, in the order of
+the taps' arrays (the order they were given in), so its bits are those of
+one full-array pass per tap, whatever the block size.  That order fixes
+them: floating-point addition is not associative, so other tap orders can
+round differently.  A tap of weight +-1.0 adds or subtracts with no product,
+and one on bit 0 or 1 runs on transposed views (see `_convolve_direct`).
+Models 1 and 2 keep one composed shift per tap, because their X-fold shift
+is not a remap: each output sums 2**|X| values of s.
 
 The elementary shift needs no table of its own.  The transform diagonalizes
 it, with the frequency response r of the one-element delta on the diagonal,

@@ -21,12 +21,12 @@ pairs long contiguous rows (of 128 elements or more in a full block), under
 a small ufunc buffer that numpy does not copy such rows through; the
 reversal of models 1 and 4 is folded into that copy.  Model 5 writes each
 stage into a second buffer, two ufuncs a stage, and runs its high stages a
-few columns at a time in L2.  Model 2 runs pairs of stages in six quarter
-passes instead of eight.  A block of +0.0 skips its stages unless some
-kernel row has no positive entry (model 2's w -> -w): only a sum of negated
-terms turns +0.0 into -0.0.  None of this changes an output bit: each
-output is the same sum, formed in the same order up to swapping the
-operands of an addition (see `dsft_inplace`).
+few columns at a time through its two scratch blocks.  Model 2 runs pairs
+of stages in six quarter passes instead of eight.  A block of +0.0 skips
+its stages unless some kernel row has no positive entry (model 2's w ->
+-w): only a sum of negated terms turns +0.0 into -0.0.  None of this
+changes an output bit: each output is the same sum, formed in the same
+order up to swapping the operands of an addition (see `dsft_inplace`).
 
 Everything else model-specific is derived from the kernel.  Every matrix
 entry has the closed form
@@ -169,15 +169,12 @@ def _closed_form(model: int, direction: str) -> tuple[bool, str | None, float]:
 
 
 # The low stages pair rows inside aligned blocks of about 2**_BLOCK_BITS
-# elements (256 KiB of float64; 2**_BLOCK_BITS rows of 1-d input), which
-# stay in L2 while all of those stages run.  The stages of the low half of a
-# block's index bits run on a transposed copy of the block, where they pair
-# long rows instead of short ones.
-_BLOCK_BITS = 15
-# Model 5's high stages run on chunks of about 2**_CHUNK_BITS elements
-# (512 KiB): a few columns of the (blocks, rows per block) view at a time,
-# two such buffers staying in L2.
-_CHUNK_BITS = 16
+# elements (2**_BLOCK_BITS rows of 1-d input), which stay in L2 while all of
+# those stages run.  The dense layer's working set is one such block plus at
+# most two scratch blocks: 512 KiB of float64 each, 1.5 MiB of a 2 MiB L2.
+# The stages of the low half of a block's index bits run on a transposed
+# copy of the block, where they pair long rows instead of short ones.
+_BLOCK_BITS = 16
 # numpy copies a strided operand through its ufunc buffer whenever a row is
 # shorter than the buffer (8192 elements by default); rows of 64 or more
 # elements run unbuffered under this size.
@@ -247,20 +244,19 @@ def _block_stages(block, scratch, a: int, b: int, op) -> None:
     _wht_stages(start, spare, b, low)
 
 
-def _wht_high(values: np.ndarray, n: int, low: int) -> None:
-    """Model 5's stages low..n-1, on a few columns of the (2**(n-low),
-    2**low) view at a time: the first stage reads the columns, the last
-    writes them back, and those between alternate two small buffers."""
+def _wht_high(values: np.ndarray, n: int, low: int, scratch: np.ndarray) -> None:
+    """Model 5's stages low..n-1, as many columns of the (2**(n-low), 2**low)
+    view at a time as a scratch block holds: the first stage reads them, the
+    last writes them back, and those between alternate the scratch blocks."""
     h = n - low
     grid = _split(values, (1 << h, 1 << low))
-    width = max(1, min(1 << low, (1 << _CHUNK_BITS) // (values.size >> low)))
-    bufs = np.empty((2, 1 << h, width) + values.shape[1:])
+    bufs = scratch.reshape((2, 1 << h, -1) + values.shape[1:])
+    width = bufs.shape[2]  # a power of two, so it divides 2**low
     for j in range(0, 1 << low, width):
         chunk = grid[:, j : j + width]
-        pair = bufs[:, :, : chunk.shape[1]]
         x = chunk
         for i in range(h):
-            y = chunk if 0 < i == h - 1 else pair[i % 2]
+            y = chunk if 0 < i == h - 1 else bufs[i % 2]
             _wht(x, y, i)
             x = y
         if h == 1:
@@ -325,13 +321,14 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
     second buffer.  In a block, its stages alternate between the two
     scratch blocks, then between the block and a scratch block, starting
     where the stage count makes the last one end in the block.  Its high
-    stages run a few columns of the (blocks, rows per block) view at a
-    time: the first reads them from the array, the ones between alternate
-    two small buffers in L2, and the last writes them back.
+    stages run as many columns of the (blocks, rows per block) view at a
+    time as a scratch block holds: the first reads them from the array, the
+    ones between alternate the two scratch blocks, and the last writes them
+    back.
 
-    Scratch memory is one block for models 2 and 3, two for models 1, 4
-    and 5, and model 5's two column buffers of about 2**_CHUNK_BITS
-    elements each.
+    Scratch memory is one block for models 2 and 3 and two for models 1, 4
+    and 5, grown for model 5 to one column of 2**(n-low) rows if that is
+    larger; it allocates nothing else (the L2 budget is at `_BLOCK_BITS`).
 
     The stage ufuncs run under a ufunc buffer of _BUFSIZE elements, so rows
     of 64 elements or more are not copied through it.  The setting lives in
@@ -360,7 +357,9 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
     b = low // 2
     nb = 1 << (n - low)
     blocks = _split(values, (nb, 1 << low))
-    scratch = np.empty((2 if reverse or op is _wht else 1,) + blocks.shape[1:])
+    rows = max(low, n - low) if op is _wht else low
+    scratch = np.empty((2 if reverse or op is _wht else 1, 1 << rows) + values.shape[1:])
+    block_scratch = scratch[:, : 1 << low]
     with np.errstate():
         np.setbufsize(_BUFSIZE)
         for k in range(max(nb // 2, 1) if reverse else nb):
@@ -371,13 +370,13 @@ def dsft_inplace(values: np.ndarray, model: int, direction: str = FORWARD) -> in
             if skip_zero and all(_all_plus_zero(blocks[src]) for _, src in pairs):
                 continue
             for j, (_, src) in enumerate(pairs):
-                _transpose(scratch[j], blocks[src][::-1] if reverse else blocks[src], low - b)
+                _transpose(block_scratch[j], blocks[src][::-1] if reverse else blocks[src], low - b)
             for j, (dst, _) in enumerate(pairs):
-                _block_stages(blocks[dst], scratch[j:], low - b, b, op)
+                _block_stages(blocks[dst], block_scratch[j:], low - b, b, op)
         if op is not _wht:
             _stages(values, low, n, op)
         elif n > low:
-            _wht_high(values, n, low)
+            _wht_high(values, n, low, scratch)
 
     if scale != 1.0:
         values *= scale**n

@@ -2,12 +2,12 @@
 both sum in the same order, to 1e-12 of the output scale where they do not.
 
 The transform's schedule only shows at n > _BLOCK_BITS, so these tests shrink
-the block to 2**2..2**5 rows, the transposed low part to 1 or 2 bits and model
-5's column chunks below the block: then n <= 8 crosses several blocks, the
-paired-block reversal of models 1 and 4, both phases of a block, and model 5's
-ping-pong with odd and even stage counts.  Likewise the sparse evaluator's
-probe blocks, hit tables and term groups and reconstruct's row blocks shrink
-to a few entries.
+the block to 2**2..2**5 rows, the transposed low part to 1 or 2 bits and with
+them model 5's column chunks, which are its scratch blocks: then n <= 8 crosses
+several blocks, the paired-block reversal of models 1 and 4, both phases of a
+block, and model 5's ping-pong with odd and even stage counts.  Likewise the
+sparse evaluator's probe blocks, hit tables and term groups and reconstruct's
+row blocks shrink to a few entries.
 """
 
 import math
@@ -74,12 +74,16 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
 
 
-# (_BLOCK_BITS, _CHUNK_BITS): on 1-d input, blocks of 2..5 row bits split
-# into b = low // 2 transposed and a = low - b in-place stages, (b, a)
-# odd/odd, odd/even, even/even and even/odd, so that model 5's two ping-pong
-# phases each run an odd and an even count; model 5's high-stage chunks of
-# 1 to 64 elements are narrower than the block, and ragged for 3 columns.
-SCHEDULES = [(2, 0), (3, 1), (4, 4), (5, 6)]
+# _BLOCK_BITS: on 1-d input, blocks of 2..5 row bits split into b = low // 2
+# transposed and a = low - b in-place stages, (b, a) odd/odd, odd/even,
+# even/even and even/odd, so that model 5's two ping-pong phases each run an
+# odd and an even count.  Model 5's high stages run on chunks of as many of
+# the 2**low columns as a scratch block holds: 2**(low - h) of them for h
+# high stages, one column through scratch blocks grown past the block when h
+# > low, and one stage copied back when h == 1 (the explicit examples below
+# reach both).  Chunk and block are powers of two of the same rows, so
+# no chunk is ragged; 3-column input runs them on rows of 3 elements.
+SCHEDULES = [2, 3, 4, 5]
 
 
 def _zero_block_values(data, shape) -> np.ndarray:
@@ -130,12 +134,16 @@ def _loaded_blocks(values, model, direction, block_bits) -> int:
 @settings(max_examples=15, deadline=None)
 @given(data=st.data(), n=st.integers(0, 8), columns=st.integers(0, 3), blocks=st.booleans())
 @example(data=None, n=5, columns=0, blocks=True)
+@example(data=None, n=6, columns=0, blocks=False)
+@example(data=None, n=4, columns=3, blocks=False)
 def test_blocked_transform_is_the_plain_butterfly(model, direction, data, n, columns, blocks):
-    # the explicit example is all +0.0, 8 blocks under the first schedule:
-    # each row's kernel rule meets the stage op run on +0.0 (_loaded_blocks)
+    # explicit examples: all +0.0 in 8 blocks under the first schedule, where
+    # each row's kernel rule meets the stage op run on +0.0 (_loaded_blocks);
+    # standard normal values, where model 5's last schedule runs one high
+    # stage and, on 1-d input, the first runs h = 4 > low = 2
     shape = (1 << n, columns) if columns else (1 << n,)
     if data is None:
-        values = np.zeros(shape)
+        values = np.zeros(shape) if blocks else np.random.default_rng(n).standard_normal(shape)
     elif blocks:
         values = _zero_block_values(data, shape)
     else:
@@ -144,9 +152,9 @@ def test_blocked_transform_is_the_plain_butterfly(model, direction, data, n, col
     want = np.column_stack(
         [butterfly_reference(model, direction, cols[:, j].tolist(), n) for j in range(cols.shape[1])]
     ).reshape(shape)
-    for block_bits, chunk_bits in SCHEDULES:
+    for block_bits in SCHEDULES:
         got = values.copy()
-        with mock.patch.multiple(transforms, _BLOCK_BITS=block_bits, _CHUNK_BITS=chunk_bits), \
+        with mock.patch.object(transforms, "_BLOCK_BITS", block_bits), \
                 mock.patch.object(transforms, "_transpose", wraps=transforms._transpose) as copies:
             additions = dsft_inplace(got, model, direction)
         assert additions == n * (values.size // 2) * (2 if model == 5 else 1)
@@ -167,7 +175,7 @@ def test_transform_writes_through_strided_views_and_restores_the_bufsize(model, 
     saved = np.getbufsize()
     np.setbufsize(4096)
     try:
-        with mock.patch.multiple(transforms, _BLOCK_BITS=4, _CHUNK_BITS=2):
+        with mock.patch.object(transforms, "_BLOCK_BITS", 4):
             for contiguous, view in ((want_flat, flat[::2]), (want_grid, grid)):
                 dsft_inplace(contiguous, model, direction)
                 dsft_inplace(view, model, direction)

@@ -1,10 +1,11 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from setsp.core import MODELS, GroundSet, SetFunction, Spectrum
-from setsp import transforms
+from setsp import filters, transforms
 from setsp.transforms import (
     FORWARD,
     INVERSE,
@@ -244,8 +245,8 @@ ZERO_PADDED_SHA256 = {
 
 
 def _zero_padded_signal() -> np.ndarray:
-    # n=18, eight blocks of 2**15: random values in blocks 0 and 1, a -0.0
-    # opening block 5 and +0.0 everywhere else
+    # n=18: random values in the first 2**16 entries (one block), a -0.0
+    # inside block 2 and +0.0 everywhere else
     x = np.zeros(1 << 18)
     x[: 2 << 15] = np.random.default_rng(18).standard_normal(2 << 15)
     x[5 << 15] = -0.0
@@ -257,3 +258,37 @@ def test_zero_padded_transform_golden_bits(model, direction):
     x = _zero_padded_signal()
     dsft_inplace(x, model, direction)
     assert hashlib.sha256(x.tobytes()).hexdigest() == ZERO_PADDED_SHA256[(model, direction)]
+
+
+def _full_size_outputs() -> dict:
+    """Every `_TABLE` row on 1-d and 3-column input, and the moving
+    average's direct convolution under models 3-5, at n=17."""
+    n = 17
+    rng = np.random.default_rng(n)
+    flat = rng.standard_normal(1 << n)
+    flat[1 << 15 : 3 << 15] = 0.0  # two of four blocks of 2**15, or half of each of 2**16
+    grid = rng.standard_normal((1 << n, 3))
+    out = {}
+    for model, direction in transforms._TABLE:
+        for x in (flat, grid):
+            y = x.copy()
+            dsft_inplace(y, model, direction)
+            out[model, direction, x.ndim] = y.tobytes()
+    g = GroundSet(n)
+    h, s = filters.Filter.moving_average(g), SetFunction.wrap(g, flat)
+    for model in (3, 4, 5):
+        out[model, "direct"] = filters._convolve_direct(model, h, s).values.tobytes()
+    return out
+
+
+def test_full_size_schedules_give_the_same_bits():
+    # n=17 under blocks of 2**15 and of the default size: 4 or 2 blocks of
+    # 1-d input, 2**13 or 2**14 rows of 3 columns, and model 5 with one or
+    # more high stages (one runs its copy back); the direct convolution's
+    # taps on bits 15-16 or 16 read other blocks
+    want = _full_size_outputs()
+    with mock.patch.object(transforms, "_BLOCK_BITS", 15):
+        got = _full_size_outputs()
+    assert transforms._BLOCK_BITS != 15
+    for key in want:
+        assert got[key] == want[key], key
