@@ -17,8 +17,10 @@ A sparse spectrum of any of the five models evaluates as its inverse
 transform restricted to the support (`eval_sparse_many`); the compression
 band and the sampling support are both such spectra.  Terms that reach few
 probes find them through bitset tables (Four Russians); the rest are swept.
-Model 5's sweep holds each probe's sum in the sign frame of the last term,
-so that a term costs one sign-bit XOR and one scalar add.
+The hits depend on the probes and the terms alone: their plan is kept for
+one more call, so an oracle and its fit on one support, scored at the same
+probes, plan once.  Model 5's sweep holds each probe's sum in the sign frame
+of the last term, so that a term costs one sign-bit XOR and one scalar add.
 
 Norms over the whole lattice need no lattice either: the model-4 basis
 vectors f^B_A = [A & B == 0] have the Gram matrix <f^B, f^C> = 2**(n - |B | C|),
@@ -79,6 +81,8 @@ _TABLE_WORDS = 16
 # step with more sweeps its terms.  A step of random probes has far fewer
 # (at most 21k in the benchmark's workloads).
 _TABLE_HIT_BYTES = 1 << 15
+# The last plan of `_add_table_hits` and its key.
+_kept_plan = None
 # Rows of `reconstruct`'s inclusion pattern built at once: a k=500 support
 # takes two blocks, and a 2**16 one holds 16 MiB of it at a time, not 4 GiB.
 _RECONSTRUCT_ROWS = 256
@@ -125,11 +129,11 @@ def eval_sparse_many(spectrum: SparseSpectrum, masks) -> np.ndarray:
     tabled = np.count_nonzero(popcount(tests) >= _TABLE_MIN_CARD) if want else 0
     cut = tabled if complement else tests.size - tabled
     for run, table in ((slice(cut), complement), (slice(cut, None), not complement)):
-        if table:
-            _add_table_hits(probes, tests[run], coeffs[run], n, out)
-        else:
+        if not table:
             sweep = _sign_sweep if want is None else _sweep
             sweep(probes, tests[run], coeffs[run], n, out)
+        elif tabled:
+            _add_table_hits(probes, tests[run], coeffs[run], n, out)
     if complement:
         bits = out.view(np.uint64)
         bits ^= np.bitwise_count(flat).astype(np.uint64) << np.uint64(63)
@@ -218,20 +222,55 @@ def _table_bits(probes: int) -> int:
 def _add_table_hits(probes, tests, coeffs, n: int, out: np.ndarray) -> None:
     """Add c_T onto out[p] for each term T, in order, with probes[p] & T == 0.
 
+    Each step of the plan (`_table_plan`) adds its hits with `np.add.at`,
+    which applies repeated indices in order, or sweeps its terms over its
+    probes.  A plan that fits with its key (n, the terms and the probes in
+    the narrow mask type) in 8 * `_TABLE_HIT_BYTES` hits of 4 bytes is kept
+    for the next call, which applies it, if its key is the same, and drops it.
+    """
+    global _kept_plan
+    narrow = np.min_scalar_type((1 << n) - 1)
+    key = (n, tests.astype(narrow), probes.astype(narrow))
+    room = 32 * _TABLE_HIT_BYTES - key[1].nbytes - key[2].nbytes
+    kept, _kept_plan = _kept_plan, None
+    if kept and all(map(np.array_equal, kept[0], key)):
+        steps, plan = kept[1], None
+    else:
+        steps, plan = _table_plan(probes, tests, n), [] if room >= 0 else None
+    for start, stop, first, last, hits in steps:
+        if hits is None:
+            _sweep(probes[start:stop], tests[first:last], coeffs[first:last], n, out[start:stop])
+        else:
+            np.add.at(out[start:stop], hits[0], coeffs[first:last][hits[1]])
+            room -= 2 * hits[0].nbytes
+        if room < 0:
+            plan = None  # too large to keep: the rest is applied as it is planned
+        elif plan is not None:
+            plan.append((start, stop, first, last, hits))
+    if plan is not None:
+        _kept_plan = key, plan
+
+
+def _table_plan(probes, tests, n: int):
+    """The steps of `_add_table_hits`, in order: (start, stop, first, last,
+    hits) for the probes [start, stop) and the terms [first, last), where
+    `hits` is None for a sweep, else the (probe, term) offsets of the hits,
+    uint16, probe by probe in ascending term order.
+
     The method of Four Russians: the n mask bits are split into chunks of
     b = `_table_bits` bits, and the chunk at bit s gets a table whose row v
     is the bitset of the terms with T & (v << s) == 0, 64 terms to a word in
     little bit order.  A probe's hit words are the AND of its chunks' rows,
     taken one block of `_TABLE_PROBES` probes and one group of `_TABLE_WORDS`
-    words at a time.  Their set bits come out probe by probe, in ascending
-    term order, and `np.add.at` applies repeated indices in order; a step
-    with more than `_TABLE_HIT_BYTES` nonzero hit bytes sweeps its terms.
+    words at a time.  A run of blocks of one group, each with more than
+    `_TABLE_HIT_BYTES` nonzero hit bytes, is one sweep.
     """
     padded = np.pad(tests, (0, -tests.size % 64), constant_values=-1)  # hits nothing
     b = _table_bits(probes.size)
     shifts = range(0, max(n, 1), b)
     for first in range(0, padded.size, 64 * _TABLE_WORDS):
         group = padded[first : first + 64 * _TABLE_WORDS]
+        last = min(first + len(group), tests.size)  # without the padding
         tables = []
         for s in shifts:
             table = np.packbits(group != -1, bitorder="little").view(np.uint64)[None]
@@ -239,24 +278,40 @@ def _add_table_hits(probes, tests, coeffs, n: int, out: np.ndarray) -> None:
                 clear = np.packbits(group & (1 << bit) == 0, bitorder="little")
                 table = np.concatenate((table, table & clear.view(np.uint64)))
             tables.append(table)
+        swept = None  # the first probe of a run of dense blocks
         for start in range(0, probes.size, _TABLE_PROBES):
-            P, acc = probes[start : start + _TABLE_PROBES], out[start : start + _TABLE_PROBES]
-            hits = np.take(tables[0], P & (len(tables[0]) - 1), axis=0)
-            for s, table in zip(shifts[1:], tables[1:]):
-                hits &= np.take(table, (P >> s) & (len(table) - 1), axis=0)
-            # the nonzero words, then their nonzero bytes, then the set bits
-            hits = hits.ravel()
-            word = np.flatnonzero(hits != 0)
-            byte = hits[word].view(np.uint8)
-            nonzero = np.flatnonzero(byte != 0)
-            if nonzero.size > _TABLE_HIT_BYTES:
-                real = slice(first, first + len(group))  # without the padding
-                _sweep(P, tests[real], coeffs[real], n, acc)
+            stop = min(start + _TABLE_PROBES, probes.size)
+            hits = _block_hits(tables, shifts, probes[start:stop], len(group) // 64)
+            if hits is None:
+                swept = start if swept is None else swept
                 continue
-            at = np.flatnonzero(np.unpackbits(byte[nonzero], bitorder="little").view(bool))
-            at = nonzero[at >> 3] << 3 | at & 7  # the hit's bit in `byte`
-            probe, w = np.divmod(word[at >> 6], len(group) // 64)
-            np.add.at(acc, probe, coeffs[first + w * 64 + (at & 63)])
+            if swept is not None:
+                yield swept, start, first, last, None
+                swept = None
+            yield start, stop, first, last, hits
+        if swept is not None:
+            yield swept, probes.size, first, last, None
+
+
+def _block_hits(tables, shifts, P, words: int):
+    """The hits of the probes P on a group of `words` words, as `_table_plan`
+    gives them, or None past `_TABLE_HIT_BYTES` nonzero hit bytes."""
+    hits = np.take(tables[0], P & (len(tables[0]) - 1), axis=0)
+    for s, table in zip(shifts[1:], tables[1:]):
+        hits &= np.take(table, (P >> s) & (len(table) - 1), axis=0)
+    # the nonzero words, then their nonzero bytes, then the set bits
+    hits = hits.ravel()
+    word = np.flatnonzero(hits != 0)
+    byte = hits[word].view(np.uint8)
+    nonzero = np.flatnonzero(byte != 0)
+    if nonzero.size > _TABLE_HIT_BYTES:
+        return None
+    at = np.flatnonzero(np.unpackbits(byte[nonzero], bitorder="little").view(bool))
+    at = nonzero[at >> 3] << 3 | at & 7  # the hit's bit in `byte`
+    probe, term = np.divmod(word[at >> 6], words)
+    term <<= 6
+    term |= at & 63
+    return probe.astype(np.uint16), term.astype(np.uint16)
 
 
 def oracle_from_sparse_spectrum(spectrum: SparseSpectrum) -> SetFunctionOracle:

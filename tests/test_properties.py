@@ -310,15 +310,15 @@ def _wide_spectrum(data, n: int, coeff, model: int = 4, band: bool = False) -> S
     return SparseSpectrum(GroundSet(n), model, freqs, coeffs)
 
 
-def _small_tables(data, n: int):
+def _small_tables(data, n: int, hit_bytes=st.integers(1, 5)):
     """Patches the sparse evaluator's routing threshold over 0..n+1, and its
-    table width, probe blocks, term groups, dense-step bound, sweep blocks
-    and sign-plane count and bytes down to a few."""
+    table width, probe blocks, term groups, dense-step bound (`hit_bytes`),
+    sweep blocks and sign-plane count and bytes down to a few."""
     bits = data.draw(st.integers(1, 6))
     return mock.patch.multiple(
         sampling, _TABLE_MIN_CARD=data.draw(st.integers(0, n + 1)),
         _table_bits=lambda size: bits, _TABLE_PROBES=data.draw(st.integers(1, 9)),
-        _TABLE_WORDS=data.draw(st.integers(1, 3)), _TABLE_HIT_BYTES=data.draw(st.integers(1, 5)),
+        _TABLE_WORDS=data.draw(st.integers(1, 3)), _TABLE_HIT_BYTES=data.draw(hit_bytes),
         _EVAL_CHUNK=data.draw(st.integers(1, 5)), _SIGN_PLANES=data.draw(st.integers(0, 40)),
         _SIGN_PLANE_BYTES=data.draw(st.integers(8, 40)))
 
@@ -411,6 +411,38 @@ def test_blocked_band_eval_is_the_sequential_sum(model, data, n, shape):
     assert got.shape == masks.shape
     assert _same_bits(got, np.reshape(want, masks.shape))
     assert _same_bits(np.array(scalar, dtype=np.float64), want)
+
+
+@pytest.mark.parametrize("case", ["redrawn", "permuted", "interleaved"])
+@pytest.mark.parametrize("model", range(1, 5))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=WIDE_N)
+def test_a_kept_table_plan_gives_other_coefficients_their_bits(case, model, data, n):
+    # spectrum A, then B (the same frequencies, other coefficients) at the
+    # same probes, where B may apply the table plan kept from A: with the
+    # table constants drawn anew between the two calls, on the probes
+    # permuted, or as A, B, A; a dense-step bound of a few bytes gives dense
+    # steps and plans too large to keep, and one of up to 2**12 kept plans
+    coeff = st.one_of(VALUES, st.floats(-1e6, 1e6),
+                      st.sampled_from([1e308, -1e308, 5e-324, -5e-324]))
+    a = _wide_spectrum(data, n, coeff, model)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    signs = rng.choice([-1.0, 1.0], a.coeffs.size)
+    b = SparseSpectrum(a.ground, model, a.freqs, a.coeffs[rng.permutation(a.coeffs.size)] * signs)
+    masks = data.draw(arrays(np.int64, st.integers(0, 40), elements=_edge_masks(n)))
+    again = masks[rng.permutation(masks.size)] if case == "permuted" else masks
+    hit_bytes = st.one_of(st.integers(1, 5), st.integers(1, 1 << 12))
+    tables = _small_tables(data, n, hit_bytes)
+    with np.errstate(over="ignore"):
+        with tables:
+            first = eval_sparse_many(a, masks)
+        with _small_tables(data, n, hit_bytes) if case == "redrawn" else tables:
+            got = eval_sparse_many(b, again)
+            third = eval_sparse_many(a, masks) if case == "interleaved" else first
+    want = [bandlimited_eval_reference(model, n, s.support.freqs.tolist(), s.coeffs.tolist(),
+                                       probes.tolist()) for s, probes in ((a, masks), (b, again))]
+    assert _same_bits(first, want[0]) and _same_bits(third, want[0])
+    assert _same_bits(got, want[1])
 
 
 def _sparse_spectrum(data, n: int, max_size: int, coeff) -> SparseSpectrum:

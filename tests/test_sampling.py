@@ -15,7 +15,7 @@ from setsp.core import (
     popcount,
     subsets_of_cardinality_at_most,
 )
-from setsp.compression import SetFunctionOracle
+from setsp.compression import SetFunctionOracle, estimate_relative_errors
 from setsp.coverage import GaussianModel, gaussian_entropy, gaussian_entropy_many
 from setsp.sampling import (
     eval_sparse_many,
@@ -282,6 +282,49 @@ def test_probes_that_hit_every_table_term_stay_within_a_few_slices():
     assert counting.add_at_calls == 0
     want = sparse_eval_reference(spec.support.freqs.tolist(), spec.coeffs.tolist(), [0])
     assert out.tobytes() == np.full(out.size, want[0]).tobytes()
+
+
+def test_dense_table_blocks_are_one_sweep_per_term_group():
+    # every empty-set probe hits all 2,500 |T| = 5 terms, so all 32 probe
+    # blocks of each of the three term groups are dense: one sweep per group
+    rng = np.random.default_rng(21)
+    draws = np.array([rng.choice(20, 5, replace=False) for _ in range(3000)])
+    freqs = np.unique((1 << draws).sum(axis=1))[:2500]
+    spec = SparseSpectrum(GroundSet(20), 4, freqs, rng.standard_normal(2500))
+    probes = np.zeros(1 << 16, dtype=np.int64)
+    with mock.patch.object(sampling, "_sweep", wraps=sampling._sweep) as spy:
+        out = eval_sparse_many(spec, probes)
+    swept = [(call.args[0].size, call.args[1].tolist()) for call in spy.call_args_list
+             if call.args[1].size]
+    group = 64 * sampling._TABLE_WORDS
+    assert swept == [(probes.size, freqs[i : i + group].tolist())
+                     for i in range(0, freqs.size, group)]
+    want = sparse_eval_reference(freqs.tolist(), spec.coeffs.tolist(), [0])
+    assert out.tobytes() == np.full(out.size, want[0]).tobytes()
+
+
+def test_an_oracle_and_its_fit_share_one_table_plan_and_keep_nothing():
+    # the elicitation of a 499-term bidder at n=20: its oracle keeps the plan
+    # of its 100k probes, and the fit on the same support applies and drops it
+    truth = synthetic_sparse_spectrum(GroundSet(20), 499, seed=9000)
+    fit = SparseSpectrum(truth.ground, 4, truth.freqs, truth.coeffs * 1.5)
+    kept = []
+
+    def fitted(masks):
+        kept.append(sampling._kept_plan is not None)
+        return eval_sparse_many(fit, masks)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        error, = estimate_relative_errors(oracle_from_sparse_spectrum(truth), [fitted],
+                                          100_000, seed=9000)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept == [True] and sampling._kept_plan is None
+    assert held < 1 << 16, f"{held} bytes held"
+    assert error == pytest.approx(0.5, rel=1e-12)
 
 
 def test_sparse_to_dense_consistency():
