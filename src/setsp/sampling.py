@@ -17,10 +17,13 @@ A sparse spectrum of any of the five models evaluates as its inverse
 transform restricted to the support (`eval_sparse_many`); the compression
 band and the sampling support are both such spectra.  Terms that reach few
 probes find them through bitset tables (Four Russians); the rest are swept.
-The hits depend on the probes and the terms alone: their plan is kept for
-one more call, so an oracle and its fit on one support, scored at the same
-probes, plan once.  Model 5's sweep holds each probe's sum in the sign frame
-of the last term, so that a term costs one sign-bit XOR and one scalar add.
+The tables are read one step at a time, as many probes as fill 512 KiB of
+hit words (a quarter of a 2 MiB L2), and each block of 2,048 probes in a step
+whose hits are dense sweeps its terms instead.  The hits depend on the
+probes and the terms alone: their plan is kept for one more call, so an
+oracle and its fit on one support, scored at the same probes, plan once.
+Model 5's sweep holds each probe's sum in the sign frame of the last term,
+so that a term costs one sign-bit XOR and one scalar add.
 
 Norms over the whole lattice need no lattice either: the model-4 basis
 vectors f^B_A = [A & B == 0] have the Gram matrix <f^B, f^C> = 2**(n - |B | C|),
@@ -72,14 +75,20 @@ _SIGN_PLANE_BYTES = 1 << 21
 # the rest: a term hits 2**-|T| of random probes, each hit costs a scattered
 # add, and a swept term four passes at every rate.
 _TABLE_MIN_CARD = 5
-# Probes per block and 64-term words per group of the hit tables: the hit
-# words of one step take 2**11 * 16 * 8 bytes = 256 KiB, in L2.
+# Probes per sweep decision and 64-term words per group of the hit tables.
 _TABLE_PROBES = 1 << 11
 _TABLE_WORDS = 16
-# Nonzero hit bytes one step (term group x probe block) may expand, which
-# holds the index and value arrays of at most 2**18 hits (13 MiB at n=20); a
-# step with more sweeps its terms.  A step of random probes has far fewer
-# (at most 21k in the benchmark's workloads).
+# Hit words per table step: a group of w words takes the probes of
+# 2**16 // (w * `_TABLE_PROBES`) blocks at once (8,192 probes for 8 words,
+# 4,096 for 16), whose hit words (512 KiB) stay in a 2 MiB L2 with the
+# tables and the step's temporaries.  A step has at most 2**16 probes, so a
+# hit's probe offset fits in uint16.
+_TABLE_STEP_WORDS = 1 << 16
+# Nonzero hit bytes one block of `_TABLE_PROBES` probes may have: a block
+# with more sweeps its terms.  One expansion of a step's other blocks takes
+# at most as many, which holds the index and value arrays of at most 2**18
+# hits (13 MiB at n=20).  A block of random probes has far fewer (at most
+# 21k in the benchmark's workloads).
 _TABLE_HIT_BYTES = 1 << 15
 # The last plan of `_add_table_hits` and its key.
 _kept_plan = None
@@ -261,9 +270,12 @@ def _table_plan(probes, tests, n: int):
     b = `_table_bits` bits, and the chunk at bit s gets a table whose row v
     is the bitset of the terms with T & (v << s) == 0, 64 terms to a word in
     little bit order.  A probe's hit words are the AND of its chunks' rows,
-    taken one block of `_TABLE_PROBES` probes and one group of `_TABLE_WORDS`
-    words at a time.  A run of blocks of one group, each with more than
-    `_TABLE_HIT_BYTES` nonzero hit bytes, is one sweep.
+    taken for one group of `_TABLE_WORDS` words at a time, in steps of as
+    many probes as fill `_TABLE_STEP_WORDS` hit words.  A step's blocks of
+    `_TABLE_PROBES` probes are planned in runs (`_block_runs`): a run of
+    blocks of one group, each with more than `_TABLE_HIT_BYTES` nonzero hit
+    bytes, is one sweep, and a step's other blocks are expanded together, as
+    many at once as hold `_TABLE_HIT_BYTES` nonzero hit bytes.
     """
     padded = np.pad(tests, (0, -tests.size % 64), constant_values=-1)  # hits nothing
     b = _table_bits(probes.size)
@@ -271,6 +283,7 @@ def _table_plan(probes, tests, n: int):
     for first in range(0, padded.size, 64 * _TABLE_WORDS):
         group = padded[first : first + 64 * _TABLE_WORDS]
         last = min(first + len(group), tests.size)  # without the padding
+        words = len(group) // 64
         tables = []
         for s in shifts:
             table = np.packbits(group != -1, bitorder="little").view(np.uint64)[None]
@@ -278,34 +291,56 @@ def _table_plan(probes, tests, n: int):
                 clear = np.packbits(group & (1 << bit) == 0, bitorder="little")
                 table = np.concatenate((table, table & clear.view(np.uint64)))
             tables.append(table)
+        step = max(_TABLE_STEP_WORDS // (words * _TABLE_PROBES), 1) * _TABLE_PROBES
         swept = None  # the first probe of a run of dense blocks
-        for start in range(0, probes.size, _TABLE_PROBES):
-            stop = min(start + _TABLE_PROBES, probes.size)
-            hits = _block_hits(tables, shifts, probes[start:stop], len(group) // 64)
-            if hits is None:
-                swept = start if swept is None else swept
-                continue
-            if swept is not None:
-                yield swept, start, first, last, None
-                swept = None
-            yield start, stop, first, last, hits
+        for start in range(0, probes.size, step):
+            P = probes[start : start + step]
+            hits = np.take(tables[0], P & (len(tables[0]) - 1), axis=0)
+            for s, table in zip(shifts[1:], tables[1:]):
+                hits &= np.take(table, (P >> s) & (len(table) - 1), axis=0)
+            for lo, hi, dense in _block_runs(hits):
+                if dense:
+                    swept = start + lo if swept is None else swept
+                    continue
+                if swept is not None:
+                    yield swept, start + lo, first, last, None
+                    swept = None
+                yield start + lo, start + hi, first, last, _block_hits(hits[lo:hi], words)
         if swept is not None:
             yield swept, probes.size, first, last, None
 
 
-def _block_hits(tables, shifts, P, words: int):
-    """The hits of the probes P on a group of `words` words, as `_table_plan`
-    gives them, or None past `_TABLE_HIT_BYTES` nonzero hit bytes."""
-    hits = np.take(tables[0], P & (len(tables[0]) - 1), axis=0)
-    for s, table in zip(shifts[1:], tables[1:]):
-        hits &= np.take(table, (P >> s) & (len(table) - 1), axis=0)
+def _block_runs(hits):
+    """The rows of a step's hit words, in blocks of `_TABLE_PROBES`, as runs
+    (lo, hi, dense): a dense block, with more than `_TABLE_HIT_BYTES` nonzero
+    hit bytes, alone, and consecutive other blocks with at most as many
+    together.  Each block's bytes are counted on a uint8 view, so a dense
+    block builds no index."""
+    byte = hits.view(np.uint8)
+    lo = held = 0  # the rows [lo, at) and their nonzero bytes, not yet given
+    for at in range(0, len(hits), _TABLE_PROBES):
+        count = np.count_nonzero(byte[at : at + _TABLE_PROBES])
+        dense = count > _TABLE_HIT_BYTES
+        if at > lo and (dense or held + count > _TABLE_HIT_BYTES):
+            yield lo, at, False
+            lo, held = at, 0
+        if dense:
+            lo = min(at + _TABLE_PROBES, len(hits))
+            yield at, lo, True
+        else:
+            held += count
+    if lo < len(hits):
+        yield lo, len(hits), False
+
+
+def _block_hits(hits, words: int):
+    """The hits of consecutive probes' hit words, `words` to a probe, as
+    `_table_plan` gives them."""
     # the nonzero words, then their nonzero bytes, then the set bits
     hits = hits.ravel()
     word = np.flatnonzero(hits != 0)
     byte = hits[word].view(np.uint8)
     nonzero = np.flatnonzero(byte != 0)
-    if nonzero.size > _TABLE_HIT_BYTES:
-        return None
     at = np.flatnonzero(np.unpackbits(byte[nonzero], bitorder="little").view(bool))
     at = nonzero[at >> 3] << 3 | at & 7  # the hit's bit in `byte`
     probe, term = np.divmod(word[at >> 6], words)
@@ -400,7 +435,8 @@ def lattice_norms(ground: GroundSet, freqs, coeffs) -> np.ndarray:
     """
     freqs = np.asarray(freqs, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    gram = np.ldexp(1.0, ground.n - popcount(freqs[:, None] | freqs[None, :]))
+    powers = np.ldexp(1.0, np.arange(ground.n, -1, -1))  # 2**(n - c) at c
+    gram = powers[np.bitwise_count(freqs[:, None] | freqs[None, :])]
     _, exps = np.frexp(np.abs(coeffs).max(axis=0, initial=0.0))
     scaled = np.ldexp(coeffs, -exps)
     forms = np.einsum("ij,ij->j", scaled, gram @ scaled)

@@ -312,13 +312,15 @@ def _wide_spectrum(data, n: int, coeff, model: int = 4, band: bool = False) -> S
 
 def _small_tables(data, n: int, hit_bytes=st.integers(1, 5)):
     """Patches the sparse evaluator's routing threshold over 0..n+1, and its
-    table width, probe blocks, term groups, dense-step bound (`hit_bytes`),
-    sweep blocks and sign-plane count and bytes down to a few."""
+    table width, probe blocks, term groups, step hit words (steps of 1 to 64
+    blocks), dense-block bound (`hit_bytes`), sweep blocks and sign-plane
+    count and bytes down to a few."""
     bits = data.draw(st.integers(1, 6))
     return mock.patch.multiple(
         sampling, _TABLE_MIN_CARD=data.draw(st.integers(0, n + 1)),
         _table_bits=lambda size: bits, _TABLE_PROBES=data.draw(st.integers(1, 9)),
-        _TABLE_WORDS=data.draw(st.integers(1, 3)), _TABLE_HIT_BYTES=data.draw(hit_bytes),
+        _TABLE_WORDS=data.draw(st.integers(1, 3)), _TABLE_STEP_WORDS=data.draw(st.integers(1, 64)),
+        _TABLE_HIT_BYTES=data.draw(hit_bytes),
         _EVAL_CHUNK=data.draw(st.integers(1, 5)), _SIGN_PLANES=data.draw(st.integers(0, 40)),
         _SIGN_PLANE_BYTES=data.draw(st.integers(8, 40)))
 

@@ -303,6 +303,67 @@ def test_dense_table_blocks_are_one_sweep_per_term_group():
     assert out.tobytes() == np.full(out.size, want[0]).tobytes()
 
 
+def test_probes_that_hit_every_term_of_a_one_word_group_expand_a_few_blocks_at_a_time():
+    # every empty-set probe hits all 64 |T| = 5 terms, 16,384 nonzero hit
+    # bytes per 2,048-probe block, which is not dense: a step of one word
+    # plans all 2**16 probes, and its 2**22 hits, expanded at once, took
+    # 134 MiB, so one expansion takes at most 2**15 nonzero hit bytes
+    rng = np.random.default_rng(21)
+    draws = np.array([rng.choice(20, 5, replace=False) for _ in range(100)])
+    freqs = np.unique((1 << draws).sum(axis=1))[:64]
+    spec = SparseSpectrum(GroundSet(20), 4, freqs, rng.standard_normal(64))
+    probes = np.zeros(1 << 16, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = eval_sparse_many(spec, probes)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + (20 << 20), f"peak {peak / 2**20:.1f} MiB"
+    want = sparse_eval_reference(freqs.tolist(), spec.coeffs.tolist(), [0])
+    assert out.tobytes() == np.full(out.size, want[0]).tobytes()
+
+
+def test_the_n16_error_pair_keeps_its_bits_in_wide_table_steps():
+    # `setsp error` at n=16: a 499-term bidder and its fit at 100k seeded
+    # probes, of which 51,260 are distinct and go to both, ascending.  The
+    # 477 table terms take 8 words, so a step plans 8,192 probes; the first
+    # 2,048 (the masks below 2,617) hit the most, with 21,265 nonzero hit
+    # bytes against at most 10,912 in any other block.  The sweep is decided
+    # per block of 2,048 probes: at the default bound no block sweeps, and at
+    # 2**14 bytes only the first does, in the oracle's plan and again when
+    # the fit applies it.  One-block steps give the same bytes.
+    truth = synthetic_sparse_spectrum(GroundSet(16), 499, seed=1013)
+    fit = SparseSpectrum(truth.ground, 4, truth.freqs, truth.coeffs * 1.5)
+    tabled = np.count_nonzero(popcount(truth.freqs) >= sampling._TABLE_MIN_CARD)
+
+    def pair():
+        values = []
+
+        def recorded(spectrum):
+            def evaluate(masks):
+                values.append(eval_sparse_many(spectrum, masks))
+                return values[-1]
+            return evaluate
+
+        error, = estimate_relative_errors(SetFunctionOracle(truth.ground, recorded(truth)),
+                                          [recorded(fit)], 100_000, seed=1013)
+        assert [v.size for v in values] == [51_260] * 2
+        return b"".join(v.tobytes() for v in values), error
+
+    with mock.patch.object(sampling, "_TABLE_STEP_WORDS", 1):  # one block per step
+        want = pair()
+    for hit_bytes, swept in ((sampling._TABLE_HIT_BYTES, []),
+                             (1 << 14, [sampling._TABLE_PROBES] * 2)):
+        with (mock.patch.object(sampling, "_TABLE_HIT_BYTES", hit_bytes),
+              mock.patch.object(sampling, "_sweep", wraps=sampling._sweep) as spy):
+            got = pair()
+        assert got == want
+        assert [c.args[0].size for c in spy.call_args_list if c.args[1].size == tabled] == swept
+
+
 def test_an_oracle_and_its_fit_share_one_table_plan_and_keep_nothing():
     # the elicitation of a 499-term bidder at n=20: its oracle keeps the plan
     # of its 100k probes, and the fit on the same support applies and drops it
